@@ -33,7 +33,9 @@ class VarietyTag:
         return self.name != "General"
 
 
-class _UnionFind:
+class UnionFind:
+    """Disjoint sets over hashable elements, created on first find."""
+
     def __init__(self):
         self.parent = {}
 
@@ -113,7 +115,7 @@ def _is_strict_inverse(gs, elements):
     """
     mul = gs.mul
     inv = gs.inv
-    uf = _UnionFind()
+    uf = UnionFind()
     idems = [x for x in elements if mul(x, x) == x]
     for e in idems:
         uf.find(e)

@@ -12,10 +12,9 @@ import argparse
 import os
 import sys
 
-from .pbij import PartialBijection
 from .gensys import GeneratorSystem, VIRTUAL_ONE
-from .oracle import (ClosureCapExceeded, close, eval_word, naive_member,
-                     naive_conjugate, naive_green, naive_green_leq)
+from .oracle import (ClosureCapExceeded, close, naive_member, naive_conjugate,
+                     naive_green, naive_green_leq)
 from .classify import classify_generated
 from .groups import pb_group_member, group_conjugate, perm_group_of, \
     set_transporter
@@ -25,7 +24,8 @@ from .slp import (NotGenerated, slp_eval, slp_to_text, slp_from_text,
 from .munn import (OutsideTractable, dispatch_member, dispatch_conjugate,
                    clifford_member, clifford_conjugate, sis_member,
                    sis_conjugate)
-from .automata import ProductCapExceeded, intersect_nonempty
+from .automata import (InverseAutomaton, ProductCapExceeded,
+                       intersect_nonempty)
 from .ncl import local_configs
 from .hardness import (gen_ugap_conj, gen_ugap_member, gen_ncl_conj,
                        gen_ncl_member, gen_ncl_automata, gen_mgs,
@@ -33,8 +33,6 @@ from .hardness import (gen_ugap_conj, gen_ugap_member, gen_ncl_conj,
 from .meta import mgs_decide, solve_equations, eval_word as eval_eq_word
 from . import formats
 from .formats import FormatError, PBInstance, CTInstance
-
-FORCED_CAP = 10**8
 
 
 class CLIError(Exception):
@@ -45,10 +43,6 @@ class Refusal(Exception):
     """A refusal to decide; exit status 1."""
 
 
-def _pb_images(p):
-    return " ".join("_" if x is None else str(x + 1) for x in p.images)
-
-
 def _word_line(word):
     return "word" + "".join(" g%d" % (i + 1) for i in word)
 
@@ -57,6 +51,12 @@ def _require(value, what):
     if value is None:
         raise CLIError("instance has no %s record" % what)
     return value
+
+
+def _expect(inst, cls, message):
+    if not isinstance(inst, cls):
+        raise CLIError(message)
+    return inst
 
 
 def _load(path):
@@ -105,11 +105,11 @@ def _pb_member(gs, t, args):
     if args.force_oracle:
         solver = "oracle"
     if solver == "auto":
-        ok = dispatch_member(gs, t, assume=args.assume, explain=explain)
+        ok = dispatch_member(gs, t, assume=args.assume, cap=args.cap,
+                             explain=explain)
         word = None
     elif solver == "oracle":
-        cap = FORCED_CAP if args.force_oracle else args.cap
-        ok, word = naive_member(gs, t, cap)
+        ok, word = naive_member(gs, t, args.cap)
     elif solver == "group":
         ok, word = pb_group_member(gs, t)
     elif solver == "clifford":
@@ -144,10 +144,8 @@ def cmd_member(args):
             print("YES" if ok else "NO")
             if ok:
                 print("word" + "".join(" %d" % x for x in word))
-        elif args.solver in ("auto", "oracle") or args.force_oracle:
-            gs = inst.system()
-            cap = FORCED_CAP if args.force_oracle else args.cap
-            ok, word = naive_member(gs, t, cap)
+        elif args.solver == "oracle" or args.force_oracle:
+            ok, word = naive_member(inst.system(), t, args.cap)
             print("YES" if ok else "NO")
             if ok:
                 print(_word_line(word))
@@ -165,10 +163,9 @@ def _pb_conjugate(gs, s, t, args):
         solver = "oracle"
     if solver == "auto":
         ok, u = dispatch_conjugate(gs, s, t, assume=args.assume,
-                                   explain=explain)
+                                   cap=args.cap, explain=explain)
     elif solver == "oracle":
-        cap = FORCED_CAP if args.force_oracle else args.cap
-        ok, u = naive_conjugate(gs, s, t, cap)
+        ok, u = naive_conjugate(gs, s, t, args.cap)
     elif solver == "group":
         ok, u = group_conjugate(gs, s, t)
     elif solver == "clifford":
@@ -191,7 +188,7 @@ def cmd_conj(args):
         ok, u = _pb_conjugate(gs, s, t, args)
         print("YES" if ok else "NO")
         if ok and u is not None:
-            print("conjugator " + _pb_images(u))
+            print(formats.image_line("conjugator", u))
         return 0
     if isinstance(inst, CTInstance):
         s = _require(inst.s, "s")
@@ -200,9 +197,7 @@ def cmd_conj(args):
             ok = CTSolver(inst.table, inst.gens).conjugate(s, t)
             print("YES" if ok else "NO")
         else:
-            gs = inst.system()
-            cap = FORCED_CAP if args.force_oracle else args.cap
-            ok, u = naive_conjugate(gs, s, t, cap)
+            ok, u = naive_conjugate(inst.system(), s, t, args.cap)
             print("YES" if ok else "NO")
             if ok:
                 print("conjugator %s"
@@ -268,8 +263,7 @@ def cmd_slp(args):
 
 def cmd_transport(args):
     inst = _load(args.file)
-    if not isinstance(inst, PBInstance):
-        raise CLIError("transport needs a pb instance")
+    _expect(inst, PBInstance, "transport needs a pb instance")
     gs = _system_of(inst)
     ds = _require(inst.ds, "ds")
     dt = _require(inst.dt, "dt")
@@ -287,20 +281,16 @@ def cmd_transport(args):
     for i in word:
         u = gs.mul(u, gs.generators[i])
     print("YES")
-    print("transporter " + _pb_images(u))
+    print(formats.image_line("transporter", u))
     return 0
 
 
 def cmd_automata(args):
     if args.action != "intersect":
         raise CLIError("unknown automata action %r" % args.action)
-    from .automata import InverseAutomaton
-    automata = []
-    for path in args.files:
-        inst = _load(path)
-        if not isinstance(inst, InverseAutomaton):
-            raise CLIError("%s: not an ia instance" % path)
-        automata.append(inst)
+    automata = [_expect(_load(path), InverseAutomaton,
+                        "%s: not an ia instance" % path)
+                 for path in args.files]
     witness = intersect_nonempty(automata)
     if witness is None:
         print("NO")
@@ -312,21 +302,19 @@ def cmd_automata(args):
 
 def cmd_mgs(args):
     inst = _load(args.file)
-    if not isinstance(inst, PBInstance):
-        raise CLIError("mgs needs a pb instance")
+    _expect(inst, PBInstance, "mgs needs a pb instance")
     gs = _system_of(inst)
     ok, witness = mgs_decide(gs, args.k, cap=args.cap)
     print("YES" if ok else "NO")
     if ok:
         for g in witness:
-            print("gen " + _pb_images(g))
+            print(formats.image_line("gen", g))
     return 0
 
 
 def cmd_eqn(args):
     inst = _load(args.file)
-    if not isinstance(inst, formats.EqnInstance):
-        raise CLIError("eqn needs an eqn instance")
+    _expect(inst, formats.EqnInstance, "eqn needs an eqn instance")
     ambient = inst.ambient.system()
     assignment = solve_equations(inst.system, ambient, cap=args.cap)
     if assignment is None:
@@ -334,7 +322,7 @@ def cmd_eqn(args):
     else:
         print("YES")
         for name in inst.system.variables:
-            print("assign %s %s" % (name, _pb_images(assignment[name])))
+            print(formats.image_line("assign " + name, assignment[name]))
     return 0
 
 
@@ -352,8 +340,8 @@ def cmd_gen(args):
     inst = _load(args.input)
     reduction = args.reduction
     if reduction in ("ugap-conj", "ugap-member"):
-        if not isinstance(inst, formats.GraphInstance):
-            raise CLIError("%s needs a graph instance" % reduction)
+        _expect(inst, formats.GraphInstance,
+                "%s needs a graph instance" % reduction)
         if reduction == "ugap-conj":
             table, sigma, e_s, e_t = gen_ugap_conj(
                 inst.n, inst.edges, inst.s, inst.t)
@@ -366,8 +354,8 @@ def cmd_gen(args):
                         args.input, reduction)
         return 0
     if reduction in ("ncl-conj", "ncl-member"):
-        if not isinstance(inst, formats.NCLMachine):
-            raise CLIError("%s needs an ncl instance" % reduction)
+        _expect(inst, formats.NCLMachine,
+                "%s needs an ncl instance" % reduction)
         if reduction == "ncl-conj":
             enc, sigma, e_s, e_t = gen_ncl_conj(inst)
             out = PBInstance(enc.degree, sigma, s=e_s, t=e_t)
@@ -378,8 +366,7 @@ def cmd_gen(args):
                         args.input, reduction)
         return 0
     if reduction == "ncl-automata":
-        if not isinstance(inst, formats.NCLMachine):
-            raise CLIError("ncl-automata needs an ncl instance")
+        _expect(inst, formats.NCLMachine, "ncl-automata needs an ncl instance")
         enc, automata = gen_ncl_automata(inst)
         os.makedirs(args.output, exist_ok=True)
         pos = 0
@@ -393,8 +380,7 @@ def cmd_gen(args):
         print("wrote %d automata" % pos)
         return 0
     if reduction == "mgs":
-        if not isinstance(inst, PBInstance):
-            raise CLIError("mgs needs a pb instance")
+        _expect(inst, PBInstance, "mgs needs a pb instance")
         gs = _system_of(inst)
         t = _require(inst.target, "target")
         out_gs, k = gen_mgs(gs, t)
@@ -404,8 +390,7 @@ def cmd_gen(args):
         print("k %d" % k)
         return 0
     if reduction == "equation":
-        if not isinstance(inst, PBInstance):
-            raise CLIError("equation needs a pb instance")
+        _expect(inst, PBInstance, "equation needs a pb instance")
         gs = _system_of(inst)
         e_s = _require(inst.s, "s")
         e_t = _require(inst.t, "t")
@@ -436,181 +421,165 @@ def cmd_gen(args):
 
 
 def _read_answer(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [ln.rstrip("\n") for ln in handle
-                 if ln.strip() and not ln.startswith("%")]
-    if not lines or lines[0] not in ("YES", "NO"):
+    """(YES?, [(lineno, tokens)] of the lines after the first)."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = [(lineno, ln.split())
+                     for lineno, ln in enumerate(handle, 1)
+                     if ln.strip() and not ln.startswith("%")]
+    except OSError as exc:
+        raise CLIError(str(exc))
+    if not lines or lines[0][1] not in (["YES"], ["NO"]):
         raise CLIError("%s: first line must be YES or NO" % path)
-    return lines[0] == "YES", lines[1:]
+    return lines[0][1] == ["YES"], lines[1:]
 
 
-def _verify_fail(message):
-    print("FAIL %s" % message)
-    return 1
+def _records(lines, key):
+    """(lineno, tokens after the key) of each answer line led by key."""
+    return [(lineno, tokens[1:]) for lineno, tokens in lines
+            if tokens[0] == key]
+
+
+def _verify_member(inst, lines, args):
+    gs = _system_of(inst)
+    t = _require(inst.target, "target")
+    words = _records(lines, "word")
+    if not words:
+        return "OK no witness to check"
+    lineno, tokens = words[0]
+    letters = []
+    for tok in tokens:
+        # g<i> names generator i; a ct word may also list element indices
+        if gs.model == "ct" and not tok.startswith("g"):
+            letters.append(formats.parse_element(tok, gs.table.order, lineno))
+        else:
+            i = formats.parse_generator(tok, len(gs.generators), lineno)
+            letters.append(gs.generators[i])
+    if not letters:
+        # the empty word is the identity of U^1, not an element of U
+        return "FAIL empty witness word"
+    if not set(letters) <= set(gs.generators):
+        return "FAIL witness word has a letter outside the generators"
+    value = letters[0]
+    for x in letters[1:]:
+        value = gs.mul(value, x)
+    if value != t:
+        return "FAIL witness word does not evaluate to the target"
+    return "OK"
+
+
+def _verify_conj(inst, lines, args):
+    gs = _system_of(inst)
+    s = _require(inst.s, "s")
+    t = _require(inst.t, "t")
+    found = _records(lines, "conjugator")
+    if not found:
+        return "OK no witness to check"
+    lineno, tokens = found[0]
+    if gs.model == "pb":
+        u = formats.parse_images(tokens, gs.degree, lineno)
+    elif len(tokens) != 1:
+        raise FormatError("line %d: expected one element index or 'one'"
+                          % lineno)
+    elif tokens[0] == "one":
+        u = VIRTUAL_ONE
+    else:
+        u = formats.parse_element(tokens[0], gs.table.order, lineno)
+    ub = gs.inv(u)
+    if gs.mul(gs.mul(ub, s), u) != t or gs.mul(gs.mul(u, t), ub) != s:
+        return "FAIL conjugator fails the defining equations"
+    return "OK"
+
+
+def _verify_transport(inst, lines, args):
+    _expect(inst, PBInstance, "transport needs a pb instance")
+    ds = _require(inst.ds, "ds")
+    dt = _require(inst.dt, "dt")
+    found = _records(lines, "transporter")
+    if not found:
+        return "FAIL missing transporter line"
+    lineno, tokens = found[0]
+    u = formats.parse_images(tokens, inst.degree, lineno)
+    image = {u.images[x] for x in ds}
+    if None in image:
+        return "FAIL transporter undefined on ds"
+    if image != set(dt):
+        return "FAIL transporter does not map ds onto dt"
+    return "OK"
+
+
+def _verify_slp(inst, lines, args):
+    gs = _system_of(inst)
+    t = _require(inst.target, "target")
+    slp = slp_from_text("\n".join(
+        " ".join(tokens) for _, tokens in lines
+        if tokens[0] in ("g", "m", "inv", "target")))
+    if slp_eval(gs, slp) != t:
+        return "FAIL slp does not evaluate to the target"
+    return "OK"
+
+
+def _verify_mgs(inst, lines, args):
+    gs = _system_of(_expect(inst, PBInstance, "mgs needs a pb instance"))
+    gens = [formats.parse_images(tokens, inst.degree, lineno)
+            for lineno, tokens in _records(lines, "gen")]
+    if not gens:
+        return "FAIL missing gen lines"
+    sub = GeneratorSystem(gens, degree=inst.degree)
+    if set(close(sub).elements) != set(close(gs).elements):
+        return "FAIL witness set does not generate the closure"
+    return "OK"
+
+
+def _verify_eqn(inst, lines, args):
+    _expect(inst, formats.EqnInstance, "eqn needs an eqn instance")
+    ambient = inst.ambient.system()
+    assignment = {}
+    for lineno, tokens in _records(lines, "assign"):
+        value = formats.parse_images(tokens[1:], inst.ambient.degree, lineno)
+        assignment[tokens[0]] = value
+    for name in inst.system.variables:
+        if name not in assignment:
+            return "FAIL missing assignment for %s" % name
+    for lhs, rhs in inst.system.equations:
+        left = eval_eq_word(lhs, assignment, ambient.mul, ambient.inv)
+        right = eval_eq_word(rhs, assignment, ambient.mul, ambient.inv)
+        if left != right:
+            return "FAIL assignment fails an equation"
+    return "OK"
+
+
+def _verify_automata(inst, lines, args):
+    found = _records(lines, "word")
+    if not found:
+        return "FAIL missing word line"
+    word = tuple(found[0][1])
+    for path in [args.instance] + list(args.extra):
+        auto = _expect(_load(path), InverseAutomaton,
+                       "%s: not an ia instance" % path)
+        if not (set(word) <= set(auto.alphabet) and auto.accepts(word)):
+            return "FAIL %s rejects the witness word" % path
+    return "OK"
+
+
+_VERIFIERS = {
+    "member": _verify_member,
+    "conj": _verify_conj,
+    "transport": _verify_transport,
+    "slp": _verify_slp,
+    "mgs": _verify_mgs,
+    "eqn": _verify_eqn,
+    "automata": _verify_automata,
+}
 
 
 def cmd_verify(args):
     answer, lines = _read_answer(args.output)
     inst = _load(args.instance)
-    kind = args.what
-
-    if kind == "member":
-        if not answer:
-            print("OK no witness to check")
-            return 0
-        word_lines = [ln for ln in lines if ln.startswith("word")]
-        if not word_lines:
-            print("OK no witness to check")
-            return 0
-        tokens = word_lines[0].split()[1:]
-        if isinstance(inst, PBInstance):
-            gs = _system_of(inst)
-            t = _require(inst.target, "target")
-            if not tokens:
-                value = gs.one
-            else:
-                word = tuple(int(tok[1:]) - 1 for tok in tokens)
-                value = eval_word(gs, word)
-        else:
-            t = _require(inst.target, "target")
-            value = None
-            for tok in tokens:
-                x = int(tok)
-                value = x if value is None else inst.table.mul(value, x)
-            if value is None:
-                value = t if inst.table.identity_index is None \
-                    else inst.table.identity_index
-        if value != t:
-            return _verify_fail("witness word does not evaluate to the target")
-        print("OK")
-        return 0
-
-    if kind == "conj":
-        if not answer:
-            print("OK no witness to check")
-            return 0
-        conj_lines = [ln for ln in lines if ln.startswith("conjugator")]
-        if not conj_lines:
-            print("OK no witness to check")
-            return 0
-        tokens = conj_lines[0].split()[1:]
-        gs = _system_of(inst)
-        s = _require(inst.s, "s")
-        t = _require(inst.t, "t")
-        if isinstance(inst, PBInstance):
-            u = PartialBijection(
-                inst.degree,
-                tuple(None if tok == "_" else int(tok) - 1
-                      for tok in tokens))
-        else:
-            u = VIRTUAL_ONE if tokens[0] == "one" else int(tokens[0])
-        ub = gs.inv(u)
-        if gs.mul(gs.mul(ub, s), u) != t or gs.mul(gs.mul(u, t), ub) != s:
-            return _verify_fail("conjugator fails the defining equations")
-        print("OK")
-        return 0
-
-    if kind == "transport":
-        if not answer:
-            print("OK no witness to check")
-            return 0
-        tr = [ln for ln in lines if ln.startswith("transporter")]
-        if not tr:
-            return _verify_fail("missing transporter line")
-        tokens = tr[0].split()[1:]
-        u = PartialBijection(
-            inst.degree,
-            tuple(None if tok == "_" else int(tok) - 1 for tok in tokens))
-        ds = _require(inst.ds, "ds")
-        dt = _require(inst.dt, "dt")
-        image = set()
-        for x in ds:
-            y = u.images[x]
-            if y is None:
-                return _verify_fail("transporter undefined on ds")
-            image.add(y)
-        if image != set(dt):
-            return _verify_fail("transporter does not map ds onto dt")
-        print("OK")
-        return 0
-
-    if kind == "slp":
-        if not answer:
-            print("OK no witness to check")
-            return 0
-        gs = _system_of(inst)
-        t = _require(inst.target, "target")
-        slp_text = "\n".join(
-            ln for ln in lines
-            if ln.split() and ln.split()[0] in ("g", "m", "inv", "target"))
-        slp = slp_from_text(slp_text)
-        if slp_eval(gs, slp) != t:
-            return _verify_fail("slp does not evaluate to the target")
-        print("OK")
-        return 0
-
-    if kind == "mgs":
-        if not answer:
-            print("OK no witness to check")
-            return 0
-        gs = _system_of(inst)
-        gens = []
-        for ln in lines:
-            if ln.startswith("gen"):
-                tokens = ln.split()[1:]
-                gens.append(PartialBijection(
-                    inst.degree,
-                    tuple(None if tok == "_" else int(tok) - 1
-                          for tok in tokens)))
-        if not gens:
-            return _verify_fail("missing gen lines")
-        sub = GeneratorSystem(gens, degree=inst.degree)
-        if set(close(sub).elements) != set(close(gs).elements):
-            return _verify_fail("witness set does not generate the closure")
-        print("OK")
-        return 0
-
-    if kind == "eqn":
-        if not answer:
-            print("OK no witness to check")
-            return 0
-        ambient = inst.ambient.system()
-        assignment = {}
-        for ln in lines:
-            if ln.startswith("assign"):
-                tokens = ln.split()
-                assignment[tokens[1]] = PartialBijection(
-                    inst.ambient.degree,
-                    tuple(None if tok == "_" else int(tok) - 1
-                          for tok in tokens[2:]))
-        for name in inst.system.variables:
-            if name not in assignment:
-                return _verify_fail("missing assignment for %s" % name)
-        for lhs, rhs in inst.system.equations:
-            left = eval_eq_word(lhs, assignment, ambient.mul, ambient.inv)
-            right = eval_eq_word(rhs, assignment, ambient.mul, ambient.inv)
-            if left != right:
-                return _verify_fail("assignment fails an equation")
-        print("OK")
-        return 0
-
-    if kind == "automata":
-        if not answer:
-            print("OK no witness to check")
-            return 0
-        word_lines = [ln for ln in lines if ln.startswith("word")]
-        if not word_lines:
-            return _verify_fail("missing word line")
-        word = tuple(word_lines[0].split()[1:])
-        paths = [args.instance] + list(args.extra)
-        for path in paths:
-            auto = _load(path)
-            if not auto.accepts(word):
-                return _verify_fail("%s rejects the witness word" % path)
-        print("OK")
-        return 0
-
-    raise CLIError("unknown verify target %r" % kind)
+    verdict = (_VERIFIERS[args.what](inst, lines, args) if answer
+               else "OK no witness to check")
+    print(verdict)
+    return 0 if verdict.startswith("OK") else 1
 
 
 # -- argument parsing ------------------------------------------------------
@@ -689,8 +658,7 @@ def build_parser():
 
     p = subs.add_parser("verify")
     p.add_argument("what",
-                   choices=["member", "conj", "transport", "slp", "mgs",
-                            "eqn", "automata"])
+                   choices=list(_VERIFIERS))
     p.add_argument("instance")
     p.add_argument("output")
     p.add_argument("extra", nargs="*",

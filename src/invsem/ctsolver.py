@@ -1,30 +1,15 @@
 """Cayley-table-model solvers: relative R-equivalence and conjugacy as
 undirected reachability, and the greedy membership loop.
 
-If the table lacks an identity, one is adjoined virtually (index n);
-tables are never rebuilt.
+Elements, products and inverses are those of the GeneratorSystem on the
+table: without an identity, S^1 adjoins VIRTUAL_ONE; tables are never
+rebuilt.
 """
 
 from __future__ import annotations
 
-
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a, b):
-        self.parent[self.find(a)] = self.find(b)
+from .classify import UnionFind
+from .gensys import GeneratorSystem, VIRTUAL_ONE
 
 
 class CTSolver:
@@ -34,40 +19,15 @@ class CTSolver:
 
     def __init__(self, table, sigma):
         self.table = table
-        n = table.order
-        for u in sigma:
-            if not (0 <= u < n):
-                raise ValueError("generator index %r out of range" % (u,))
-        # inverse-close Sigma, preserving order
-        sig = []
-        for u in sigma:
-            for v in (u, table.inverse_map[u]):
-                if v not in sig:
-                    sig.append(v)
-        self.sigma = sig
-        self.identity = table.identity_index
-        if self.identity is None:
-            self.identity = n  # virtual adjoined identity
-            self.size = n + 1
-        else:
-            self.size = n
+        self.gs = GeneratorSystem(sigma, table=table)
+        self.sigma = self.gs.generators
+        # S^1 in index order, the virtual identity (if adjoined) last
+        self.elements = list(range(table.order))
+        if self.gs.adjoined_identity:
+            self.elements.append(VIRTUAL_ONE)
         self._r_uf = None
         self._r_adj = None
         self._conj_uf = None
-
-    # multiplication with the virtual identity
-    def mul(self, x, y):
-        n = self.table.order
-        if x >= n:
-            return y
-        if y >= n:
-            return x
-        return self.table.table[x][y]
-
-    def inv(self, x):
-        if x >= self.table.order:
-            return x
-        return self.table.inverse_map[x]
 
     # -- R_U reachability --------------------------------------------------
 
@@ -77,15 +37,17 @@ class CTSolver:
         """
         if self._r_uf is not None:
             return
-        uf = _UnionFind(self.size)
-        adj = [[] for _ in range(self.size)]
-        for x in range(self.size):
-            for u in self.sigma:
-                y = self.mul(x, u)
-                if y != x and self.mul(y, self.inv(u)) == x:
+        mul = self.gs.mul
+        pairs = [(u, self.gs.inv(u)) for u in self.sigma]
+        uf = UnionFind()
+        adj = {x: [] for x in self.elements}
+        for x in self.elements:
+            for u, ub in pairs:
+                y = mul(x, u)
+                if y != x and mul(y, ub) == x:
                     uf.union(x, y)
                     adj[x].append((y, u))
-                    adj[y].append((x, self.inv(u)))
+                    adj[y].append((x, ub))
         self._r_uf = uf
         self._r_adj = adj
 
@@ -123,12 +85,13 @@ class CTSolver:
         """Edges {x, y} whenever u~ x u = y and x = u y u~."""
         if self._conj_uf is not None:
             return
-        uf = _UnionFind(self.size)
-        for x in range(self.size):
-            for u in self.sigma:
-                ub = self.inv(u)
-                y = self.mul(self.mul(ub, x), u)
-                if y != x and self.mul(self.mul(u, y), ub) == x:
+        mul = self.gs.mul
+        pairs = [(u, self.gs.inv(u)) for u in self.sigma]
+        uf = UnionFind()
+        for x in self.elements:
+            for u, ub in pairs:
+                y = mul(mul(ub, x), u)
+                if y != x and mul(mul(u, y), ub) == x:
                     uf.union(x, y)
         self._conj_uf = uf
 
@@ -147,34 +110,37 @@ class CTSolver:
         y u u~ != y and y u u~ y~ t = t, and move to yu.
         """
         self._build_r()
-        one = self.identity
+        gs = self.gs
+        mul = gs.mul
+        inv = gs.inv
+        one = gs.one
+        pairs = [(u, inv(u)) for u in self.sigma]
         if t == one:
             # The loop normalizes by adjoining 1 to U, so answer t = 1
             # directly.  A virtual identity is part of the normalized
             # problem; a real identity lies in <Sigma> iff some
             # generator has u u~ = 1 (1 is the top idempotent).
-            if t == self.table.order:
+            if gs.adjoined_identity:
                 return True, (), 0
-            for u in self.sigma:
-                if self.mul(u, self.inv(u)) == one:
-                    return True, (u, self.inv(u)), 0
+            for u, ub in pairs:
+                if mul(u, ub) == one:
+                    return True, (u, ub), 0
             return False, None, 0
-        sigma = self.sigma
-        mul = self.mul
-        inv = self.inv
-        uf = self._r_uf
+        find = self._r_uf.find
+        elements = self.elements
         x = one
         word = ()
         iterations = 0
         while True:
             step = None
-            x_root = uf.find(x)
-            for y in range(self.size):
-                if uf.find(y) != x_root:
+            x_root = find(x)
+            for y in elements:
+                if find(y) != x_root:
                     continue
-                for u in sigma:
-                    yuub = mul(mul(y, u), inv(u))
-                    if yuub != y and mul(mul(yuub, inv(y)), t) == t:
+                yb = inv(y)
+                for u, ub in pairs:
+                    yuub = mul(mul(y, u), ub)
+                    if yuub != y and mul(mul(yuub, yb), t) == t:
                         step = (y, u)
                         break
                 if step is not None:
@@ -193,7 +159,8 @@ class CTSolver:
                     acc = mul(acc, letter)
                 assert acc == x, "witness word does not evaluate to x"
                 assert mul(mul(x, inv(x)), t) == t, "x x~ t = t violated"
-            assert iterations <= self.size, "greedy loop exceeded |S| steps"
+            assert iterations <= len(elements), \
+                "greedy loop exceeded |S| steps"
         if not self.r_equiv(x, t):
             return False, None, iterations
         word = word + self._r_path_word(x, t) if check else None

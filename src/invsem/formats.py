@@ -47,14 +47,51 @@ def _int(token, lineno, what):
         _fail(lineno, "bad %s %r" % (what, token))
 
 
+def _index(token, lineno, lo, hi, what):
+    """An integer token in lo..hi."""
+    v = _int(token, lineno, what)
+    if not (lo <= v <= hi):
+        _fail(lineno, "%s %d out of range %d..%d" % (what, v, lo, hi))
+    return v
+
+
 def _point(token, lineno, n):
     """A 1-based point token, or '_' for undefined."""
-    if token == "_":
-        return None
-    p = _int(token, lineno, "point")
-    if not (1 <= p <= n):
-        _fail(lineno, "point %d out of range 1..%d" % (p, n))
-    return p - 1
+    return None if token == "_" else _index(token, lineno, 1, n, "point") - 1
+
+
+# -- witness tokens, shared by the instance files and the CLI --------------
+
+
+def parse_images(tokens, n, lineno):
+    """The partial bijection on n points whose 1-based images are the
+    tokens, '_' for undefined."""
+    if len(tokens) != n:
+        _fail(lineno, "expected %d image tokens, got %d" % (n, len(tokens)))
+    images = tuple(_point(tok, lineno, n) for tok in tokens)
+    try:
+        return PartialBijection(n, images)
+    except ValueError as exc:
+        _fail(lineno, str(exc))
+
+
+def image_line(key, p):
+    """The record line `key` followed by the image tokens of p."""
+    return key + " " + " ".join("_" if x is None else str(x + 1)
+                                for x in p.images)
+
+
+def parse_element(token, n, lineno):
+    """A 0-based element index of a table of order n."""
+    return _index(token, lineno, 0, n - 1, "element")
+
+
+def parse_generator(token, count, lineno):
+    """A token g<i> naming generator i of count (1-based); the 0-based
+    index."""
+    if not token.startswith("g"):
+        _fail(lineno, "expected a generator token g<i>, got %r" % token)
+    return _index(token[1:], lineno, 1, count, "generator") - 1
 
 
 # -- partial-bijection instances -------------------------------------------
@@ -89,27 +126,17 @@ def parse_pb(text):
         _fail(lineno, "degree must be positive")
     inst = PBInstance(n, [])
 
-    def images(tokens, lineno):
-        if len(tokens) != n:
-            _fail(lineno, "expected %d image tokens, got %d"
-                  % (n, len(tokens)))
-        try:
-            return PartialBijection(
-                n, tuple(_point(tok, lineno, n) for tok in tokens))
-        except ValueError as exc:
-            _fail(lineno, str(exc))
-
     def points(tokens, lineno):
         return tuple(sorted(_point(tok, lineno, n) for tok in tokens))
 
     for lineno, tokens in lines[1:]:
         key = tokens[0]
         if key == "gen":
-            inst.generators.append(images(tokens[1:], lineno))
+            inst.generators.append(parse_images(tokens[1:], n, lineno))
         elif key in ("target", "s", "t"):
             if getattr(inst, key) is not None:
                 _fail(lineno, "duplicate %s line" % key)
-            setattr(inst, key, images(tokens[1:], lineno))
+            setattr(inst, key, parse_images(tokens[1:], n, lineno))
         elif key in ("ds", "dt"):
             if getattr(inst, key) is not None:
                 _fail(lineno, "duplicate %s line" % key)
@@ -122,10 +149,6 @@ def parse_pb(text):
 
 
 def serialize_pb(inst):
-    def image_line(key, p):
-        toks = ["_" if x is None else str(x + 1) for x in p.images]
-        return key + " " + " ".join(toks)
-
     lines = ["pb %d" % inst.degree]
     for g in inst.generators:
         lines.append(image_line("gen", g))
@@ -185,25 +208,18 @@ def parse_ct(text):
     except ValueError as exc:
         _fail(first_extra, "invalid table: %s" % exc)
     inst = CTInstance(table, [])
-
-    def element(token, lineno):
-        v = _int(token, lineno, "element index")
-        if not (0 <= v < n):
-            _fail(lineno, "element %d out of range 0..%d" % (v, n - 1))
-        return v
-
     for lineno, tokens in lines[1 + n:]:
         key = tokens[0]
         if key == "gens":
             if inst.gens:
                 _fail(lineno, "duplicate gens line")
-            inst.gens = [element(tok, lineno) for tok in tokens[1:]]
+            inst.gens = [parse_element(tok, n, lineno) for tok in tokens[1:]]
         elif key in ("target", "s", "t"):
             if getattr(inst, key) is not None:
                 _fail(lineno, "duplicate %s line" % key)
             if len(tokens) != 2:
                 _fail(lineno, "expected one element index")
-            setattr(inst, key, element(tokens[1], lineno))
+            setattr(inst, key, parse_element(tokens[1], n, lineno))
         else:
             _fail(lineno, "unknown record %r" % key)
     if not inst.gens:
@@ -249,10 +265,7 @@ def parse_graph(text):
     inst = GraphInstance(n, [])
 
     def vertex(token, lineno):
-        v = _int(token, lineno, "vertex")
-        if not (1 <= v <= n):
-            _fail(lineno, "vertex %d out of range 1..%d" % (v, n))
-        return v - 1
+        return _index(token, lineno, 1, n, "vertex") - 1
 
     seen = set()
     for lineno, tokens in lines[1:]:
@@ -310,12 +323,9 @@ def parse_ncl(text):
         if key == "edge":
             if len(tokens) != 4:
                 _fail(lineno, "expected 'edge u v w'")
-            a = _int(tokens[1], lineno, "vertex")
-            b = _int(tokens[2], lineno, "vertex")
+            a = _index(tokens[1], lineno, 1, n, "vertex")
+            b = _index(tokens[2], lineno, 1, n, "vertex")
             w = _int(tokens[3], lineno, "weight")
-            for v in (a, b):
-                if not (1 <= v <= n):
-                    _fail(lineno, "vertex %d out of range 1..%d" % (v, n))
             edges.append((a - 1, b - 1, w))
         elif key in ("config-s", "config-t"):
             if key in configs:
@@ -384,10 +394,7 @@ def parse_ia(text):
     accepting = None
 
     def state(token, lineno):
-        q = _int(token, lineno, "state")
-        if not (1 <= q <= m):
-            _fail(lineno, "state %d out of range 1..%d" % (q, m))
-        return q - 1
+        return _index(token, lineno, 1, m, "state") - 1
 
     for lineno, tokens in lines[1:]:
         key = tokens[0]
@@ -516,10 +523,8 @@ def _resolve_token(token, inst, declared, lineno):
         elif name == "t":
             value = inst.ambient.t
         else:
-            i = int(name[1:])
-            if not (1 <= i <= len(inst.ambient.generators)):
-                _fail(lineno, "generator %s out of range" % name)
-            value = inst.ambient.generators[i - 1]
+            gens = inst.ambient.generators
+            value = gens[parse_generator(name, len(gens), lineno)]
         if value is None:
             _fail(lineno, "ambient file has no %s line" % name)
         return ("const", value, barred)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .pbij import identity, partial_identity
 from .oracle import ClosureCapExceeded, naive_member, naive_conjugate
-from .classify import classify_generated
+from .classify import UnionFind, classify_generated
 from .gensys import GeneratorSystem
 from .groups import pb_group_member, group_conjugate
 
@@ -95,26 +95,15 @@ def munn_graph(gs, delta):
                 vertex_index[v] = len(vertices)
                 vertices.append(v)
         edges.append((i, vertex_index[src], vertex_index[tgt]))
-    # components
-    parent = list(range(len(vertices)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    # components, numbered densely in vertex order
+    uf = UnionFind()
     for _, a, b in edges:
-        parent[find(a)] = find(b)
+        uf.union(a, b)
     roots = {}
-    comp = []
-    for v in range(len(vertices)):
-        r = find(v)
-        if r not in roots:
-            roots[r] = len(roots)
-        comp.append(roots[r])
+    comp = tuple(roots.setdefault(uf.find(v), len(roots))
+                 for v in range(len(vertices)))
     return MunnGraph(delta, e_delta, tuple(vertices), vertex_index,
-                     tuple(edges), tuple(comp))
+                     tuple(edges), comp)
 
 
 def munn_dot(M):

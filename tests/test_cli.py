@@ -7,7 +7,8 @@ import pytest
 
 from invsem.cli import main
 from invsem.pbij import PartialBijection
-from invsem.formats import parse_pb, parse_eqn, parse
+from invsem.cayley import brandt_table
+from invsem.formats import CTInstance, parse_pb, parse_eqn, parse, serialize
 
 from helpers import rand_ncl_machine
 from invsem.formats import serialize_ncl
@@ -245,3 +246,86 @@ def test_refusal_exit_1(tmp_path, capsys):
                        "--cap", "50")
     assert code == 1
     assert "refused" in err
+
+
+def _verify(capsys, tmp_path, what, instance, answer_text):
+    answer = _write(tmp_path, "answer.txt", answer_text)
+    return run(capsys, "verify", what, instance, answer)
+
+
+def test_verify_malformed_witness_exit_2(tmp_path, capsys):
+    pb = _write(tmp_path, "g.pb", PB_GROUP)
+    ct = _write(tmp_path, "y2.ct", CT_Y2)
+    for what, path, text in (
+            ("member", pb, "YES\nword g99\n"),
+            ("member", pb, "YES\nword 1\n"),
+            ("member", ct, "YES\nword 99\n"),
+            ("conj", ct, "YES\nconjugator\n"),
+            ("conj", ct, "YES\nconjugator 99\n"),
+            ("conj", pb, "YES\nconjugator 1 2\n"),
+            ("eqn", pb, "YES\nassign\n"),
+            ("member", _write(tmp_path, "g.graph",
+                              "graph 2\nedge 1 2\ns 1\nt 2\n"), "YES\n")):
+        code, out, err = _verify(capsys, tmp_path, what, path, text)
+        assert code == 2, (what, text, out)
+        assert err.startswith("error: ") and "OK" not in out
+    code, _, err = run(capsys, "verify", "member", pb,
+                       str(tmp_path / "missing.txt"))
+    assert code == 2 and err.startswith("error: ")
+
+
+def test_verify_rejects_bogus_witnesses(tmp_path, capsys):
+    # g0 named the last generator through index -1
+    pb = _write(tmp_path, "g.pb", PB_GROUP)
+    code, out, _ = _verify(capsys, tmp_path, "member", pb, "YES\nword g0\n")
+    assert code == 2 and "OK" not in out
+    # B(2) has no identity: the empty word is the adjoined identity,
+    # which no table element equals, and (1,1) is not in <(0,0)>
+    table, idx = brandt_table(2)
+    ct = _write(tmp_path, "b2.ct", serialize(
+        CTInstance(table, [idx[(0, 0)]], target=idx[(1, 1)])))
+    assert run(capsys, "member", ct)[1].splitlines()[0] == "NO"
+    code, out, _ = _verify(capsys, tmp_path, "member", ct, "YES\nword\n")
+    assert code == 1 and out.startswith("FAIL")
+    # likewise the identity of I_2 is not in <1 _>
+    pb2 = _write(tmp_path, "e.pb", "pb 2\ngen 1 _\ntarget 1 2\n")
+    assert run(capsys, "member", pb2)[1].splitlines()[0] == "NO"
+    code, out, _ = _verify(capsys, tmp_path, "member", pb2, "YES\nword\n")
+    assert code == 1 and out.startswith("FAIL")
+    # a ct word must spell the target over the generators, not name it
+    ct_y2 = _write(tmp_path, "y2.ct", CT_Y2)
+    code, out, _ = _verify(capsys, tmp_path, "member", ct_y2, "YES\nword 0\n")
+    assert code == 1 and out.startswith("FAIL")
+
+
+def test_verify_ct_witnesses_of_both_solvers(tmp_path, capsys):
+    table, idx = brandt_table(3)
+    ct = _write(tmp_path, "b3.ct", serialize(CTInstance(
+        table, [idx[(0, 1)], idx[(1, 2)]], target=idx[(2, 0)])))
+    for extra in ([], ["--solver", "oracle"]):
+        out = run(capsys, "member", ct, *extra)[1]
+        assert out.splitlines()[0] == "YES"
+        code, out, _ = _verify(capsys, tmp_path, "member", ct, out)
+        assert code == 0 and out.strip() == "OK"
+
+
+def test_verify_automata_unknown_symbol_fails(tmp_path, capsys):
+    ia = _write(tmp_path, "a.ia", "ia states=2 alphabet=2\ninv a A\n"
+                "trans 1 a 2\ntrans 2 A 1\nstart 1\naccept 2\n")
+    code, out, _ = _verify(capsys, tmp_path, "automata", ia, "YES\nword a\n")
+    assert code == 0 and out.strip() == "OK"
+    code, out, _ = _verify(capsys, tmp_path, "automata", ia, "YES\nword b\n")
+    assert code == 1 and out.startswith("FAIL")
+
+
+def test_cap_honoured_on_every_pb_route(tmp_path, capsys):
+    # the closure of a 3-cycle has three elements; the group is abelian,
+    # so s and t are not conjugate
+    path = _write(tmp_path, "c.pb", PB_GROUP + "s 2 3 1\nt 3 1 2\n")
+    for cmd, answer in (("member", "YES"), ("conj", "NO")):
+        for extra in ([], ["--force-oracle"], ["--solver", "oracle"]):
+            code, out, err = run(capsys, cmd, path, "--cap", "1", *extra)
+            assert code == 1 and out == "", (cmd, extra)
+            assert "refused" in err
+            code, out, _ = run(capsys, cmd, path, "--cap", "3", *extra)
+            assert code == 0 and out.splitlines()[0] == answer, (cmd, extra)

@@ -13,7 +13,9 @@ from invsem.formats import (FormatError, PBInstance, CTInstance,
                             parse_ct, serialize_ct, parse_graph,
                             serialize_graph, parse_ncl, serialize_ncl,
                             parse_ia, serialize_ia, parse_eqn,
-                            serialize_eqn, kind_of, parse, serialize)
+                            serialize_eqn, kind_of, parse, serialize,
+                            parse_images, image_line, parse_element,
+                            parse_generator)
 
 from helpers import rand_pb, rand_ncl_machine
 
@@ -189,6 +191,27 @@ def test_eqn_errors(tmp_path):
     bad("eqn over a.pb\nvar X\neq X g1\n", "expected 'eq")
     bad("eqn over a.pb\nvar X\neq X = g9\n", "out of range")
     bad("eqn over a.pb\nvar X\neq X = s\n", "no s line")
+
+
+def test_witness_token_codec():
+    p = PartialBijection(3, (1, None, 0))
+    assert image_line("gen", p) == "gen 2 _ 1"
+    assert parse_images(image_line("gen", p).split()[1:], 3, 1) == p
+    assert parse_element("2", 3, 1) == 2
+    assert parse_generator("g2", 2, 1) == 1
+    for call, match in (
+            (lambda: parse_images(["1", "4", "_"], 3, 7),
+             r"^line 7: point 4 out of range 1\.\.3$"),
+            (lambda: parse_images(["1", "1", "_"], 3, 7), r"^line 7: "),
+            (lambda: parse_images(["1"], 3, 7), "expected 3 image tokens"),
+            (lambda: parse_element("3", 3, 7), "element 3 out of range"),
+            (lambda: parse_element("-1", 3, 7), "out of range"),
+            (lambda: parse_generator("g0", 2, 7), "generator 0 out of range"),
+            (lambda: parse_generator("g3", 2, 7), "out of range"),
+            (lambda: parse_generator("2", 2, 7), "expected a generator"),
+            (lambda: parse_generator("gx", 2, 7), "bad generator")):
+        with pytest.raises(FormatError, match=match):
+            call()
 
 
 def test_dispatch(tmp_path):
