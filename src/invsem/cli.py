@@ -451,15 +451,16 @@ def _verify_member(inst, lines, args):
     for tok in tokens:
         # g<i> names generator i; a ct word may also list element indices
         if gs.model == "ct" and not tok.startswith("g"):
-            letters.append(formats.parse_element(tok, gs.table.order, lineno))
+            x = formats.parse_element(tok, gs.table.order, lineno)
+            if x not in gs.generators:
+                return "FAIL witness word has a letter outside the generators"
+            letters.append(x)
         else:
             i = formats.parse_generator(tok, len(gs.generators), lineno)
             letters.append(gs.generators[i])
     if not letters:
         # the empty word is the identity of U^1, not an element of U
         return "FAIL empty witness word"
-    if not set(letters) <= set(gs.generators):
-        return "FAIL witness word has a letter outside the generators"
     value = letters[0]
     for x in letters[1:]:
         value = gs.mul(value, x)

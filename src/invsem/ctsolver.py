@@ -21,6 +21,7 @@ class CTSolver:
         self.table = table
         self.gs = GeneratorSystem(sigma, table=table)
         self.sigma = self.gs.generators
+        self._pairs = [(u, self.gs.inv(u)) for u in self.sigma]
         # S^1 in index order, the virtual identity (if adjoined) last
         self.elements = list(range(table.order))
         if self.gs.adjoined_identity:
@@ -38,7 +39,7 @@ class CTSolver:
         if self._r_uf is not None:
             return
         mul = self.gs.mul
-        pairs = [(u, self.gs.inv(u)) for u in self.sigma]
+        pairs = self._pairs
         uf = UnionFind()
         adj = {x: [] for x in self.elements}
         for x in self.elements:
@@ -86,7 +87,7 @@ class CTSolver:
         if self._conj_uf is not None:
             return
         mul = self.gs.mul
-        pairs = [(u, self.gs.inv(u)) for u in self.sigma]
+        pairs = self._pairs
         uf = UnionFind()
         for x in self.elements:
             for u, ub in pairs:
@@ -114,7 +115,7 @@ class CTSolver:
         mul = gs.mul
         inv = gs.inv
         one = gs.one
-        pairs = [(u, inv(u)) for u in self.sigma]
+        pairs = self._pairs
         if t == one:
             # The loop normalizes by adjoining 1 to U, so answer t = 1
             # directly.  A virtual identity is part of the normalized

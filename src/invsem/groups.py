@@ -263,13 +263,19 @@ def perm_group_of(gs):
 
 def pb_group_member(gs, t):
     """Membership for <Sigma> a group: domain test, then a sift on the
-    common domain.  Returns (bool, witness word over Sigma or None).
+    common domain.  Returns (bool, witness word over Sigma or None); the
+    word is never empty.
     """
     G, points = perm_group_of(gs)
     dom = frozenset(points)
     if t.domain() != dom or t.ran() != dom:
         return False, None
-    return G.contains(_as_perm(t, points))
+    ok, word = G.contains(_as_perm(t, points))
+    if ok and not word:
+        # the sift spells the identity as (); u u~ is the same element
+        # and is a word over Sigma, so the witness lies in U
+        word = (0, G.inv_index[0])
+    return ok, word
 
 
 def group_conjugate(gs, s, t):

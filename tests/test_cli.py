@@ -255,23 +255,41 @@ def _verify(capsys, tmp_path, what, instance, answer_text):
 
 def test_verify_malformed_witness_exit_2(tmp_path, capsys):
     pb = _write(tmp_path, "g.pb", PB_GROUP)
+    pb_st = _write(tmp_path, "s.pb", PB_SEMILATTICE)
     ct = _write(tmp_path, "y2.ct", CT_Y2)
+    eqn = str(tmp_path / "inst.eqn")
+    assert run(capsys, "gen", "equation", pb_st, "-o", eqn)[0] == 0
     for what, path, text in (
             ("member", pb, "YES\nword g99\n"),
             ("member", pb, "YES\nword 1\n"),
             ("member", ct, "YES\nword 99\n"),
             ("conj", ct, "YES\nconjugator\n"),
             ("conj", ct, "YES\nconjugator 99\n"),
-            ("conj", pb, "YES\nconjugator 1 2\n"),
-            ("eqn", pb, "YES\nassign\n"),
-            ("member", _write(tmp_path, "g.graph",
-                              "graph 2\nedge 1 2\ns 1\nt 2\n"), "YES\n")):
+            ("conj", pb_st, "YES\nconjugator 1\n"),
+            ("eqn", eqn, "YES\nassign\n")):
         code, out, err = _verify(capsys, tmp_path, what, path, text)
         assert code == 2, (what, text, out)
         assert err.startswith("error: ") and "OK" not in out
+        # the message names the answer line that is malformed
+        assert "line 2:" in err, (what, text, err)
+    graph = _write(tmp_path, "g.graph", "graph 2\nedge 1 2\ns 1\nt 2\n")
+    code, out, err = _verify(capsys, tmp_path, "member", graph, "YES\n")
+    assert code == 2 and err.startswith("error: ") and "OK" not in out
     code, _, err = run(capsys, "verify", "member", pb,
                        str(tmp_path / "missing.txt"))
     assert code == 2 and err.startswith("error: ")
+
+
+def test_verify_group_identity_witness(tmp_path, capsys):
+    # the sift spells the identity as the empty word; the printed
+    # witness must still be a non-empty word over the generators
+    pb = _write(tmp_path, "e.pb", "pb 3\ngen 2 3 1\ntarget 1 2 3\n")
+    code, out, _ = run(capsys, "member", pb, "--solver", "group")
+    assert code == 0 and out.splitlines()[0] == "YES"
+    assert out.splitlines()[1].split()[1:], out
+    answer = _write(tmp_path, "ans.txt", out)
+    code, out, _ = run(capsys, "verify", "member", pb, answer)
+    assert code == 0 and out.strip() == "OK"
 
 
 def test_verify_rejects_bogus_witnesses(tmp_path, capsys):
