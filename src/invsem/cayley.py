@@ -1,21 +1,18 @@
 """Cayley tables of finite inverse semigroups.
 
 A CayleyTable stores an n x n multiplication table over element indices
-0..n-1 and the derived unique-inverse map.  Validation checks
-associativity (exhaustively up to a configurable cap, sampled beyond)
-and existence/uniqueness of inverses.
+0..n-1 and the derived unique-inverse map.  Validation is exact at every
+order.  Associativity is checked by Light's test over a generating set G
+of the table (Clifford & Preston, The Algebraic Theory of Semigroups I,
+section 1.4): two n x n gathers per generator, so O(|G| n^2) time and
+O(n^2) memory.  Then every element must have exactly one inverse.
 """
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
 
 from .pbij import PartialBijection
-
-ASSOC_EXHAUSTIVE_CAP = 256
-ASSOC_SAMPLES = 10**6
 
 
 class CayleyTable:
@@ -23,7 +20,7 @@ class CayleyTable:
 
     __slots__ = ("order", "table", "inverse_map", "identity_index")
 
-    def __init__(self, table, assoc_cap=ASSOC_EXHAUSTIVE_CAP):
+    def __init__(self, table):
         table = tuple(tuple(row) for row in table)
         n = len(table)
         if n < 1:
@@ -32,68 +29,55 @@ class CayleyTable:
             if len(row) != n:
                 raise ValueError("row %d has length %d, expected %d"
                                  % (i, len(row), n))
-            for v in row:
-                if not (0 <= v < n):
-                    raise ValueError("entry %r out of range" % (v,))
-        arr = np.array(table, dtype=np.int64)
-        self._check_associativity(arr, n, assoc_cap)
+        try:
+            arr = np.array(table, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("entry out of range") from None
+        outside = (arr < 0) | (arr >= n)
+        if outside.any():
+            raise ValueError("entry %d out of range" % arr[outside][0])
+        self._check_associativity(arr, n)
         inverse_map = self._derive_inverses(arr, n)
+        ar = np.arange(n)
+        ident = np.flatnonzero((arr == ar).all(axis=1)
+                               & (arr == ar[:, None]).all(axis=0))
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "inverse_map", inverse_map)
-        object.__setattr__(self, "identity_index", self._find_identity(table, n))
+        object.__setattr__(self, "identity_index",
+                           int(ident[0]) if len(ident) else None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CayleyTable is immutable")
 
     @staticmethod
-    def _check_associativity(arr, n, cap):
-        if n <= cap:
-            # (ij)k as L[i,j,k]; i(jk) as R[i,j,k]
-            left = arr[arr.reshape(-1), :].reshape(n, n, n)
-            right = arr[:, arr.reshape(-1)].reshape(n, n, n)
-            bad = np.argwhere(left != right)
-            if len(bad):
-                i, j, k = (int(v) for v in bad[0])
+    def _check_associativity(arr, n):
+        # Light's test: the a with (x a) y = x (a y) for all x, y are
+        # closed under the product even when the table is not
+        # associative, so it is enough to test a generating set.
+        for g in _generating_set(arr, n):
+            left = arr[arr[:, g], :]  # (i g) k
+            right = arr[:, arr[g, :]]  # i (g k)
+            if not np.array_equal(left, right):
+                i, k = (int(v) for v in np.argwhere(left != right)[0])
                 raise ValueError(
                     "not associative at (%d, %d, %d): (%d*%d)*%d != %d*(%d*%d)"
-                    % (i, j, k, i, j, k, i, j, k)
+                    % (i, g, k, i, g, k, i, g, k)
                 )
-        else:
-            rng = random.Random(0)
-            for _ in range(ASSOC_SAMPLES):
-                i = rng.randrange(n)
-                j = rng.randrange(n)
-                k = rng.randrange(n)
-                if arr[arr[i, j], k] != arr[i, arr[j, k]]:
-                    raise ValueError(
-                        "not associative at sampled (%d, %d, %d)" % (i, j, k)
-                    )
 
     @staticmethod
     def _derive_inverses(arr, n):
-        inverse_map = []
-        for x in range(n):
-            # candidates y with x y x = x and y x y = y
-            xy = arr[x, :]
-            yx = arr[:, x]
-            cand = np.flatnonzero(
-                (arr[xy, x] == x) & (arr[yx, np.arange(n)] == np.arange(n))
-            )
-            if len(cand) != 1:
-                raise ValueError(
-                    "element %d has %d inverses, expected exactly 1"
-                    % (x, len(cand))
-                )
-            inverse_map.append(int(cand[0]))
-        return tuple(inverse_map)
-
-    @staticmethod
-    def _find_identity(table, n):
-        for e in range(n):
-            if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-                return e
-        return None
+        # ok[x, y]: x y x = x and y x y = y
+        ar = np.arange(n)
+        ok = (arr[arr, ar[:, None]] == ar[:, None]) \
+            & (arr[arr.T, ar] == ar)
+        counts = ok.sum(axis=1)
+        bad = np.flatnonzero(counts != 1)
+        if len(bad):
+            x = int(bad[0])
+            raise ValueError("element %d has %d inverses, expected exactly 1"
+                             % (x, counts[x]))
+        return tuple(ok.argmax(axis=1).tolist())
 
     # -- arithmetic --------------------------------------------------------
 
@@ -117,6 +101,33 @@ class CayleyTable:
 
     def __repr__(self):
         return "CayleyTable(order=%d)" % self.order
+
+
+def _generating_set(arr, n):
+    """Generators of the table in index order: each index outside the
+    part generated so far is one, and each new member m of that part is
+    multiplied by every member on both sides (at most n^2 lookups; the
+    table need not be associative)."""
+    inside = np.zeros(n, dtype=bool)
+    members = np.empty(n, dtype=np.int64)
+    count = 0
+    gens = []
+    for g in range(n):
+        if inside[g]:
+            continue
+        gens.append(g)
+        inside[g] = True
+        stack = [g]
+        while stack:
+            m = stack.pop()
+            members[count] = m
+            count += 1
+            seen = members[:count]
+            new = np.concatenate((arr[seen, m], arr[m, seen]))
+            new = np.unique(new[~inside[new]])
+            inside[new] = True
+            stack.extend(new.tolist())
+    return gens
 
 
 def preston_wagner(S):
@@ -150,34 +161,17 @@ def brandt_table(n, with_identity=False):
     """
     m = 1 + n * n + (1 if with_identity else 0)
     idx = {("zero",): 0}
+    table = [[0] * m for _ in range(m)]
     for x in range(n):
         for y in range(n):
             idx[(x, y)] = 1 + x * n + y
+            # (x, y)(y, z) = (x, z); every other product is the zero
+            for z in range(n):
+                table[1 + x * n + y][1 + y * n + z] = 1 + x * n + z
     if with_identity:
         idx[("one",)] = m - 1
-    table = [[0] * m for _ in range(m)]
-
-    def key_of(i):
-        if i == 0:
-            return ("zero",)
-        if with_identity and i == m - 1:
-            return ("one",)
-        i -= 1
-        return (i // n, i % n)
-
-    for i in range(m):
-        for j in range(m):
-            a, b = key_of(i), key_of(j)
-            if a == ("one",):
-                table[i][j] = j
-            elif b == ("one",):
-                table[i][j] = i
-            elif a == ("zero",) or b == ("zero",):
-                table[i][j] = 0
-            else:
-                x, y = a
-                x2, y2 = b
-                table[i][j] = idx[(x, y2)] if y == x2 else 0
+        for i in range(m):
+            table[i][m - 1] = table[m - 1][i] = i
     return CayleyTable(table), idx
 
 

@@ -123,11 +123,25 @@ def _pb_member(gs, t, args):
     return ok, word
 
 
+def _check_model(args, model):
+    if args.model not in ("auto", model):
+        raise CLIError("file is a %s instance, not %s" % (model, args.model))
+
+
+def _ct_oracle(args):
+    """True for the oracle, False for the greedy CT solver; the pb
+    solvers do not apply to ct instances."""
+    if args.solver == "oracle" or args.force_oracle:
+        return True
+    if args.solver in ("auto", "ct-greedy"):
+        return False
+    raise CLIError("solver %r does not apply to ct instances" % args.solver)
+
+
 def cmd_member(args):
     inst = _load(args.file)
     if isinstance(inst, PBInstance):
-        if args.model not in ("auto", "pb"):
-            raise CLIError("file is a pb instance, not %s" % args.model)
+        _check_model(args, "pb")
         gs = _system_of(inst)
         t = _require(inst.target, "target")
         ok, word = _pb_member(gs, t, args)
@@ -136,22 +150,18 @@ def cmd_member(args):
             print(_word_line(word))
         return 0
     if isinstance(inst, CTInstance):
-        if args.model not in ("auto", "ct"):
-            raise CLIError("file is a ct instance, not %s" % args.model)
+        _check_model(args, "ct")
         t = _require(inst.target, "target")
-        if args.solver in ("auto", "ct-greedy") and not args.force_oracle:
-            ok, word, _ = CTSolver(inst.table, inst.gens).member(t)
-            print("YES" if ok else "NO")
-            if ok:
-                print("word" + "".join(" %d" % x for x in word))
-        elif args.solver == "oracle" or args.force_oracle:
+        if _ct_oracle(args):
             ok, word = naive_member(inst.system(), t, args.cap)
             print("YES" if ok else "NO")
             if ok:
                 print(_word_line(word))
         else:
-            raise CLIError("solver %r does not apply to ct instances"
-                           % args.solver)
+            ok, word, _ = CTSolver(inst.table, inst.gens).member(t)
+            print("YES" if ok else "NO")
+            if ok:
+                print("word" + "".join(" %d" % x for x in word))
         return 0
     raise CLIError("member needs a pb or ct instance")
 
@@ -182,6 +192,7 @@ def _pb_conjugate(gs, s, t, args):
 def cmd_conj(args):
     inst = _load(args.file)
     if isinstance(inst, PBInstance):
+        _check_model(args, "pb")
         gs = _system_of(inst)
         s = _require(inst.s, "s")
         t = _require(inst.t, "t")
@@ -191,17 +202,18 @@ def cmd_conj(args):
             print(formats.image_line("conjugator", u))
         return 0
     if isinstance(inst, CTInstance):
+        _check_model(args, "ct")
         s = _require(inst.s, "s")
         t = _require(inst.t, "t")
-        if args.solver in ("auto", "ct-greedy") and not args.force_oracle:
-            ok = CTSolver(inst.table, inst.gens).conjugate(s, t)
-            print("YES" if ok else "NO")
-        else:
+        if _ct_oracle(args):
             ok, u = naive_conjugate(inst.system(), s, t, args.cap)
             print("YES" if ok else "NO")
             if ok:
                 print("conjugator %s"
                       % ("one" if u == VIRTUAL_ONE else str(u)))
+        else:
+            ok = CTSolver(inst.table, inst.gens).conjugate(s, t)
+            print("YES" if ok else "NO")
         return 0
     raise CLIError("conj needs a pb or ct instance")
 
@@ -483,13 +495,17 @@ def _verify_conj(inst, lines, args):
         raise FormatError("line %d: expected one element index or 'one'"
                           % lineno)
     elif tokens[0] == "one":
-        u = VIRTUAL_ONE
+        u = gs.one
     else:
         u = formats.parse_element(tokens[0], gs.table.order, lineno)
     ub = gs.inv(u)
     if gs.mul(gs.mul(ub, s), u) != t or gs.mul(gs.mul(u, t), ub) != s:
         return "FAIL conjugator fails the defining equations"
-    return "OK"
+    if u == gs.one:
+        return "OK"
+    in_u = (dispatch_member(gs, u, cap=args.cap) if gs.model == "pb"
+            else CTSolver(inst.table, inst.gens).member(u)[0])
+    return "OK" if in_u else "FAIL conjugator is not in U^1"
 
 
 def _verify_transport(inst, lines, args):

@@ -2,6 +2,7 @@
 into partial bijections."""
 
 import random
+import re
 
 import pytest
 
@@ -17,6 +18,63 @@ from helpers import sample_systems
 def test_rejects_non_associative_with_triple():
     with pytest.raises(ValueError, match="not associative at"):
         CayleyTable(((0, 1), (0, 0)))
+
+
+def test_rejects_single_non_associative_triple_at_order_300():
+    # a null semigroup (every product 0) with t[5][6] = 7 and
+    # t[7][8] = 9: (5*6)*8 = 9 but 5*(6*8) = 0, and every other triple
+    # associates, so a sampled check almost surely misses it
+    n = 300
+    t = [[0] * n for _ in range(n)]
+    t[5][6] = 7
+    t[7][8] = 9
+    with pytest.raises(ValueError, match=r"not associative at \(5, 6, 8\)"):
+        CayleyTable(t)
+
+
+def _non_associative_triples(t):
+    """The n^3 reference: every triple (i, j, k) with (i j) k != i (j k)."""
+    n = len(t)
+    return {(i, j, k) for i in range(n) for j in range(n) for k in range(n)
+            if t[t[i][j]][k] != t[i][t[j][k]]}
+
+
+def _small_tables():
+    yield y2_table().table
+    for n in (1, 2, 3):
+        yield brandt_table(n)[0].table
+    yield brandt_table(2, with_identity=True)[0].table
+    yield direct_product_table(y2_table(), brandt_table(2)[0]).table
+    rng = random.Random(5)
+    for gs, _ in sample_systems(rng, 1, degrees=(2, 3), closure_cap=40):
+        yield from_closure(list(close(gs).elements), gs.mul)[0].table
+
+
+def test_light_test_agrees_with_brute_force_on_perturbed_tables():
+    rng = random.Random(11)
+    rejected = accepted = 0
+    for base in _small_tables():
+        n = len(base)
+        for _ in range(6 if n > 1 else 0):
+            t = [list(row) for row in base]
+            i, j = rng.randrange(n), rng.randrange(n)
+            t[i][j] = (t[i][j] + rng.randrange(1, n)) % n
+            bad = _non_associative_triples(t)
+            try:
+                CayleyTable(t)
+                found = None
+            except ValueError as exc:
+                # a table may also fail the inverse check after this one
+                found = re.match(r"not associative at \((\d+), (\d+), (\d+)\)",
+                                 str(exc))
+            if found:
+                assert tuple(int(v) for v in found.groups()) in bad
+                rejected += 1
+            else:
+                assert not bad, "missed non-associative %r" % (min(bad),)
+                accepted += 1
+    # the perturbations exercise both outcomes
+    assert rejected >= 10 and accepted >= 10
 
 
 def test_rejects_bad_inverses():

@@ -316,6 +316,43 @@ def test_verify_rejects_bogus_witnesses(tmp_path, capsys):
     assert code == 1 and out.startswith("FAIL")
 
 
+def test_verify_conj_checks_conjugator_in_u1(tmp_path, capsys):
+    # U = <1 _> = {1 _}; the swap 2 1 satisfies both defining equations
+    # for s = 1 _, t = _ 2, but it is neither in U nor the identity
+    pb = _write(tmp_path, "f.pb", "pb 2\ngen 1 _\ns 1 _\nt _ 2\n")
+    out = run(capsys, "conj", pb, "--solver", "oracle")[1]
+    assert out.splitlines()[0] == "NO"
+    code, out, _ = _verify(capsys, tmp_path, "conj", pb,
+                           "YES\nconjugator 2 1\n")
+    assert code == 1 and out.strip() == "FAIL conjugator is not in U^1"
+    # in B(2) with U = {(0,0)} every element conjugates the zero to
+    # itself; only the adjoined identity and (0,0) lie in U^1
+    table, idx = brandt_table(2)
+    ct = _write(tmp_path, "b2.ct", serialize(CTInstance(
+        table, [idx[(0, 0)]], s=idx[("zero",)], t=idx[("zero",)])))
+    for u, verdict in (("one", "OK"), (idx[(0, 0)], "OK"),
+                       (idx[(1, 1)], "FAIL conjugator is not in U^1")):
+        code, out, _ = _verify(capsys, tmp_path, "conj", ct,
+                               "YES\nconjugator %s\n" % u)
+        assert out.strip() == verdict and code == (verdict != "OK")
+
+
+def test_ct_files_reject_pb_solvers_and_wrong_model(tmp_path, capsys):
+    ct = _write(tmp_path, "y2.ct", CT_Y2)
+    pb = _write(tmp_path, "s.pb", PB_SEMILATTICE)
+    for cmd in ("member", "conj"):
+        for solver in ("group", "clifford", "sis"):
+            code, out, err = run(capsys, cmd, ct, "--solver", solver)
+            assert code == 2 and out == "" and "does not apply" in err
+        code, out, err = run(capsys, cmd, ct, "--model", "pb")
+        assert code == 2 and out == "" and "not pb" in err
+        code, out, err = run(capsys, cmd, pb, "--model", "ct")
+        assert code == 2 and out == "" and "not ct" in err
+        for extra in ([], ["--solver", "oracle"], ["--model", "ct"],
+                      ["--solver", "ct-greedy"]):
+            assert run(capsys, cmd, ct, *extra)[0] == 0
+
+
 def test_verify_ct_witnesses_of_both_solvers(tmp_path, capsys):
     table, idx = brandt_table(3)
     ct = _write(tmp_path, "b3.ct", serialize(CTInstance(
