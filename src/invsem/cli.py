@@ -245,16 +245,18 @@ def cmd_slp(args):
             size = len(close(gs, args.cap).elements)
             bound = 2 * math.ceil(math.log2(size + 1))
         elif tag.is_group():
-            slp = slp_group(gs, t)
+            # the group SLP search enumerates U, so |U| must fit the cap
             if gs.model == "pb":
                 G, _ = perm_group_of(gs)
                 size = G.order
             else:
                 size = len(close(gs, args.cap).elements)
+            if size > args.cap:
+                raise Refusal("group order %d exceeds the cap" % size)
+            slp = slp_group(gs, t, cap=args.cap)
             bound = 16 * max(1.0, math.log2(size)) ** 2
         elif tag.name == "Clifford":
-            slp = slp_clifford(gs, t)
-            size = len(close(gs, args.cap).elements)
+            slp = slp_clifford(gs, t, cap=args.cap)
             bound = None
         else:
             raise Refusal("no length-bounded construction for variety %s"
@@ -501,15 +503,22 @@ def _verify_conj(inst, lines, args):
     ub = gs.inv(u)
     if gs.mul(gs.mul(ub, s), u) != t or gs.mul(gs.mul(u, t), ub) != s:
         return "FAIL conjugator fails the defining equations"
+    return "OK" if _in_u1(gs, inst, u, args) else "FAIL conjugator is not in U^1"
+
+
+def _in_u1(gs, inst, u, args):
+    """Is the witness u the identity or a member of U (under --cap on pb
+    files)?"""
     if u == gs.one:
-        return "OK"
-    in_u = (dispatch_member(gs, u, cap=args.cap) if gs.model == "pb"
-            else CTSolver(inst.table, inst.gens).member(u)[0])
-    return "OK" if in_u else "FAIL conjugator is not in U^1"
+        return True
+    if gs.model == "pb":
+        return dispatch_member(gs, u, cap=args.cap)
+    return CTSolver(inst.table, inst.gens).member(u)[0]
 
 
 def _verify_transport(inst, lines, args):
-    _expect(inst, PBInstance, "transport needs a pb instance")
+    gs = _system_of(_expect(inst, PBInstance,
+                            "transport needs a pb instance"))
     ds = _require(inst.ds, "ds")
     dt = _require(inst.dt, "dt")
     found = _records(lines, "transporter")
@@ -522,6 +531,8 @@ def _verify_transport(inst, lines, args):
         return "FAIL transporter undefined on ds"
     if image != set(dt):
         return "FAIL transporter does not map ds onto dt"
+    if not _in_u1(gs, inst, u, args):
+        return "FAIL transporter is not in U^1"
     return "OK"
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .pbij import identity, partial_identity
 from .oracle import ClosureCapExceeded, naive_member, naive_conjugate
-from .classify import UnionFind, classify_generated
+from .classify import UnionFind, VarietyTag, classify_generated
 from .gensys import GeneratorSystem
 from .groups import pb_group_member, group_conjugate
 
@@ -408,12 +408,47 @@ def semilattice_conjugate(gs, s, t):
 
 GENERAL_CAP = 10**6
 
+# does a tag put U at or below the assumed variety?
+_HINT_HOLDS = {
+    "Trivial": lambda tag: tag.name == "Trivial",
+    "Semilattice": VarietyTag.is_semilattice,
+    "Group": VarietyTag.is_group,
+    "Clifford": VarietyTag.is_clifford,
+    "StrictInverse": VarietyTag.is_strict_inverse,
+    "General": lambda tag: True,
+}
+
+
+def _route(gs, assume, cap, explain):
+    """The variety name whose solver decides the instance.  A hint
+    `assume` other than General is taken only where the classification
+    puts U at or below it; General is always taken and skips the
+    classification."""
+    if assume is not None and assume not in _HINT_HOLDS:
+        raise ValueError("unknown variety %r" % (assume,))
+    if assume == "General":
+        name, by = assume, "assume"
+    else:
+        tag = classify_generated(gs, cap)
+        name, by = tag.name, tag.classified_by
+        if assume is not None:
+            if not _HINT_HOLDS[assume](tag):
+                if tag.cap_exceeded and assume == "StrictInverse":
+                    raise OutsideTractable(
+                        "closure cap exceeded while checking the "
+                        "assumed variety StrictInverse")
+                raise ValueError("assumed variety %s does not hold: U is %s"
+                                 % (assume, tag.name))
+            name = assume
+    if explain is not None:
+        explain["variety"] = name
+        explain["classified_by"] = by
+    return name
+
 
 def dispatch_member(gs, t, assume=None, cap=GENERAL_CAP, explain=None):
     """Route a partial-bijection membership instance by variety."""
-    name = assume or classify_generated(gs, cap).name
-    if explain is not None:
-        explain["variety"] = name
+    name = _route(gs, assume, cap, explain)
     if name in ("Trivial", "Semilattice"):
         return semilattice_member(gs, t)
     if name == "Group":
@@ -433,9 +468,7 @@ def dispatch_member(gs, t, assume=None, cap=GENERAL_CAP, explain=None):
 def dispatch_conjugate(gs, s, t, assume=None, cap=GENERAL_CAP, explain=None):
     """Route a partial-bijection conjugacy instance by variety.
     Returns (bool, conjugator or None)."""
-    name = assume or classify_generated(gs, cap).name
-    if explain is not None:
-        explain["variety"] = name
+    name = _route(gs, assume, cap, explain)
     if name in ("Trivial", "Semilattice"):
         return semilattice_conjugate(gs, s, t)
     if name == "Group":

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .oracle import ELEMENT_CAP, ClosureCapExceeded
+
 BFS_THRESHOLD = 4096
 CUBE_CAP = 10**5
 
@@ -163,16 +165,22 @@ def _identity_slp():
     return SLP((("g", 0), ("i", 0), ("m", 0, 1)), 2)
 
 
-def slp_group(gs, g, bfs_threshold=BFS_THRESHOLD):
+def slp_group(gs, g, bfs_threshold=BFS_THRESHOLD, cap=ELEMENT_CAP):
     """SLP for a group element; generic over the GeneratorSystem."""
     identity = gs.mul(gs.generators[0], gs.inv(gs.generators[0]))
     return slp_group_low(gs.generators, gs.mul, gs.inv, identity, g,
-                         bfs_threshold)
+                         bfs_threshold, cap)
 
 
-def slp_group_low(gens, mul, inv, identity, target, bfs_threshold=BFS_THRESHOLD):
+def _over_cap(cap):
+    return ClosureCapExceeded("group SLP search exceeded %d elements" % cap)
+
+
+def slp_group_low(gens, mul, inv, identity, target,
+                  bfs_threshold=BFS_THRESHOLD, cap=ELEMENT_CAP):
     """BFS shortest word while the group stays small; cube-doubling
-    beyond the threshold (length O(log^2 |G|)).
+    beyond the threshold (length O(log^2 |G|)).  Both enumerate group
+    elements, and more than `cap` of them raise ClosureCapExceeded.
     """
     if target == identity:
         return _identity_slp()
@@ -189,14 +197,16 @@ def slp_group_low(gens, mul, inv, identity, target, bfs_threshold=BFS_THRESHOLD)
                     words[y] = w + (i,)
                     if y == target:
                         return _chain_slp(words[y])
+                    if len(words) > cap:
+                        raise _over_cap(cap)
                     nxt.append(y)
         if len(words) > bfs_threshold:
-            return _cube_doubling(gens, mul, inv, identity, target)
+            return _cube_doubling(gens, mul, inv, identity, target, cap)
         frontier = nxt
     raise NotGenerated("target not in the generated group")
 
 
-def _cube_doubling(gens, mul, inv, identity, target):
+def _cube_doubling(gens, mul, inv, identity, target, cap):
     """Reachability-lemma construction: grow a cube C(h_1..h_k) whose
     difference set C^-1 C doubles until it absorbs the target; each new
     h is a first-found d*g outside the difference set.
@@ -214,6 +224,8 @@ def _cube_doubling(gens, mul, inv, identity, target):
                 d = mul(ix1, x2)
                 if d not in diff:
                     diff[d] = (m1, m2)
+                    if len(diff) > cap:
+                        raise _over_cap(cap)
         if target in diff:
             m1, m2 = diff[target]
             return _emit_cube_slp(hdefs, (m1, m2, None), gens)
@@ -298,10 +310,10 @@ def _emit_cube_slp(hdefs, final, gens):
 # -- Clifford --------------------------------------------------------------
 
 
-def slp_clifford(gs, t, bfs_threshold=BFS_THRESHOLD):
+def slp_clifford(gs, t, bfs_threshold=BFS_THRESHOLD, cap=ELEMENT_CAP):
     """Two phases: an SLP for the idempotent t t~ over the generator
-    idempotents s s~, then a group SLP in the H-class of t t~, both
-    rewritten over the original generators.
+    idempotents s s~, then a group SLP in the H-class of t t~ (under
+    `cap`), both rewritten over the original generators.
     """
     gens = gs.generators
     mul = gs.mul
@@ -350,7 +362,7 @@ def slp_clifford(gs, t, bfs_threshold=BFS_THRESHOLD):
     # phase 2: group SLP over Sigma' = {e s : s s~ >= e}
     elig = [i for i, s in enumerate(gens) if mul(e, mul(s, inv(s))) == e]
     prime = [mul(e, gens[i]) for i in elig]
-    sub = slp_group_low(prime, mul, inv, e, t, bfs_threshold)
+    sub = slp_group_low(prime, mul, inv, e, t, bfs_threshold, cap)
     # splice, remapping Gen(j) to Mul(e_item, Gen(elig[j]))
     offset = {}
     for pos, item in enumerate(sub.items):

@@ -6,6 +6,7 @@ from invsem.pbij import PartialBijection, brandt, partial_identity
 from invsem.gensys import GeneratorSystem
 from invsem.oracle import close
 from invsem.classify import classify, classify_generated
+from invsem.cayley import brandt_table, direct_product_table, from_closure
 
 from helpers import sample_systems, rand_pb
 
@@ -133,3 +134,41 @@ def test_classify_on_element_list_matches_generated():
     for gs, _ in sample_systems(rng, 3, degrees=(2, 4), closure_cap=100):
         elements = list(close(gs).elements)
         assert classify(gs, elements).name == classify_generated(gs).name
+
+
+def test_generators_agree_with_closure_on_pb_systems():
+    rng = random.Random(5)
+    names = set()
+    for gs, _ in sample_systems(rng, 40, degrees=(2, 5), closure_cap=500):
+        # a fresh system, so nothing cached decides the tag
+        fresh = GeneratorSystem(gs.generators, degree=gs.degree)
+        tag = classify_generated(fresh)
+        assert tag == classify(gs, close(gs).elements), gs.generators
+        assert tag.classified_by == (
+            "generators" if tag.is_clifford() else "closure")
+        names.add(tag.name)
+    assert names == {"Trivial", "Semilattice", "Group", "Clifford",
+                     "StrictInverse", "General"}
+
+
+def test_generators_agree_with_closure_on_ct_systems():
+    rng = random.Random(6)
+    tables = [brandt_table(3)[0], brandt_table(2, with_identity=True)[0],
+              direct_product_table(brandt_table(2)[0],
+                                   brandt_table(1, with_identity=True)[0])]
+    for gs, _ in sample_systems(rng, 6, degrees=(2, 4), closure_cap=40):
+        tables.append(from_closure(close(gs).elements, gs.mul)[0])
+    with_identity = 0
+    names = set()
+    for table in tables:
+        with_identity += table.identity_index is not None
+        for _ in range(6):
+            sigma = rng.sample(range(table.order),
+                               rng.randrange(1, min(table.order, 4) + 1))
+            gs = GeneratorSystem(sigma, table=table)
+            tag = classify_generated(GeneratorSystem(sigma, table=table))
+            assert tag == classify(gs, close(gs).elements), sigma
+            names.add(tag.name)
+    assert 0 < with_identity < len(tables)
+    assert names == {"Trivial", "Semilattice", "Group", "Clifford",
+                     "StrictInverse", "General"}

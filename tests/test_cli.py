@@ -114,6 +114,31 @@ def test_slp_refuses_general(tmp_path, capsys):
     assert "refused" in err
 
 
+def test_slp_cap_binds_on_the_group_search(tmp_path, capsys):
+    # S_12, and S_12 on points 1..12 plus the identity of 13 points (a
+    # Clifford monoid), are classified without enumeration; the group
+    # SLP search enumerates U or an H-class of it, under the cap
+    cycle = "2 3 4 5 6 7 8 9 10 11 12 1"
+    swap = "2 1 3 4 5 6 7 8 9 10 11 12"
+    reversal = "12 11 10 9 8 7 6 5 4 3 2 1"
+    group = _write(tmp_path, "s12.pb", "pb 12\ngen %s\ngen %s\ntarget %s\n"
+                   % (cycle, swap, reversal))
+    code, out, err = run(capsys, "slp", group, "--cap", "1000")
+    assert code == 1 and out == "" and "exceeds the cap" in err
+    text = ("pb 13\ngen %s _\ngen %s _\ngen %s 13\n"
+            % (cycle, swap, " ".join(map(str, range(1, 13)))))
+    clifford = _write(tmp_path, "c.pb", text + "target %s _\n" % reversal)
+    assert run(capsys, "classify", clifford, "--cap", "1000")[1].startswith(
+        "Clifford\n")
+    code, out, err = run(capsys, "slp", clifford, "--cap", "1000")
+    assert code == 1 and out == "" and "exceeded 1000 elements" in err
+    idem = _write(tmp_path, "e.pb", text + "target %s _\n"
+                  % " ".join(map(str, range(1, 13))))
+    code, out, _ = run(capsys, "slp", idem, "--cap", "1000")
+    assert code == 0 and out.splitlines()[0] == "YES"
+    assert "verified yes" in out.splitlines()
+
+
 def test_transport(tmp_path, capsys):
     text = "pb 3\ngen 2 3 1\nds 1\ndt 3\n"
     path = _write(tmp_path, "t.pb", text)
@@ -378,9 +403,55 @@ def test_cap_honoured_on_every_pb_route(tmp_path, capsys):
     # so s and t are not conjugate
     path = _write(tmp_path, "c.pb", PB_GROUP + "s 2 3 1\nt 3 1 2\n")
     for cmd, answer in (("member", "YES"), ("conj", "NO")):
-        for extra in ([], ["--force-oracle"], ["--solver", "oracle"]):
+        for extra in (["--force-oracle"], ["--solver", "oracle"]):
             code, out, err = run(capsys, cmd, path, "--cap", "1", *extra)
             assert code == 1 and out == "", (cmd, extra)
             assert "refused" in err
             code, out, _ = run(capsys, cmd, path, "--cap", "3", *extra)
             assert code == 0 and out.splitlines()[0] == answer, (cmd, extra)
+        # the auto route recognises the group from its generators
+        code, out, _ = run(capsys, cmd, path, "--cap", "1")
+        assert code == 0 and out.splitlines()[0] == answer, cmd
+    # B(2) on two points has five elements and is strict inverse, not
+    # Clifford: the auto route enumerates it to split StrictInverse
+    # from General, under the cap
+    b2 = _write(tmp_path, "b2.pb", "pb 2\ngen 2 _\ntarget 1 _\n"
+                "s 1 _\nt _ 2\n")
+    for cmd in ("member", "conj"):
+        code, out, err = run(capsys, cmd, b2, "--cap", "4")
+        assert code == 1 and out == "" and "refused" in err, cmd
+        code, out, _ = run(capsys, cmd, b2, "--cap", "5")
+        assert code == 0 and out.splitlines()[0] == "YES", cmd
+
+
+def test_assume_hint_is_checked(tmp_path, capsys):
+    # U is General and holds the target; a false hint used to route it
+    # to a solver that printed NO
+    path = _write(tmp_path, "gen.pb",
+                  "pb 3\ngen 2 _ 1\ngen 1 2 _\ntarget 1 _ _\n")
+    assert run(capsys, "classify", path)[1].splitlines()[0] == "General"
+    for hint in ("StrictInverse", "Semilattice"):
+        code, out, err = run(capsys, "member", path, "--assume", hint)
+        assert code == 2 and out == "", hint
+        assert "does not hold" in err
+    for extra in ([], ["--assume", "General"]):
+        code, out, _ = run(capsys, "member", path, *extra)
+        assert code == 0 and out.splitlines()[0] == "YES", extra
+
+
+def test_explain_names_how_u_was_classified(tmp_path, capsys):
+    semilattice = _write(tmp_path, "s.pb", PB_SEMILATTICE)
+    b2 = _write(tmp_path, "b2.pb", "pb 2\ngen 2 _\ntarget 1 _\n")
+    for path, by in ((semilattice, "generators"), (b2, "closure")):
+        code, _, err = run(capsys, "member", path, "--explain")
+        assert code == 0 and "classified_by: %s" % by in err.splitlines()
+
+
+def test_verify_transport_checks_transporter_in_u1(tmp_path, capsys):
+    # U = <(1 2)> cannot move 1 to 3; the reversal maps {1} onto {3}
+    # but is not in U^1
+    path = _write(tmp_path, "t.pb", "pb 3\ngen 2 1 3\nds 1\ndt 3\n")
+    assert run(capsys, "transport", path)[1].splitlines()[0] == "NO"
+    code, out, _ = _verify(capsys, tmp_path, "transport", path,
+                           "YES\ntransporter 3 2 1\n")
+    assert code == 1 and out.strip() == "FAIL transporter is not in U^1"

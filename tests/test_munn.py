@@ -184,3 +184,64 @@ def test_general_route_respects_cap():
          PartialBijection(6, (1, 0, 2, 3, 4, None))], degree=6)
     with pytest.raises(Exception):
         dispatch_member(gs, gs.one, cap=50)
+
+
+def _symmetric_group(n):
+    """S_n on n points from the n-cycle and a transposition."""
+    return GeneratorSystem(
+        [PartialBijection(n, tuple((i + 1) % n for i in range(n))),
+         PartialBijection(n, (1, 0) + tuple(range(2, n)))], degree=n)
+
+
+def test_dispatch_on_s12_never_enumerates():
+    # |S_12| = 479001600 is far above the cap; the group is recognised
+    # from its generators and the sift and set transporter decide
+    n = 12
+    gs = _symmetric_group(n)
+    reversal = PartialBijection(n, tuple(range(n - 1, -1, -1)))
+    half = PartialBijection(n, tuple(range(n - 1)) + (None,))
+    explain = {}
+    assert dispatch_member(gs, reversal, cap=1000, explain=explain)
+    assert explain["variety"] == "Group"
+    assert explain["classified_by"] == "generators"
+    assert not dispatch_member(gs, half, cap=1000)
+    # two 3-cycles are conjugate in S_12; a 3-cycle and a transposition
+    # are not
+    s = PartialBijection(n, (1, 2, 0) + tuple(range(3, n)))
+    t = PartialBijection(n, tuple(range(n - 3)) + (n - 2, n - 1, n - 3))
+    ok, u = dispatch_conjugate(gs, s, t, cap=1000)
+    assert ok
+    ub = gs.inv(u)
+    assert gs.mul(gs.mul(ub, s), u) == t and gs.mul(gs.mul(u, t), ub) == s
+    assert dispatch_conjugate(gs, s, gs.generators[1], cap=1000) == (
+        False, None)
+    assert gs._closure is None
+
+
+def test_assume_is_checked_against_the_classification():
+    order = ("Trivial", "Semilattice", "Group", "Clifford",
+             "StrictInverse", "General")
+    below = {"Trivial": {"Trivial"},
+             "Semilattice": {"Trivial", "Semilattice"},
+             "Group": {"Trivial", "Group"},
+             "Clifford": {"Trivial", "Semilattice", "Group", "Clifford"},
+             "StrictInverse": set(order) - {"General"},
+             "General": set(order)}
+    rng = random.Random(7)
+    from helpers import rand_pb
+    for gs, name in sample_systems(rng, 4, degrees=(2, 4),
+                                   closure_cap=200):
+        elements = list(close(gs).elements)
+        s, t = rng.choice(elements), rand_pb(rng, gs.degree)
+        for hint in order:
+            if name in below[hint]:
+                # an accepted hint routes to a solver that is exact on U
+                assert (dispatch_member(gs, t, assume=hint)
+                        == naive_member(gs, t)[0])
+                assert (dispatch_conjugate(gs, s, t, assume=hint)[0]
+                        == naive_conjugate(gs, s, t)[0])
+            else:
+                with pytest.raises(ValueError):
+                    dispatch_member(gs, t, assume=hint)
+                with pytest.raises(ValueError):
+                    dispatch_conjugate(gs, s, t, assume=hint)
