@@ -123,9 +123,15 @@ def _pb_member(gs, t, args):
     return ok, word
 
 
-def _check_model(args, model):
+def _check_flags(args, model):
+    """Reject a --model that does not match the file, and an --assume
+    hint where it is not honoured: it steers only the auto pb route."""
     if args.model not in ("auto", model):
         raise CLIError("file is a %s instance, not %s" % (model, args.model))
+    if args.assume is not None and (model == "ct" or args.solver != "auto"
+                                    or args.force_oracle):
+        raise CLIError("--assume applies only to the auto solver on pb "
+                       "instances")
 
 
 def _ct_oracle(args):
@@ -141,7 +147,7 @@ def _ct_oracle(args):
 def cmd_member(args):
     inst = _load(args.file)
     if isinstance(inst, PBInstance):
-        _check_model(args, "pb")
+        _check_flags(args, "pb")
         gs = _system_of(inst)
         t = _require(inst.target, "target")
         ok, word = _pb_member(gs, t, args)
@@ -150,7 +156,7 @@ def cmd_member(args):
             print(_word_line(word))
         return 0
     if isinstance(inst, CTInstance):
-        _check_model(args, "ct")
+        _check_flags(args, "ct")
         t = _require(inst.target, "target")
         if _ct_oracle(args):
             ok, word = naive_member(inst.system(), t, args.cap)
@@ -192,7 +198,7 @@ def _pb_conjugate(gs, s, t, args):
 def cmd_conj(args):
     inst = _load(args.file)
     if isinstance(inst, PBInstance):
-        _check_model(args, "pb")
+        _check_flags(args, "pb")
         gs = _system_of(inst)
         s = _require(inst.s, "s")
         t = _require(inst.t, "t")
@@ -202,7 +208,7 @@ def cmd_conj(args):
             print(formats.image_line("conjugator", u))
         return 0
     if isinstance(inst, CTInstance):
-        _check_model(args, "ct")
+        _check_flags(args, "ct")
         s = _require(inst.s, "s")
         t = _require(inst.t, "t")
         if _ct_oracle(args):
@@ -554,7 +560,8 @@ def _verify_mgs(inst, lines, args):
     if not gens:
         return "FAIL missing gen lines"
     sub = GeneratorSystem(gens, degree=inst.degree)
-    if set(close(sub).elements) != set(close(gs).elements):
+    if (set(close(sub, args.cap).elements)
+            != set(close(gs, args.cap).elements)):
         return "FAIL witness set does not generate the closure"
     return "OK"
 
@@ -569,6 +576,10 @@ def _verify_eqn(inst, lines, args):
     for name in inst.system.variables:
         if name not in assignment:
             return "FAIL missing assignment for %s" % name
+        # the domain solve_equations searches
+        domain = inst.system.constraints.get(name) or ambient
+        if assignment[name] not in close(domain, args.cap):
+            return "FAIL assignment for %s is outside its constraint" % name
     for lhs, rhs in inst.system.equations:
         left = eval_eq_word(lhs, assignment, ambient.mul, ambient.inv)
         right = eval_eq_word(rhs, assignment, ambient.mul, ambient.inv)

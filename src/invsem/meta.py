@@ -2,6 +2,13 @@
 generating set (exact subset search with pruning) and satisfiability of
 systems of equations with per-variable subsemigroup constraints
 (guess-and-check backtracking over closure enumerations).
+
+The generating-set search runs on integers only.  Its product table is
+read off the right Cayley graph that `oracle.close` records, one column
+per element in enumeration order, so no element product is evaluated
+after the closure.  Closures of partial generating sets grow along the
+edges of the chosen letters (East, Egri-Nagy, Mitchell and Peresse,
+JSC 2019), and ideals are found along the generator edges.
 """
 
 from __future__ import annotations
@@ -25,69 +32,69 @@ def mgs_decide(u, k, cap=ELEMENT_CAP):
     """
     if isinstance(u, GeneratorSystem):
         gs = u
-        elements = list(close(gs, cap).elements)
+        cl = close(gs, cap)
+        elements = cl.elements
     else:
         elements = list(u)
         if not elements:
             raise ValueError("empty element list")
         gs = GeneratorSystem(elements, degree=elements[0].degree)
-        if len(close(gs, cap).elements) != len(elements):
+        cl = close(gs, cap)
+        if not len(cl.elements) == len(set(elements)) == len(elements):
             raise ValueError("element list is not closed")
     full_n = len(elements)
     if k <= 0:
         return False, None
 
-    # Precompute the multiplication table once and run the whole search
-    # over integer indices; closures here are small enough for the
-    # quadratic table to pay for itself immediately.
-    index = {x: i for i, x in enumerate(elements)}
-    mul = gs.mul
-    mul_t = [[index[mul(a, b)] for b in elements] for a in elements]
-    inv_t = [index[gs.inv(a)] for a in elements]
+    # The whole search runs over indices into `elements`; cols[b][a] is
+    # the index of elements[a] * elements[b].
+    cols, inv_t = _product_table(gs, cl)
+    gen_idx = list(range(len(gs.generators)))
+    if elements is not cl.elements:
+        # an element list is searched in its own order
+        pos = [cl.index[x] for x in elements]
+        back = [0] * full_n
+        for i, c in enumerate(pos):
+            back[c] = i
+        cols = [[back[cols[pb][pa]] for pa in pos] for pb in pos]
+        inv_t = [back[inv_t[c]] for c in pos]
+        gen_idx = sorted(back[g] for g in gen_idx)
 
-    def grow(closure, x):
-        # closure of <closure + {x}>; closure is already closed
-        new = set(closure)
-        frontier = []
-        for y in (x, inv_t[x]):
-            if y not in new:
-                new.add(y)
-                frontier.append(y)
-        while frontier:
-            nxt = []
-            snapshot = list(new)
-            for a in frontier:
-                row = mul_t[a]
-                for b in snapshot:
-                    for z in (row[b], mul_t[b][a]):
-                        if z not in new:
-                            new.add(z)
-                            nxt.append(z)
-            frontier = nxt
-        return new
+    def grow(closure, chosen, x):
+        # <closure + {x}> where closure = <chosen> is closed.  Every
+        # element of the result is a word in the chosen letters, x and
+        # their inverses; its longest prefix inside the old closure is
+        # followed by x or x~, so it suffices to multiply the old
+        # closure by x and x~ and each new element by every letter,
+        # all on the right.
+        xs = {x, inv_t[x]}
+        letters = xs.union(chosen, [inv_t[c] for c in chosen])
+        step = set(xs)
+        for y in xs:
+            step.update(map(cols[y].__getitem__, closure))
+        frontier = step - closure
+        return _saturate(frontier | closure, frontier,
+                         [cols[y] for y in letters])
 
     # Candidate reduction: if <x> is contained in <y>, replacing x by y
     # in any generating set keeps it generating, so only elements with
     # maximal monogenic closure need to be tried (one per closure).
-    mono = [frozenset(grow(frozenset(), i)) for i in range(full_n)]
-    candidates = []
-    for i in range(full_n):
-        dominated = False
-        for j in range(full_n):
-            if j == i:
-                continue
-            if mono[i] < mono[j] or (mono[i] == mono[j] and j < i):
-                dominated = True
-                break
-        if not dominated:
-            candidates.append(i)
+    mono = [grow(frozenset(), (), i) for i in range(full_n)]
+    # <x> is contained in <y> exactly when x is in <y>
+    dominated = [False] * full_n
+    for j, m in enumerate(mono):
+        for i in m:
+            if i != j and (len(m) > len(mono[i]) or j < i):
+                dominated[i] = True
+    candidates = [i for i in range(full_n) if not dominated[i]]
 
     # Covering bound: a maximal J-class contains none of the products
     # of elements outside it, so every generating set meets every
-    # maximal J-class.
-    gen_idx = sorted({index[g] for g in gs.generators})
-    n_classes, class_of = _maximal_class_cover(
-        mul_t, full_n, gen_idx, candidates)
+    # maximal J-class.  The ideal U^1 x U^1 is everything reachable
+    # from x along generator edges on either side.
+    edges = [cols[g] for g in gen_idx]
+    edges += [[col[g] for col in cols] for g in gen_idx]
+    n_classes, class_of = _maximal_class_cover(edges, gen_idx, candidates)
     if n_classes > k:
         return False, None
 
@@ -107,7 +114,7 @@ def mgs_decide(u, k, cap=ELEMENT_CAP):
                 covers_new = c is not None and c not in hit
                 if slack <= 0 and not covers_new:
                     continue
-                new = frozenset(grow(closure, x))
+                new = frozenset(grow(closure, chosen, x))
                 if len(new) == full_n:
                     witness = tuple(elements[i] for i in chosen + (x,))
                     return True, witness
@@ -119,26 +126,55 @@ def mgs_decide(u, k, cap=ELEMENT_CAP):
     return False, None
 
 
-def _maximal_class_cover(mul_t, full_n, gen_idx, candidates):
-    """The maximal J-classes of the closed semigroup given by the
-    multiplication table, and for each candidate index the id of the
-    maximal class it belongs to (or None).  Returns (class count,
-    per-candidate class id list)."""
+def _product_table(gs, cl):
+    """The product table and the inverse map of the closure cl, as
+    closure indices, from its right Cayley graph alone.
+
+    Returns (cols, inv) with cols[b][a] the index of elements[a] *
+    elements[b] and inv[a] the index of elements[a]~.  Column b of a
+    generator is its edge column; for b = b' * Sigma[g] (the product
+    witness), a * b = right[a * b'][g], so column b is column b'
+    followed along the g-edges.  Likewise b~ = Sigma[g]~ * b'~."""
+    right = cl.right
+    edge_cols = [[row[g] for row in right] for g in range(len(gs.generators))]
+    gen_inv = [cl.index[gs.inv(g)] for g in gs.generators]
+    cols = []
+    inv = []
+    for b, witness in enumerate(cl.product_witness):
+        if witness is None:
+            cols.append(edge_cols[b])
+            inv.append(gen_inv[b])
+        else:
+            j, g = witness
+            cols.append(list(map(edge_cols[g].__getitem__, cols[j])))
+            inv.append(cols[inv[j]][gen_inv[g]])
+    return cols, inv
+
+
+def _saturate(reached, frontier, maps):
+    """Add to the set `reached` everything reachable from the indices
+    in `frontier` (already in `reached`) along the index maps in
+    `maps`; returns `reached`."""
+    stack = list(frontier)
+    while stack:
+        a = stack.pop()
+        for m in maps:
+            z = m[a]
+            if z not in reached:
+                reached.add(z)
+                stack.append(z)
+    return reached
+
+
+def _maximal_class_cover(edges, gen_idx, candidates):
+    """The maximal J-classes of a closed semigroup with generator
+    indices gen_idx, whose ideals are found along the index maps
+    `edges` (multiplication by each generator on either side), and for
+    each candidate index the id of the maximal class it belongs to (or
+    None).  Returns (class count, per-candidate class id list)."""
 
     def ideal(x):
-        out = {x}
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                row = mul_t[a]
-                for b in range(full_n):
-                    for z in (row[b], mul_t[b][a]):
-                        if z not in out:
-                            out.add(z)
-                            nxt.append(z)
-            frontier = nxt
-        return out
+        return _saturate({x}, (x,), edges)
 
     # every maximal J-class contains a generator
     gen_ideals = {g: ideal(g) for g in gen_idx}

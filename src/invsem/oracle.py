@@ -16,18 +16,22 @@ class ClosureCapExceeded(Exception):
 
 
 class Closure:
-    """The elements of U = <Sigma> with word witnesses.
+    """The elements of U = <Sigma> with word witnesses and the right
+    Cayley graph.
 
     elements: breadth-first enumeration, deduplicated; words[i] is a
     tuple of generator indices whose product is elements[i];
     product_witness[i] is None for generators and otherwise a pair
-    (j, g) with elements[i] = elements[j] * Sigma[g].
+    (j, g) with elements[i] = elements[j] * Sigma[g].  Generator g is
+    elements[g].  right[j][g] is the index of elements[j] * Sigma[g],
+    so right is the right Cayley graph of U with respect to Sigma.
     """
 
-    def __init__(self, elements, words, product_witness):
+    def __init__(self, elements, words, product_witness, right):
         self.elements = elements
         self.words = words
         self.product_witness = product_witness
+        self.right = right
         self.index = {x: i for i, x in enumerate(elements)}
 
     def __len__(self):
@@ -42,7 +46,8 @@ class Closure:
 
 def close(gs, cap=ELEMENT_CAP, product_cap=PRODUCT_CAP):
     """Saturate Sigma under products (breadth-first by word length,
-    generators in list order).  Sigma is inverse-closed, so this is the
+    generators in list order), recording every product as an edge of
+    the right Cayley graph.  Sigma is inverse-closed, so this is the
     full inverse-subsemigroup closure.
     """
     if gs._closure is not None:
@@ -50,41 +55,41 @@ def close(gs, cap=ELEMENT_CAP, product_cap=PRODUCT_CAP):
         return gs._closure
     gens = gs.generators
     mul = gs.mul
-    elements = []
-    words = []
-    product_witness = []
-    index = {}
-    for i, g in enumerate(gens):
-        if g not in index:
-            index[g] = len(elements)
-            elements.append(g)
-            words.append((i,))
-            product_witness.append(None)
-    frontier = list(range(len(elements)))
+    # the generators are distinct (GeneratorSystem deduplicates them)
+    elements = list(gens)
+    words = [(i,) for i in range(len(gens))]
+    product_witness = [None] * len(gens)
+    index = {g: i for i, g in enumerate(gens)}
+    right = []
     products = 0
-    while frontier:
-        new_frontier = []
-        for j in frontier:
-            x = elements[j]
-            for i, g in enumerate(gens):
-                products += 1
-                if products > product_cap:
+    # elements are expanded in index order, which is breadth-first
+    # order, so right[j] is appended when elements[j] is expanded
+    j = 0
+    while j < len(elements):
+        x = elements[j]
+        row = []
+        for i, g in enumerate(gens):
+            products += 1
+            if products > product_cap:
+                raise ClosureCapExceeded(
+                    "closure exceeded %d product evaluations" % product_cap
+                )
+            y = mul(x, g)
+            k = index.get(y)
+            if k is None:
+                if len(elements) >= cap:
                     raise ClosureCapExceeded(
-                        "closure exceeded %d product evaluations" % product_cap
+                        "closure exceeded %d elements" % cap
                     )
-                y = mul(x, g)
-                if y not in index:
-                    if len(elements) >= cap:
-                        raise ClosureCapExceeded(
-                            "closure exceeded %d elements" % cap
-                        )
-                    index[y] = len(elements)
-                    elements.append(y)
-                    words.append(words[j] + (i,))
-                    product_witness.append((j, i))
-                    new_frontier.append(index[y])
-        frontier = new_frontier
-    result = Closure(elements, words, product_witness)
+                k = len(elements)
+                index[y] = k
+                elements.append(y)
+                words.append(words[j] + (i,))
+                product_witness.append((j, i))
+            row.append(k)
+        right.append(tuple(row))
+        j += 1
+    result = Closure(elements, words, product_witness, right)
     gs._closure = result
     return result
 

@@ -455,3 +455,47 @@ def test_verify_transport_checks_transporter_in_u1(tmp_path, capsys):
     code, out, _ = _verify(capsys, tmp_path, "transport", path,
                            "YES\ntransporter 3 2 1\n")
     assert code == 1 and out.strip() == "FAIL transporter is not in U^1"
+
+
+def test_verify_eqn_checks_assignment_in_constraint(tmp_path, capsys):
+    # X ranges over <1 _>; 2 1 satisfies X~ s X = t but lies outside it
+    src = _write(tmp_path, "src.pb", "pb 2\ngen 1 _\ns 1 _\nt _ 2\n")
+    dest = str(tmp_path / "inst.eqn")
+    assert run(capsys, "gen", "equation", src, "-o", dest)[0] == 0
+    assert run(capsys, "eqn", dest)[1].splitlines()[0] == "NO"
+    code, out, _ = _verify(capsys, tmp_path, "eqn", dest,
+                           "YES\nassign X 2 1\n")
+    assert code == 1
+    assert out.strip() == "FAIL assignment for X is outside its constraint"
+
+
+def test_assume_rejected_where_not_honoured(tmp_path, capsys):
+    # Y2 generated by its zero is a semilattice, not a group
+    ct = _write(tmp_path, "y2.ct", "ct 2\n0 1\n1 1\ngens 0\ntarget 1\n"
+                "s 0\nt 0\n")
+    pb = _write(tmp_path, "gen.pb",
+                "pb 3\ngen 2 _ 1\ngen 1 2 _\ntarget 1 _ _\ns 1 _ _\n"
+                "t 1 _ _\n")
+    cases = [(ct, ["--assume", "Group"]),
+             (ct, ["--solver", "oracle", "--assume", "Semilattice"]),
+             (pb, ["--solver", "sis", "--assume", "Semilattice"]),
+             (pb, ["--solver", "oracle", "--assume", "General"]),
+             (pb, ["--force-oracle", "--assume", "General"])]
+    for cmd in ("member", "conj"):
+        for path, extra in cases:
+            code, out, err = run(capsys, cmd, path, *extra)
+            assert code == 2 and out == "", (cmd, extra)
+            assert "--assume" in err
+        code, out, _ = run(capsys, cmd, pb, "--assume", "General")
+        assert code == 0 and out.splitlines()[0] == "YES", cmd
+
+
+def test_verify_mgs_honours_cap(tmp_path, capsys):
+    s3 = _write(tmp_path, "s3.pb", "pb 3\ngen 2 1 3\ngen 2 3 1\n")
+    code, out, _ = run(capsys, "mgs", s3, "-k", "2")
+    assert code == 0 and out.splitlines()[0] == "YES"
+    answer = _write(tmp_path, "ans.txt", out)
+    code, out, err = run(capsys, "verify", "mgs", s3, answer, "--cap", "2")
+    assert code == 1 and out == "" and "refused" in err
+    code, out, _ = run(capsys, "verify", "mgs", s3, answer)
+    assert code == 0 and out.strip() == "OK"

@@ -1,5 +1,6 @@
 """Minimum generating sets and equation solving."""
 
+import itertools
 import random
 
 import pytest
@@ -57,6 +58,39 @@ def test_mgs_on_element_lists():
     # an element list that is not closed is rejected
     with pytest.raises(ValueError):
         mgs_decide([partial_identity(3, [0]), partial_identity(3, [1])], 2)
+    # as is one with a repeat, even if its length matches the closure's
+    swap = PartialBijection(2, (1, 0))
+    with pytest.raises(ValueError):
+        mgs_decide([swap, swap], 1)
+
+
+def test_mgs_matches_brute_force_subset_search():
+    # the smallest generating set found by trying every subset of U, on
+    # GeneratorSystems and on closed element lists
+    rng = random.Random(3)
+    done = 0
+    while done < 30:
+        n = rng.randrange(2, 4)
+        gens = [rand_pb(rng, n) for _ in range(rng.randrange(1, 4))]
+        gs = GeneratorSystem(gens, degree=n)
+        full = _closure_set(gens, n)
+        if len(full) > 25:
+            continue
+        elements = list(close(gs).elements)
+        rng.shuffle(elements)
+        for k in (1, 2, 3):
+            want = any(_closure_set(list(sub), n) == full
+                       for size in range(1, k + 1)
+                       for sub in itertools.combinations(elements, size))
+            for u in (gs, elements):
+                ok, witness = mgs_decide(u, k)
+                assert ok == want, (gens, k)
+                if ok:
+                    assert len(witness) <= k
+                    assert _closure_set(list(witness), n) == full
+                else:
+                    assert witness is None
+        done += 1
 
 
 def test_mgs_zero_budget():

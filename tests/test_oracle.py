@@ -6,6 +6,7 @@ import pytest
 
 from invsem.pbij import PartialBijection
 from invsem.gensys import GeneratorSystem
+from invsem.cayley import from_closure
 from invsem.oracle import (ClosureCapExceeded, close, eval_word,
                            naive_member, naive_conjugate, naive_green,
                            naive_green_leq)
@@ -19,6 +20,30 @@ def test_close_idempotent():
         elements = list(close(gs).elements)
         regs = GeneratorSystem(elements, degree=gs.degree)
         assert set(close(regs).elements) == set(elements)
+
+
+def _check_right_graph(gs):
+    cl = close(gs)
+    assert len(cl.right) == len(cl.elements)
+    for j, x in enumerate(cl.elements):
+        assert len(cl.right[j]) == len(gs.generators)
+        for i, g in enumerate(gs.generators):
+            assert cl.right[j][i] == cl.index[gs.mul(x, g)]
+
+
+def test_closure_records_right_cayley_graph():
+    # right[j][i] is the index of elements[j] * generators[i], on pb
+    # systems, on ct systems and on systems given by a closed list
+    rng = random.Random(7)
+    for gs, _ in sample_systems(rng, 3, degrees=(2, 4), closure_cap=60):
+        _check_right_graph(gs)
+        elements = list(close(gs).elements)
+        _check_right_graph(GeneratorSystem(elements, degree=gs.degree))
+        table, _ = from_closure(elements, gs.mul)
+        for _ in range(3):
+            sigma = rng.sample(range(table.order),
+                               rng.randrange(1, min(table.order, 3) + 1))
+            _check_right_graph(GeneratorSystem(sigma, table=table))
 
 
 def test_closure_words_evaluate():
