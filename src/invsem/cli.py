@@ -23,7 +23,7 @@ from .slp import (NotGenerated, slp_eval, slp_to_text, slp_from_text,
                   slp_semilattice, slp_group, slp_clifford)
 from .munn import (OutsideTractable, dispatch_member, dispatch_conjugate,
                    clifford_member, clifford_conjugate, sis_member,
-                   sis_conjugate)
+                   sis_conjugate, require_variety)
 from .automata import (InverseAutomaton, ProductCapExceeded,
                        intersect_nonempty)
 from .ncl import local_configs
@@ -99,11 +99,30 @@ def cmd_classify(args):
     return 0
 
 
+# the variety each explicit pb solver is exact on, checked as --assume is
+_SOLVER_VARIETY = {"group": "Group", "clifford": "Clifford",
+                   "sis": "StrictInverse"}
+
+
+def _pb_solver(gs, args):
+    """The pb solver to run.  An explicit group, clifford or sis solver
+    is taken only where U lies in its variety."""
+    if args.force_oracle:
+        return "oracle"
+    if args.solver == "ct-greedy":
+        raise CLIError("solver %r does not apply to pb instances"
+                       % args.solver)
+    if args.solver in _SOLVER_VARIETY:
+        try:
+            require_variety(gs, _SOLVER_VARIETY[args.solver], args.cap)
+        except ValueError as exc:
+            raise CLIError("--solver %s: %s" % (args.solver, exc))
+    return args.solver
+
+
 def _pb_member(gs, t, args):
     explain = {} if args.explain else None
-    solver = args.solver
-    if args.force_oracle:
-        solver = "oracle"
+    solver = _pb_solver(gs, args)
     if solver == "auto":
         ok = dispatch_member(gs, t, assume=args.assume, cap=args.cap,
                              explain=explain)
@@ -114,10 +133,8 @@ def _pb_member(gs, t, args):
         ok, word = pb_group_member(gs, t)
     elif solver == "clifford":
         ok, word = clifford_member(gs, t), None
-    elif solver == "sis":
-        ok, word = sis_member(gs, t, explain=explain), None
     else:
-        raise CLIError("solver %r does not apply to pb instances" % solver)
+        ok, word = sis_member(gs, t, explain=explain), None
     if explain:
         _print_explain(explain)
     return ok, word
@@ -174,9 +191,7 @@ def cmd_member(args):
 
 def _pb_conjugate(gs, s, t, args):
     explain = {} if args.explain else None
-    solver = args.solver
-    if args.force_oracle:
-        solver = "oracle"
+    solver = _pb_solver(gs, args)
     if solver == "auto":
         ok, u = dispatch_conjugate(gs, s, t, assume=args.assume,
                                    cap=args.cap, explain=explain)
@@ -186,10 +201,8 @@ def _pb_conjugate(gs, s, t, args):
         ok, u = group_conjugate(gs, s, t)
     elif solver == "clifford":
         ok, u = clifford_conjugate(gs, s, t)
-    elif solver == "sis":
-        ok, u = sis_conjugate(gs, s, t, explain=explain)
     else:
-        raise CLIError("solver %r does not apply to pb instances" % solver)
+        ok, u = sis_conjugate(gs, s, t, explain=explain)
     if explain:
         _print_explain(explain)
     return ok, u

@@ -52,10 +52,17 @@ class GeneratorSystem:
         self.adjoined_identity = (
             self.model == "ct" and table.identity_index is None
         )
-        # lazy caches (closure, classification, group data)
+        # lazy caches, kept for the life of the system: closure,
+        # classification, group BSGS and its diagonal action, Munn graphs
+        # by delta, bases by (delta, anchor), H-class records by
+        # (solver, e-hat)
         self._closure = None
         self._variety = None
         self._bsgs = None
+        self._diagonal = None
+        self._munn = {}
+        self._bases = {}
+        self._hclasses = {}
 
     # -- element operations ------------------------------------------------
 

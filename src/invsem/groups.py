@@ -22,12 +22,13 @@ def _pinv(a):
 
 
 class _Level:
-    __slots__ = ("b", "gens", "transversal")
+    __slots__ = ("b", "gens", "transversal", "inverse")
 
     def __init__(self, b, identity):
         self.b = b
         self.gens = []  # (perm, word)
         self.transversal = {b: (identity, ())}  # point -> (rep, word), b^rep = point
+        self.inverse = {b: (identity, ())}  # point -> inverse of its rep
 
 
 class PermGroup:
@@ -53,6 +54,7 @@ class PermGroup:
                 self.gens.append(ig)
         self.inv_index = [index[_pinv(g)] for g in self.gens]
         self.levels = []
+        self._fixed = None
         for i, g in enumerate(self.gens):
             self._insert(g, (i,))
         self._stabilize()
@@ -70,9 +72,8 @@ class PermGroup:
             x = p[lvl.b]
             if x not in lvl.transversal:
                 return p, w, j, reps
-            r, rw = lvl.transversal[x]
-            reps.append((r, rw))
-            ir, irw = self._inv_pw(r, rw)
+            reps.append(lvl.transversal[x])
+            ir, irw = lvl.inverse[x]
             p = _pmul(p, ir)
             w = w + irw
         return p, w, len(self.levels), reps
@@ -111,7 +112,9 @@ class PermGroup:
             for s, sw in gens:
                 y = s[x]
                 if y not in lvl.transversal:
-                    lvl.transversal[y] = (_pmul(r, s), rw + sw)
+                    rep = (_pmul(r, s), rw + sw)
+                    lvl.transversal[y] = rep
+                    lvl.inverse[y] = self._inv_pw(*rep)
                     pts.append(y)
 
     def _stabilize(self):
@@ -131,8 +134,7 @@ class PermGroup:
             for x, (r, rw) in list(lvl.transversal.items()):
                 for s, sw in gens:
                     y = s[x]
-                    q, qw = lvl.transversal[y]
-                    iq, iqw = self._inv_pw(q, qw)
+                    iq, iqw = lvl.inverse[y]
                     sg = _pmul(_pmul(r, s), iq)
                     if sg == self.identity:
                         continue
@@ -141,6 +143,19 @@ class PermGroup:
         return False
 
     # -- queries -----------------------------------------------------------
+
+    def fixed_points(self):
+        """fixed[i]: the points fixed by every strong generator at level
+        i or deeper (fixed[len(levels)] is every point).  Computed once."""
+        if self._fixed is None:
+            fixed = [frozenset(range(self.m))]
+            for lvl in reversed(self.levels):
+                moved = set()
+                for p, _ in lvl.gens:
+                    moved.update(x for x in range(self.m) if p[x] != x)
+                fixed.append(fixed[-1] - moved)
+            self._fixed = fixed[::-1]
+        return self._fixed
 
     @property
     def order(self):
@@ -185,31 +200,21 @@ def set_transporter(G, delta_s, delta_t):
     delta_t = frozenset(delta_t)
     if len(delta_s) != len(delta_t):
         return None
-    m = G.m
     levels = G.levels
-    # points fixed by every generator at levels >= i
-    fixed = [None] * (len(levels) + 1)
-    fixed[len(levels)] = frozenset(range(m))
-    for i in range(len(levels) - 1, -1, -1):
-        moved = set()
-        for p, _ in levels[i].gens:
-            moved.update(x for x in range(m) if p[x] != x)
-        fixed[i] = fixed[i + 1] - moved
-
-    def prune_ok(i, target):
-        for z in fixed[i]:
-            if (z in delta_s) != (z in target):
-                return False
-        return True
+    fixed = G.fixed_points()
+    # a level-i stabilizer element fixes fixed[i] pointwise, so it can
+    # only reach targets that agree with delta_s there
+    want = [f & delta_s for f in fixed]
 
     def search(i, target):
         # find h in the level-i stabilizer with delta_s^h = target
-        if not prune_ok(i, target):
+        if fixed[i] & target != want[i]:
             return None
         if i == len(levels):
             return (G.identity, ()) if delta_s == target else None
-        for r, rw in levels[i].transversal.values():
-            ir, irw = G._inv_pw(r, rw)
+        inverse = levels[i].inverse
+        for pt, (r, rw) in levels[i].transversal.items():
+            ir, _ = inverse[pt]
             sub = search(i + 1, frozenset(ir[x] for x in target))
             if sub is not None:
                 h, hw = sub
@@ -278,6 +283,23 @@ def pb_group_member(gs, t):
     return ok, word
 
 
+def _diagonal_group(gs):
+    """The diagonal action of a group GeneratorSystem on ordered pairs
+    of its domain, a PermGroup on m^2 points (pair (i, j) is i*m + j).
+    Cached."""
+    if gs._diagonal is None:
+        _, points = perm_group_of(gs)
+        m = len(points)
+        diag_gens = []
+        for g in gs.generators:
+            p = _as_perm(g, points)
+            diag_gens.append(tuple(
+                p[i] * m + p[j] for i in range(m) for j in range(m)
+            ))
+        gs._diagonal = PermGroup(diag_gens, m * m)
+    return gs._diagonal
+
+
 def group_conjugate(gs, s, t):
     """Conjugacy with conjugators from a group U = <Sigma>: reduces to a
     set transporter on the graphs of s and t under the diagonal action.
@@ -286,20 +308,14 @@ def group_conjugate(gs, s, t):
     """
     if s == t:
         return True, gs.one
-    G, points = perm_group_of(gs)
+    _, points = perm_group_of(gs)
     dom = frozenset(points)
     if not (s.domain() <= dom and s.ran() <= dom
             and t.domain() <= dom and t.ran() <= dom):
         return False, None
     m = len(points)
     pos = {x: i for i, x in enumerate(points)}
-    diag_gens = []
-    for g in gs.generators:
-        p = _as_perm(g, points)
-        diag_gens.append(tuple(
-            p[i] * m + p[j] for i in range(m) for j in range(m)
-        ))
-    D = PermGroup(diag_gens, m * m)
+    D = _diagonal_group(gs)
     delta_s = frozenset(pos[x] * m + pos[y] for x, y in s.graph())
     delta_t = frozenset(pos[x] * m + pos[y] for x, y in t.graph())
     found = set_transporter(D, delta_s, delta_t)

@@ -8,7 +8,7 @@ All solvers here end in a call to the group solver on a single H-class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .pbij import identity, partial_identity
 from .oracle import ClosureCapExceeded, naive_member, naive_conjugate
@@ -48,13 +48,8 @@ def _require_invariant(gs, delta):
         raise ValueError("point set is not U-invariant")
 
 
-def is_delta_large(gs, delta, u):
-    """Does dom(u) meet every U-orbit inside the invariant set delta?"""
-    _require_invariant(gs, delta)
-    return _is_large(gs, frozenset(delta), u)
-
-
 def _is_large(gs, delta, u):
+    """Does dom(u) meet every U-orbit inside the invariant set delta?"""
     return orbit_closure(gs, u.domain() & delta) == delta
 
 
@@ -69,9 +64,6 @@ class MunnGraph:
     vertex_index: dict
     edges: tuple  # (generator index, src vertex, tgt vertex)
     comp: tuple  # component id per vertex
-
-    def component_of(self, v):
-        return self.comp[v]
 
 
 def munn_graph(gs, delta):
@@ -131,6 +123,19 @@ class Basis:
     gamma: dict  # vertex index -> element of U
     lam: dict  # generator index -> element of U
     sigma_e: tuple  # generator indices of the component's edges
+    ehat: object  # product of lambda(u) lambda(u)~ over the component
+
+
+def idempotent_meet(gs, elements, e=None):
+    """The product of the idempotents x x~ over `elements`, keeping only
+    those with x x~ >= e when e is given; None if none is kept."""
+    mul = gs.mul
+    out = None
+    for x in elements:
+        xx = mul(x, gs.inv(x))
+        if e is None or mul(e, xx) == e:
+            out = xx if out is None else mul(out, xx)
+    return out
 
 
 def basis_at(gs, M, anchor):
@@ -142,44 +147,25 @@ def basis_at(gs, M, anchor):
     inv = gs.inv
     e = M.vertices[anchor]
     cid = M.comp[anchor]
-    # adjacency in edge-list order
+    sigma_e = tuple(gi for gi, a, _ in M.edges if M.comp[a] == cid)
+    # e-tilde: product of u u~ over component edges with u u~ >= e
+    etilde = idempotent_meet(gs, (gs.generators[gi] for gi in sigma_e), e)
+    assert etilde is not None, "anchor vertex has no dominating edge"
+    # gamma along BFS paths from the anchor, adjacency in edge-list order
     adj = [[] for _ in M.vertices]
     for gi, a, b in M.edges:
         adj[a].append((b, gi))
-    # BFS paths (as generator-index tuples) from the anchor
-    paths = {anchor: ()}
-    queue = [anchor]
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        for w, gi in adj[v]:
-            if w not in paths:
-                paths[w] = paths[v] + (gi,)
-                queue.append(w)
-    sigma_e = tuple(gi for gi, a, _ in M.edges if M.comp[a] == cid)
-    # e-tilde: product of u u~ over component edges with u u~ >= e
-    etilde = None
-    for gi in sigma_e:
-        u = gs.generators[gi]
-        uub = mul(u, inv(u))
-        if mul(e, uub) == e:
-            etilde = uub if etilde is None else mul(etilde, uub)
-    assert etilde is not None, "anchor vertex has no dominating edge"
     gamma = {anchor: etilde}
-    for v, path in paths.items():
-        if v == anchor:
-            continue
-        g = etilde
-        for gi in path:
-            g = mul(g, gs.generators[gi])
-        gamma[v] = g
-    lam = {}
-    for gi, a, b in M.edges:
-        if M.comp[a] == cid:
-            lam[gi] = mul(mul(gamma[a], gs.generators[gi]),
-                          inv(gamma[b]))
-    basis = Basis(M, anchor, gamma, lam, sigma_e)
+    queue = [anchor]
+    for v in queue:
+        for w, gi in adj[v]:
+            if w not in gamma:
+                gamma[w] = mul(gamma[v], gs.generators[gi])
+                queue.append(w)
+    lam = {gi: mul(mul(gamma[a], gs.generators[gi]), inv(gamma[b]))
+           for gi, a, b in M.edges if M.comp[a] == cid}
+    ehat = idempotent_meet(gs, (lam[gi] for gi in sigma_e))
+    basis = Basis(M, anchor, gamma, lam, sigma_e, ehat)
     _check_basis(gs, basis)
     return basis
 
@@ -224,40 +210,76 @@ def hclass_generators(gs, B):
     return out
 
 
+# -- the H-class layer, built once per generator system --------------------
+
+
+def _munn_at(gs, delta):
+    """munn_graph(gs, delta), built once per system."""
+    if delta not in gs._munn:
+        gs._munn[delta] = munn_graph(gs, delta)
+    return gs._munn[delta]
+
+
+def _basis(gs, M, anchor):
+    """basis_at(gs, M, anchor), built and checked once per system."""
+    if (M.delta, anchor) not in gs._bases:
+        gs._bases[M.delta, anchor] = basis_at(gs, M, anchor)
+    return gs._bases[M.delta, anchor]
+
+
+@dataclass
+class HClass:
+    """The group H-class of U at a dominating idempotent e-hat: a group
+    GeneratorSystem (its BSGS and diagonal action are cached on it) and,
+    for a strict inverse U, the basis at e-hat with gamma and lambda."""
+    ehat: object
+    group: GeneratorSystem
+    basis: Basis = None
+    eligible: tuple = ()  # Clifford U: indices of u with u u~ >= e-hat
+
+
+def hclass(gs, ehat, basis=None):
+    """The H-class record at e-hat, built once per system.  For a strict
+    inverse U pass the basis anchored at e-hat: its e-hat lambda(u)
+    generate the group.  Otherwise U is Clifford and e-hat u generate it,
+    over the generators u with u u~ >= e-hat."""
+    key = ("clifford" if basis is None else "sis", ehat)
+    H = gs._hclasses.get(key)
+    if H is None:
+        if basis is None:
+            eligible = tuple(i for i, u in enumerate(gs.generators)
+                             if gs.mul(ehat, gs.mul(u, gs.inv(u))) == ehat)
+            gens = [gs.mul(ehat, gs.generators[i]) for i in eligible]
+        else:
+            eligible, gens = (), hclass_generators(gs, basis)
+        group = GeneratorSystem(gens, degree=gs.degree, table=gs.table)
+        H = gs._hclasses[key] = HClass(ehat, group, basis, eligible)
+    return H
+
+
 # -- minimal dominating idempotents ---------------------------------------
 
 
 def sis_min_idempotent(gs, e):
     """The minimal idempotent of E(U) union {1} above e, for U a strict
-    inverse semigroup.  Returns (e-hat, in_U)."""
-    mul = gs.mul
-    inv = gs.inv
+    inverse semigroup.  Returns (e-hat, in_U); raises ValueError when
+    two Munn vertices dominate e, which shows U is not strict inverse."""
     delta = orbit_closure(gs, e.domain())
-    M = munn_graph(gs, delta)
+    M = _munn_at(gs, delta)
     anchors = [i for i, v in enumerate(M.vertices) if e.le(v)]
-    assert len(anchors) <= 1, "dominating vertex not unique; input not SIS"
+    if len(anchors) > 1:
+        raise ValueError("not strict inverse: two Munn vertices lie above e")
     if not anchors:
         return identity(gs.degree), False
-    B = basis_at(gs, M, anchors[0])
-    ehat = None
-    for gi in B.sigma_e:
-        l = B.lam[gi]
-        ll = mul(l, inv(l))
-        ehat = ll if ehat is None else mul(ehat, ll)
-    assert mul(ehat, ehat) == ehat and e.le(ehat)
+    ehat = _basis(gs, M, anchors[0]).ehat
+    assert gs.is_idempotent(ehat) and e.le(ehat)
     return ehat, True
 
 
 def clifford_min_idempotent(gs, e):
     """Product formula for Clifford U: e-hat = prod of u u~ over
     generators with u u~ >= e; (1, False) if none participate."""
-    mul = gs.mul
-    inv = gs.inv
-    ehat = None
-    for u in gs.generators:
-        uub = mul(u, inv(u))
-        if mul(e, uub) == e:
-            ehat = uub if ehat is None else mul(ehat, uub)
+    ehat = idempotent_meet(gs, gs.generators, e)
     if ehat is None:
         return identity(gs.degree), False
     return ehat, True
@@ -266,35 +288,45 @@ def clifford_min_idempotent(gs, e):
 # -- Clifford solvers ------------------------------------------------------
 
 
-def _hclass_system(gs, ehat):
-    gens = [gs.mul(ehat, u) for u in gs.generators
-            if gs.mul(ehat, gs.mul(u, gs.inv(u))) == ehat]
-    return GeneratorSystem(gens, degree=gs.degree)
-
-
 def clifford_member(gs, t):
     e = gs.mul(t, gs.inv(t))
     ehat, in_u = clifford_min_idempotent(gs, e)
     if not in_u or ehat != e:
         return False
-    ok, _ = pb_group_member(_hclass_system(gs, ehat), t)
+    ok, _ = pb_group_member(hclass(gs, ehat).group, t)
     return ok
 
 
 def clifford_conjugate(gs, s, t):
     if s == t:
         return True, gs.one
-    join = partial_identity(
-        gs.degree,
-        s.domain() | s.ran() | t.domain() | t.ran(),
-    )
+    join = partial_identity(gs.degree,
+                            s.domain() | s.ran() | t.domain() | t.ran())
     ehat, in_u = clifford_min_idempotent(gs, join)
     if not in_u:
         return False, None
-    return group_conjugate(_hclass_system(gs, ehat), s, t)
+    return group_conjugate(hclass(gs, ehat).group, s, t)
 
 
 # -- strict inverse solvers ------------------------------------------------
+
+
+def _munn_pair(gs, e, f, explain):
+    """(M, ve, vf): the Munn graph at the orbit closure of dom(e) and the
+    vertices of the idempotents e and f, which must share its component;
+    (None, None, None) if they do not."""
+    delta = orbit_closure(gs, e.domain())
+    if orbit_closure(gs, f.domain()) != delta:
+        return None, None, None
+    M = _munn_at(gs, delta)
+    if explain is not None:
+        explain["delta"] = delta
+        explain["munn_dot"] = munn_dot(M)
+    ve = M.vertex_index.get(e)
+    vf = M.vertex_index.get(f)
+    if ve is None or vf is None or M.comp[ve] != M.comp[vf]:
+        return None, None, None
+    return M, ve, vf
 
 
 def sis_member(gs, t, explain=None):
@@ -302,46 +334,19 @@ def sis_member(gs, t, explain=None):
     inv = gs.inv
     e = mul(t, inv(t))
     f = mul(inv(t), t)
-    delta = orbit_closure(gs, e.domain())
-    if orbit_closure(gs, f.domain()) != delta:
+    M, ve, vf = _munn_pair(gs, e, f, explain)
+    if M is None:
         return False
-    M = munn_graph(gs, delta)
+    if _basis(gs, M, ve).ehat != e or _basis(gs, M, vf).ehat != f:
+        return False
+    H = hclass(gs, e, _basis(gs, M, ve))
+    t_prime = mul(t, inv(H.basis.gamma[vf]))
     if explain is not None:
-        explain["delta"] = delta
-        explain["munn_dot"] = munn_dot(M)
-    if e not in M.vertex_index or f not in M.vertex_index:
-        return False
-    ve = M.vertex_index[e]
-    vf = M.vertex_index[f]
-    if M.comp[ve] != M.comp[vf]:
-        return False
-    basis_e = basis_at(gs, M, ve)
-    if _component_min_idempotent(gs, basis_e) != e:
-        return False
-    if vf != ve:
-        basis_f = basis_at(gs, M, vf)
-        if _component_min_idempotent(gs, basis_f) != f:
-            return False
-    sigma_e = hclass_generators(gs, basis_e)
-    t_prime = mul(t, inv(basis_e.gamma[vf]))
-    group = GeneratorSystem(sigma_e, degree=gs.degree)
-    if explain is not None:
-        explain["basis_gamma"] = {v: g for v, g in basis_e.gamma.items()}
-        explain["group_generators"] = sigma_e
+        explain["basis_gamma"] = dict(H.basis.gamma)
+        explain["group_generators"] = hclass_generators(gs, H.basis)
         explain["group_target"] = t_prime
-    ok, _ = pb_group_member(group, t_prime)
+    ok, _ = pb_group_member(H.group, t_prime)
     return ok
-
-
-def _component_min_idempotent(gs, B):
-    mul = gs.mul
-    inv = gs.inv
-    ehat = None
-    for gi in B.sigma_e:
-        l = B.lam[gi]
-        ll = mul(l, inv(l))
-        ehat = ll if ehat is None else mul(ehat, ll)
-    return ehat
 
 
 def sis_conjugate(gs, s, t, explain=None):
@@ -355,27 +360,16 @@ def sis_conjugate(gs, s, t, explain=None):
     fhat, in_f = sis_min_idempotent(gs, f)
     if not (in_e and in_f):
         return False, None
-    delta = orbit_closure(gs, ehat.domain())
-    if orbit_closure(gs, fhat.domain()) != delta:
+    M, ve, vf = _munn_pair(gs, ehat, fhat, explain)
+    if M is None:
         return False, None
-    M = munn_graph(gs, delta)
-    if explain is not None:
-        explain["delta"] = delta
-        explain["munn_dot"] = munn_dot(M)
-    if ehat not in M.vertex_index or fhat not in M.vertex_index:
-        return False, None
-    ve = M.vertex_index[ehat]
-    vf = M.vertex_index[fhat]
-    if M.comp[ve] != M.comp[vf]:
-        return False, None
-    B = basis_at(gs, M, ve)
-    gamma_f = B.gamma[vf]
+    H = hclass(gs, ehat, _basis(gs, M, ve))
+    gamma_f = H.basis.gamma[vf]
     t_prime = mul(mul(gamma_f, t), inv(gamma_f))
-    group = GeneratorSystem(hclass_generators(gs, B), degree=gs.degree)
     if explain is not None:
-        explain["group_generators"] = group.generators
+        explain["group_generators"] = H.group.generators
         explain["group_target"] = t_prime
-    ok, u = group_conjugate(group, s, t_prime)
+    ok, u = group_conjugate(H.group, s, t_prime)
     if not ok:
         return False, None
     v = mul(u, gamma_f)
@@ -419,27 +413,31 @@ _HINT_HOLDS = {
 }
 
 
+def require_variety(gs, variety, cap=GENERAL_CAP):
+    """Classify U and check that it lies at or below `variety`: a
+    ValueError if not, OutsideTractable where the closure cap cut off
+    the StrictInverse/General split.  Returns the tag."""
+    if variety not in _HINT_HOLDS:
+        raise ValueError("unknown variety %r" % (variety,))
+    tag = classify_generated(gs, cap)
+    if not _HINT_HOLDS[variety](tag):
+        if tag.cap_exceeded and variety == "StrictInverse":
+            raise OutsideTractable("closure cap exceeded while checking "
+                                   "the variety StrictInverse")
+        raise ValueError("variety %s does not hold: U is %s"
+                         % (variety, tag.name))
+    return tag
+
+
 def _route(gs, assume, cap, explain):
     """The variety name whose solver decides the instance.  A hint
-    `assume` other than General is taken only where the classification
-    puts U at or below it; General is always taken and skips the
-    classification."""
-    if assume is not None and assume not in _HINT_HOLDS:
-        raise ValueError("unknown variety %r" % (assume,))
+    `assume` other than General is taken only where require_variety
+    accepts it; General is always taken and skips the classification."""
     if assume == "General":
         name, by = assume, "assume"
     else:
-        tag = classify_generated(gs, cap)
-        name, by = tag.name, tag.classified_by
-        if assume is not None:
-            if not _HINT_HOLDS[assume](tag):
-                if tag.cap_exceeded and assume == "StrictInverse":
-                    raise OutsideTractable(
-                        "closure cap exceeded while checking the "
-                        "assumed variety StrictInverse")
-                raise ValueError("assumed variety %s does not hold: U is %s"
-                                 % (assume, tag.name))
-            name = assume
+        tag = require_variety(gs, assume or "General", cap)
+        name, by = assume or tag.name, tag.classified_by
     if explain is not None:
         explain["variety"] = name
         explain["classified_by"] = by

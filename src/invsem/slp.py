@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .oracle import ELEMENT_CAP, ClosureCapExceeded
+from .munn import hclass, idempotent_meet
 
 BFS_THRESHOLD = 4096
 CUBE_CAP = 10**5
@@ -320,24 +321,18 @@ def slp_clifford(gs, t, bfs_threshold=BFS_THRESHOLD, cap=ELEMENT_CAP):
     inv = gs.inv
     e = mul(t, inv(t))
     # phase 1: greedy factorization of e over {s s~ : s s~ >= e}
-    chosen = [i for i, s in enumerate(gens) if mul(e, mul(s, inv(s))) == e]
-    if not chosen:
+    ehat = idempotent_meet(gs, gens, e)
+    if ehat is None:
         raise NotGenerated("no generator idempotent above t t~")
-
-    def product(ids):
-        x = None
-        for i in ids:
-            f = mul(gens[i], inv(gens[i]))
-            x = f if x is None else mul(x, f)
-        return x
-
-    if product(chosen) != e:
+    if ehat != e:
         raise NotGenerated("t t~ not in the idempotent span; t not generated")
+    eligible = hclass(gs, e).eligible
+    chosen = list(eligible)
     k = 0
     while k < len(chosen):
         if len(chosen) > 1:
             trial = chosen[:k] + chosen[k + 1:]
-            if product(trial) == e:
+            if idempotent_meet(gs, (gens[i] for i in trial)) == e:
                 chosen = trial
                 continue
         k += 1
@@ -360,14 +355,13 @@ def slp_clifford(gs, t, bfs_threshold=BFS_THRESHOLD, cap=ELEMENT_CAP):
         return SLP(tuple(items), e_item)
 
     # phase 2: group SLP over Sigma' = {e s : s s~ >= e}
-    elig = [i for i, s in enumerate(gens) if mul(e, mul(s, inv(s))) == e]
-    prime = [mul(e, gens[i]) for i in elig]
+    prime = [mul(e, gens[i]) for i in eligible]
     sub = slp_group_low(prime, mul, inv, e, t, bfs_threshold, cap)
-    # splice, remapping Gen(j) to Mul(e_item, Gen(elig[j]))
+    # splice, remapping Gen(j) to Mul(e_item, Gen(eligible[j]))
     offset = {}
     for pos, item in enumerate(sub.items):
         if item[0] == "g":
-            items.append(("g", elig[item[1]]))
+            items.append(("g", eligible[item[1]]))
             items.append(("m", e_item, len(items) - 1))
         elif item[0] == "m":
             items.append(("m", offset[item[1]], offset[item[2]]))

@@ -499,3 +499,34 @@ def test_verify_mgs_honours_cap(tmp_path, capsys):
     assert code == 1 and out == "" and "refused" in err
     code, out, _ = run(capsys, "verify", "mgs", s3, answer)
     assert code == 0 and out.strip() == "OK"
+
+
+def test_explicit_pb_solver_is_checked_like_assume(tmp_path, capsys):
+    # U = <S_3, a rank-2 idempotent> is General; the clifford and sis
+    # solvers used to print NO for a member, and sis crashed on conj
+    path = _write(tmp_path, "gen.pb",
+                  "pb 3\ngen 2 3 1\ngen 2 1 3\ngen 1 2 _\ntarget 1 _ _\n"
+                  "s 1 _ _\nt _ 2 _\n")
+    for extra in ([], ["--solver", "oracle"]):
+        code, out, _ = run(capsys, "member", path, *extra)
+        assert code == 0 and out.splitlines()[0] == "YES", extra
+    for cmd in ("member", "conj"):
+        for solver in ("group", "clifford", "sis"):
+            code, out, err = run(capsys, cmd, path, "--solver", solver)
+            assert code == 2 and out == "", (cmd, solver)
+            assert "does not hold" in err and "Traceback" not in err
+        # the StrictInverse/General split needs the closure, which the
+        # cap cuts off: a refusal
+        code, out, err = run(capsys, cmd, path, "--solver", "sis",
+                             "--cap", "3")
+        assert code == 1 and out == "" and "refused" in err, cmd
+
+
+def test_explicit_pb_solver_runs_inside_its_variety(tmp_path, capsys):
+    # C_3 is a group, so every explicit pb solver applies
+    path = _write(tmp_path, "g.pb",
+                  "pb 3\ngen 2 3 1\ntarget 3 1 2\ns 2 3 1\nt 2 3 1\n")
+    for cmd in ("member", "conj"):
+        for solver in ("group", "clifford", "sis"):
+            code, out, _ = run(capsys, cmd, path, "--solver", solver)
+            assert code == 0 and out.splitlines()[0] == "YES", (cmd, solver)

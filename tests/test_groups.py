@@ -161,3 +161,80 @@ def test_perm_group_of_rejects_non_group():
     gs = GeneratorSystem([PartialBijection(3, (1, None, None))], degree=3)
     with pytest.raises(ValueError):
         perm_group_of(gs)
+
+
+def _sym(m):
+    return [tuple((i + 1) % m for i in range(m)),
+            (1, 0) + tuple(range(2, m))]
+
+
+def _wreath(k, blocks):
+    """S_k wr S_blocks on k*blocks points: S_k on the first block and
+    the block permutations."""
+    m = k * blocks
+    out = [g + tuple(range(k, m)) for g in _sym(k)] if k > 1 else []
+    for b in _sym(blocks):
+        out.append(tuple(b[x // k] * k + x % k for x in range(m)))
+    return out
+
+
+def _diagonal(gens, m):
+    return [tuple(g[i] * m + g[j] for i in range(m) for j in range(m))
+            for g in gens]
+
+
+STORED_INVERSE_GROUPS = [
+    ("S6", _sym(6), 6),
+    ("S3wrS2", _wreath(3, 2), 6),
+    ("S2wrS3", _wreath(2, 3), 6),
+    ("S4 on pairs", _diagonal(_sym(4), 4), 16),
+]
+
+
+def _replay(G, word):
+    acc = G.identity
+    for i in word:
+        acc = tuple(G.gens[i][x] for x in acc)
+    return acc
+
+
+def test_stored_inverses_undo_their_transversal_reps():
+    for name, gens, m in STORED_INVERSE_GROUPS:
+        G = PermGroup(gens, m)
+        for lvl in G.levels:
+            assert lvl.inverse.keys() == lvl.transversal.keys(), name
+            for x, (r, rw) in lvl.transversal.items():
+                ir, irw = lvl.inverse[x]
+                assert tuple(ir[y] for y in r) == G.identity, name
+                assert ir[x] == lvl.b
+                assert irw == tuple(G.inv_index[i] for i in reversed(rw))
+                assert _replay(G, irw) == ir
+
+
+def test_witnesses_on_symmetric_wreath_and_diagonal_groups():
+    rng = random.Random(5)
+    for name, gens, m in STORED_INVERSE_GROUPS:
+        G = PermGroup(gens, m)
+        elements = _brute_order(gens, m)
+        assert G.order == len(elements), name
+        for p in rng.sample(sorted(elements), min(30, len(elements))):
+            ok, word = G.contains(p)
+            assert ok and _replay(G, word) == p, name
+        for _ in range(30):
+            q = _rand_perm(rng, m)
+            assert G.contains(q)[0] == (q in elements), name
+        for _ in range(30):
+            k = rng.randrange(1, min(m, 5))
+            ds = frozenset(rng.sample(range(m), k))
+            dt = frozenset(rng.sample(range(m), k))
+            if rng.random() < 0.5:
+                # a reachable target, so both answers occur
+                p = rng.choice(sorted(elements))
+                dt = frozenset(p[x] for x in ds)
+            found = set_transporter(G, ds, dt)
+            assert (found is not None) == any(
+                frozenset(p[x] for x in ds) == dt for p in elements), name
+            if found is not None:
+                p, word = found
+                assert frozenset(p[x] for x in ds) == dt
+                assert _replay(G, word) == p

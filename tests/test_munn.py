@@ -7,11 +7,12 @@ import pytest
 from invsem.pbij import PartialBijection, partial_identity, brandt
 from invsem.gensys import GeneratorSystem
 from invsem.oracle import close, naive_member, naive_conjugate
-from invsem.munn import (OutsideTractable, orbit_closure, is_delta_large,
+from invsem.classify import classify_generated
+from invsem.munn import (OutsideTractable, orbit_closure,
                          munn_graph, munn_dot, basis_at, hclass_generators,
                          sis_min_idempotent, clifford_min_idempotent,
                          sis_member, sis_conjugate, dispatch_member,
-                         dispatch_conjugate)
+                         dispatch_conjugate, require_variety)
 
 from helpers import sample_systems, sample_sis_systems, check_munn_lemmas
 
@@ -245,3 +246,114 @@ def test_assume_is_checked_against_the_classification():
                     dispatch_member(gs, t, assume=hint)
                 with pytest.raises(ValueError):
                     dispatch_conjugate(gs, s, t, assume=hint)
+
+
+def _fresh(gs):
+    return GeneratorSystem(gs.generators, degree=gs.degree)
+
+
+def _query_mix(rng, gs, count):
+    """A mixed member/conj sequence over a small pool, so queries
+    repeat: ("member", t) or ("conj", s, t)."""
+    from helpers import rand_pb
+    elements = list(close(gs).elements)
+    pool = [rng.choice(elements) for _ in range(4)]
+    # the first conj query is a distinct conjugate pair where there is one
+    pairs = [(s, t) for s in elements[:12] for t in elements[:12]
+             if s != t and naive_conjugate(gs, s, t)[0]][:1]
+    pairs += [(rng.choice(pool), rng.choice(pool)) for _ in range(count)]
+    pool.append(rand_pb(rng, gs.degree))
+    out = []
+    for q in range(count):
+        if q % 5 in (1, 3):
+            out.append(("conj",) + pairs.pop(0))
+        else:
+            out.append(("member", rng.choice(pool)))
+    return out
+
+
+def _answer(gs, query):
+    if query[0] == "member":
+        return dispatch_member(gs, query[1])
+    return dispatch_conjugate(gs, query[1], query[2])
+
+
+def test_held_system_answers_as_fresh_systems_do():
+    # the caches a held system builds change no answer or conjugator
+    rng = random.Random(8)
+    systems = sample_systems(rng, 3, degrees=(2, 5), closure_cap=300)
+    systems.append((GeneratorSystem([partial_identity(3, [0, 1])],
+                                    degree=3), "Trivial"))
+    names = set()
+    for gs, name in systems:
+        names.add(name)
+        for query in _query_mix(rng, gs, 15):
+            assert _answer(gs, query) == _answer(_fresh(gs), query), query
+    assert names == {"Trivial", "Semilattice", "Group", "Clifford",
+                     "StrictInverse", "General"}
+
+
+# a Group (S_4), a Clifford system (S_3 on {1,2,3} beside a partial
+# transposition of {4,5}) and a strict inverse one (Brandt B(C_3, 2))
+HELD_SYSTEMS = (
+    ("Group", 4, [(1, 2, 3, 0), (1, 0, 2, 3)]),
+    ("Clifford", 5, [(1, 2, 0, 3, 4), (1, 0, 2, 3, 4),
+                     (None, None, None, 4, 3)]),
+    ("StrictInverse", 6, [(1, 2, 0, None, None, None),
+                          (3, 4, 5, None, None, None)]),
+)
+
+
+def test_repeated_queries_build_no_new_groups_or_munn_graphs(monkeypatch):
+    import invsem.groups as groups_module
+    import invsem.munn as munn_module
+    built = {"PermGroup": 0, "munn_graph": 0}
+    perm_init = groups_module.PermGroup.__init__
+    build_munn = munn_module.munn_graph
+
+    def counted_init(self, *args):
+        built["PermGroup"] += 1
+        perm_init(self, *args)
+
+    def counted_munn(*args):
+        built["munn_graph"] += 1
+        return build_munn(*args)
+
+    monkeypatch.setattr(groups_module.PermGroup, "__init__", counted_init)
+    monkeypatch.setattr(munn_module, "munn_graph", counted_munn)
+    rng = random.Random(9)
+    for name, n, images in HELD_SYSTEMS:
+        gs = GeneratorSystem([PartialBijection(n, g) for g in images],
+                             degree=n)
+        assert classify_generated(gs).name == name
+        queries = _query_mix(rng, gs, 30)
+        start = dict(built)
+        first = [_answer(gs, query) for query in queries]
+        # some conjugate pair is distinct, so a set transporter ran
+        assert any(q[0] == "conj" and q[1] != q[2] and a[0]
+                   for q, a in zip(queries, first)), name
+        before = dict(built)
+        assert before["PermGroup"] > start["PermGroup"], name
+        if name == "StrictInverse":
+            assert before["munn_graph"] > start["munn_graph"]
+        assert [_answer(gs, query) for query in queries] == first
+        assert built == before, name
+
+
+def test_explicit_hint_rejects_a_system_outside_its_variety():
+    # S_3 with a rank-2 idempotent is neither Clifford nor strict inverse
+    def system():
+        return GeneratorSystem([PartialBijection(3, (1, 2, 0)),
+                                PartialBijection(3, (1, 0, 2)),
+                                partial_identity(3, [0, 1])], degree=3)
+
+    with pytest.raises(OutsideTractable):
+        require_variety(system(), "StrictInverse", cap=3)
+    gs = system()
+    for variety in ("Group", "Clifford", "StrictInverse"):
+        with pytest.raises(ValueError):
+            require_variety(gs, variety)
+    assert require_variety(gs, "General").name == "General"
+    with pytest.raises(ValueError):
+        # two Munn vertices dominate e: not a wrong answer under -O
+        sis_min_idempotent(gs, partial_identity(3, [0]))
