@@ -1,9 +1,10 @@
 """Reductions for Clifford and strict inverse semigroups of partial
 bijections: orbit closures, Munn graphs, bases, H-class generators,
-minimal dominating idempotents, and the dispatcher that routes an
-instance to the matching solver.
+minimal dominating idempotents, general conjugacy over the closure, and
+the dispatcher that routes an instance to the matching solver.
 
-All solvers here end in a call to the group solver on a single H-class.
+The Clifford and strict inverse solvers end in a call to the group
+solver on a single H-class.
 """
 
 from __future__ import annotations
@@ -11,10 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .pbij import identity, partial_identity
-from .oracle import ClosureCapExceeded, naive_member, naive_conjugate
+from .oracle import ClosureCapExceeded, close, naive_member
 from .classify import UnionFind, VarietyTag, classify_generated
 from .gensys import GeneratorSystem
 from .groups import pb_group_member, group_conjugate
+
+
+GENERAL_CAP = 10**6
 
 
 class OutsideTractable(Exception):
@@ -126,16 +130,24 @@ class Basis:
     ehat: object  # product of lambda(u) lambda(u)~ over the component
 
 
-def idempotent_meet(gs, elements, e=None):
-    """The product of the idempotents x x~ over `elements`, keeping only
-    those with x x~ >= e when e is given; None if none is kept."""
+def meet(gs, idempotents, e=None):
+    """The product of `idempotents`, keeping only those >= e when e is
+    given; None if none is kept."""
     mul = gs.mul
     out = None
-    for x in elements:
-        xx = mul(x, gs.inv(x))
-        if e is None or mul(e, xx) == e:
-            out = xx if out is None else mul(out, xx)
+    for f in idempotents:
+        if e is None or mul(e, f) == e:
+            out = f if out is None else mul(out, f)
     return out
+
+
+def generator_idempotents(gs):
+    """The idempotents u u~ of the generators in generator order,
+    computed once per system."""
+    if gs._idempotents is None:
+        gs._idempotents = tuple(gs.mul(u, gs.inv(u))
+                                for u in gs.generators)
+    return gs._idempotents
 
 
 def basis_at(gs, M, anchor):
@@ -149,7 +161,8 @@ def basis_at(gs, M, anchor):
     cid = M.comp[anchor]
     sigma_e = tuple(gi for gi, a, _ in M.edges if M.comp[a] == cid)
     # e-tilde: product of u u~ over component edges with u u~ >= e
-    etilde = idempotent_meet(gs, (gs.generators[gi] for gi in sigma_e), e)
+    idems = generator_idempotents(gs)
+    etilde = meet(gs, (idems[gi] for gi in sigma_e), e)
     assert etilde is not None, "anchor vertex has no dominating edge"
     # gamma along BFS paths from the anchor, adjacency in edge-list order
     adj = [[] for _ in M.vertices]
@@ -164,7 +177,7 @@ def basis_at(gs, M, anchor):
                 queue.append(w)
     lam = {gi: mul(mul(gamma[a], gs.generators[gi]), inv(gamma[b]))
            for gi, a, b in M.edges if M.comp[a] == cid}
-    ehat = idempotent_meet(gs, (lam[gi] for gi in sigma_e))
+    ehat = meet(gs, (mul(lam[gi], inv(lam[gi])) for gi in sigma_e))
     basis = Basis(M, anchor, gamma, lam, sigma_e, ehat)
     _check_basis(gs, basis)
     return basis
@@ -247,8 +260,9 @@ def hclass(gs, ehat, basis=None):
     H = gs._hclasses.get(key)
     if H is None:
         if basis is None:
-            eligible = tuple(i for i, u in enumerate(gs.generators)
-                             if gs.mul(ehat, gs.mul(u, gs.inv(u))) == ehat)
+            idems = generator_idempotents(gs)
+            eligible = tuple(i for i, f in enumerate(idems)
+                             if gs.mul(ehat, f) == ehat)
             gens = [gs.mul(ehat, gs.generators[i]) for i in eligible]
         else:
             eligible, gens = (), hclass_generators(gs, basis)
@@ -279,7 +293,7 @@ def sis_min_idempotent(gs, e):
 def clifford_min_idempotent(gs, e):
     """Product formula for Clifford U: e-hat = prod of u u~ over
     generators with u u~ >= e; (1, False) if none participate."""
-    ehat = idempotent_meet(gs, gs.generators, e)
+    ehat = meet(gs, generator_idempotents(gs), e)
     if ehat is None:
         return identity(gs.degree), False
     return ehat, True
@@ -378,6 +392,56 @@ def sis_conjugate(gs, s, t, explain=None):
     return True, v
 
 
+# -- general conjugacy -----------------------------------------------------
+
+
+def general_conjugate(gs, s, t, cap=GENERAL_CAP):
+    """Relative conjugacy for any U: the first u of the closure, in
+    enumeration order, with u~ s u = t and u t u~ = s, so the answer and
+    conjugator are those of oracle.naive_conjugate.  Each u costs an
+    index test instead of four products:
+
+    u~ s u = t and u t u~ = s  iff  |dom s| = |dom t| and, for every a
+    in dom s, u is defined at a and at a^s with (a^u)^t = (a^s)^u.
+
+    Only if: a in dom s = dom(u t u~) puts a in dom u, a^u in dom t and
+    (a^u)^t in ran u with ((a^u)^t)^u~ = a^s, so u is defined at a^s and
+    (a^s)^u = (a^u)^t.  Conjugation by u and u~ cannot raise the rank,
+    so |dom s| = |dom t|.
+    If: the map (a, a^s) -> (a^u, (a^s)^u) sends graph(s) into graph(t)
+    and is injective because u is; the graphs have equal size, so it is
+    onto.  graph(u~ s u) is the set of (b^u, (b^s)^u) over the b in
+    dom s with b and b^s in dom u.  These are all of dom s, so graph(u~ s
+    u) is the image of graph(s), which is graph(t): u~ s u = t.  Each
+    (c, c^t) of graph(t) is (a^u, (a^s)^u) for one a in dom s, so u t u~
+    sends a to a^s; and any x in dom(u t u~) has (x^u, x^(ut)) in
+    graph(t), so x is that a by injectivity of u: u t u~ = s.
+
+    Returns (bool, conjugator or None); s == t gives gs.one.  Raises
+    ClosureCapExceeded when U has more than `cap` elements.
+    """
+    if s == t:
+        return True, gs.one
+    elements = close(gs, cap).elements
+    pairs = [(a, b) for a, b in enumerate(s.images) if b is not None]
+    if len(pairs) != len(t.images) - t.images.count(None):
+        return False, None
+    timg = t.images
+    for u in elements:
+        ui = u.images
+        for a, b in pairs:
+            x = ui[a]
+            y = ui[b]
+            if x is None or y is None or timg[x] != y:
+                break
+        else:
+            mul = gs.mul
+            ub = gs.inv(u)
+            assert mul(mul(ub, s), u) == t and mul(mul(u, t), ub) == s
+            return True, u
+    return False, None
+
+
 # -- semilattice fast path -------------------------------------------------
 
 
@@ -399,8 +463,6 @@ def semilattice_conjugate(gs, s, t):
 
 
 # -- dispatcher ------------------------------------------------------------
-
-GENERAL_CAP = 10**6
 
 # does a tag put U at or below the assumed variety?
 _HINT_HOLDS = {
@@ -476,6 +538,6 @@ def dispatch_conjugate(gs, s, t, assume=None, cap=GENERAL_CAP, explain=None):
     if name == "StrictInverse":
         return sis_conjugate(gs, s, t, explain=explain)
     try:
-        return naive_conjugate(gs, s, t, cap)
+        return general_conjugate(gs, s, t, cap)
     except ClosureCapExceeded as exc:
         raise OutsideTractable(str(exc))

@@ -16,27 +16,26 @@ class PartialBijection:
 
     __slots__ = ("degree", "images", "_hash")
 
-    def __init__(self, degree, images, _checked=False):
+    def __init__(self, degree, images):
         images = tuple(images)
-        if not _checked:
-            if degree < 0:
-                raise ValueError("degree must be >= 0")
-            if len(images) != degree:
-                raise ValueError(
-                    "expected %d images, got %d" % (degree, len(images))
-                )
-            seen = set()
-            for y in images:
-                if y is None:
-                    continue
-                if not (0 <= y < degree):
-                    raise ValueError("image %r out of range" % (y,))
-                if y in seen:
-                    raise ValueError("not injective: image %d repeated" % y)
-                seen.add(y)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "_hash", hash(images))
+        if degree < 0:
+            raise ValueError("degree must be >= 0")
+        if len(images) != degree:
+            raise ValueError(
+                "expected %d images, got %d" % (degree, len(images))
+            )
+        seen = set()
+        for y in images:
+            if y is None:
+                continue
+            if not (0 <= y < degree):
+                raise ValueError("image %r out of range" % (y,))
+            if y in seen:
+                raise ValueError("not injective: image %d repeated" % y)
+            seen.add(y)
+        _set_degree(self, degree)
+        _set_images(self, images)
+        _set_hash(self, hash(images))
 
     def __setattr__(self, name, value):
         raise AttributeError("PartialBijection is immutable")
@@ -79,7 +78,7 @@ class PartialBijection:
         for x, y in enumerate(self.images):
             if y is not None:
                 inv[y] = x
-        return PartialBijection(self.degree, inv, _checked=True)
+        return _make(self.degree, tuple(inv))
 
     # -- structure ---------------------------------------------------------
 
@@ -111,6 +110,22 @@ class PartialBijection:
         return True
 
 
+# the slot descriptors, which write past the raising __setattr__
+_set_degree = PartialBijection.degree.__set__
+_set_images = PartialBijection.images.__set__
+_set_hash = PartialBijection._hash.__set__
+
+
+def _make(degree, images):
+    """A PartialBijection from an image tuple already known to be valid,
+    without the constructor's checks: the kernel of every product."""
+    p = object.__new__(PartialBijection)
+    _set_degree(p, degree)
+    _set_images(p, images)
+    _set_hash(p, hash(images))
+    return p
+
+
 def compose(a, b):
     """x^(ab) = (x^a)^b; the left factor applies first."""
     if a.degree != b.degree:
@@ -118,27 +133,22 @@ def compose(a, b):
             "degree mismatch: %d vs %d" % (a.degree, b.degree)
         )
     bi = b.images
-    return PartialBijection(
-        a.degree,
-        tuple(None if y is None else bi[y] for y in a.images),
-        _checked=True,
-    )
+    return _make(a.degree,
+                 tuple([None if y is None else bi[y] for y in a.images]))
 
 
 def identity(n):
-    return PartialBijection(n, tuple(range(n)), _checked=True)
+    return _make(n, tuple(range(n)))
 
 
 def empty_map(n):
-    return PartialBijection(n, (None,) * n, _checked=True)
+    return _make(n, (None,) * n)
 
 
 def partial_identity(n, points):
     """The idempotent e_Delta with domain `points`."""
     pts = set(points)
-    return PartialBijection(
-        n, tuple(x if x in pts else None for x in range(n)), _checked=True
-    )
+    return _make(n, tuple([x if x in pts else None for x in range(n)]))
 
 
 def singleton(n, x, y):
@@ -213,7 +223,7 @@ def direct_product(parts):
             if y is not None:
                 images[offset + x] = offset + y
         offset += p.degree
-    return PartialBijection(n, images, _checked=True)
+    return _make(n, tuple(images))
 
 
 def all_partial_bijections(n):
@@ -228,4 +238,4 @@ def all_partial_bijections(n):
                 if y not in used:
                     nxt.append(prefix + (y,))
         result = nxt
-    return [PartialBijection(n, images, _checked=True) for images in result]
+    return [_make(n, images) for images in result]

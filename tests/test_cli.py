@@ -522,6 +522,18 @@ def test_explicit_pb_solver_is_checked_like_assume(tmp_path, capsys):
         assert code == 1 and out == "" and "refused" in err, cmd
 
 
+def test_general_conj_prints_what_the_oracle_prints(tmp_path, capsys):
+    # U = <S_3, a rank-2 idempotent> is General: {1,2} and {2,3} are
+    # conjugate idempotents, a transposition and an idempotent are not
+    head = "pb 3\ngen 2 3 1\ngen 2 1 3\ngen 1 2 _\n"
+    for pair, answer in (("s 1 2 _\nt _ 2 3\n", "YES"),
+                         ("s 2 1 _\nt 1 2 _\n", "NO")):
+        path = _write(tmp_path, "gen.pb", head + pair)
+        code, out, _ = run(capsys, "conj", path)
+        assert code == 0 and out.splitlines()[0] == answer
+        assert out == run(capsys, "conj", path, "--solver", "oracle")[1]
+
+
 def test_explicit_pb_solver_runs_inside_its_variety(tmp_path, capsys):
     # C_3 is a group, so every explicit pb solver applies
     path = _write(tmp_path, "g.pb",

@@ -4,17 +4,20 @@ import random
 
 import pytest
 
-from invsem.pbij import PartialBijection, partial_identity, brandt
+from invsem.pbij import (PartialBijection, partial_identity, brandt,
+                         all_partial_bijections, direct_product)
 from invsem.gensys import GeneratorSystem
 from invsem.oracle import close, naive_member, naive_conjugate
 from invsem.classify import classify_generated
 from invsem.munn import (OutsideTractable, orbit_closure,
                          munn_graph, munn_dot, basis_at, hclass_generators,
                          sis_min_idempotent, clifford_min_idempotent,
-                         sis_member, sis_conjugate, dispatch_member,
+                         sis_member, sis_conjugate, clifford_conjugate,
+                         general_conjugate, dispatch_member,
                          dispatch_conjugate, require_variety)
 
-from helpers import sample_systems, sample_sis_systems, check_munn_lemmas
+from helpers import (rand_pb, sample_systems, sample_sis_systems,
+                     check_munn_lemmas)
 
 
 def test_orbit_closure_skips_untouched_points():
@@ -357,3 +360,106 @@ def test_explicit_hint_rejects_a_system_outside_its_variety():
     with pytest.raises(ValueError):
         # two Munn vertices dominate e: not a wrong answer under -O
         sis_min_idempotent(gs, partial_identity(3, [0]))
+
+
+def test_general_conjugate_matches_oracle_on_all_of_i3():
+    # the transport test returns the oracle's answer and conjugator on
+    # every pair of I_3, whatever the generators
+    rng = random.Random(10)
+    pairs = [(s, t) for s in all_partial_bijections(3)
+             for t in all_partial_bijections(3)]
+    varieties = set()
+    for _ in range(30):
+        gs = GeneratorSystem([rand_pb(rng, 3)
+                              for _ in range(rng.randrange(1, 4))], degree=3)
+        varieties.add(classify_generated(gs).name)
+        for s, t in pairs:
+            assert general_conjugate(gs, s, t) == naive_conjugate(gs, s, t)
+    assert "General" in varieties
+
+
+def test_general_conjugate_matches_oracle_on_conjugate_pairs():
+    # t = u~ s u and its reverse over U, on I_3, I_4 and I_3 x I_2; with
+    # s = e s0 e for e = u u~, also u t u~ = s, so the pair is conjugate
+    rng = random.Random(11)
+
+    def pair_system():
+        gens = [direct_product([rand_pb(rng, 3), rand_pb(rng, 2)])
+                for _ in range(rng.randrange(1, 4))]
+        return GeneratorSystem(gens, degree=5)
+
+    makers = [lambda n=n: GeneratorSystem(
+                  [rand_pb(rng, n) for _ in range(rng.randrange(1, 4))],
+                  degree=n) for n in (3, 4)] + [pair_system]
+    yes = 0
+    for make in makers:
+        for _ in range(12):
+            gs = make()
+            elements = close(gs).elements
+            for _ in range(15):
+                u = rng.choice(elements)
+                e = gs.mul(u, gs.inv(u))
+                s = gs.mul(gs.mul(e, rng.choice(elements)), e)
+                t = gs.mul(gs.mul(gs.inv(u), s), u)
+                for a, b in ((s, t), (t, s)):
+                    want = naive_conjugate(gs, a, b)
+                    assert general_conjugate(gs, a, b) == want
+                    assert want[0]
+                    yes += a != b
+    assert yes > 150
+
+
+def test_repeated_clifford_conjugate_reads_cached_idempotents(monkeypatch):
+    _, n, images = HELD_SYSTEMS[1]
+    gs = GeneratorSystem([PartialBijection(n, g) for g in images], degree=n)
+    assert classify_generated(gs).name == "Clifford"
+    s = PartialBijection(5, (1, 0, 2, None, None))
+    t = PartialBijection(5, (0, 2, 1, None, None))
+    first = clifford_conjugate(gs, s, t)
+    assert first[0]
+    calls = []
+    inv = gs.inv
+
+    def counted(x):
+        if x in gs.generators:
+            calls.append(x)
+        return inv(x)
+
+    monkeypatch.setattr(gs, "inv", counted)
+    assert clifford_conjugate(gs, s, t) == first
+    assert calls == []
+
+
+def test_closure_overflow_is_remembered(monkeypatch):
+    # the 7-cycle, a transposition and a rank-6 idempotent generate far
+    # more than the cap; a repeat at the same cap is refused at once
+    gs = GeneratorSystem([PartialBijection(7, (1, 2, 3, 4, 5, 6, 0)),
+                          PartialBijection(7, (1, 0, 2, 3, 4, 5, 6)),
+                          partial_identity(7, range(6))], degree=7)
+    with pytest.raises(OutsideTractable) as first:
+        dispatch_member(gs, gs.one, cap=2000)
+    products = []
+    mul = gs.mul
+
+    def counted(x, y):
+        products.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(gs, "mul", counted)
+    for _ in range(2):
+        with pytest.raises(OutsideTractable) as again:
+            dispatch_member(gs, gs.one, cap=2000)
+        assert str(again.value) == str(first.value)
+    assert products == []
+
+
+def test_larger_cap_classifies_after_an_overflow():
+    gs = GeneratorSystem([PartialBijection(3, (1, 2, 0)),
+                          PartialBijection(3, (1, 0, 2)),
+                          partial_identity(3, [0, 1])], degree=3)
+    with pytest.raises(OutsideTractable):
+        dispatch_member(gs, gs.one, cap=3)
+    explain = {}
+    assert dispatch_member(gs, partial_identity(3, [0]), explain=explain)
+    assert explain["variety"] == "General"
+    assert not classify_generated(gs).cap_exceeded

@@ -25,6 +25,35 @@ def test_constructor_rejects_out_of_range():
         PartialBijection(2, (2, None))
 
 
+def test_constructor_rejects_bad_lengths_and_negative_images():
+    for degree, images in ((2, (0,)), (2, (0, 1, None)), (2, (-1, None)),
+                           (-1, ())):
+        with pytest.raises(ValueError):
+            PartialBijection(degree, images)
+
+
+def test_unchecked_constructors_match_the_validated_one():
+    rng = random.Random(3)
+    made = [identity(4), empty_map(4), partial_identity(4, [0, 2]),
+            direct_product([rand_pb(rng, 2), rand_pb(rng, 3)])]
+    made += all_partial_bijections(3)
+    for _ in range(200):
+        a, b = rand_pb(rng, 5), rand_pb(rng, 5)
+        made += [compose(a, b), a.inverse()]
+    for p in made:
+        checked = PartialBijection(p.degree, p.images)
+        assert p == checked and hash(p) == hash(checked)
+        assert type(p.images) is tuple and p.degree == len(p.images)
+
+
+def test_attributes_cannot_be_assigned():
+    p = compose(identity(3), partial_identity(3, [1]))
+    for name in ("degree", "images", "_hash"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, None)
+    assert p.images == (None, 1, None)
+
+
 def test_compose_associative_exhaustive_degree_3():
     els = all_partial_bijections(3)
     for a in els:
