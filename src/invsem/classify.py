@@ -195,13 +195,10 @@ def classify_generated(gs, cap=10**6):
     """
     if gs._variety is not None:
         return gs._variety
-    # U found not Clifford comes back here only after a closure
-    # overflow; its generators are not read again
-    name = None if gs._not_clifford else classify_from_generators(gs)
+    name = classify_from_generators(gs)
     if name is not None:
         tag = _tag(name, "generators")
     else:
-        gs._not_clifford = True
         try:
             cl = close(gs, cap)
         except ClosureCapExceeded:

@@ -52,16 +52,12 @@ class GeneratorSystem:
         self.adjoined_identity = (
             self.model == "ct" and table.identity_index is None
         )
-        # lazy caches, kept for the life of the system: closure, the
-        # caps at which the closure overflowed with the message raised,
-        # classification, whether the generators showed U not Clifford,
-        # the idempotents u u~ of the generators, group BSGS and its
-        # diagonal action, Munn graphs by delta, bases by (delta,
-        # anchor), H-class records by (solver, e-hat)
+        # lazy caches, kept for the life of the system: closure,
+        # classification, the idempotents u u~ of the generators, group
+        # BSGS and its diagonal action, Munn graphs by delta, bases by
+        # (delta, anchor), H-class records by (solver, e-hat)
         self._closure = None
-        self._overflow = None
         self._variety = None
-        self._not_clifford = False
         self._idempotents = None
         self._bsgs = None
         self._diagonal = None

@@ -130,7 +130,7 @@ class Basis:
     ehat: object  # product of lambda(u) lambda(u)~ over the component
 
 
-def meet(gs, idempotents, e=None):
+def idempotent_meet(gs, idempotents, e=None):
     """The product of `idempotents`, keeping only those >= e when e is
     given; None if none is kept."""
     mul = gs.mul
@@ -162,7 +162,7 @@ def basis_at(gs, M, anchor):
     sigma_e = tuple(gi for gi, a, _ in M.edges if M.comp[a] == cid)
     # e-tilde: product of u u~ over component edges with u u~ >= e
     idems = generator_idempotents(gs)
-    etilde = meet(gs, (idems[gi] for gi in sigma_e), e)
+    etilde = idempotent_meet(gs, (idems[gi] for gi in sigma_e), e)
     assert etilde is not None, "anchor vertex has no dominating edge"
     # gamma along BFS paths from the anchor, adjacency in edge-list order
     adj = [[] for _ in M.vertices]
@@ -177,7 +177,7 @@ def basis_at(gs, M, anchor):
                 queue.append(w)
     lam = {gi: mul(mul(gamma[a], gs.generators[gi]), inv(gamma[b]))
            for gi, a, b in M.edges if M.comp[a] == cid}
-    ehat = meet(gs, (mul(lam[gi], inv(lam[gi])) for gi in sigma_e))
+    ehat = idempotent_meet(gs, (mul(lam[gi], inv(lam[gi])) for gi in sigma_e))
     basis = Basis(M, anchor, gamma, lam, sigma_e, ehat)
     _check_basis(gs, basis)
     return basis
@@ -293,7 +293,7 @@ def sis_min_idempotent(gs, e):
 def clifford_min_idempotent(gs, e):
     """Product formula for Clifford U: e-hat = prod of u u~ over
     generators with u u~ >= e; (1, False) if none participate."""
-    ehat = meet(gs, generator_idempotents(gs), e)
+    ehat = idempotent_meet(gs, generator_idempotents(gs), e)
     if ehat is None:
         return identity(gs.degree), False
     return ehat, True

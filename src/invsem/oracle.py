@@ -48,27 +48,11 @@ def close(gs, cap=ELEMENT_CAP, product_cap=PRODUCT_CAP):
     """Saturate Sigma under products (breadth-first by word length,
     generators in list order), recording every product as an edge of
     the right Cayley graph.  Sigma is inverse-closed, so this is the
-    full inverse-subsemigroup closure.  The closure is kept on gs, and
-    so are the caps of an overflow with its message: a repeat call with
-    the same caps raises it again without enumerating.
+    full inverse-subsemigroup closure.
     """
     if gs._closure is not None:
         # a completed closure is the full set regardless of the cap used
         return gs._closure
-    caps = (cap, product_cap)
-    if gs._overflow is not None and gs._overflow[0] == caps:
-        # the same enumeration overflowed before and would again
-        raise ClosureCapExceeded(gs._overflow[1])
-    try:
-        result = _enumerate(gs, cap, product_cap)
-    except ClosureCapExceeded as exc:
-        gs._overflow = (caps, str(exc))
-        raise
-    gs._closure = result
-    return result
-
-
-def _enumerate(gs, cap, product_cap):
     gens = gs.generators
     mul = gs.mul
     # the generators are distinct (GeneratorSystem deduplicates them)
@@ -105,7 +89,9 @@ def _enumerate(gs, cap, product_cap):
             row.append(k)
         right.append(tuple(row))
         j += 1
-    return Closure(elements, words, product_witness, right)
+    result = Closure(elements, words, product_witness, right)
+    gs._closure = result
+    return result
 
 
 def eval_word(gs, word):

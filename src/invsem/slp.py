@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .oracle import ELEMENT_CAP, ClosureCapExceeded
-from .munn import generator_idempotents, hclass, meet
+from .munn import generator_idempotents, hclass, idempotent_meet
 
 BFS_THRESHOLD = 4096
 CUBE_CAP = 10**5
@@ -322,7 +322,7 @@ def slp_clifford(gs, t, bfs_threshold=BFS_THRESHOLD, cap=ELEMENT_CAP):
     e = mul(t, inv(t))
     # phase 1: greedy factorization of e over {s s~ : s s~ >= e}
     idems = generator_idempotents(gs)
-    ehat = meet(gs, idems, e)
+    ehat = idempotent_meet(gs, idems, e)
     if ehat is None:
         raise NotGenerated("no generator idempotent above t t~")
     if ehat != e:
@@ -333,7 +333,7 @@ def slp_clifford(gs, t, bfs_threshold=BFS_THRESHOLD, cap=ELEMENT_CAP):
     while k < len(chosen):
         if len(chosen) > 1:
             trial = chosen[:k] + chosen[k + 1:]
-            if meet(gs, (idems[i] for i in trial)) == e:
+            if idempotent_meet(gs, (idems[i] for i in trial)) == e:
                 chosen = trial
                 continue
         k += 1

@@ -429,37 +429,3 @@ def test_repeated_clifford_conjugate_reads_cached_idempotents(monkeypatch):
     assert clifford_conjugate(gs, s, t) == first
     assert calls == []
 
-
-def test_closure_overflow_is_remembered(monkeypatch):
-    # the 7-cycle, a transposition and a rank-6 idempotent generate far
-    # more than the cap; a repeat at the same cap is refused at once
-    gs = GeneratorSystem([PartialBijection(7, (1, 2, 3, 4, 5, 6, 0)),
-                          PartialBijection(7, (1, 0, 2, 3, 4, 5, 6)),
-                          partial_identity(7, range(6))], degree=7)
-    with pytest.raises(OutsideTractable) as first:
-        dispatch_member(gs, gs.one, cap=2000)
-    products = []
-    mul = gs.mul
-
-    def counted(x, y):
-        products.append(1)
-        return mul(x, y)
-
-    monkeypatch.setattr(gs, "mul", counted)
-    for _ in range(2):
-        with pytest.raises(OutsideTractable) as again:
-            dispatch_member(gs, gs.one, cap=2000)
-        assert str(again.value) == str(first.value)
-    assert products == []
-
-
-def test_larger_cap_classifies_after_an_overflow():
-    gs = GeneratorSystem([PartialBijection(3, (1, 2, 0)),
-                          PartialBijection(3, (1, 0, 2)),
-                          partial_identity(3, [0, 1])], degree=3)
-    with pytest.raises(OutsideTractable):
-        dispatch_member(gs, gs.one, cap=3)
-    explain = {}
-    assert dispatch_member(gs, partial_identity(3, [0]), explain=explain)
-    assert explain["variety"] == "General"
-    assert not classify_generated(gs).cap_exceeded
