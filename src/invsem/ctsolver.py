@@ -3,10 +3,13 @@ undirected reachability, and the greedy membership loop.
 
 Elements, products and inverses are those of the GeneratorSystem on the
 table: without an identity, S^1 adjoins VIRTUAL_ONE; tables are never
-rebuilt.
+rebuilt.  The edges of both graphs are found by gathers on the table
+array, one column or row per generator.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .classify import UnionFind
 from .gensys import GeneratorSystem, VIRTUAL_ONE
@@ -30,7 +33,29 @@ class CTSolver:
         self._r_adj = None
         self._conj_uf = None
 
-    # -- R_U reachability --------------------------------------------------
+    # -- the reachability graphs ------------------------------------------
+
+    def _edges(self, act):
+        """The edges (x, y, i) with y = act(u)[x] != x and
+        act(u~)[y] = x, where (u, u~) is pair i and act(u) maps every
+        index at once.  They come sorted by (x, i), the order of a scan
+        of every x against every pair, which fixes the adjacency lists
+        and so the witness words.  The virtual identity, if adjoined,
+        lies on no edge: every product of indices is an index.
+        """
+        ar = np.arange(self.table.order)
+        images = {u: act(u) for u in self.sigma}
+        xs, ys, ps = [], [], []
+        for i, (u, ub) in enumerate(self._pairs):
+            y = images[u]
+            x = np.flatnonzero((y != ar) & (images[ub][y] == ar))
+            xs.append(x)
+            ys.append(y[x])
+            ps.append(np.full(len(x), i))
+        x = np.concatenate(xs)
+        order = np.argsort(x, kind="stable")
+        return zip(x[order].tolist(), np.concatenate(ys)[order].tolist(),
+                   np.concatenate(ps)[order].tolist())
 
     def _build_r(self):
         """Edges {x, y} whenever xu = y and x = y u~ for some u in
@@ -38,17 +63,15 @@ class CTSolver:
         """
         if self._r_uf is not None:
             return
-        mul = self.gs.mul
+        T = self.table.array
         pairs = self._pairs
         uf = UnionFind()
         adj = {x: [] for x in self.elements}
-        for x in self.elements:
-            for u, ub in pairs:
-                y = mul(x, u)
-                if y != x and mul(y, ub) == x:
-                    uf.union(x, y)
-                    adj[x].append((y, u))
-                    adj[y].append((x, ub))
+        for x, y, i in self._edges(lambda u: T[:, u]):
+            u, ub = pairs[i]
+            uf.union(x, y)
+            adj[x].append((y, u))
+            adj[y].append((x, ub))
         self._r_uf = uf
         self._r_adj = adj
 
@@ -80,20 +103,15 @@ class CTSolver:
                     queue.append(w)
         raise AssertionError("no R-path between R-equivalent elements")
 
-    # -- conjugacy reachability --------------------------------------------
-
     def _build_conj(self):
         """Edges {x, y} whenever u~ x u = y and x = u y u~."""
         if self._conj_uf is not None:
             return
-        mul = self.gs.mul
-        pairs = self._pairs
+        T = self.table.array
+        inv = self.gs.inv
         uf = UnionFind()
-        for x in self.elements:
-            for u, ub in pairs:
-                y = mul(mul(ub, x), u)
-                if y != x and mul(mul(u, y), ub) == x:
-                    uf.union(x, y)
+        for x, y, _ in self._edges(lambda u: T[T[inv(u)], u]):
+            uf.union(x, y)
         self._conj_uf = uf
 
     def conjugate(self, s, t):

@@ -14,6 +14,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .pbij import PartialBijection
 from .cayley import CayleyTable
 from .gensys import GeneratorSystem
@@ -30,14 +32,19 @@ def _fail(lineno, message):
     raise FormatError("line %d: %s" % (lineno, message))
 
 
-def _logical_lines(text):
-    """(lineno, tokens) for non-empty lines with comments stripped."""
+def _content_lines(text):
+    """(lineno, line) for non-empty lines with comments stripped."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("%")[0].strip()
+        line = raw.partition("%")[0].strip()
         if line:
-            out.append((lineno, line.split()))
+            out.append((lineno, line))
     return out
+
+
+def _logical_lines(text):
+    """(lineno, tokens) for non-empty lines with comments stripped."""
+    return [(lineno, line.split()) for lineno, line in _content_lines(text)]
 
 
 def _int(token, lineno, what):
@@ -182,10 +189,11 @@ class CTInstance:
 
 
 def parse_ct(text):
-    lines = _logical_lines(text)
-    if not lines or lines[0][1][0] != "ct":
+    lines = _content_lines(text)
+    head = lines[0][1].split() if lines else None
+    if not head or head[0] != "ct":
         raise FormatError("line 1: expected 'ct <n>' header")
-    lineno, head = lines[0]
+    lineno = lines[0][0]
     if len(head) != 2:
         _fail(lineno, "expected 'ct <n>'")
     n = _int(head[1], lineno, "order")
@@ -193,22 +201,14 @@ def parse_ct(text):
         _fail(lineno, "order must be positive")
     if len(lines) < 1 + n:
         raise FormatError("line %d: expected %d table rows" % (lineno, n))
-    rows = []
-    for lineno, tokens in lines[1:1 + n]:
-        row = [_int(tok, lineno, "table entry") for tok in tokens]
-        if len(row) != n:
-            _fail(lineno, "expected %d entries, got %d" % (n, len(row)))
-        for v in row:
-            if not (0 <= v < n):
-                _fail(lineno, "entry %d out of range 0..%d" % (v, n - 1))
-        rows.append(row)
-    first_extra = lines[1 + n][0] if len(lines) > 1 + n else lines[-1][0]
-    try:
-        table = CayleyTable(rows)
-    except ValueError as exc:
-        _fail(first_extra, "invalid table: %s" % exc)
+    body = lines[1:1 + n]
+    table = _ct_table_at_once(body, n)
+    if table is None:
+        first_extra = lines[1 + n][0] if len(lines) > 1 + n else lines[-1][0]
+        table = _ct_table_by_lines(body, n, first_extra)
     inst = CTInstance(table, [])
-    for lineno, tokens in lines[1 + n:]:
+    for lineno, line in lines[1 + n:]:
+        tokens = line.split()
         key = tokens[0]
         if key == "gens":
             if inst.gens:
@@ -225,6 +225,53 @@ def parse_ct(text):
     if not inst.gens:
         raise FormatError("line 1: no gens line")
     return inst
+
+
+# the bytes a table row may hold for _ct_table_at_once
+_DIGITS_AND_BLANKS = b"0123456789 \t"
+
+
+def _ct_table_at_once(body, n):
+    """The CayleyTable of the n (lineno, line) table rows, converted by
+    one np.loadtxt call, or None where _ct_table_by_lines must decide.
+
+    Only rows of ASCII digits, blanks and tabs are converted, so every
+    entry gets the value int() gives its token.  Nothing here writes a
+    message: another byte, a row of another length, an entry >= n or an
+    invalid table all return None."""
+    rows = [line for _, line in body]
+    block = " ".join(rows)
+    if not block.isascii() \
+            or block.encode("ascii").translate(None, _DIGITS_AND_BLANKS):
+        return None
+    try:
+        arr = np.loadtxt(rows, dtype=np.int64, ndmin=2)
+    except ValueError:
+        return None
+    if arr.shape != (n, n):
+        return None
+    try:
+        return CayleyTable(arr)
+    except ValueError:
+        return None
+
+
+def _ct_table_by_lines(body, n, first_extra):
+    """The CayleyTable of the n (lineno, line) table rows, checked token
+    by token; every table message comes from here."""
+    rows = []
+    for lineno, line in body:
+        row = [_int(tok, lineno, "table entry") for tok in line.split()]
+        if len(row) != n:
+            _fail(lineno, "expected %d entries, got %d" % (n, len(row)))
+        for v in row:
+            if not (0 <= v < n):
+                _fail(lineno, "entry %d out of range 0..%d" % (v, n - 1))
+        rows.append(row)
+    try:
+        return CayleyTable(rows)
+    except ValueError as exc:
+        _fail(first_extra, "invalid table: %s" % exc)
 
 
 def serialize_ct(inst):
@@ -621,10 +668,21 @@ _PARSERS = {
 
 
 def kind_of(text):
-    lines = _logical_lines(text)
-    if not lines:
-        raise FormatError("line 1: empty file")
-    return lines[0][1][0]
+    """The first token of the first logical line.  Reads prefixes of
+    growing length, so a long file is split only as far as that line
+    (the last line of a prefix may be cut, so it waits for a longer
+    one)."""
+    size = 256
+    while True:
+        lines = text[:size].splitlines()
+        whole = size >= len(text)
+        for raw in lines if whole else lines[:-1]:
+            tokens = raw.partition("%")[0].split()
+            if tokens:
+                return tokens[0]
+        if whole:
+            raise FormatError("line 1: empty file")
+        size *= 4
 
 
 def parse(path):

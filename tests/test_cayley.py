@@ -4,6 +4,7 @@ into partial bijections."""
 import random
 import re
 
+import numpy as np
 import pytest
 
 from invsem.pbij import compose
@@ -89,6 +90,67 @@ def test_rejects_ragged_and_out_of_range():
         CayleyTable(((0,), (1, 1)))
     with pytest.raises(ValueError):
         CayleyTable(((0, 2), (1, 0)))
+
+
+def test_rejects_non_integer_entries():
+    for rows in (((0, 1.5), (1, 1)), (("0", "1"), ("1", "1")),
+                 ((0, None), (1, 1)), ((True, False), (False, False)),
+                 ((0, 1.0), (1, 1)), (((0,), (1,)), ((1,), (1,)))):
+        with pytest.raises(ValueError, match="not an integer"):
+            CayleyTable(rows)
+    for arr in (np.array([[0.0, 1.0], [1.0, 1.0]]),
+                np.array([[True, False], [False, False]])):
+        with pytest.raises(ValueError, match="not an integer"):
+            CayleyTable(arr)
+    with pytest.raises(ValueError, match="out of range"):
+        CayleyTable(((0, 2 ** 70), (1, 1)))
+    with pytest.raises(ValueError, match="out of range"):
+        CayleyTable(((0, 2 ** 64 - 1), (1, 1)))
+
+
+def test_input_forms_agree():
+    for ref in (y2_table(), brandt_table(3)[0],
+                brandt_table(2, with_identity=True)[0]):
+        rows = ref.table
+        forms = [tuple(tuple(r) for r in rows), [list(r) for r in rows],
+                 np.array(rows), np.array(rows, dtype=np.uint8),
+                 [np.array(r, dtype=np.int16) for r in rows]]
+        for form in forms:
+            S = CayleyTable(form)
+            assert S.table == rows
+            assert all(type(v) is int for row in S.table for v in row)
+            assert S.inverse_map == ref.inverse_map
+            assert S.identity_index == ref.identity_index
+            assert S == ref and hash(S) == hash(ref)
+    # the table keeps its own copy of an ndarray input
+    arr = np.array(y2_table().table)
+    S = CayleyTable(arr)
+    arr[0, 0] = 1
+    assert S.mul(0, 0) == 0
+    with pytest.raises(ValueError):
+        S.array[0, 0] = 1
+
+
+def test_large_table_matches_python_reference():
+    # B(12) x Y2, order 290: the inverse of x is the y with x y x = x
+    # and y x y = y, found by an n^2 scan of the rows
+    S = direct_product_table(brandt_table(12)[0], y2_table())
+    t = S.table
+    n = S.order
+    assert n >= 290
+    inverse = []
+    for x in range(n):
+        row = t[x]
+        found = [y for y in range(n)
+                 if t[row[y]][x] == x and t[t[y][x]][y] == y]
+        assert len(found) == 1
+        inverse.append(found[0])
+    identity = [e for e in range(n)
+                if t[e] == list(range(n))
+                and all(t[x][e] == x for x in range(n))]
+    assert S.inverse_map == tuple(inverse)
+    assert S.identity_index == (identity[0] if identity else None)
+    assert S.array.tolist() == t
 
 
 def test_y2_is_two_element_semilattice():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from invsem.cayley import y2_table, brandt_table, from_closure
+from invsem.classify import UnionFind
 from invsem.gensys import GeneratorSystem
 from invsem.oracle import close, naive_member, naive_conjugate, naive_green
 from invsem.ctsolver import CTSolver, ct_member, ct_conjugate, ct_r_equiv
@@ -105,3 +106,37 @@ def test_y2_solver():
     assert not ct_member(table, [1], 0)[0]
     assert ct_conjugate(table, [1], 0, 0)
     assert not ct_conjugate(table, [1], 0, 1)
+
+
+def test_graph_edges_match_the_product_scan():
+    # the R adjacency lists, in the order a scan of every x against every
+    # (u, u~) finds their edges, fix the witness words; the conjugacy
+    # graph must have the scan's components
+    rng = random.Random(3)
+    tables = _tables(rng, 4, max_size=60) + [brandt_table(3)[0]]
+    for table in tables:
+        n = table.order
+        for _ in range(6):
+            sigma = rng.sample(range(n), rng.randrange(1, min(4, n) + 1))
+            solver = CTSolver(table, sigma)
+            mul = solver.gs.mul
+            adj = {x: [] for x in solver.elements}
+            conj = []
+            for x in solver.elements:
+                for u, ub in solver._pairs:
+                    y = mul(x, u)
+                    if y != x and mul(y, ub) == x:
+                        adj[x].append((y, u))
+                        adj[y].append((x, ub))
+                    y = mul(mul(ub, x), u)
+                    if y != x and mul(mul(u, y), ub) == x:
+                        conj.append((x, y))
+            solver._build_r()
+            assert solver._r_adj == adj
+            ref = UnionFind()
+            for x, y in conj:
+                ref.union(x, y)
+            for x in solver.elements:
+                for y in solver.elements:
+                    assert solver.conjugate(x, y) == \
+                        (ref.find(x) == ref.find(y))

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from invsem import formats
 from invsem.pbij import PartialBijection, partial_identity
 from invsem.cayley import y2_table, brandt_table
 from invsem.ncl import NCLMachine
@@ -100,6 +101,89 @@ def test_ct_rejects_non_associative_table_naming_triple():
     with pytest.raises(FormatError) as err:
         parse_ct(text)
     assert "invalid table" in str(err.value)
+
+
+def _ct_text(rows, records="gens 1\ntarget 2\n"):
+    return "ct %d\n" % len(rows) + "".join(r + "\n" for r in rows) + records
+
+
+def _ct_corpus():
+    """(name, text, takes the array path) for table bodies that spell,
+    lay out or break the rows of B(4) (order 17) in different ways."""
+    base = [" ".join(str(v) for v in row)
+            for row in brandt_table(4)[0].table]
+    row10 = next(i for i, r in enumerate(base) if " 10 " in " %s " % r)
+
+    def spell(old, new, row=row10):
+        rows = list(base)
+        rows[row] = " ".join(new if tok == old else tok
+                             for tok in rows[row].split())
+        return rows
+
+    def edit(row, fn):
+        rows = list(base)
+        rows[row] = fn(rows[row])
+        return rows
+
+    # (0*0)*1 = 1 but 0*(0*1) = 0
+    non_associative = ["1 0", "0 0"]
+    # left-zero band: every element is an inverse of every other
+    two_inverses = ["0 0", "1 1"]
+    yield "plain", _ct_text(base), True
+    yield "leading zero", _ct_text(spell("10", "010")), True
+    yield "tabs", _ct_text(edit(3, lambda r: r.replace(" ", "\t"))), True
+    yield "comments and blank lines", _ct_text(
+        base[:2] + ["% a comment line", "", "   "]
+        + [base[2] + " % trailing"] + base[3:]), True
+    yield "header comment", "% c\n" + _ct_text(base), True
+    yield "plus sign", _ct_text(spell("10", "+10")), False
+    yield "underscore", _ct_text(spell("10", "1_0")), False
+    yield "fullwidth digit", _ct_text(spell("10", "\uff11\uff10")), False
+    yield "minus zero", _ct_text(spell("0", "-0", row=0)), False
+    yield "decimal point", _ct_text(spell("10", "10.0")), False
+    yield "hex", _ct_text(spell("0", "0x0", row=0)), False
+    yield "unit separator", _ct_text(
+        edit(1, lambda r: r.replace(" ", "\x1f", 1))), False
+    yield "short row", _ct_text(edit(4, lambda r: r.rsplit(" ", 1)[0])), False
+    yield "long row", _ct_text(edit(4, lambda r: r + " 0")), False
+    yield "missing row", _ct_text(base[:-1]), False
+    yield "out of range", _ct_text(spell("10", "17")), False
+    yield "huge entry", _ct_text(spell("10", "9" * 30)), False
+    yield "non-associative", _ct_text(non_associative, "gens 0\n"), False
+    yield "two inverses", _ct_text(two_inverses, "gens 0\n"), False
+    yield "bad record", _ct_text(base, "gens 1\nfoo 2\n"), True
+    yield "no gens", _ct_text(base, "target 2\n"), True
+    yield "record out of range", _ct_text(base, "gens 99\n"), True
+    yield "no records", _ct_text(base, ""), True
+
+
+def _ct_outcome(text):
+    try:
+        inst = parse_ct(text)
+    except FormatError as exc:
+        return "error", str(exc)
+    return "ok", (inst.table.table, inst.gens, inst.target, inst.s, inst.t)
+
+
+def test_ct_array_path_matches_line_by_line_path(monkeypatch):
+    by_lines = formats._ct_table_by_lines
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return by_lines(*args)
+
+    monkeypatch.setattr(formats, "_ct_table_by_lines", spy)
+    outcomes = set()
+    for name, text, at_once in _ct_corpus():
+        calls.clear()
+        got = _ct_outcome(text)
+        assert (not calls) == at_once, name
+        with monkeypatch.context() as m:
+            m.setattr(formats, "_ct_table_at_once", lambda body, n: None)
+            assert _ct_outcome(text) == got, name
+        outcomes.add(got[0])
+    assert outcomes == {"ok", "error"}
 
 
 def test_graph_round_trip_and_errors():
@@ -212,6 +296,35 @@ def test_witness_token_codec():
             (lambda: parse_generator("gx", 2, 7), "bad generator")):
         with pytest.raises(FormatError, match=match):
             call()
+
+
+def _kind_reference(text):
+    lines = [raw.split("%")[0].split() for raw in text.splitlines()]
+    lines = [tokens for tokens in lines if tokens]
+    return lines[0][0] if lines else None
+
+
+def test_kind_of_reads_the_first_logical_line():
+    rng = random.Random(4)
+    pieces = ["ct", "pb", "x", " ", "\t", "%", "\n", "\r", "\r\n",
+              "\x0b", "\x1c", "\u2028", "\xa0"]
+    texts = ["", "%", "\n\n% only comments\n", "pb" + " " * 300 + "2\n",
+             "% c\n" * 300 + "ct 1\n0\ngens 0\n", "% c" + " " * 256 + "\rct"]
+    # a first token cut at the end of a prefix
+    for size in (256, 1024):
+        texts += [" " * pad + "ct 2\n" for pad in range(size - 4, size + 1)]
+        texts += ["%" * pad + "\r\npb 2" for pad in range(size - 3, size)]
+    for _ in range(400):
+        size = rng.choice((3, 40, 300, 1200))
+        texts.append("".join(rng.choice(pieces[3:]) for _ in range(size))
+                     + rng.choice(pieces))
+    for text in texts:
+        want = _kind_reference(text)
+        if want is None:
+            with pytest.raises(FormatError, match="line 1: empty file"):
+                kind_of(text)
+        else:
+            assert kind_of(text) == want, repr(text)
 
 
 def test_dispatch(tmp_path):
