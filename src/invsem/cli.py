@@ -141,10 +141,14 @@ def _pb_member(gs, t, args):
 
 
 def _check_flags(args, model):
-    """Reject a --model that does not match the file, and an --assume
-    hint where it is not honoured: it steers only the auto pb route."""
+    """Reject a --model that does not match the file, --force-oracle
+    beside a --solver other than the oracle, and an --assume hint where
+    it is not honoured: it steers only the auto pb route."""
     if args.model not in ("auto", model):
         raise CLIError("file is a %s instance, not %s" % (model, args.model))
+    if args.force_oracle and args.solver not in ("auto", "oracle"):
+        raise CLIError("--force-oracle conflicts with --solver %s"
+                       % args.solver)
     if args.assume is not None and (model == "ct" or args.solver != "auto"
                                     or args.force_oracle):
         raise CLIError("--assume applies only to the auto solver on pb "
@@ -545,7 +549,7 @@ def _verify_transport(inst, lines, args):
         return "FAIL missing transporter line"
     lineno, tokens = found[0]
     u = formats.parse_images(tokens, inst.degree, lineno)
-    image = {u.images[x] for x in ds}
+    image = {u[x] for x in ds}
     if None in image:
         return "FAIL transporter undefined on ds"
     if image != set(dt):

@@ -85,7 +85,7 @@ def parse_images(tokens, n, lineno):
 def image_line(key, p):
     """The record line `key` followed by the image tokens of p."""
     return key + " " + " ".join("_" if x is None else str(x + 1)
-                                for x in p.images)
+                                for x in p)
 
 
 def parse_element(token, n, lineno):
@@ -520,8 +520,7 @@ def serialize_ia(auto):
                 order.append(x)
         lines.append("inv %s %s" % (sym, partner))
     for sym in order:
-        images = auto.transitions[sym].images
-        for q, q2 in enumerate(images):
+        for q, q2 in enumerate(auto.transitions[sym]):
             if q2 is not None:
                 lines.append("trans %d %s %d" % (q + 1, sym, q2 + 1))
     lines.append("start %d" % (auto.start + 1))

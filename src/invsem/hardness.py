@@ -164,7 +164,7 @@ def gen_ncl_member(M):
     n = enc.degree
 
     def extend(p, fix_star):
-        images = list(p.images) + [n if fix_star else None]
+        images = list(p) + [n if fix_star else None]
         return PartialBijection(n + 1, images)
 
     sigma_prime = [extend(u, True) for u in sigma]
@@ -276,10 +276,10 @@ def gen_mgs(gs, t):
     def tag(j, copy):
         return n + 2 * j + copy
 
-    gens = [PartialBijection(n + k, tuple(t.images) + (None,) * k)]
+    gens = [PartialBijection(n + k, t + (None,) * k)]
     for j, u in enumerate(sigma):
         for copy in (0, 1):
-            images = list(u.images) + [None] * k
+            images = list(u) + [None] * k
             images[tag(j, copy)] = tag(j, copy)
             gens.append(PartialBijection(n + k, images))
     return GeneratorSystem(gens, degree=n + k), k

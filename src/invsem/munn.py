@@ -423,16 +423,14 @@ def general_conjugate(gs, s, t, cap=GENERAL_CAP):
     if s == t:
         return True, gs.one
     elements = close(gs, cap).elements
-    pairs = [(a, b) for a, b in enumerate(s.images) if b is not None]
-    if len(pairs) != len(t.images) - t.images.count(None):
+    pairs = [(a, b) for a, b in enumerate(s) if b is not None]
+    if len(pairs) != len(t) - t.count(None):
         return False, None
-    timg = t.images
     for u in elements:
-        ui = u.images
         for a, b in pairs:
-            x = ui[a]
-            y = ui[b]
-            if x is None or y is None or timg[x] != y:
+            x = u[a]
+            y = u[b]
+            if x is None or y is None or t[x] != y:
                 break
         else:
             mul = gs.mul

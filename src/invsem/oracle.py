@@ -157,19 +157,16 @@ def naive_green(gs, s, t, relation, cap=ELEMENT_CAP):
     if relation == "H":
         return (naive_green(gs, s, t, "R", cap)
                 and naive_green(gs, s, t, "L", cap))
-    el = close(gs, cap).elements
-    if relation == "R":
-        return s in _right_ideal(gs, t, el) and t in _right_ideal(gs, s, el)
-    if relation == "L":
-        return s in _left_ideal(gs, t, el) and t in _left_ideal(gs, s, el)
-    if relation in ("J", "D"):
-        return (s in _two_sided_ideal(gs, t, el)
-                and t in _two_sided_ideal(gs, s, el))
-    raise ValueError("unknown relation %r" % (relation,))
+    return (naive_green_leq(gs, s, t, relation, cap)
+            and naive_green_leq(gs, t, s, relation, cap))
 
 
 def naive_green_leq(gs, s, t, relation, cap=ELEMENT_CAP):
-    """The pre-order s <=_X^U t (s in the suitable ideal of t)."""
+    """The pre-order s <=_X^U t (s in the suitable ideal of t); <=_H is
+    <=_R and <=_L together."""
+    if relation == "H":
+        return (naive_green_leq(gs, s, t, "R", cap)
+                and naive_green_leq(gs, s, t, "L", cap))
     el = close(gs, cap).elements
     if relation == "R":
         return s in _right_ideal(gs, t, el)

@@ -1,7 +1,7 @@
 """Partial bijections on a finite point set.
 
-Elements of the symmetric inverse monoid I(Omega) are stored as image
-tuples, with None marking an undefined image.  Points are 0-based
+An element of the symmetric inverse monoid I(Omega) is the tuple of its
+images, with None marking an undefined image.  Points are 0-based
 internally; file formats use 1-based points (see formats.py).
 
 Composition is left-to-right: (a * b) sends x to (x^a)^b, i.e. the left
@@ -11,12 +11,14 @@ factor acts first.
 from __future__ import annotations
 
 
-class PartialBijection:
-    """An injective partial self-map on points 0..degree-1."""
+class PartialBijection(tuple):
+    """An injective partial self-map on points 0..degree-1, stored as the
+    tuple of its images: p[x] is the image of x, or None if undefined.
+    Equality, hashing and immutability are the tuple's."""
 
-    __slots__ = ("degree", "images", "_hash")
+    __slots__ = ()
 
-    def __init__(self, degree, images):
+    def __new__(cls, degree, images):
         images = tuple(images)
         if degree < 0:
             raise ValueError("degree must be >= 0")
@@ -33,36 +35,20 @@ class PartialBijection:
             if y in seen:
                 raise ValueError("not injective: image %d repeated" % y)
             seen.add(y)
-        _set_degree(self, degree)
-        _set_images(self, images)
-        _set_hash(self, hash(images))
+        return tuple.__new__(cls, images)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PartialBijection is immutable")
+    @property
+    def degree(self):
+        return len(self)
 
-    # -- basic protocol ----------------------------------------------------
-
-    def __getitem__(self, x):
-        """Image of point x, or None if undefined."""
-        return self.images[x]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PartialBijection)
-            and self.images == other.images
-        )
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def __hash__(self):
-        return self._hash
+    @property
+    def images(self):
+        """The images as a plain tuple."""
+        return tuple(self)
 
     def __repr__(self):
-        body = ",".join(
-            "_" if y is None else str(y + 1) for y in self.images
-        )
-        return "PartialBijection(%d:[%s])" % (self.degree, body)
+        body = ",".join("_" if y is None else str(y + 1) for y in self)
+        return "PartialBijection(%d:[%s])" % (len(self), body)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -74,81 +60,62 @@ class PartialBijection:
 
     def inverse(self):
         """The relational converse."""
-        inv = [None] * self.degree
-        for x, y in enumerate(self.images):
+        inv = [None] * len(self)
+        for x, y in enumerate(self):
             if y is not None:
                 inv[y] = x
-        return _make(self.degree, tuple(inv))
+        return _make(inv)
 
     # -- structure ---------------------------------------------------------
 
     def domain(self):
-        return frozenset(
-            x for x, y in enumerate(self.images) if y is not None
-        )
+        return frozenset(x for x, y in enumerate(self) if y is not None)
 
     def ran(self):
-        return frozenset(y for y in self.images if y is not None)
+        return frozenset(y for y in self if y is not None)
 
     def graph(self):
         """The set of (x, x^s) pairs."""
         return frozenset(
-            (x, y) for x, y in enumerate(self.images) if y is not None
+            (x, y) for x, y in enumerate(self) if y is not None
         )
 
     def is_idempotent(self):
-        return all(y is None or y == x for x, y in enumerate(self.images))
-
-    def is_total(self):
-        return all(y is not None for y in self.images)
+        return all(y is None or y == x for x, y in enumerate(self))
 
     def le(self, other):
         """Natural partial order: self <= other iff self = self self~ other."""
-        for x, y in enumerate(self.images):
-            if y is not None and other.images[x] != y:
+        for x, y in enumerate(self):
+            if y is not None and other[x] != y:
                 return False
         return True
 
 
-# the slot descriptors, which write past the raising __setattr__
-_set_degree = PartialBijection.degree.__set__
-_set_images = PartialBijection.images.__set__
-_set_hash = PartialBijection._hash.__set__
-
-
-def _make(degree, images):
-    """A PartialBijection from an image tuple already known to be valid,
-    without the constructor's checks: the kernel of every product."""
-    p = object.__new__(PartialBijection)
-    _set_degree(p, degree)
-    _set_images(p, images)
-    _set_hash(p, hash(images))
-    return p
+def _make(images):
+    """A PartialBijection from images already known to be valid, without
+    the constructor's checks: the kernel of every product."""
+    return tuple.__new__(PartialBijection, images)
 
 
 def compose(a, b):
     """x^(ab) = (x^a)^b; the left factor applies first."""
-    if a.degree != b.degree:
-        raise ValueError(
-            "degree mismatch: %d vs %d" % (a.degree, b.degree)
-        )
-    bi = b.images
-    return _make(a.degree,
-                 tuple([None if y is None else bi[y] for y in a.images]))
+    if len(a) != len(b):
+        raise ValueError("degree mismatch: %d vs %d" % (len(a), len(b)))
+    return _make([None if y is None else b[y] for y in a])
 
 
 def identity(n):
-    return _make(n, tuple(range(n)))
+    return _make(range(n))
 
 
 def empty_map(n):
-    return _make(n, (None,) * n)
+    return _make((None,) * n)
 
 
 def partial_identity(n, points):
     """The idempotent e_Delta with domain `points`."""
     pts = set(points)
-    return _make(n, tuple([x if x in pts else None for x in range(n)]))
+    return _make([x if x in pts else None for x in range(n)])
 
 
 def singleton(n, x, y):
@@ -214,16 +181,14 @@ def brandt(n, with_identity=False):
 
 def direct_product(parts):
     """Block partial bijection on the disjoint union of the factors."""
-    degrees = [p.degree for p in parts]
-    n = sum(degrees)
-    images = [None] * n
+    images = [None] * sum(len(p) for p in parts)
     offset = 0
     for p in parts:
-        for x, y in enumerate(p.images):
+        for x, y in enumerate(p):
             if y is not None:
                 images[offset + x] = offset + y
-        offset += p.degree
-    return _make(n, tuple(images))
+        offset += len(p)
+    return _make(images)
 
 
 def all_partial_bijections(n):
@@ -238,4 +203,4 @@ def all_partial_bijections(n):
                 if y not in used:
                     nxt.append(prefix + (y,))
         result = nxt
-    return [_make(n, images) for images in result]
+    return [_make(images) for images in result]

@@ -88,6 +88,32 @@ def test_green(tmp_path, capsys):
     assert code == 0 and out.strip() in ("YES", "NO")
 
 
+def test_green_h_leq(tmp_path, capsys):
+    # in <e1, e2> the empty map e1 e2 lies below e1 in both R and L
+    text = "pb 2\ngen 1 _\ngen _ 2\n"
+    for pair, answer in (("s _ _\nt 1 _\n", "YES"),
+                         ("s 1 _\nt _ _\n", "NO")):
+        path = _write(tmp_path, "s.pb", text + pair)
+        code, out, _ = run(capsys, "green", path, "--rel", "H", "--leq")
+        assert code == 0 and out.strip() == answer, pair
+
+
+def test_force_oracle_rejected_beside_another_solver(tmp_path, capsys):
+    pb = _write(tmp_path, "g.pb", PB_GROUP + "s 2 3 1\nt 2 3 1\n")
+    ct = _write(tmp_path, "y2.ct", CT_Y2)
+    for cmd in ("member", "conj"):
+        for path, solver in ((pb, "ct-greedy"), (pb, "group"),
+                             (ct, "group"), (ct, "ct-greedy")):
+            code, out, err = run(capsys, cmd, path, "--solver", solver,
+                                 "--force-oracle")
+            assert code == 2 and out == "", (cmd, path, solver)
+            assert "--force-oracle" in err
+        for path in (pb, ct):
+            for extra in ([], ["--solver", "oracle"]):
+                code, _, _ = run(capsys, cmd, path, "--force-oracle", *extra)
+                assert code == 0, (cmd, path, extra)
+
+
 def test_slp_group_and_verify(tmp_path, capsys):
     path = _write(tmp_path, "g.pb", PB_GROUP)
     code, out, _ = run(capsys, "slp", path)

@@ -133,6 +133,17 @@ def test_green_h_is_r_and_l():
                     and naive_green(gs, s, t, "L"))
 
 
+def test_green_h_leq_is_r_leq_and_l_leq():
+    rng = random.Random(6)
+    for gs, _ in sample_systems(rng, 2, degrees=(2, 4), closure_cap=100):
+        elements = list(close(gs).elements)[:15]
+        for s in elements:
+            for t in elements:
+                assert naive_green_leq(gs, s, t, "H") == (
+                    naive_green_leq(gs, s, t, "R")
+                    and naive_green_leq(gs, s, t, "L"))
+
+
 def test_unknown_relation_rejected():
     gs = GeneratorSystem([PartialBijection(2, (1, 0))], degree=2)
     with pytest.raises(ValueError):

@@ -160,3 +160,31 @@ def test_all_partial_bijections_count():
     # sum over k of C(n, k)^2 * k!
     assert len(all_partial_bijections(3)) == 34
     assert len(set(all_partial_bijections(3))) == 34
+
+
+# the inputs of the reject tests above, with the message each raises
+REJECTED = (((2, (0, 0)), "not injective: image 0 repeated"),
+            ((2, (2, None)), "image 2 out of range"),
+            ((2, (0,)), "expected 2 images, got 1"),
+            ((2, (0, 1, None)), "expected 2 images, got 3"),
+            ((2, (-1, None)), "image -1 out of range"),
+            ((-1, ()), "degree must be >= 0"))
+
+
+def test_an_element_is_the_tuple_of_its_images():
+    rng = random.Random(5)
+    els = all_partial_bijections(3)
+    els += [rand_pb(rng, rng.randrange(0, 7)) for _ in range(300)]
+    for p in els:
+        assert hash(p) == hash(p.images) and p == p.images
+        assert len(p) == p.degree and list(p) == list(p.images)
+        assert ~p == p.inverse()
+    for p in all_partial_bijections(3):
+        for q in all_partial_bijections(3):
+            assert p * q == compose(p, q)
+    assert identity(2) != identity(3) and empty_map(2) != empty_map(3)
+    with pytest.raises(ValueError, match="^degree mismatch: 2 vs 3$"):
+        compose(identity(2), identity(3))
+    for (degree, images), message in REJECTED:
+        with pytest.raises(ValueError, match="^%s$" % message):
+            PartialBijection(degree, images)
