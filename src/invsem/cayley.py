@@ -25,7 +25,8 @@ class CayleyTable:
     Built from n rows of n integers or from an n x n integer ndarray.
     `array` holds the validated entries (read-only, uint8 up to order
     256, uint16 up to 65536) and `table` the same entries as lists of
-    Python ints, so table[x][y] is x y.
+    Python ints, so table[x][y] is x y.  The lists are built on the
+    first read of `table`: the array-only solvers never need them.
     """
 
     __slots__ = ("order", "array", "table", "inverse_map", "identity_index")
@@ -41,10 +42,19 @@ class CayleyTable:
         arr.flags.writeable = False
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "array", arr)
-        object.__setattr__(self, "table", arr.tolist())
         object.__setattr__(self, "inverse_map", inverse_map)
         object.__setattr__(self, "identity_index",
                            int(ident[0]) if len(ident) else None)
+
+    def __getattr__(self, name):
+        # called only while the `table` slot is unset: fill it once, so
+        # later reads are plain slot reads
+        if name != "table":
+            raise AttributeError("%r object has no attribute %r"
+                                 % (type(self).__name__, name))
+        table = self.array.tolist()
+        object.__setattr__(self, "table", table)
+        return table
 
     def __setattr__(self, name, value):
         raise AttributeError("CayleyTable is immutable")

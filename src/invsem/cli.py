@@ -641,7 +641,13 @@ def cmd_verify(args):
 # -- argument parsing ------------------------------------------------------
 
 
-def _add_solver_flags(sub):
+def _file_args(sub):
+    sub.add_argument("file")
+
+
+def _decision_args(sub):
+    sub.add_argument("file")
+    sub.add_argument("--model", default="auto", choices=["auto", "pb", "ct"])
     sub.add_argument("--solver", default="auto",
                      choices=["auto", "oracle", "group", "clifford", "sis",
                               "ct-greedy"])
@@ -652,7 +658,57 @@ def _add_solver_flags(sub):
     sub.add_argument("--explain", action="store_true")
 
 
-def build_parser():
+def _green_args(sub):
+    sub.add_argument("file")
+    sub.add_argument("--rel", required=True, choices=["R", "L", "J", "H", "D"])
+    sub.add_argument("--leq", action="store_true")
+
+
+def _automata_args(sub):
+    sub.add_argument("action")
+    sub.add_argument("files", nargs="+")
+
+
+def _gen_args(sub):
+    sub.add_argument("reduction",
+                     choices=["ugap-conj", "ugap-member", "ncl-conj",
+                              "ncl-member", "ncl-automata", "mgs", "equation"])
+    sub.add_argument("input")
+    sub.add_argument("-o", "--output", required=True)
+
+
+def _mgs_args(sub):
+    sub.add_argument("file")
+    sub.add_argument("-k", type=int, required=True)
+
+
+def _verify_args(sub):
+    sub.add_argument("what", choices=list(_VERIFIERS))
+    sub.add_argument("instance")
+    sub.add_argument("output")
+    sub.add_argument("extra", nargs="*",
+                     help="additional instance files (automata)")
+
+
+# name -> (handler, adds the subcommand's arguments), in usage order
+_COMMANDS = {
+    "classify": (cmd_classify, _file_args),
+    "member": (cmd_member, _decision_args),
+    "conj": (cmd_conj, _decision_args),
+    "green": (cmd_green, _green_args),
+    "slp": (cmd_slp, _file_args),
+    "transport": (cmd_transport, _file_args),
+    "automata": (cmd_automata, _automata_args),
+    "gen": (cmd_gen, _gen_args),
+    "mgs": (cmd_mgs, _mgs_args),
+    "eqn": (cmd_eqn, _file_args),
+    "verify": (cmd_verify, _verify_args),
+}
+
+
+def build_parser(names=tuple(_COMMANDS)):
+    """The invsem parser with the subcommands `names` registered, all of
+    them by default.  Usage lines list every command either way."""
     parser = argparse.ArgumentParser(
         prog="invsem",
         description="membership and conjugacy in finite inverse semigroups")
@@ -661,71 +717,32 @@ def build_parser():
                         help="accepted and ignored; output is deterministic")
     common.add_argument("--cap", type=int, default=10**6,
                         help="closure element cap")
+    # argparse lists the registered commands in usage lines, so a partial
+    # build names them all through the metavar; a full build leaves it
+    # unset, because error lines about the command argument print the
+    # metavar where they would print its name
+    metavar = ("{%s}" % ",".join(_COMMANDS)
+               if len(names) < len(_COMMANDS) else None)
     subs = parser.add_subparsers(dest="command", required=True,
+                                 metavar=metavar,
                                  parser_class=lambda **kw: argparse.
                                  ArgumentParser(parents=[common], **kw))
-
-    p = subs.add_parser("classify")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_classify)
-
-    for name, func in (("member", cmd_member), ("conj", cmd_conj)):
-        p = subs.add_parser(name)
-        p.add_argument("file")
-        p.add_argument("--model", default="auto", choices=["auto", "pb", "ct"])
-        _add_solver_flags(p)
-        p.set_defaults(func=func)
-
-    p = subs.add_parser("green")
-    p.add_argument("file")
-    p.add_argument("--rel", required=True, choices=["R", "L", "J", "H", "D"])
-    p.add_argument("--leq", action="store_true")
-    p.set_defaults(func=cmd_green)
-
-    p = subs.add_parser("slp")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_slp)
-
-    p = subs.add_parser("transport")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_transport)
-
-    p = subs.add_parser("automata")
-    p.add_argument("action")
-    p.add_argument("files", nargs="+")
-    p.set_defaults(func=cmd_automata)
-
-    p = subs.add_parser("gen")
-    p.add_argument("reduction",
-                   choices=["ugap-conj", "ugap-member", "ncl-conj",
-                            "ncl-member", "ncl-automata", "mgs", "equation"])
-    p.add_argument("input")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_gen)
-
-    p = subs.add_parser("mgs")
-    p.add_argument("file")
-    p.add_argument("-k", type=int, required=True)
-    p.set_defaults(func=cmd_mgs)
-
-    p = subs.add_parser("eqn")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_eqn)
-
-    p = subs.add_parser("verify")
-    p.add_argument("what",
-                   choices=list(_VERIFIERS))
-    p.add_argument("instance")
-    p.add_argument("output")
-    p.add_argument("extra", nargs="*",
-                   help="additional instance files (automata)")
-    p.set_defaults(func=cmd_verify)
-
+    for name in names:
+        func, add_arguments = _COMMANDS[name]
+        sub = subs.add_parser(name)
+        add_arguments(sub)
+        sub.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a call runs one command, so only its parser is built; without a
+    # command word first (no argument, an option, an unknown word) every
+    # command is built, for argparse to list in its help and errors
+    names = argv[:1] if argv and argv[0] in _COMMANDS else tuple(_COMMANDS)
+    parser = build_parser(names)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -11,7 +11,7 @@ are inverse-closed internally so no signed letters are needed.
 from __future__ import annotations
 
 def _pmul(a, b):
-    return tuple(b[x] for x in a)
+    return tuple([b[x] for x in a])
 
 
 def _pinv(a):

@@ -46,6 +46,11 @@ class PartialBijection(tuple):
         """The images as a plain tuple."""
         return tuple(self)
 
+    def __getnewargs__(self):
+        # copy and pickle rebuild through __new__; tuple's own would
+        # pass the images without the degree
+        return len(self), tuple(self)
+
     def __repr__(self):
         body = ",".join("_" if y is None else str(y + 1) for y in self)
         return "PartialBijection(%d:[%s])" % (len(self), body)

@@ -2,9 +2,13 @@
 
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import invsem
+from invsem import cli
 from invsem.cli import main
 from invsem.pbij import PartialBijection
 from invsem.cayley import brandt_table
@@ -568,3 +572,119 @@ def test_explicit_pb_solver_runs_inside_its_variety(tmp_path, capsys):
         for solver in ("group", "clifford", "sis"):
             code, out, _ = run(capsys, cmd, path, "--solver", solver)
             assert code == 0 and out.splitlines()[0] == "YES", (cmd, solver)
+
+
+# a call of every command that parses; each runs on one pb file
+CALLS = {
+    "classify": ["classify", "{pb}"],
+    "member": ["member", "{pb}", "--solver", "oracle", "--cap", "7"],
+    "conj": ["conj", "{pb}", "--model", "pb", "--explain"],
+    "green": ["green", "{pb}", "--rel", "R", "--leq"],
+    "slp": ["slp", "{pb}", "--seed", "3"],
+    "transport": ["transport", "{pb}"],
+    "automata": ["automata", "intersect", "{pb}", "{pb}"],
+    "gen": ["gen", "mgs", "{pb}", "-o", "{out}"],
+    "mgs": ["mgs", "{pb}", "-k", "1"],
+    "eqn": ["eqn", "{pb}"],
+    "verify": ["verify", "member", "{pb}", "{pb}"],
+}
+BAD_CHOICES = {
+    "member": ["member", "{pb}", "--solver", "nope"],
+    "conj": ["conj", "{pb}", "--model", "nope"],
+    "green": ["green", "{pb}", "--rel", "X"],
+    "gen": ["gen", "nope", "{pb}", "-o", "{out}"],
+    "verify": ["verify", "nope", "{pb}", "{pb}"],
+}
+
+
+def _parser_argvs(tmp_path):
+    pb = _write(tmp_path, "all.pb", "pb 3\ngen 2 3 1\ntarget 3 1 2\n"
+                "s 2 3 1\nt 2 3 1\nds 1\ndt 2\n")
+    fill = {"pb": pb, "out": str(tmp_path / "out.pb")}
+    argvs = [[], ["-h"], ["--help"], ["nope"], ["nope", pb], ["--cap", "5"],
+             ["--", "member", pb], ["mem", pb]]
+    for name, call in CALLS.items():
+        call = [a.format(**fill) for a in call]
+        argvs += [call, [name, "-h"], [name], call + ["--bogus"],
+                  call + ["extra"], call + ["--cap", "x"],
+                  ["--cap", "5"] + call]
+        if name in BAD_CHOICES:
+            argvs.append([a.format(**fill) for a in BAD_CHOICES[name]])
+    return argvs
+
+
+def _parsed(parser, argv, capsys):
+    try:
+        parsed = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        parsed = exc.code
+    return parsed, capsys.readouterr()
+
+
+def test_one_command_parser_acts_as_the_full_one(tmp_path, capsys,
+                                                 monkeypatch):
+    full = cli.build_parser
+    built = []
+
+    def recording(names):
+        built.append(list(names))
+        return full(names)
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    for argv in _parser_argvs(tmp_path):
+        built.clear()
+        got = run(capsys, *argv)
+        command = argv[:1] if argv and argv[0] in CALLS else list(CALLS)
+        assert built == [command], argv
+        with monkeypatch.context() as m:
+            m.setattr(cli, "build_parser", lambda names: full())
+            assert run(capsys, *argv) == got, argv
+        assert (_parsed(full(command), argv, capsys)
+                == _parsed(full(), argv, capsys)), argv
+
+
+def test_each_call_builds_its_own_parser(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, "g.pb", PB_GROUP)
+    full = cli.build_parser
+    built = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda names: built.append(full(names)) or built[-1])
+    for _ in range(2):
+        assert run(capsys, "member", path) == (0, "YES\n", "")
+    assert len(built) == 2 and built[0] is not built[1]
+
+
+def test_module_entry_point_reads_sys_argv(tmp_path):
+    path = _write(tmp_path, "g.pb", PB_GROUP)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(invsem.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def invsem_process(*argv):
+        return subprocess.run([sys.executable, "-m", "invsem.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    done = invsem_process("member", path)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "YES\n", "")
+    done = invsem_process("nope")
+    assert done.returncode == 2 and done.stdout == ""
+    assert "invalid choice: 'nope'" in done.stderr
+
+
+def test_ct_conj_leaves_the_table_lists_unbuilt(tmp_path, capsys,
+                                               monkeypatch):
+    table, idx = brandt_table(3)
+    path = _write(tmp_path, "b3.ct", serialize(CTInstance(
+        table, [idx[(0, 1)], idx[(1, 2)]], s=idx[(0, 0)], t=idx[(2, 2)])))
+    loaded = []
+    parse_file = cli.formats.parse
+    monkeypatch.setattr(cli.formats, "parse",
+                        lambda p: loaded.append(parse_file(p)) or loaded[-1])
+    assert run(capsys, "conj", path) == (0, "YES\n", "")
+    [inst] = loaded
+    table_slot = type(inst.table).table
+    with pytest.raises(AttributeError):
+        table_slot.__get__(inst.table)
+    assert inst.table.table == inst.table.array.tolist()
+    assert table_slot.__get__(inst.table) is inst.table.table

@@ -1,7 +1,9 @@
 """Partial bijection algebra: composition, inverses, idempotents and
 the natural partial order."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -52,6 +54,15 @@ def test_attributes_cannot_be_assigned():
         with pytest.raises(AttributeError):
             setattr(p, name, None)
     assert p.images == (None, 1, None)
+
+
+def test_copy_and_pickle_give_an_equal_element():
+    for p in (identity(3), empty_map(2), partial_identity(4, [1, 3]),
+              PartialBijection(0, ())):
+        for q in (copy.copy(p), copy.deepcopy(p),
+                  pickle.loads(pickle.dumps(p))):
+            assert type(q) is PartialBijection
+            assert q == p and q.degree == p.degree and hash(q) == hash(p)
 
 
 def test_compose_associative_exhaustive_degree_3():
