@@ -1,13 +1,16 @@
 """Inverse automata: validation, the view of letters as partial
-bijections on states, and intersection non-emptiness by breadth-first
-search over the product state space with witness extraction.
+bijections on states, and intersection non-emptiness as a shortest
+path (`search.shortest_path`) over the product state space, whose edge
+labels spell the witness word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import getitem
 
 from .pbij import PartialBijection
+from .search import SearchCapExceeded, shortest_path
 
 PRODUCT_CAP = 10**7
 
@@ -95,37 +98,19 @@ def intersect_nonempty(automata, cap=PRODUCT_CAP):
     def accepted(qs):
         return all(q in A.accepting for q, A in zip(qs, automata))
 
-    if accepted(start):
-        return ()
-    prev = {start: None}
-    queue = [start]
-    qi = 0
-    while qi < len(queue):
-        qs = queue[qi]
-        qi += 1
-        for a in alphabet:
-            nxt = []
-            for q, A in zip(qs, automata):
-                r = A.step(q, a)
-                if r is None:
-                    break
-                nxt.append(r)
-            else:
-                nxt = tuple(nxt)
-                if nxt not in prev:
-                    prev[nxt] = (qs, a)
-                    if accepted(nxt):
-                        word = []
-                        cur = nxt
-                        while prev[cur] is not None:
-                            cur, sym = prev[cur]
-                            word.append(sym)
-                        return tuple(reversed(word))
-                    if len(prev) > cap:
-                        raise ProductCapExceeded(
-                            "product BFS exceeded %d states" % cap)
-                    queue.append(nxt)
-    return None
+    letters = [(a, [A.transitions[a] for A in automata]) for a in alphabet]
+
+    def successors(qs):
+        for a, maps in letters:
+            nxt = tuple(map(getitem, maps, qs))
+            if None not in nxt:
+                yield nxt, a
+
+    try:
+        return shortest_path(start, successors, accepted, cap)
+    except SearchCapExceeded:
+        raise ProductCapExceeded(
+            "product BFS exceeded %d states" % cap) from None
 
 
 def as_dfa(A, failure_state=None):

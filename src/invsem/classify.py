@@ -9,7 +9,9 @@ inverse-closed generator list Sigma (`classify_from_generators`), with
 O(|Sigma|^2) products and no enumeration of U = <Sigma>.  Only when U
 is not Clifford does it enumerate U, under the closure cap, to split
 StrictInverse from General.  `classify` is the closure-based reference:
-it reads every variety off a closed element list.
+it reads every variety off a closed element list.  Both read Green's
+D-classes off the pairs (x x~, x~ x) (`d_class_labels`), as does
+`meta` for its maximal J-classes.
 """
 
 from __future__ import annotations
@@ -56,63 +58,16 @@ def _tag(name, classified_by="closure", cap_exceeded=False):
                       classified_by=classified_by)
 
 
-class UnionFind:
-    """Disjoint sets over hashable elements, created on first find."""
-
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        parent = self.parent
-        if x not in parent:
-            parent[x] = x
-            return x
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a, b):
-        self.parent[self.find(a)] = self.find(b)
-
-
 def classify(gs, elements):
     """Classify the closed element list `elements` (products and
     inverses taken via gs).
     """
-    mul = gs.mul
-    inv = gs.inv
-    n = len(elements)
-    if n == 1:
-        x = elements[0]
-        if mul(x, x) != x:
-            raise ValueError("single element is not idempotent; input not closed")
-        return _tag("Trivial")
-
-    all_idem = True
-    is_group = True
-    is_clifford = True
-    first_e = None
-    for x in elements:
-        xb = inv(x)
-        xxb = mul(x, xb)
-        xbx = mul(xb, x)
-        if mul(x, x) != x:
-            all_idem = False
-        if xxb != xbx:
-            is_clifford = False
-        if first_e is None:
-            first_e = xxb
-        elif xxb != first_e:
-            is_group = False
-
-    if all_idem:
-        name = "Semilattice"
-    elif is_group:
+    left, right = _idempotent_indices(gs, elements)
+    if all(x == e for x, e in enumerate(left)):  # every x = x x~
+        name = "Trivial" if len(left) == 1 else "Semilattice"
+    elif len(set(left)) == 1:
         name = "Group"
-    elif is_clifford:
+    elif left == right:
         name = "Clifford"
     else:
         name = "StrictInverse" if _is_strict_inverse(gs, elements) else "General"
@@ -157,33 +112,54 @@ def classify_from_generators(gs):
     return None
 
 
-def _is_strict_inverse(gs, elements):
-    """Idempotent-pair test: for every idempotent e and idempotents
-    f1, f2 below e, f1 J f2 (absolute, within the closed set) forces
-    f1 = f2.
+def _idempotent_indices(gs, elements):
+    """The indices in the closed list `elements` of x x~ and of x~ x,
+    as two lists."""
+    mul = gs.mul
+    index = {x: i for i, x in enumerate(elements)}
+    left = []
+    right = []
+    try:
+        for x in elements:
+            xb = gs.inv(x)
+            left.append(index[mul(x, xb)])
+            right.append(index[mul(xb, x)])
+    except KeyError:
+        raise ValueError("element list is not closed") from None
+    return left, right
 
-    Absolute J classes of idempotents are computed from the pairs
-    (x x~, x~ x): two idempotents are D-related (= J-related, finite
-    case) exactly when some element has the one as its left and the
-    other as its right idempotent.
+
+def d_class_labels(left, right):
+    """The D-class (= J-class, finite case) of each element of an
+    inverse semigroup as the least idempotent index in it, from the
+    indices left[x] of x x~ and right[x] of x~ x.
+
+    Idempotents e, f are D-related exactly when some x has x x~ = e and
+    x~ x = f (Lawson, Inverse Semigroups, 1998); if x joins e to f and y
+    joins f to g, then xy joins e to g, so no transitive closure is
+    needed.  Every x lies in the class of x x~.
+    """
+    least = list(range(len(left)))
+    for e, f in zip(left, right):
+        least[f] = min(least[f], e)
+    return [least[e] for e in left]
+
+
+def _is_strict_inverse(gs, elements):
+    """Idempotent-pair test on the closed list `elements`: for every
+    idempotent e and idempotents f1, f2 below e, f1 D f2 forces
+    f1 = f2.  Only idempotents sharing their D-class can break it.
     """
     mul = gs.mul
-    inv = gs.inv
-    uf = UnionFind()
-    idems = [x for x in elements if mul(x, x) == x]
-    for e in idems:
-        uf.find(e)
-    for x in elements:
-        xb = inv(x)
-        uf.union(mul(x, xb), mul(xb, x))
-    for e in idems:
-        seen = {}
-        for f in idems:
-            if mul(f, e) == f:  # f <= e
-                c = uf.find(f)
-                if c in seen and seen[c] != f:
-                    return False
-                seen[c] = f
+    left, right = _idempotent_indices(gs, elements)
+    label = d_class_labels(left, right)
+    idems = [x for x, e in enumerate(left) if x == e]  # x = x x~
+    multi = {label[f] for f in idems if label[f] != f}  # two or more
+    shared = [(elements[f], label[f]) for f in idems if label[f] in multi]
+    for top in map(elements.__getitem__, idems):
+        below = [c for f, c in shared if mul(f, top) == f]
+        if len(below) != len(set(below)):
+            return False
     return True
 
 

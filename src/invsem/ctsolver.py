@@ -1,5 +1,7 @@
 """Cayley-table-model solvers: relative R-equivalence and conjugacy as
-undirected reachability, and the greedy membership loop.
+undirected reachability (a `search.UnionFind` over graph edges), and
+the greedy membership loop, whose witness words are shortest R-graph
+paths (`search.shortest_path`).
 
 Elements, products and inverses are those of the GeneratorSystem on the
 table: without an identity, S^1 adjoins VIRTUAL_ONE; tables are never
@@ -11,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .classify import UnionFind
 from .gensys import GeneratorSystem, VIRTUAL_ONE
+from .search import UnionFind, shortest_path
 
 
 class CTSolver:
@@ -81,27 +83,9 @@ class CTSolver:
 
     def _r_path_word(self, x, y):
         """A word over Sigma multiplying x to y along R-graph edges."""
-        self._build_r()
-        if x == y:
-            return ()
-        prev = {x: None}
-        queue = [x]
-        qi = 0
-        while qi < len(queue):
-            z = queue[qi]
-            qi += 1
-            for w, u in self._r_adj[z]:
-                if w not in prev:
-                    prev[w] = (z, u)
-                    if w == y:
-                        word = []
-                        while prev[w] is not None:
-                            z, u = prev[w]
-                            word.append(u)
-                            w = z
-                        return tuple(reversed(word))
-                    queue.append(w)
-        raise AssertionError("no R-path between R-equivalent elements")
+        word = shortest_path(x, self._r_adj.__getitem__, lambda w: w == y)
+        assert word is not None, "no R-path between R-equivalent elements"
+        return word
 
     def _build_conj(self):
         """Edges {x, y} whenever u~ x u = y and x = u y u~."""

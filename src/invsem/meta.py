@@ -8,15 +8,19 @@ read off the right Cayley graph that `oracle.close` records, one column
 per element in enumeration order, so no element product is evaluated
 after the closure.  Closures of partial generating sets grow along the
 edges of the chosen letters (East, Egri-Nagy, Mitchell and Peresse,
-JSC 2019), and ideals are found along the generator edges.
+JSC 2019) by `search.reach`.  The maximal J-classes that bound the
+search are read off the pairs (x x~, x~ x) and one pass over the
+right generator edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .classify import d_class_labels
 from .gensys import GeneratorSystem
 from .oracle import close, ELEMENT_CAP
+from .search import reach
 
 
 # -- minimum generating set ------------------------------------------------
@@ -53,9 +57,7 @@ def mgs_decide(u, k, cap=ELEMENT_CAP):
     if elements is not cl.elements:
         # an element list is searched in its own order
         pos = [cl.index[x] for x in elements]
-        back = [0] * full_n
-        for i, c in enumerate(pos):
-            back[c] = i
+        back = sorted(range(full_n), key=pos.__getitem__)  # pos inverted
         cols = [[back[cols[pb][pa]] for pa in pos] for pb in pos]
         inv_t = [back[inv_t[c]] for c in pos]
         gen_idx = sorted(back[g] for g in gen_idx)
@@ -69,12 +71,8 @@ def mgs_decide(u, k, cap=ELEMENT_CAP):
         # all on the right.
         xs = {x, inv_t[x]}
         letters = xs.union(chosen, [inv_t[c] for c in chosen])
-        step = set(xs)
-        for y in xs:
-            step.update(map(cols[y].__getitem__, closure))
-        frontier = step - closure
-        return _saturate(frontier | closure, frontier,
-                         [cols[y] for y in letters])
+        step = xs.union(*(map(cols[y].__getitem__, closure) for y in xs))
+        return reach(step - closure, [cols[y] for y in letters], set(closure))
 
     # Candidate reduction: if <x> is contained in <y>, replacing x by y
     # in any generating set keeps it generating, so only elements with
@@ -90,11 +88,11 @@ def mgs_decide(u, k, cap=ELEMENT_CAP):
 
     # Covering bound: a maximal J-class contains none of the products
     # of elements outside it, so every generating set meets every
-    # maximal J-class.  The ideal U^1 x U^1 is everything reachable
-    # from x along generator edges on either side.
-    edges = [cols[g] for g in gen_idx]
-    edges += [[col[g] for col in cols] for g in gen_idx]
-    n_classes, class_of = _maximal_class_cover(edges, gen_idx, candidates)
+    # maximal J-class.  The classes are read off the pairs (a a~, a~ a).
+    label = d_class_labels([cols[b][a] for a, b in enumerate(inv_t)],
+                           [cols[a][b] for a, b in enumerate(inv_t)])
+    n_classes, class_of = _maximal_class_cover(
+        [cols[g] for g in gen_idx], label, candidates)
     if n_classes > k:
         return False, None
 
@@ -151,59 +149,22 @@ def _product_table(gs, cl):
     return cols, inv
 
 
-def _saturate(reached, frontier, maps):
-    """Add to the set `reached` everything reachable from the indices
-    in `frontier` (already in `reached`) along the index maps in
-    `maps`; returns `reached`."""
-    stack = list(frontier)
-    while stack:
-        a = stack.pop()
-        for m in maps:
-            z = m[a]
-            if z not in reached:
-                reached.add(z)
-                stack.append(z)
-    return reached
+def _maximal_class_cover(edges, label, candidates):
+    """The number of maximal J-classes of a closed inverse semigroup
+    with J-class labels `label`, and per candidate index its class label
+    if that class is maximal, else None.  `edges` are the maps of right
+    multiplication by an inverse-closed generating set.
 
-
-def _maximal_class_cover(edges, gen_idx, candidates):
-    """The maximal J-classes of a closed semigroup with generator
-    indices gen_idx, whose ideals are found along the index maps
-    `edges` (multiplication by each generator on either side), and for
-    each candidate index the id of the maximal class it belongs to (or
-    None).  Returns (class count, per-candidate class id list)."""
-
-    def ideal(x):
-        return _saturate({x}, (x,), edges)
-
-    # every maximal J-class contains a generator
-    gen_ideals = {g: ideal(g) for g in gen_idx}
-    reps = []  # one generator per maximal class
-    for g in gen_idx:
-        maximal = True
-        for h in gen_idx:
-            if h == g:
-                continue
-            if g in gen_ideals[h] and h not in gen_ideals[g]:
-                maximal = False  # strictly above g
-                break
-        if maximal and not any(g in gen_ideals[r] and r in gen_ideals[g]
-                               for r in reps):
-            reps.append(g)
-
-    class_of = []
-    for x in candidates:
-        cid = None
-        up = None
-        for pos, r in enumerate(reps):
-            if x in gen_ideals[r]:
-                if up is None:
-                    up = ideal(x)
-                if r in up:
-                    cid = pos
-                    break
-        class_of.append(cid)
-    return len(reps), class_of
+    A class is maximal exactly when no edge enters it from another
+    class: J never rises along an edge, and if c = x c' y lies in C with
+    c' above C, then either x c' lies outside C and the path from it
+    along y enters C, or the path from c'~ along x~ enters C at (x c')~,
+    as J-classes are closed under inversion."""
+    entered = {label[b] for m in edges for c, b in zip(label, m)
+               if label[b] != c}
+    maximal = set(label) - entered
+    return len(maximal), [label[x] if label[x] in maximal else None
+                          for x in candidates]
 
 
 # -- equations -------------------------------------------------------------

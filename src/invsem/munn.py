@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 from .pbij import identity, partial_identity
 from .oracle import ClosureCapExceeded, close, naive_member
-from .classify import UnionFind, VarietyTag, classify_generated
+from .classify import VarietyTag, classify_generated
 from .gensys import GeneratorSystem
 from .groups import pb_group_member, group_conjugate
+from .search import UnionFind, reach
 
 
 GENERAL_CAP = 10**6
@@ -33,18 +34,9 @@ def orbit_closure(gs, points):
     """X^<Sigma>: the points reachable from X in the Schreier graph,
     restricted to points with an incident generator edge.
     """
-    seen = set()
-    stack = [x for x in points
-             if any(u[x] is not None for u in gs.generators)]
-    seen.update(stack)
-    while stack:
-        x = stack.pop()
-        for u in gs.generators:
-            y = u[x]
-            if y is not None and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return frozenset(seen)
+    gens = gs.generators
+    return frozenset(reach([x for x in points
+                            if any(u[x] is not None for u in gens)], gens))
 
 
 def _require_invariant(gs, delta):

@@ -19,17 +19,15 @@ class Closure:
     """The elements of U = <Sigma> with word witnesses and the right
     Cayley graph.
 
-    elements: breadth-first enumeration, deduplicated; words[i] is a
-    tuple of generator indices whose product is elements[i];
+    elements: breadth-first enumeration, deduplicated;
     product_witness[i] is None for generators and otherwise a pair
     (j, g) with elements[i] = elements[j] * Sigma[g].  Generator g is
     elements[g].  right[j][g] is the index of elements[j] * Sigma[g],
     so right is the right Cayley graph of U with respect to Sigma.
     """
 
-    def __init__(self, elements, words, product_witness, right):
+    def __init__(self, elements, product_witness, right):
         self.elements = elements
-        self.words = words
         self.product_witness = product_witness
         self.right = right
         self.index = {x: i for i, x in enumerate(elements)}
@@ -41,7 +39,14 @@ class Closure:
         return x in self.index
 
     def word_for(self, x):
-        return self.words[self.index[x]]
+        """The generator indices, in order, of the breadth-first word
+        that reaches x: a shortest word for x."""
+        i = self.index[x]
+        word = []
+        while self.product_witness[i] is not None:
+            i, g = self.product_witness[i]
+            word.append(g)
+        return (i,) + tuple(reversed(word))
 
 
 def close(gs, cap=ELEMENT_CAP, product_cap=PRODUCT_CAP):
@@ -57,7 +62,6 @@ def close(gs, cap=ELEMENT_CAP, product_cap=PRODUCT_CAP):
     mul = gs.mul
     # the generators are distinct (GeneratorSystem deduplicates them)
     elements = list(gens)
-    words = [(i,) for i in range(len(gens))]
     product_witness = [None] * len(gens)
     index = {g: i for i, g in enumerate(gens)}
     right = []
@@ -84,12 +88,11 @@ def close(gs, cap=ELEMENT_CAP, product_cap=PRODUCT_CAP):
                 k = len(elements)
                 index[y] = k
                 elements.append(y)
-                words.append(words[j] + (i,))
                 product_witness.append((j, i))
             row.append(k)
         right.append(tuple(row))
         j += 1
-    result = Closure(elements, words, product_witness, right)
+    result = Closure(elements, product_witness, right)
     gs._closure = result
     return result
 

@@ -52,19 +52,16 @@ class SLP:
 def slp_eval(gs, slp):
     """Evaluate over a GeneratorSystem (or anything with generators,
     mul, inv)."""
-    return slp_eval_low(gs.generators, gs.mul, gs.inv, slp)
-
-
-def slp_eval_low(gens, mul, inv, slp):
+    gens = gs.generators
     slp.validate(len(gens))
     values = []
     for item in slp.items:
         if item[0] == "g":
             values.append(gens[item[1]])
         elif item[0] == "m":
-            values.append(mul(values[item[1]], values[item[2]]))
+            values.append(gs.mul(values[item[1]], values[item[2]]))
         else:
-            values.append(inv(values[item[1]]))
+            values.append(gs.inv(values[item[1]]))
     return values[slp.target]
 
 
@@ -125,29 +122,23 @@ def slp_semilattice(gs, e):
     chosen = [i for i, g in enumerate(gens) if mul(e, g) == e]
     if not chosen:
         raise NotGenerated("no generator above the target")
-
-    def product(ids):
-        x = gens[ids[0]]
-        for i in ids[1:]:
-            x = mul(x, gens[i])
-        return x
-
-    if product(chosen) != e:
+    if idempotent_meet(gs, (gens[i] for i in chosen)) != e:
         raise NotGenerated("target not in the generated semilattice")
-    # greedy deletion in list order
+    return _chain_slp(_greedy_deletion(gs, gens, chosen, e))
+
+
+def _greedy_deletion(gs, idempotents, chosen, e):
+    """Drop indices from `chosen` in list order while the product of the
+    idempotents at the rest stays e (the product of all of them)."""
     k = 0
     while k < len(chosen):
         if len(chosen) > 1:
             trial = chosen[:k] + chosen[k + 1:]
-            if product(trial) == e:
+            if idempotent_meet(gs, (idempotents[i] for i in trial)) == e:
                 chosen = trial
                 continue
         k += 1
-    items = [("g", chosen[0])]
-    for i in chosen[1:]:
-        items.append(("g", i))
-        items.append(("m", len(items) - 2, len(items) - 1))
-    return SLP(tuple(items), len(items) - 1)
+    return chosen
 
 
 # -- groups ----------------------------------------------------------------
@@ -328,18 +319,9 @@ def slp_clifford(gs, t, bfs_threshold=BFS_THRESHOLD, cap=ELEMENT_CAP):
     if ehat != e:
         raise NotGenerated("t t~ not in the idempotent span; t not generated")
     eligible = hclass(gs, e).eligible
-    chosen = list(eligible)
-    k = 0
-    while k < len(chosen):
-        if len(chosen) > 1:
-            trial = chosen[:k] + chosen[k + 1:]
-            if idempotent_meet(gs, (idems[i] for i in trial)) == e:
-                chosen = trial
-                continue
-        k += 1
     items = []
     acc = None
-    for i in chosen:
+    for i in _greedy_deletion(gs, idems, eligible, e):
         items.append(("g", i))
         items.append(("i", len(items) - 1))
         items.append(("m", len(items) - 2, len(items) - 1))

@@ -136,6 +136,22 @@ def sample_systems(rng, per_kind, degrees=(2, 6), sig_max=4,
     return out
 
 
+def two_sided_ideals(gs, elements):
+    """The ideal U^1 x U^1 of each element of the closed list, as a set
+    of list indices, by brute force over the full product table."""
+    index = {x: i for i, x in enumerate(elements)}
+    prod = [[index[gs.mul(a, b)] for b in elements] for a in elements]
+    ideals = []
+    for x, row in enumerate(prod):
+        right = {x}.union(row)  # x U^1
+        ideals.append(right.union(*([p[y] for y in right] for p in prod)))
+    return ideals
+
+
+def j_related(ideals, x, y):
+    return y in ideals[x] and x in ideals[y]
+
+
 K4_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 PRISM_EDGES = ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
                (0, 3), (1, 4), (2, 5))

@@ -1,14 +1,18 @@
 """Variety classification and the divisor characterizations."""
 
+import itertools
 import random
 
-from invsem.pbij import PartialBijection, brandt, partial_identity
+import pytest
+
+from invsem.pbij import PartialBijection, brandt, identity, partial_identity
 from invsem.gensys import GeneratorSystem
 from invsem.oracle import close
-from invsem.classify import classify, classify_generated
+from invsem.classify import (classify, classify_generated, d_class_labels,
+                             _idempotent_indices, _is_strict_inverse)
 from invsem.cayley import brandt_table, direct_product_table, from_closure
 
-from helpers import sample_systems, rand_pb
+from helpers import j_related, rand_pb, sample_systems, two_sided_ideals
 
 
 def _tag_of(gens, n):
@@ -134,6 +138,11 @@ def test_classify_on_element_list_matches_generated():
     for gs, _ in sample_systems(rng, 3, degrees=(2, 4), closure_cap=100):
         elements = list(close(gs).elements)
         assert classify(gs, elements).name == classify_generated(gs).name
+    # a list without x x~ or x~ x is not closed and is rejected
+    x = PartialBijection(2, (1, None))
+    for elements in ([x], [x, x.inverse()]):
+        with pytest.raises(ValueError):
+            classify(GeneratorSystem([x], degree=2), elements)
 
 
 def test_generators_agree_with_closure_on_pb_systems():
@@ -172,3 +181,40 @@ def test_generators_agree_with_closure_on_ct_systems():
     assert 0 < with_identity < len(tables)
     assert names == {"Trivial", "Semilattice", "Group", "Clifford",
                      "StrictInverse", "General"}
+
+
+def test_pair_classes_match_brute_force_ideals():
+    # the D-classes read off the pairs (x x~, x~ x) are the J-classes of
+    # the two-sided ideals, and the strict-inverse verdict is the
+    # idempotent-pair test on those classes
+    maps, idx = brandt(2)
+    b2 = [maps[idx[(0, 1)]]]
+    systems = [GeneratorSystem(b2, degree=2),
+               GeneratorSystem(b2 + [identity(2)], degree=2)]
+    rng = random.Random(8)
+    systems += [gs for gs, _ in sample_systems(rng, 40, degrees=(2, 4),
+                                               closure_cap=30)]
+    while len(systems) < 330:
+        n = rng.randrange(2, 5)
+        gs = GeneratorSystem([rand_pb(rng, n) for _ in range(2)], degree=n)
+        if len(close(gs)) <= 40:
+            systems.append(gs)
+    verdicts = []
+    for gs in systems:
+        mul = gs.mul
+        elements = close(gs).elements
+        ideals = two_sided_ideals(gs, elements)
+        label = d_class_labels(*_idempotent_indices(gs, elements))
+        for x, y in itertools.product(range(len(elements)), repeat=2):
+            assert (label[x] == label[y]) == j_related(ideals, x, y)
+        idems = [e for e in elements if mul(e, e) == e]
+        want = not any(
+            j_related(ideals, elements.index(f1), elements.index(f2))
+            for e in idems
+            for f1, f2 in itertools.combinations(
+                [f for f in idems if mul(f, e) == f], 2))
+        assert _is_strict_inverse(gs, elements) == want, gs.generators
+        verdicts.append(want)
+    assert len(systems) >= 300
+    assert verdicts[:2] == [True, False]  # B_2 and B_2^1
+    assert 60 < sum(verdicts) < len(verdicts) - 60

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from invsem.cayley import y2_table, brandt_table, from_closure
-from invsem.classify import UnionFind
+from invsem.search import UnionFind
 from invsem.gensys import GeneratorSystem
 from invsem.oracle import close, naive_member, naive_conjugate, naive_green
 from invsem.ctsolver import CTSolver, ct_member, ct_conjugate, ct_r_equiv

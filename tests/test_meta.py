@@ -8,10 +8,11 @@ import pytest
 from invsem.pbij import PartialBijection, partial_identity
 from invsem.gensys import GeneratorSystem
 from invsem.oracle import close, naive_conjugate
+from invsem import meta
 from invsem.meta import (mgs_decide, EquationSystem, eval_word,
                          solve_equations, solve_equations_bruteforce)
 
-from helpers import rand_pb, sample_systems
+from helpers import j_related, rand_pb, sample_systems, two_sided_ideals
 
 
 def _closure_set(gens, n):
@@ -91,6 +92,52 @@ def test_mgs_matches_brute_force_subset_search():
                 else:
                     assert witness is None
         done += 1
+
+
+def test_maximal_class_cover_matches_brute_force_j_classes(monkeypatch):
+    # on systems and on shuffled closed element lists: the maximal
+    # J-classes of the two-sided ideals, their number, and the class of
+    # each candidate and of every element
+    calls = []
+    real = meta._maximal_class_cover
+
+    def spy(edges, label, candidates):
+        out = real(edges, label, candidates)
+        calls.append((out, candidates, real(edges, label, range(len(label)))))
+        return out
+
+    monkeypatch.setattr(meta, "_maximal_class_cover", spy)
+    rng = random.Random(9)
+    systems = [gs for gs, _ in sample_systems(rng, 30, degrees=(2, 4),
+                                              closure_cap=30)]
+    while len(systems) < 300:
+        n = rng.randrange(2, 5)
+        gs = GeneratorSystem([rand_pb(rng, n) for _ in range(2)], degree=n)
+        if len(close(gs)) <= 40:
+            systems.append(gs)
+    counts = set()
+    for gs in systems:
+        shuffled = list(close(gs).elements)
+        rng.shuffle(shuffled)
+        for u, order in ((gs, close(gs).elements), (shuffled, shuffled)):
+            calls.clear()
+            mgs_decide(u, 1)
+            ((count, class_of), candidates, (_, every)), = calls
+            ideals = two_sided_ideals(gs, order)
+            n = len(order)
+            maximal = [x for x in range(n)
+                       if all(j_related(ideals, x, y)
+                              for y in range(n) if x in ideals[y])]
+            classes = {frozenset(y for y in maximal
+                                 if j_related(ideals, x, y))
+                       for x in maximal}
+            assert count == len(classes)
+            counts.add(count)
+            assert [x for x in range(n) if every[x] is not None] == maximal
+            for x, y in itertools.product(maximal, repeat=2):
+                assert (every[x] == every[y]) == j_related(ideals, x, y)
+            assert class_of == [every[x] for x in candidates]
+    assert len(systems) >= 300 and len(counts) >= 3
 
 
 def test_mgs_zero_budget():

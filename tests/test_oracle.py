@@ -54,6 +54,24 @@ def test_closure_words_evaluate():
             assert eval_word(gs, cl.word_for(x)) == x
 
 
+def test_closure_words_are_the_first_breadth_first_words():
+    # the word of each element is the first found by a breadth-first
+    # search with generators in list order, so the shortlex-least one
+    rng = random.Random(11)
+    for gs, _ in sample_systems(rng, 4, degrees=(2, 5), closure_cap=300):
+        words = {g: (i,) for i, g in enumerate(gs.generators)}
+        queue = list(gs.generators)
+        for x in queue:
+            for i, g in enumerate(gs.generators):
+                y = gs.mul(x, g)
+                if y not in words:
+                    words[y] = words[x] + (i,)
+                    queue.append(y)
+        cl = close(gs)
+        assert queue == cl.elements
+        assert [cl.word_for(x) for x in queue] == [words[x] for x in queue]
+
+
 def test_member_witness_evaluates():
     rng = random.Random(2)
     for gs, _ in sample_systems(rng, 4, degrees=(2, 5), closure_cap=300):
