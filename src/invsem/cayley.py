@@ -59,6 +59,11 @@ class CayleyTable:
     def __setattr__(self, name, value):
         raise AttributeError("CayleyTable is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__; the default restore
+        # of the slots would go through the raising __setattr__
+        return CayleyTable, (self.array,)
+
     @staticmethod
     def _check_associativity(arr, n):
         # Light's test: the a with (x a) y = x (a y) for all x, y are

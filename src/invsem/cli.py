@@ -26,7 +26,6 @@ from .munn import (OutsideTractable, dispatch_member, dispatch_conjugate,
                    sis_conjugate, require_variety)
 from .automata import (InverseAutomaton, ProductCapExceeded,
                        intersect_nonempty)
-from .ncl import local_configs
 from .hardness import (gen_ugap_conj, gen_ugap_member, gen_ncl_conj,
                        gen_ncl_member, gen_ncl_automata, gen_mgs,
                        gen_equation)
@@ -406,15 +405,13 @@ def cmd_gen(args):
         _expect(inst, formats.NCLMachine, "ncl-automata needs an ncl instance")
         enc, automata = gen_ncl_automata(inst)
         os.makedirs(args.output, exist_ok=True)
-        pos = 0
-        for v in range(inst.vertices):
-            for j in range(len(local_configs(inst, v))):
-                name = "v%d_c%d.ia" % (v + 1, j + 1)
-                _write_instance(os.path.join(args.output, name),
-                                formats.serialize(automata[pos]),
-                                args.input, reduction)
-                pos += 1
-        print("wrote %d automata" % pos)
+        names = ["v%d_c%d.ia" % (v + 1, j + 1)
+                 for v, configs in enumerate(enc.locals_)
+                 for j in range(len(configs))]
+        for name, auto in zip(names, automata):
+            _write_instance(os.path.join(args.output, name),
+                            formats.serialize(auto), args.input, reduction)
+        print("wrote %d automata" % len(names))
         return 0
     if reduction == "mgs":
         _expect(inst, PBInstance, "mgs needs a pb instance")

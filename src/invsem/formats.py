@@ -418,6 +418,97 @@ def serialize_ncl(machine):
 
 
 def parse_ia(text):
+    auto = _ia_at_once(text)
+    return _ia_by_lines(text) if auto is None else auto
+
+
+def _ia_at_once(text):
+    """The InverseAutomaton of an ia file, read in one pass, or None
+    where _ia_by_lines must decide.
+
+    Lines are split as _logical_lines splits them.  Header values must
+    be ASCII digits and states the tokens 1..m, range-checked once when
+    their table is built.  Each distinct image tuple is built (and so
+    checked for injectivity) once, and the converse condition of
+    automata.validate (the only one the records leave open) is checked
+    against one inverse per distinct map.  Nothing here writes a
+    message: anything unusual returns None."""
+    rows = [line.partition("%")[0].split() if "%" in line else line.split()
+            for line in text.splitlines()]
+    rows = [row for row in rows if row]
+    if not rows or len(rows[0]) != 3 or rows[0][0] != "ia":
+        return None
+    opts = {}
+    for tok in rows[0][1:]:
+        key, _, val = tok.partition("=")
+        if key in opts or not (val.isascii() and val.isdigit()):
+            return None
+        opts[key] = int(val)
+    if opts.keys() != {"states", "alphabet"} or 0 in opts.values():
+        return None
+    m = opts["states"]
+    # the tokens "1".."m", but at most 2r of them for a file of r rows,
+    # so the table grows with the file rather than with m; a state past
+    # the table, or spelt otherwise, is left to _ia_by_lines
+    state = {str(q + 1): q for q in range(min(m, 2 * len(rows)))}.get
+
+    alphabet = []
+    involution = {}
+    images = {}
+    start = accepting = None
+    for row in rows[1:]:
+        key = row[0]
+        if key == "trans" and len(row) == 4:
+            q, q2, line = state(row[1]), state(row[3]), images.get(row[2])
+            if q is None or q2 is None or line is None \
+                    or line[q] is not None:
+                return None
+            line[q] = q2
+        elif key == "inv" and len(row) == 3:
+            a, b = row[1], row[2]
+            for sym in (a, b):
+                if sym not in involution:
+                    involution[sym] = None
+                    alphabet.append(sym)
+                    images[sym] = [None] * m
+            if involution[a] not in (None, b) or involution[b] not in (None, a):
+                return None
+            involution[a] = b
+            involution[b] = a
+        elif key == "start" and len(row) == 2 and start is None:
+            start = state(row[1])
+            if start is None:
+                return None
+        elif key == "accept" and accepting is None:
+            accepting = frozenset(state(tok) for tok in row[1:])
+            if None in accepting:
+                return None
+        else:
+            return None
+    if len(alphabet) != opts["alphabet"] or start is None \
+            or accepting is None:
+        return None
+    maps = {}  # image tuple -> (its PartialBijection, the converse)
+    transitions = {}
+    for sym in alphabet:
+        key = tuple(images[sym])
+        if key not in maps:
+            try:
+                p = PartialBijection(m, key)
+            except ValueError:  # not injective
+                return None
+            maps[key] = p, p.inverse()
+        transitions[sym] = maps[key][0]
+    for sym in alphabet:
+        if transitions[involution[sym]] != maps[transitions[sym]][1]:
+            return None
+    return InverseAutomaton(m, tuple(alphabet), involution, transitions,
+                            start, accepting)
+
+
+def _ia_by_lines(text):
+    """The InverseAutomaton of an ia file, checked record by record;
+    every ia message comes from here."""
     lines = _logical_lines(text)
     if not lines or lines[0][1][0] != "ia":
         raise FormatError("line 1: expected 'ia states=<m> alphabet=<k>'")
@@ -427,6 +518,8 @@ def parse_ia(text):
         if "=" not in tok:
             _fail(lineno, "expected key=value, got %r" % tok)
         key, _, val = tok.partition("=")
+        if key in opts:
+            _fail(lineno, "duplicate %s= key" % key)
         opts[key] = _int(val, lineno, key)
     if set(opts) != {"states", "alphabet"}:
         _fail(lineno, "expected exactly states= and alphabet=")
@@ -519,10 +612,10 @@ def serialize_ia(auto):
                 done.add(x)
                 order.append(x)
         lines.append("inv %s %s" % (sym, partner))
-    for sym in order:
-        for q, q2 in enumerate(auto.transitions[sym]):
-            if q2 is not None:
-                lines.append("trans %d %s %d" % (q + 1, sym, q2 + 1))
+    num = [str(q + 1) for q in range(auto.states)]
+    lines += ["trans %s %s %s" % (num[q], sym, num[q2]) for sym in order
+              for q, q2 in enumerate(auto.transitions[sym])
+              if q2 is not None]
     lines.append("start %d" % (auto.start + 1))
     lines.append("accept " + " ".join(str(q + 1)
                                       for q in sorted(auto.accepting)))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .pbij import PartialBijection, partial_identity
+from .pbij import PartialBijection, identity, partial_identity
 from .cayley import brandt_table, y2_table, direct_product_table
 from .gensys import GeneratorSystem
 from .automata import InverseAutomaton
@@ -83,6 +83,7 @@ class NCLEncoding:
     degree: int
     offsets: tuple  # per vertex
     locals_: tuple  # per vertex, list of local configurations
+    positions: tuple  # per edge, its index among the edges at each end
     sigma: tuple  # partial bijections
     labels: tuple
 
@@ -102,14 +103,16 @@ def ncl_encode(M):
     for v in range(M.vertices):
         offsets.append(total)
         total += len(locals_[v])
-    enc = NCLEncoding(M, total, tuple(offsets),
-                      tuple(locals_), (), ())
+    incident = [incident_edges(M, v) for v in range(M.vertices)]
+    positions = tuple((incident[a].index(i), incident[b].index(i))
+                      for i, (a, b, _) in enumerate(M.edges))
+    enc = NCLEncoding(M, total, tuple(offsets), tuple(locals_), positions,
+                      (), ())
     sigma = []
     labels = []
     seen = set()
     for i, (a, b, _) in enumerate(M.edges):
-        pos_a = incident_edges(M, a).index(i)
-        pos_b = incident_edges(M, b).index(i)
+        pos_a, pos_b = positions[i]
         for d in (0, 1):
             for c1 in locals_[a]:
                 if c1[pos_a] != d:
@@ -174,43 +177,48 @@ def gen_ncl_member(M):
     return enc, sigma_prime, target
 
 
+# the four letter maps shared by every automaton of gen_ncl_automata
+_IDENTITY2 = identity(2)  # a letter away from the vertex
+_LEAVE = PartialBijection(2, (1, None))  # 1 -> 2: the letter leaves c
+_ENTER = PartialBijection(2, (None, 0))  # 2 -> 1: the letter enters c
+_ELSEWHERE = PartialBijection(2, (None, 1))  # 2 -> 2: it moves elsewhere
+
+
 def gen_ncl_automata(M):
-    """One two-state inverse automaton per local configuration; the
-    intersection of their languages is non-empty iff the machine can
-    move config_s to config_t.  Returns (encoding, automata list)."""
+    """One two-state inverse automaton per local configuration c of a
+    vertex v; the intersection of their languages is non-empty iff the
+    machine can move config_s to config_t.  Returns (encoding, automata
+    list).
+
+    State 1 means v shows c and state 2 that it shows another local
+    configuration.  Every automaton maps its letters to four shared
+    maps: the identity for a letter whose edge misses v, and for a
+    letter at v the map 1 -> 2 if the letter leaves c, 2 -> 1 if it
+    enters c, and 2 -> 2 otherwise."""
     enc = ncl_encode(M)
     alphabet = tuple("u%d" % i for i in range(len(enc.sigma)))
     label_index = {lab: i for i, lab in enumerate(enc.labels)}
     involution = {}
-    for i, (e, d, c1, c2) in enumerate(enc.labels):
-        pos1 = incident_edges(M, M.edges[e][0]).index(e)
-        pos2 = incident_edges(M, M.edges[e][1]).index(e)
-        j = label_index[(e, 1 - d, _flip(c1, pos1), _flip(c2, pos2))]
-        involution[alphabet[i]] = alphabet[j]
+    at_vertex = [[] for _ in range(M.vertices)]  # (symbol, from, to)
+    for sym, (e, d, c1, c2) in zip(alphabet, enc.labels):
+        a, b, _ = M.edges[e]
+        pos_a, pos_b = enc.positions[e]
+        c1p, c2p = _flip(c1, pos_a), _flip(c2, pos_b)
+        involution[sym] = alphabet[label_index[(e, 1 - d, c1p, c2p)]]
+        at_vertex[a].append((sym, c1, c1p))
+        at_vertex[b].append((sym, c2, c2p))
     automata = []
     for v in range(M.vertices):
+        start = restrict(M, M.config_s, v)
+        accept = restrict(M, M.config_t, v)
         for c in enc.locals_[v]:
-            transitions = {}
-            for i, (e, d, c1, c2) in enumerate(enc.labels):
-                a, b, _ = M.edges[e]
-                if v == a:
-                    mine, flipped = c1, _flip(c1, incident_edges(M, a).index(e))
-                elif v == b:
-                    mine, flipped = c2, _flip(c2, incident_edges(M, b).index(e))
-                else:
-                    transitions[alphabet[i]] = PartialBijection(2, (0, 1))
-                    continue
-                if c == mine:
-                    transitions[alphabet[i]] = PartialBijection(2, (1, None))
-                elif c == flipped:
-                    transitions[alphabet[i]] = PartialBijection(2, (None, 0))
-                else:
-                    transitions[alphabet[i]] = PartialBijection(2, (None, 1))
-            start = 0 if restrict(M, M.config_s, v) == c else 1
-            accept = 0 if restrict(M, M.config_t, v) == c else 1
+            transitions = dict.fromkeys(alphabet, _IDENTITY2)
+            for sym, mine, flipped in at_vertex[v]:
+                transitions[sym] = (_LEAVE if c == mine else
+                                    _ENTER if c == flipped else _ELSEWHERE)
             automata.append(InverseAutomaton(
-                2, alphabet, involution, transitions, start,
-                frozenset((accept,))))
+                2, alphabet, involution, transitions, 0 if c == start else 1,
+                frozenset((0 if c == accept else 1,))))
     return enc, automata
 
 

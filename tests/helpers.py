@@ -156,6 +156,32 @@ K4_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 PRISM_EDGES = ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
                (0, 3), (1, 4), (2, 5))
 
+# two fixed machines on those frames whose config-t is reachable (by 5
+# and 4 reversals): the inputs of the pinned ncl-automata bytes
+K4_NCL = """ncl 4
+edge 1 2 1
+edge 1 3 2
+edge 1 4 1
+edge 2 3 2
+edge 2 4 2
+edge 3 4 2
+config-s > < > > < >
+config-t < > < < > >
+"""
+PRISM_NCL = """ncl 6
+edge 1 2 1
+edge 2 3 2
+edge 1 3 1
+edge 4 5 2
+edge 5 6 2
+edge 4 6 2
+edge 1 4 2
+edge 2 5 2
+edge 3 6 2
+config-s < < > < < > < > <
+config-t > < < < > < < > <
+"""
+
 
 def rand_ncl_machine(rng, shape):
     """A random constraint-logic machine on the K4 or triangular-prism

@@ -1,6 +1,8 @@
 """Cayley tables: validation, inverse derivation, and the embedding
 into partial bijections."""
 
+import copy
+import pickle
 import random
 import re
 
@@ -159,6 +161,19 @@ def test_y2_is_two_element_semilattice():
     assert S.identity_index == 0
     assert S.idempotents() == [0, 1]
     assert S.mul(1, 1) == 1 and S.mul(0, 1) == 1
+
+
+def test_copy_and_pickle_give_an_equal_table():
+    for S in (y2_table(), brandt_table(2, with_identity=True)[0],
+              brandt_table(3)[0]):
+        for T in (copy.copy(S), copy.deepcopy(S),
+                  pickle.loads(pickle.dumps(S))):
+            assert type(T) is CayleyTable and T == S
+            assert T.array.dtype == S.array.dtype
+            assert np.array_equal(T.array, S.array)
+            assert T.inverse_map == S.inverse_map
+            assert T.identity_index == S.identity_index
+            assert T.table == S.table
 
 
 def test_brandt_table_matches_pb_model():

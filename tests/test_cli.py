@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output shapes, determinism."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -14,7 +15,7 @@ from invsem.pbij import PartialBijection
 from invsem.cayley import brandt_table
 from invsem.formats import CTInstance, parse_pb, parse_eqn, parse, serialize
 
-from helpers import rand_ncl_machine
+from helpers import K4_NCL, PRISM_NCL, rand_ncl_machine
 from invsem.formats import serialize_ncl
 
 
@@ -251,6 +252,158 @@ def test_gen_ncl_automata_and_intersect(tmp_path, capsys):
         code, out, _ = run(capsys, "verify", "automata", files[0], answer,
                            *files[1:])
         assert code == 0 and out.strip() == "OK"
+
+
+# sha256 of every file `gen ncl-automata` writes for the fixed machines
+# K4_NCL (as k4.ncl) and PRISM_NCL (as prism.ncl); a new value is a
+# change of the ia format or of the reduction
+K4_IA_SHA256 = {
+    "v1_c1.ia":
+        "696ceebba638aa8bdc0c2d445c19176ace04eb0a932a9fcf55617cdf85fd4afa",
+    "v1_c2.ia":
+        "14f783000b41480f9416c7689052f1b9a97e4244fa0800223d02d5c7998ae9b1",
+    "v1_c3.ia":
+        "b7ef45d21c3045550c964e899df1f85bf1374325884c9888f66bd312d88fd316",
+    "v1_c4.ia":
+        "58a11210bc886753a83847efefa10504272a353297098d28499d62f4789d948a",
+    "v1_c5.ia":
+        "e42b10f3928c065dbcd9e569cf357b6aa3eb29ab10e7ea6b28ae732af1758d28",
+    "v2_c1.ia":
+        "37a107e81db438c69aabb009632a8f6821e80fed2faecf79b5bfd1e373a1b04f",
+    "v2_c2.ia":
+        "0d8a6fd1af1df0652a16f9b4246dcecd0f1cc61e062f9826645e819baa9824cb",
+    "v2_c3.ia":
+        "7018c70e74f2d9772ab7aa8b7aaa059586a96bd2ca843d238a78f6aec1cae003",
+    "v2_c4.ia":
+        "ed3374d0608acead090994865a4b4aad6976e93fc4540facce14cd9388556cd8",
+    "v2_c5.ia":
+        "b269397a8471f10a9dde09c2adcc3facc25ec299fb94bed22f1ebc6f618d2f2e",
+    "v2_c6.ia":
+        "2dcb7f47501b87882af4e173836731983311b4210f801c9999bc25ebcac4bd97",
+    "v3_c1.ia":
+        "ef7c5bcd0da1eacbb829b1895223dba9c074c8a67200bcfda7bebf31ee6cb504",
+    "v3_c2.ia":
+        "7af4b0f6e98a1bfb1a07c4f7d8f4cd08a0bf6c7c696c60cc3e5521cf39ecc38c",
+    "v3_c3.ia":
+        "5f9584e26bfe493f3a983baeead066a30650ba81fce775d97e1e59f9e3f5674e",
+    "v3_c4.ia":
+        "f393ca2d5c325da0bc20d81c61fc698ea0b606a4a045518908c86fc177b6f3f3",
+    "v3_c5.ia":
+        "0f5676a7b572267aa52abb9dc13315291b943f5f80eaf549365827720c603a41",
+    "v3_c6.ia":
+        "e997621608e9cf48b3c2134ab63200a42d4c79bef029041272b1388574f34f53",
+    "v3_c7.ia":
+        "297677432f584ebe48b5cf2f3accc9a083901605a12b27b551d5165708e87fb6",
+    "v4_c1.ia":
+        "53e0653fd050bdcc8e0ebae8272aaff4c2f2f1e0cd78b45d5779d977ce7a8474",
+    "v4_c2.ia":
+        "f7db20b1b3e82cd3c1ba0dc59966d57e6584c0a829604bf4ce2463c43730a3ba",
+    "v4_c3.ia":
+        "f6bbff335ac45806e9229d1ae8c5f82fd77cfaebd2df9553969d0aff51c5a6fe",
+    "v4_c4.ia":
+        "e7189b0d80b5b0bc989ca1bbe78704357d49d022f5b390966f657138855ca5dc",
+    "v4_c5.ia":
+        "06003397b3f04fde641250c4708d8955bdcf340b862313393ef7b4e08f75a42f",
+    "v4_c6.ia":
+        "ee61e0e86a3a75295952fb51c72bade091b74af104564ce6760e127dd7cf3125",
+}
+PRISM_IA_SHA256 = {
+    "v1_c1.ia":
+        "7ab0173df0dca59c09416dc110df5c6d78526bcbc022e315659a57d7f69bf1b0",
+    "v1_c2.ia":
+        "fa3b9e4fd0da0e5dea1c723a968f1eeaa0cdd33a31ba0f592cd0b64c051c120c",
+    "v1_c3.ia":
+        "2db22bbe655e352f5134809586250588516bc0be0e0ba0229fb00890082d70dc",
+    "v1_c4.ia":
+        "4b646fa7d53fac5405149a2d5616ba096d227fbf218ba2ac585f493f75794124",
+    "v1_c5.ia":
+        "b471886aff8e59c66c8a2480fca27b628c64e55a3061e052a13b07aa80258afc",
+    "v2_c1.ia":
+        "b7cbea1281b13c279b5406f2c1158deff06ed7ddf3efa7f62e16d06e162d27e8",
+    "v2_c2.ia":
+        "32220b1ee8d8a8af8c7cc11cb2d6a7ddfabe1acf56b9a2e5c3824f4733d1d5c8",
+    "v2_c3.ia":
+        "d6c6d7aa878b9e59973123cb9556abc8282b82a3a6012a6dfd3d1ec4e3c3d43f",
+    "v2_c4.ia":
+        "7392137114842870cf3db4b093ce63daac55f7c676fa44b524f014b25fb1367f",
+    "v2_c5.ia":
+        "1a3d5d6544c768cd2c50e3688e8917090fcd0e57e775cc0d3cbe7479b400b9da",
+    "v2_c6.ia":
+        "12de341e9e10457f179e97305a8f5fc661ccdb7185867fa9297cc06edb430c45",
+    "v3_c1.ia":
+        "861512a7e006fceb71c6c50aac6d4d139ac6c3b016638ea1dc27a8b33f1acf3a",
+    "v3_c2.ia":
+        "c0298575f8e02dcbefc63113c1b9a7d1d8008d079f0d86e9c1cf3d4bd3d3cc25",
+    "v3_c3.ia":
+        "cbc21b065e18b4db703325fcea54cbfea800b16d5f16283c06261d0c38ccc9ef",
+    "v3_c4.ia":
+        "a5c501b778cf2afc2230f99054b9c757fc71c3261851dce277471ce84ce9a7e0",
+    "v3_c5.ia":
+        "409df65183f447afbe167f3d1919e0cb895ae5fe54c984e9a99a3aaeb412ae6f",
+    "v3_c6.ia":
+        "8e0a5c011e36450be20098c577bc480fb70479eaeb1ac181b4854508eef291bf",
+    "v4_c1.ia":
+        "a06c595888cf7059480589c12bc672c92aadccb471d0cd04c8eb49bb6697edc6",
+    "v4_c2.ia":
+        "5d154eca96558a476ac7a9f33698da4b61d0e23249f8a84dc707557817a97049",
+    "v4_c3.ia":
+        "f04eec932c997f446f3024f13c47d04077cbbd0e3f1da08c43eb4cf0f880ffd5",
+    "v4_c4.ia":
+        "d8857d16915c79dbdea3684ec6940a63eda0f5001444860ff1dbe6f3daf7e56b",
+    "v4_c5.ia":
+        "7d25ca997a49832111ec7b5f183e8b476d6a8c82754b89aa896d2b9842af3903",
+    "v4_c6.ia":
+        "c7826b313faea781f17b2100b9fdeb901d0f9ad2c4db1daf862612819596a81b",
+    "v4_c7.ia":
+        "a27749d6c76a537755c00686d899ab79ae94468a900b2219113aabd3a06f788f",
+    "v5_c1.ia":
+        "d097a10c3c0c071aea515a52d342447ba2987eb28ee2117d1260e5de3acbb3cb",
+    "v5_c2.ia":
+        "ace48f612182abec769709e9fca56c42f3f2f0c3a8d461ac54b30531971059dd",
+    "v5_c3.ia":
+        "495a5308c697502271b8e404f2c3411e7f6459b01dcad1e5fd028ed214dac3bd",
+    "v5_c4.ia":
+        "219bb12d98c8667834cf528e846fa3db641ad10908356b061e416d0778f7087e",
+    "v5_c5.ia":
+        "00bf926e9b8b1b0065dbaeaeab63280c9d58c1b87ab29e5bbeb8ee869883ac67",
+    "v5_c6.ia":
+        "912afb133740db15b144f59249d868fa403bf57a86671d47ce92672cf167835d",
+    "v5_c7.ia":
+        "45306c494f11a168c3ed49638dd359722c699cb613f701fa60543c09dc30811a",
+    "v6_c1.ia":
+        "6a61fa4a1805e980be8baeebbc6160632334f4c3e3766e05615457e938a14915",
+    "v6_c2.ia":
+        "20618f6cff25bdd780c5f1bb738c3f0b4de7ba01a757a5f64bec4281e404708d",
+    "v6_c3.ia":
+        "e0f83b686d014a19a9a12a094d0d6653d352094b4be3246336c83099ad93baf5",
+    "v6_c4.ia":
+        "9635a81eb640ca1ad62b0e01377016d723d04aa1b6dde814a01ff4b0159e04df",
+    "v6_c5.ia":
+        "f58d8dee73b9021e507d819959457a39a67178957388d6ccfd93daf820419d62",
+    "v6_c6.ia":
+        "2613ada5b104102f11fe365e062d21828c8a3bd687725c6c47101d461957a9b0",
+    "v6_c7.ia":
+        "e14772f3f9d44a578a32059945ec5cfe503746388979eb36dfd163fc076626c3",
+}
+
+
+@pytest.mark.parametrize("name, text, digests, witness", [
+    ("k4", K4_NCL, K4_IA_SHA256, "u11 u24 u14 u38 u42"),
+    ("prism", PRISM_NCL, PRISM_IA_SHA256, "u4 u29 u51 u78"),
+])
+def test_ncl_automata_bytes_are_pinned(tmp_path, capsys, name, text,
+                                       digests, witness):
+    src = _write(tmp_path, name + ".ncl", text)
+    out_dir = tmp_path / "ia"
+    code, out, _ = run(capsys, "gen", "ncl-automata", src, "-o",
+                       str(out_dir))
+    assert code == 0 and out == "wrote %d automata\n" % len(digests)
+    files = sorted(os.listdir(out_dir))
+    assert {f: hashlib.sha256((out_dir / f).read_bytes()).hexdigest()
+            for f in files} == digests
+    code, out, _ = run(capsys, "automata", "intersect",
+                       *(str(out_dir / f) for f in files))
+    assert code == 0 and out == "YES\nword %s\n" % witness
 
 
 def test_gen_ncl_conj_and_member(tmp_path, capsys):

@@ -9,6 +9,7 @@ from invsem.pbij import PartialBijection, partial_identity
 from invsem.cayley import y2_table, brandt_table
 from invsem.ncl import NCLMachine
 from invsem.automata import InverseAutomaton
+from invsem.hardness import gen_ncl_automata
 from invsem.formats import (FormatError, PBInstance, CTInstance,
                             GraphInstance, parse_pb, serialize_pb,
                             parse_ct, serialize_ct, parse_graph,
@@ -18,7 +19,7 @@ from invsem.formats import (FormatError, PBInstance, CTInstance,
                             parse_images, image_line, parse_element,
                             parse_generator)
 
-from helpers import rand_pb, rand_ncl_machine
+from helpers import K4_NCL, rand_pb, rand_ncl_machine
 
 
 GOLDEN_PB = """pb 3
@@ -239,6 +240,108 @@ def test_ia_errors():
     with pytest.raises(FormatError, match="invalid automaton"):
         parse_ia("ia states=2 alphabet=2\ninv a A\ntrans 1 a 2\n"
                  "trans 1 A 2\nstart 1\naccept 1\n")
+
+
+def test_ia_header_keys_may_not_repeat():
+    body = "\ninv a a\nstart 1\naccept 1\n"
+    assert parse_ia("ia states=3 alphabet=1" + body).states == 3
+    for head, key in (("ia states=2 states=3 alphabet=1", "states"),
+                      ("ia states=2 alphabet=1 alphabet=1", "alphabet"),
+                      ("ia alphabet=1 states=2 states=2", "states")):
+        assert formats._ia_at_once(head + body) is None
+        for parser in (parse_ia, formats._ia_by_lines):
+            with pytest.raises(FormatError) as err:
+                parser(head + body)
+            assert str(err.value) == "line 1: duplicate %s= key" % key
+
+
+def _ia_corpus():
+    """(name, text) pairs that spell, lay out or break the first
+    automaton gen_ncl_automata makes for K4_NCL (2 states, 62 letters)
+    in different ways."""
+    base = serialize_ia(gen_ncl_automata(parse_ncl(K4_NCL))[1][0])
+    lines = base.splitlines()
+
+    def edit(changes):
+        assert set(changes) <= set(lines)
+        return "".join("".join(ln + "\n" for ln in changes.get(line, [line]))
+                       for line in lines)
+
+    def sub(old, *new):
+        return edit({old: new})
+
+    head = "ia states=2 alphabet=62"
+    inv = "inv u0 u6"
+    leave = "trans 1 u0 2"  # u6, its partner, has trans 2 u6 1
+    ident = "trans 2 u53 2"  # u53 and its partner u59 act as the identity
+    yield "plain", base
+    yield "generated header", ("% generated by invsem gen ncl-automata\n"
+                               "% source: k4.ncl\n" + base)
+    yield "comments and blank lines", sub(inv, "", "  % c", inv + " % x")
+    yield "crlf", base.replace("\n", "\r\n")
+    yield "unit separator", sub(leave, leave.replace(" ", "\x1f"))
+    yield "line separator", sub(leave, "trans 1 u0\u2028 2")
+    yield "vertical tab", sub(leave, "trans 1\x0bu0 2")
+    for line in (head, inv, leave, "start 2", "accept 2"):
+        key = line.split()[0]
+        yield key + " truncated", sub(line, line.rsplit(" ", 1)[0])
+        yield key + " extended", sub(line, line + " 1")
+        yield key + " misspelt", sub(line, line.replace(key, key[:-1], 1))
+    for tok in ("0", "3", "-1", "\u00b2", "\uff12", "02", "+2"):
+        yield "trans source " + tok, sub(leave, "trans %s u0 2" % tok)
+        yield "trans target " + tok, sub(leave, "trans 1 u0 %s" % tok)
+        yield "start " + tok, sub("start 2", "start " + tok)
+        yield "accept " + tok, sub("accept 2", "accept 1 " + tok)
+    for header in ("ia states=0 alphabet=62", "ia states=3 alphabet=62",
+                   "ia states=\u00b2 alphabet=62",
+                   "ia states=\uff12 alphabet=62",
+                   "ia states=+2 alphabet=62", "ia states 2 alphabet=62",
+                   "ia states=2 alphabet=61", "ia states=2 alphabet=63",
+                   "ia alphabet=62 states=2", head + " states=2",
+                   head + " alphabet=62", head + " colour=1"):
+        yield header, sub(head, header)
+    yield "undeclared symbol", sub(leave, "trans 1 zz 2")
+    yield "trans before its inv", "\n".join(
+        [head, leave] + [ln for ln in lines[1:] if ln != leave]) + "\n"
+    yield "duplicate transition", sub(leave, leave, leave)
+    yield "conflicting transition", sub(leave, leave, "trans 1 u0 1")
+    yield "non-injective", sub(ident, "trans 2 u53 1")
+    # u53 maps 1 and 2 to 2, and u59 maps 2 to 2: a converse of u53 on
+    # one side only
+    yield "non-injective beside its converse", edit(
+        {"trans 1 u53 1": ["trans 1 u53 2"], "trans 1 u59 1": []})
+    yield "non-converse partner", sub("trans 2 u6 1")
+    yield "half an identity", sub(ident)
+    yield "conflicting involution", sub(inv, inv, "inv u0 u7")
+    yield "self-inverse symbol", sub(head, "ia states=2 alphabet=63",
+                                     "inv zz zz")
+    yield "missing start", sub("start 2")
+    yield "missing accept", sub("accept 2")
+    yield "duplicate start", sub("start 2", "start 2", "start 1")
+    yield "duplicate accept", sub("accept 2", "accept 2", "accept 2")
+    yield "unknown record", sub("start 2", "start 2", "final 1")
+    yield "empty file", ""
+    yield "comment only", "% nothing\n"
+    yield "header only", head + "\n"
+
+
+def _ia_outcome(parser, text):
+    try:
+        return "ok", parser(text)
+    except FormatError as exc:
+        return "error", str(exc)
+
+
+def test_ia_one_pass_parse_agrees_with_per_line_parse():
+    kinds = set()
+    for name, text in _ia_corpus():
+        slow = _ia_outcome(formats._ia_by_lines, text)
+        fast = formats._ia_at_once(text)
+        assert fast is None or slow == ("ok", fast), name
+        assert _ia_outcome(parse_ia, text) == slow, name
+        kinds.add((fast is not None, slow[0]))
+    # read in one pass, left to the per-line parser, and rejected by it
+    assert kinds == {(True, "ok"), (False, "ok"), (False, "error")}
 
 
 def test_eqn_relative_paths(tmp_path):
