@@ -597,21 +597,39 @@ def _ia_by_lines(text):
     return auto
 
 
-def serialize_ia(auto):
-    lines = ["ia states=%d alphabet=%d" % (auto.states, len(auto.alphabet))]
+# the last alphabet, involution and _ia_symbols result: the automata of
+# one `gen ncl-automata` call share the first two
+_ia_symbols_last = [None, None, None]
+
+
+def _ia_symbols(alphabet, involution):
+    """The trans-line symbol order and the inv lines of an alphabet
+    with its involution."""
+    last = _ia_symbols_last
+    if alphabet == last[0] and involution == last[1]:
+        return last[2]
     # trans lines follow the symbol order a re-parse induces from the
     # inv lines, so the canonical form is a serialize fixpoint
     order = []
+    inv_lines = []
     done = set()
-    for sym in auto.alphabet:
+    for sym in alphabet:
         if sym in done:
             continue
-        partner = auto.involution[sym]
+        partner = involution[sym]
         for x in (sym, partner):
             if x not in done:
                 done.add(x)
                 order.append(x)
-        lines.append("inv %s %s" % (sym, partner))
+        inv_lines.append("inv %s %s" % (sym, partner))
+    last[:] = tuple(alphabet), dict(involution), (order, inv_lines)
+    return order, inv_lines
+
+
+def serialize_ia(auto):
+    order, inv_lines = _ia_symbols(auto.alphabet, auto.involution)
+    lines = ["ia states=%d alphabet=%d" % (auto.states, len(auto.alphabet))]
+    lines += inv_lines
     num = [str(q + 1) for q in range(auto.states)]
     lines += ["trans %s %s %s" % (num[q], sym, num[q2]) for sym in order
               for q, q2 in enumerate(auto.transitions[sym])

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .pbij import PartialBijection, identity, partial_identity
+from .pbij import PartialBijection, _make, identity, partial_identity
 from .cayley import brandt_table, y2_table, direct_product_table
 from .gensys import GeneratorSystem
 from .automata import InverseAutomaton
@@ -136,7 +136,10 @@ def ncl_encode(M):
                             images[offsets[v] + j] = None
                     images[enc.point(a, c1)] = enc.point(a, c1p)
                     images[enc.point(b, c2)] = enc.point(b, c2p)
-                    sigma.append(PartialBijection(total, images))
+                    # valid by construction: every point off the two
+                    # endpoint blocks is fixed, and each block sends
+                    # one of its points into itself
+                    sigma.append(_make(images))
                     labels.append(label)
     enc.sigma = tuple(sigma)
     enc.labels = tuple(labels)

@@ -10,11 +10,16 @@ after the closure.  Closures of partial generating sets grow along the
 edges of the chosen letters (East, Egri-Nagy, Mitchell and Peresse,
 JSC 2019) by `search.reach`.  The maximal J-classes that bound the
 search are read off the pairs (x x~, x~ x) and one pass over the
-right generator edges.
+right generator edges.  A candidate alone in its maximal J-class is
+forced: the search starts from the closure of the forced candidates,
+so on the tag-point instances of `hardness.gen_mgs`, which force every
+maximal class, the decision is one closure.  Each chosen set is grown
+once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .classify import d_class_labels
@@ -33,6 +38,17 @@ def mgs_decide(u, k, cap=ELEMENT_CAP):
     under products and inverses.  Xi is not required to be
     inverse-closed: inverses are added when closing but |Xi| counts the
     chosen elements only.  Returns (bool, witness tuple or None).
+
+    The search starts from the forced candidates F: those that are the
+    only candidate of their maximal J-class.  Some smallest generating
+    set contains F.  Take one, X, and a forced x of class C.  X meets
+    C, say at y.  The domination chain of y ends in a candidate c with
+    y in <c>, so c is J-above y; C is maximal, so c lies in C and is x.
+    Then y is in <x>, and X - {y} + {x} still generates U with at most
+    |X| elements; do this for every forced class.  So the breadth-first
+    search starts at <F> with F chosen, and when <F> = U (as on every
+    `hardness.gen_mgs` instance whose target is a member, where every
+    maximal class is forced) the decision is that one closure.
     """
     if isinstance(u, GeneratorSystem):
         gs = u
@@ -96,12 +112,26 @@ def mgs_decide(u, k, cap=ELEMENT_CAP):
     if n_classes > k:
         return False, None
 
+    # Forced start: a candidate that is the only one of its maximal
+    # J-class lies in some smallest generating set (see the docstring),
+    # so the search starts from <F>, with one closure.
+    per_class = Counter(class_of)
+    hit = {c for c, m in per_class.items() if c is not None and m == 1}
+    forced = tuple(x for x, c in zip(candidates, class_of) if c in hit)
+    letters = forced + tuple(inv_t[x] for x in forced)
+    start = frozenset(reach(letters, [cols[y] for y in letters]))
+    if len(start) == full_n:
+        return True, tuple(elements[i] for i in forced)
+
     # Breadth-first over subset sizes; states are the distinct closures
     # reachable by some partial Xi, so equivalent subsets collapse.
-    # Never add an element already generated by the current partial Xi.
-    states = {frozenset(): ((), frozenset())}
-    seen = {frozenset()}
-    for level in range(k):
+    # Never add an element already generated by the current partial Xi,
+    # and grow each chosen set once: <chosen + {x}> depends on the set
+    # only, and a grown closure that is not full is already in `seen`.
+    states = {start: (forced, hit)}
+    seen = {start}
+    grown = set()
+    for level in range(len(forced), k):
         nxt = {}
         for closure, (chosen, hit) in states.items():
             slack = k - level - (n_classes - len(hit))
@@ -112,6 +142,10 @@ def mgs_decide(u, k, cap=ELEMENT_CAP):
                 covers_new = c is not None and c not in hit
                 if slack <= 0 and not covers_new:
                     continue
+                key = frozenset(chosen + (x,))
+                if key in grown:
+                    continue
+                grown.add(key)
                 new = frozenset(grow(closure, chosen, x))
                 if len(new) == full_n:
                     witness = tuple(elements[i] for i in chosen + (x,))

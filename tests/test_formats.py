@@ -226,6 +226,27 @@ def test_ia_canonical_form_is_fixpoint():
     assert back.states == 3 and back.start == 0
 
 
+def test_ia_symbols_follow_each_involution():
+    # serialize_ia keeps the symbol order and inv lines of the last
+    # alphabet; an equal alphabet with another or a changed involution
+    # must not reuse them
+    ident = PartialBijection(1, (0,))
+    pairs = {"a": "b", "b": "a", "c": "c"}
+    fixed = {"a": "a", "b": "b", "c": "c"}
+    texts = []
+    for involution in (pairs, fixed, pairs):
+        auto = InverseAutomaton(1, ("a", "b", "c"), involution,
+                                dict.fromkeys("abc", ident), 0,
+                                frozenset([0]))
+        texts.append(serialize_ia(auto))
+        assert parse_ia(texts[-1]).involution == involution
+    assert "inv a b\ninv c c\n" in texts[0]
+    assert "inv a a\ninv b b\ninv c c\n" in texts[1]
+    assert texts[2] == texts[0]
+    pairs.update(a="a", b="b")
+    assert serialize_ia(auto) == texts[1]
+
+
 def test_ia_errors():
     with pytest.raises(FormatError, match="states= and alphabet="):
         parse_ia("ia states=2\n")

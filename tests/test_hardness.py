@@ -17,8 +17,10 @@ from invsem.hardness import (gen_ugap_conj, gen_ugap_member, ncl_encode,
                              conjugation_orbit_decide, gen_mgs,
                              gen_equation)
 from invsem.automata import validate, intersect_nonempty
+from invsem.formats import parse_ncl
 
-from helpers import rand_ncl_machine, sample_systems, rand_pb
+from helpers import (K4_NCL, PRISM_NCL, rand_ncl_machine,
+                     sample_systems, rand_pb)
 
 
 def _connected(n, edges, s, t):
@@ -162,6 +164,19 @@ def test_conjugation_orbit_never_leaves_the_class():
                 got = conjugation_orbit_decide(gs, e, f,
                                                step_check=step_check)
                 assert got == want
+
+
+def test_ncl_encode_unchecked_sigma_matches_checked_constructor():
+    # ncl_encode builds sigma without the constructor's checks; the
+    # checked constructor accepts every element and gives an equal one
+    for text in (K4_NCL, PRISM_NCL):
+        enc = ncl_encode(parse_ncl(text))
+        assert enc.sigma
+        for u in enc.sigma:
+            checked = PartialBijection(enc.degree, tuple(u))
+            assert type(u) is PartialBijection
+            assert u == checked and hash(u) == hash(checked)
+            assert u.images == checked.images and u.degree == enc.degree
 
 
 def test_gen_mgs_reduction():

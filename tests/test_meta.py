@@ -2,12 +2,14 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from invsem.pbij import PartialBijection, partial_identity
 from invsem.gensys import GeneratorSystem
 from invsem.oracle import close, naive_conjugate
+from invsem.hardness import gen_mgs
 from invsem import meta
 from invsem.meta import (mgs_decide, EquationSystem, eval_word,
                          solve_equations, solve_equations_bruteforce)
@@ -92,6 +94,143 @@ def test_mgs_matches_brute_force_subset_search():
                 else:
                     assert witness is None
         done += 1
+
+
+def _min_generating_size(gs, elements, most):
+    """The size of a smallest subset of the closed list `elements` that
+    generates it, by trying every subset of up to `most` elements over
+    an integer product table; None if there is none."""
+    index = {x: i for i, x in enumerate(elements)}
+    prod = [[index[gs.mul(a, b)] for b in elements] for a in elements]
+    inv = [index[gs.inv(a)] for a in elements]
+    for size in range(1, most + 1):
+        for sub in itertools.combinations(range(len(elements)), size):
+            letters = set(sub).union(inv[x] for x in sub)
+            span, stack = set(letters), list(letters)
+            while stack:
+                a = stack.pop()
+                for b in letters:
+                    c = prod[a][b]
+                    if c not in span:
+                        span.add(c)
+                        stack.append(c)
+            if len(span) == len(elements):
+                return size
+    return None
+
+
+def test_mgs_on_reduction_instances_is_one_closure(monkeypatch):
+    # gen_mgs makes every maximal J-class forced, so after the
+    # monogenic closure of each element the decision is one closure
+    calls = []
+    real = meta.reach
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(meta, "reach", spy)
+    rng = random.Random(12)
+    answers = []
+    while len(answers) < 40:
+        n = rng.randrange(2, 4)
+        gs = GeneratorSystem([rand_pb(rng, n)
+                              for _ in range(rng.randrange(1, 3))], degree=n)
+        if len(close(gs, cap=300)) > 40:
+            continue
+        t = rand_pb(rng, n) if rng.random() < 0.5 else \
+            rng.choice(close(gs).elements)
+        big, k = gen_mgs(gs, t)
+        full_n = len(close(big))
+        calls.clear()
+        ok, witness = mgs_decide(big, k)
+        assert len(calls) <= full_n + 1
+        assert ok == (t in close(gs))
+        if ok:
+            assert len(witness) <= k
+            assert _closure_set(list(witness), big.degree) == \
+                set(close(big).elements)
+        answers.append(ok)
+    assert 10 <= sum(answers) <= 30
+
+
+def _block_system(rng):
+    """Generators on disjoint blocks of at most three points.  A block
+    gets two permutations of it, two maps of rank one or two random
+    partial maps, so maximal J-classes of several candidates (such as
+    S_3, or the Brandt semigroup B_3 without its zero) sit beside
+    classes of one."""
+    sizes = rng.choice([(3,), (1, 3), (3, 3), (2, 3), (2, 2), (1, 1, 2)])
+    n = sum(sizes)
+    gens = []
+    offset = 0
+    for m in sizes:
+        kind = rng.choice(("perm", "rank1", "rand"))
+        for _ in range(2):
+            if kind == "rank1":
+                p = [None] * m
+                p[rng.randrange(m)] = rng.randrange(m)
+            else:
+                p = rand_pb(rng, m, 1.0 if kind == "perm" else 0.6)
+            images = [None] * n
+            for x, y in enumerate(p):
+                if y is not None:
+                    images[offset + x] = offset + y
+            gens.append(PartialBijection(n, images))
+        offset += m
+    return GeneratorSystem(gens, degree=n)
+
+
+def test_mgs_search_past_the_forced_start_matches_brute_force(monkeypatch):
+    # budgets above the number of maximal J-classes and maximal classes
+    # of two or more candidates, so the search runs on from the closure
+    # of the forced candidates
+    covers = []
+    real_cover = meta._maximal_class_cover
+
+    def spy_cover(edges, label, candidates):
+        out = real_cover(edges, label, candidates)
+        covers.append(out)
+        return out
+
+    reaches = []
+    real_reach = meta.reach
+
+    def spy_reach(*args):
+        reaches.append(args)
+        return real_reach(*args)
+
+    monkeypatch.setattr(meta, "_maximal_class_cover", spy_cover)
+    monkeypatch.setattr(meta, "reach", spy_reach)
+    rng = random.Random(13)
+    seen = Counter()
+    done = 0
+    while done < 300:
+        gs = _block_system(rng)
+        if len(close(gs, cap=300)) > 25:
+            continue
+        done += 1
+        elements = close(gs).elements
+        full = set(elements)
+        kmin = _min_generating_size(gs, elements, 4)
+        for k in range(1, 5):
+            covers.clear()
+            reaches.clear()
+            ok, witness = mgs_decide(gs, k)
+            assert ok == (kmin is not None and kmin <= k), (gs.generators, k)
+            if ok:
+                assert len(witness) <= k
+                assert _closure_set(list(witness), gs.degree) == full
+            else:
+                assert witness is None
+            (n_classes, class_of), = covers
+            if k <= n_classes:
+                continue
+            per_class = Counter(c for c in class_of if c is not None)
+            shared = max(per_class.values()) >= 2
+            searched = len(reaches) > len(elements) + 1
+            seen[shared, searched, ok] += 1
+    assert all(seen[True, True, ok] >= 10 for ok in (True, False)), seen
 
 
 def test_maximal_class_cover_matches_brute_force_j_classes(monkeypatch):
