@@ -373,6 +373,13 @@ def _write_instance(path, text, source, reduction):
 
 
 def cmd_gen(args):
+    try:
+        return _gen(args)
+    except OSError as exc:  # an output path that cannot be written
+        raise CLIError(str(exc))
+
+
+def _gen(args):
     inst = _load(args.input)
     reduction = args.reduction
     if reduction in ("ugap-conj", "ugap-member"):
@@ -752,6 +759,9 @@ def main(argv=None):
     except (Refusal, OutsideTractable, ClosureCapExceeded,
             ProductCapExceeded) as exc:
         print("refused: %s" % exc, file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("refused: out of memory", file=sys.stderr)
         return 1
 
 

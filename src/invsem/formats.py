@@ -12,6 +12,7 @@ that round-trips.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,9 +63,19 @@ def _index(token, lineno, lo, hi, what):
     return v
 
 
-def _point(token, lineno, n):
-    """A 1-based point token, or '_' for undefined."""
-    return None if token == "_" else _index(token, lineno, 1, n, "point") - 1
+def _sized_header(first, kind, what):
+    """The size n of a '<kind> <n>' header, from the first (lineno,
+    tokens) record of a file, or None for an empty file; `what` names n
+    in messages."""
+    if not first or first[1][0] != kind:
+        raise FormatError("line 1: expected '%s <n>' header" % kind)
+    lineno, head = first
+    if len(head) != 2:
+        _fail(lineno, "expected '%s <n>'" % kind)
+    n = _int(head[1], lineno, what)
+    if n < 1:
+        _fail(lineno, "%s must be positive" % what)
+    return n
 
 
 # -- witness tokens, shared by the instance files and the CLI --------------
@@ -75,7 +86,9 @@ def parse_images(tokens, n, lineno):
     tokens, '_' for undefined."""
     if len(tokens) != n:
         _fail(lineno, "expected %d image tokens, got %d" % (n, len(tokens)))
-    images = tuple(_point(tok, lineno, n) for tok in tokens)
+    images = tuple(None if tok == "_"
+                   else _index(tok, lineno, 1, n, "point") - 1
+                   for tok in tokens)
     try:
         return PartialBijection(n, images)
     except ValueError as exc:
@@ -123,18 +136,15 @@ class PBInstance:
 
 def parse_pb(text):
     lines = _logical_lines(text)
-    if not lines or lines[0][1][0] != "pb":
-        raise FormatError("line 1: expected 'pb <n>' header")
-    lineno, head = lines[0]
-    if len(head) != 2:
-        _fail(lineno, "expected 'pb <n>'")
-    n = _int(head[1], lineno, "degree")
-    if n < 1:
-        _fail(lineno, "degree must be positive")
+    n = _sized_header(lines[0] if lines else None, "pb", "degree")
     inst = PBInstance(n, [])
 
     def points(tokens, lineno):
-        return tuple(sorted(_point(tok, lineno, n) for tok in tokens))
+        pts = sorted(_index(tok, lineno, 1, n, "point") - 1 for tok in tokens)
+        for a, b in zip(pts, pts[1:]):
+            if a == b:
+                _fail(lineno, "repeated point %d" % (a + 1))
+        return tuple(pts)
 
     for lineno, tokens in lines[1:]:
         key = tokens[0]
@@ -190,15 +200,8 @@ class CTInstance:
 
 def parse_ct(text):
     lines = _content_lines(text)
-    head = lines[0][1].split() if lines else None
-    if not head or head[0] != "ct":
-        raise FormatError("line 1: expected 'ct <n>' header")
-    lineno = lines[0][0]
-    if len(head) != 2:
-        _fail(lineno, "expected 'ct <n>'")
-    n = _int(head[1], lineno, "order")
-    if n < 1:
-        _fail(lineno, "order must be positive")
+    lineno = lines[0][0] if lines else 1
+    n = _sized_header(lines and (lineno, lines[0][1].split()), "ct", "order")
     if len(lines) < 1 + n:
         raise FormatError("line %d: expected %d table rows" % (lineno, n))
     body = lines[1:1 + n]
@@ -301,14 +304,7 @@ class GraphInstance:
 
 def parse_graph(text):
     lines = _logical_lines(text)
-    if not lines or lines[0][1][0] != "graph":
-        raise FormatError("line 1: expected 'graph <n>' header")
-    lineno, head = lines[0]
-    if len(head) != 2:
-        _fail(lineno, "expected 'graph <n>'")
-    n = _int(head[1], lineno, "vertex count")
-    if n < 1:
-        _fail(lineno, "vertex count must be positive")
+    n = _sized_header(lines[0] if lines else None, "graph", "vertex count")
     inst = GraphInstance(n, [])
 
     def vertex(token, lineno):
@@ -355,14 +351,7 @@ def serialize_graph(inst):
 
 def parse_ncl(text):
     lines = _logical_lines(text)
-    if not lines or lines[0][1][0] != "ncl":
-        raise FormatError("line 1: expected 'ncl <n>' header")
-    lineno, head = lines[0]
-    if len(head) != 2:
-        _fail(lineno, "expected 'ncl <n>'")
-    n = _int(head[1], lineno, "vertex count")
-    if n < 1:
-        _fail(lineno, "vertex count must be positive")
+    n = _sized_header(lines[0] if lines else None, "ncl", "vertex count")
     edges = []
     configs = {}
     for lineno, tokens in lines[1:]:
@@ -418,101 +407,26 @@ def serialize_ncl(machine):
 
 
 def parse_ia(text):
-    auto = _ia_at_once(text)
-    return _ia_by_lines(text) if auto is None else auto
+    """The InverseAutomaton of an ia file, read record by record; every
+    ia message comes from here.
 
-
-def _ia_at_once(text):
-    """The InverseAutomaton of an ia file, read in one pass, or None
-    where _ia_by_lines must decide.
-
-    Lines are split as _logical_lines splits them.  Header values must
-    be ASCII digits and states the tokens 1..m, range-checked once when
-    their table is built.  Each distinct image tuple is built (and so
-    checked for injectivity) once, and the converse condition of
+    Lines are split as _logical_lines splits them, without building its
+    list.  Transition states spelt "1".."m" are looked up in a table
+    that grows with the file rather than with m; any other state token
+    goes through _index, which returns its value or writes the message.
+    Each distinct image tuple is built (and so checked for injectivity)
+    once, with one converse, and the converse condition of
     automata.validate (the only one the records leave open) is checked
-    against one inverse per distinct map.  Nothing here writes a
-    message: anything unusual returns None."""
-    rows = [line.partition("%")[0].split() if "%" in line else line.split()
-            for line in text.splitlines()]
-    rows = [row for row in rows if row]
-    if not rows or len(rows[0]) != 3 or rows[0][0] != "ia":
-        return None
-    opts = {}
-    for tok in rows[0][1:]:
-        key, _, val = tok.partition("=")
-        if key in opts or not (val.isascii() and val.isdigit()):
-            return None
-        opts[key] = int(val)
-    if opts.keys() != {"states", "alphabet"} or 0 in opts.values():
-        return None
-    m = opts["states"]
-    # the tokens "1".."m", but at most 2r of them for a file of r rows,
-    # so the table grows with the file rather than with m; a state past
-    # the table, or spelt otherwise, is left to _ia_by_lines
-    state = {str(q + 1): q for q in range(min(m, 2 * len(rows)))}.get
-
-    alphabet = []
-    involution = {}
-    images = {}
-    start = accepting = None
-    for row in rows[1:]:
-        key = row[0]
-        if key == "trans" and len(row) == 4:
-            q, q2, line = state(row[1]), state(row[3]), images.get(row[2])
-            if q is None or q2 is None or line is None \
-                    or line[q] is not None:
-                return None
-            line[q] = q2
-        elif key == "inv" and len(row) == 3:
-            a, b = row[1], row[2]
-            for sym in (a, b):
-                if sym not in involution:
-                    involution[sym] = None
-                    alphabet.append(sym)
-                    images[sym] = [None] * m
-            if involution[a] not in (None, b) or involution[b] not in (None, a):
-                return None
-            involution[a] = b
-            involution[b] = a
-        elif key == "start" and len(row) == 2 and start is None:
-            start = state(row[1])
-            if start is None:
-                return None
-        elif key == "accept" and accepting is None:
-            accepting = frozenset(state(tok) for tok in row[1:])
-            if None in accepting:
-                return None
-        else:
-            return None
-    if len(alphabet) != opts["alphabet"] or start is None \
-            or accepting is None:
-        return None
-    maps = {}  # image tuple -> (its PartialBijection, the converse)
-    transitions = {}
-    for sym in alphabet:
-        key = tuple(images[sym])
-        if key not in maps:
-            try:
-                p = PartialBijection(m, key)
-            except ValueError:  # not injective
-                return None
-            maps[key] = p, p.inverse()
-        transitions[sym] = maps[key][0]
-    for sym in alphabet:
-        if transitions[involution[sym]] != maps[transitions[sym]][1]:
-            return None
-    return InverseAutomaton(m, tuple(alphabet), involution, transitions,
-                            start, accepting)
-
-
-def _ia_by_lines(text):
-    """The InverseAutomaton of an ia file, checked record by record;
-    every ia message comes from here."""
-    lines = _logical_lines(text)
-    if not lines or lines[0][1][0] != "ia":
+    against those; validate runs only to write the message when it
+    fails."""
+    rows = text.splitlines()
+    records = enumerate(rows, 1)
+    # the header is the first record; the record loop reads on after it
+    lineno, head = next(((lineno, tokens) for lineno, raw in records
+                         if (tokens := raw.partition("%")[0].split())),
+                        (1, None))
+    if not head or head[0] != "ia":
         raise FormatError("line 1: expected 'ia states=<m> alphabet=<k>'")
-    lineno, head = lines[0]
     opts = {}
     for tok in head[1:]:
         if "=" not in tok:
@@ -526,19 +440,39 @@ def _ia_by_lines(text):
     m, k = opts["states"], opts["alphabet"]
     if m < 1 or k < 1:
         _fail(lineno, "states and alphabet must be positive")
-
-    alphabet = []
-    involution = {}
-    trans = {}
-    start = None
-    accepting = None
+    if m > sys.maxsize:
+        _fail(lineno, "states %d out of range 1..%d" % (m, sys.maxsize))
+    # the trans states spelt "1".."m", at most 2r of them for r lines
+    spelt = {str(q + 1): q for q in range(min(m, 2 * len(rows)))}.get
 
     def state(token, lineno):
         return _index(token, lineno, 1, m, "state") - 1
 
-    for lineno, tokens in lines[1:]:
+    alphabet = []
+    involution = {}
+    images = {}  # symbol -> its image list, from its inv line on
+    start = accepting = None
+    for lineno, raw in records:
+        tokens = (raw.partition("%")[0] if "%" in raw else raw).split()
+        if not tokens:
+            continue
         key = tokens[0]
-        if key == "inv":
+        if key == "trans":
+            if len(tokens) != 4:
+                _fail(lineno, "expected 'trans q a q''")
+            q, line, q2 = (spelt(tokens[1]), images.get(tokens[2]),
+                           spelt(tokens[3]))
+            if q is None or line is None or q2 is None:
+                q = state(tokens[1], lineno)
+                if line is None:
+                    _fail(lineno, "symbol %r not declared by an inv line"
+                          % tokens[2])
+                q2 = state(tokens[3], lineno)
+            if line[q] is not None:
+                _fail(lineno, "duplicate transition for state %d on %r"
+                      % (q + 1, tokens[2]))
+            line[q] = q2
+        elif key == "inv":
             if len(tokens) != 3:
                 _fail(lineno, "expected 'inv a b'")
             a, b = tokens[1], tokens[2]
@@ -546,23 +480,11 @@ def _ia_by_lines(text):
                 if sym not in involution:
                     involution[sym] = None
                     alphabet.append(sym)
+                    images[sym] = [None] * m
             if involution[a] not in (None, b) or involution[b] not in (None, a):
                 _fail(lineno, "conflicting involution for %r" % a)
             involution[a] = b
             involution[b] = a
-        elif key == "trans":
-            if len(tokens) != 4:
-                _fail(lineno, "expected 'trans q a q''")
-            q = state(tokens[1], lineno)
-            sym = tokens[2]
-            if sym not in involution:
-                _fail(lineno, "symbol %r not declared by an inv line" % sym)
-            q2 = state(tokens[3], lineno)
-            images = trans.setdefault(sym, [None] * m)
-            if images[q] is not None:
-                _fail(lineno, "duplicate transition for state %d on %r"
-                      % (q + 1, sym))
-            images[q] = q2
         elif key == "start":
             if start is not None:
                 _fail(lineno, "duplicate start line")
@@ -581,19 +503,25 @@ def _ia_by_lines(text):
                           % (len(alphabet), k))
     if start is None or accepting is None:
         raise FormatError("line 1: missing start or accept line")
+    built = {}  # image tuple -> (its PartialBijection, the converse)
     transitions = {}
+    converse = {}
     for sym in alphabet:
-        images = trans.get(sym, [None] * m)
-        try:
-            transitions[sym] = PartialBijection(m, tuple(images))
-        except ValueError as exc:
-            raise FormatError("line 1: transitions of %r: %s" % (sym, exc))
+        key = tuple(images[sym])
+        if key not in built:
+            try:
+                p = PartialBijection(m, key)
+            except ValueError as exc:
+                raise FormatError("line 1: transitions of %r: %s"
+                                  % (sym, exc))
+            built[key] = p, p.inverse()
+        transitions[sym], converse[sym] = built[key]
     auto = InverseAutomaton(m, tuple(alphabet), involution, transitions,
                             start, accepting)
-    problems = ia_validate(auto)
-    if problems:
-        raise FormatError("line 1: invalid automaton: "
-                          + "; ".join(problems))
+    for sym in alphabet:
+        if transitions[involution[sym]] != converse[sym]:
+            raise FormatError("line 1: invalid automaton: "
+                              + "; ".join(ia_validate(auto)))
     return auto
 
 
@@ -806,17 +734,18 @@ def parse(path):
     raise FormatError("line 1: unknown instance kind %r" % kind)
 
 
+_SERIALIZERS = {
+    PBInstance: serialize_pb,
+    CTInstance: serialize_ct,
+    GraphInstance: serialize_graph,
+    NCLMachine: serialize_ncl,
+    InverseAutomaton: serialize_ia,
+    EqnInstance: serialize_eqn,
+}
+
+
 def serialize(instance):
-    if isinstance(instance, PBInstance):
-        return serialize_pb(instance)
-    if isinstance(instance, CTInstance):
-        return serialize_ct(instance)
-    if isinstance(instance, GraphInstance):
-        return serialize_graph(instance)
-    if isinstance(instance, NCLMachine):
-        return serialize_ncl(instance)
-    if isinstance(instance, InverseAutomaton):
-        return serialize_ia(instance)
-    if isinstance(instance, EqnInstance):
-        return serialize_eqn(instance)
-    raise TypeError("cannot serialize %r" % type(instance).__name__)
+    write = _SERIALIZERS.get(type(instance))
+    if write is None:
+        raise TypeError("cannot serialize %r" % type(instance).__name__)
+    return write(instance)

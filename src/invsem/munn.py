@@ -436,14 +436,9 @@ def general_conjugate(gs, s, t, cap=GENERAL_CAP):
 
 
 def semilattice_member(gs, t):
-    mul = gs.mul
-    if mul(t, t) != t:
-        return False
-    meet = None
-    for u in gs.generators:
-        if mul(t, u) == t:  # u >= t
-            meet = u if meet is None else mul(meet, u)
-    return meet == t
+    """t is in U iff it is idempotent and the meet of the generators
+    above it."""
+    return gs.is_idempotent(t) and idempotent_meet(gs, gs.generators, t) == t
 
 
 def semilattice_conjugate(gs, s, t):

@@ -841,3 +841,128 @@ def test_ct_conj_leaves_the_table_lists_unbuilt(tmp_path, capsys,
         table_slot.__get__(inst.table)
     assert inst.table.table == inst.table.array.tolist()
     assert table_slot.__get__(inst.table) is inst.table.table
+
+
+def test_gen_output_that_cannot_be_written_exits_2(tmp_path, capsys):
+    src = _write(tmp_path, "g.pb", PB_GROUP)
+    code, out, err = run(capsys, "gen", "mgs", src, "-o",
+                         str(tmp_path / "missing" / "x.pb"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "No such file" in err
+    ncl = _write(tmp_path, "k4.ncl", K4_NCL)
+    code, out, err = run(capsys, "gen", "ncl-automata", ncl, "-o", src)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "File exists" in err
+
+
+def test_ia_states_past_memory_are_refused_or_rejected(tmp_path, capsys):
+    text = "ia states=%d alphabet=2\ninv a A\nstart 1\naccept 1\n"
+    # [None] * 10**18 fails at once, allocating nothing
+    path = _write(tmp_path, "big.ia", text % 10**18)
+    assert run(capsys, "automata", "intersect", path) == (
+        1, "", "refused: out of memory\n")
+    path = _write(tmp_path, "bigger.ia", text % 10**19)
+    assert run(capsys, "automata", "intersect", path) == (
+        2, "", "error: line 1: states %d out of range 1..%d\n"
+        % (10**19, sys.maxsize))
+
+
+def test_transport_point_lists_are_checked(tmp_path, capsys):
+    for body, message in (("ds 1 _ 3\ndt 1 2 3\n", "bad point '_'"),
+                          ("ds _\ndt 1\n", "bad point '_'"),
+                          ("ds 1 2\ndt 3 1 3\n", "repeated point 3")):
+        path = _write(tmp_path, "t.pb", "pb 3\ngen 2 3 1\n" + body)
+        for command in ("transport", "classify"):
+            code, out, err = run(capsys, command, path)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: line ") and message in err
+
+
+# small instances of every kind, and the commands that read each; FILE
+# stands for the instance and OUT for an output path
+_FUZZ_INSTANCES = {
+    "pb": ("pb 3\ngen 2 3 1\ngen 1 _ 3\ntarget 3 1 2\ns 1 _ _\n"
+           "t _ 2 _\nds 1 2\ndt 2 3\n",
+           [["classify", "FILE"], ["member", "FILE"],
+            ["member", "FILE", "--solver", "oracle"], ["conj", "FILE"],
+            ["slp", "FILE"], ["transport", "FILE"],
+            ["green", "FILE", "--rel", "D"], ["mgs", "FILE", "-k", "2"],
+            ["gen", "mgs", "FILE", "-o", "OUT"],
+            ["gen", "equation", "FILE", "-o", "OUT"]]),
+    "ct": ("ct 5\n0 0 0 0 0\n0 1 2 0 0\n0 0 0 1 2\n0 3 4 0 0\n"
+           "0 0 0 3 4\ngens 2 3\ntarget 1\ns 1\nt 4\n",
+           [["classify", "FILE"], ["member", "FILE"], ["conj", "FILE"],
+            ["conj", "FILE", "--solver", "oracle"],
+            ["green", "FILE", "--rel", "R"]]),
+    "graph": ("graph 3\nedge 1 2\nedge 2 3\ns 1\nt 3\n",
+              [["gen", "ugap-conj", "FILE", "-o", "OUT"],
+               ["gen", "ugap-member", "FILE", "-o", "OUT"]]),
+    "ncl": (K4_NCL,
+            [["gen", "ncl-conj", "FILE", "-o", "OUT"],
+             ["gen", "ncl-member", "FILE", "-o", "OUT"],
+             ["gen", "ncl-automata", "FILE", "-o", "OUT"]]),
+    "ia": ("ia states=2 alphabet=3\ninv a A\ninv b b\ntrans 1 a 2\n"
+           "trans 2 A 1\ntrans 2 b 2\nstart 1\naccept 2\n",
+           [["automata", "intersect", "FILE"],
+            ["automata", "intersect", "FILE", "FILE"]]),
+}
+
+# tokens a mutation may put into a line; the numbers stay small, so no
+# mutated size makes a command slow, and the two states= values are too
+# large to allocate, so they fail at once
+_FUZZ_TOKENS = ("_", "0", "1", "2", "3", "-1", "+2", "\uff12", "x", "g1",
+                "<", ">", "states=%d" % 10**18, "states=%d" % 10**19)
+
+
+def _mutate(rng, text):
+    """text with one or two random line drops, line duplications,
+    line extensions, token swaps or token replacements."""
+    rows = [line.split() for line in text.splitlines()]
+    for _ in range(rng.randint(1, 2)):
+        if not rows:
+            break
+        i = rng.randrange(len(rows))
+        spots = [(r, c) for r, row in enumerate(rows)
+                 for c in range(len(row))]
+        op = rng.randrange(5)
+        if op == 0:
+            del rows[i]
+        elif op == 1:
+            rows.insert(i, list(rows[i]))
+        elif op == 2:
+            rows[i].append(rng.choice(_FUZZ_TOKENS))
+        elif spots:
+            r, c = rng.choice(spots)
+            if op == 3:
+                r2, c2 = rng.choice(spots)
+                rows[r][c], rows[r2][c2] = rows[r2][c2], rows[r][c]
+            else:
+                rows[r][c] = rng.choice(_FUZZ_TOKENS)
+    return "".join(" ".join(row) + "\n" for row in rows)
+
+
+def test_mutated_instances_end_in_an_exit_code(tmp_path, capsys):
+    """Every command, on mutated small instances of every kind and with
+    outputs that may not be writable, exits 0, 1 or 2 and raises
+    nothing."""
+    rng = random.Random(0)
+    taken = _write(tmp_path, "taken", "")
+    runs = 0
+    for i in range(1000):
+        kind = sorted(_FUZZ_INSTANCES)[i % len(_FUZZ_INSTANCES)]
+        base, commands = _FUZZ_INSTANCES[kind]
+        text = _mutate(rng, base)
+        path = _write(tmp_path, "m%d.%s" % (i, kind), text)
+        for command in commands:
+            out = rng.choice([str(tmp_path / ("o%d" % runs)), taken,
+                              os.path.join(taken, "o")])
+            argv = [path if a == "FILE" else out if a == "OUT" else a
+                    for a in command]
+            try:
+                code = main(argv)
+            except Exception as exc:
+                pytest.fail("%s on %r raised %r" % (argv, text, exc))
+            capsys.readouterr()
+            assert code in (0, 1, 2), (argv, text)
+            runs += 1
+    assert runs > 4000

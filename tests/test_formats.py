@@ -269,11 +269,9 @@ def test_ia_header_keys_may_not_repeat():
     for head, key in (("ia states=2 states=3 alphabet=1", "states"),
                       ("ia states=2 alphabet=1 alphabet=1", "alphabet"),
                       ("ia alphabet=1 states=2 states=2", "states")):
-        assert formats._ia_at_once(head + body) is None
-        for parser in (parse_ia, formats._ia_by_lines):
-            with pytest.raises(FormatError) as err:
-                parser(head + body)
-            assert str(err.value) == "line 1: duplicate %s= key" % key
+        with pytest.raises(FormatError) as err:
+            parse_ia(head + body)
+        assert str(err.value) == "line 1: duplicate %s= key" % key
 
 
 def _ia_corpus():
@@ -346,23 +344,122 @@ def _ia_corpus():
     yield "header only", head + "\n"
 
 
-def _ia_outcome(parser, text):
-    try:
-        return "ok", parser(text)
-    except FormatError as exc:
-        return "error", str(exc)
+def _not_converse(a, b):
+    return ("line 1: invalid automaton: symbol %r: transition of %r is not "
+            "the converse; symbol %r: transition of %r is not the converse"
+            % (a, b, b, a))
 
 
-def test_ia_one_pass_parse_agrees_with_per_line_parse():
+# what parse_ia makes of each _ia_corpus case: its exact message, or
+# the {line: replacement} edits of the plain case's serialize_ia text
+# that give the parsed automaton's
+_IA_OUTCOMES = {
+    "plain": {},
+    "generated header": {},
+    "comments and blank lines": {},
+    "crlf": {},
+    "unit separator": {},
+    "line separator": "line 33: expected 'trans q a q''",
+    "vertical tab": "line 33: expected 'trans q a q''",
+    "ia truncated": "line 1: expected exactly states= and alphabet=",
+    "ia extended": "line 1: expected key=value, got '1'",
+    "ia misspelt": "line 1: expected 'ia states=<m> alphabet=<k>'",
+    "inv truncated": "line 2: expected 'inv a b'",
+    "inv extended": "line 2: expected 'inv a b'",
+    "inv misspelt": "line 2: unknown record 'in'",
+    "trans truncated": "line 33: expected 'trans q a q''",
+    "trans extended": "line 33: expected 'trans q a q''",
+    "trans misspelt": "line 33: unknown record 'tran'",
+    "start truncated": "line 127: expected one state",
+    "start extended": "line 127: expected one state",
+    "start misspelt": "line 127: unknown record 'star'",
+    "accept truncated": {"accept 2": "accept "},
+    "accept extended": {"accept 2": "accept 1 2"},
+    "accept misspelt": "line 128: unknown record 'accep'",
+    "trans source 0": "line 33: state 0 out of range 1..2",
+    "trans target 0": "line 33: state 0 out of range 1..2",
+    "start 0": "line 127: state 0 out of range 1..2",
+    "accept 0": "line 128: state 0 out of range 1..2",
+    "trans source 3": "line 33: state 3 out of range 1..2",
+    "trans target 3": "line 33: state 3 out of range 1..2",
+    "start 3": "line 127: state 3 out of range 1..2",
+    "accept 3": "line 128: state 3 out of range 1..2",
+    "trans source -1": "line 33: state -1 out of range 1..2",
+    "trans target -1": "line 33: state -1 out of range 1..2",
+    "start -1": "line 127: state -1 out of range 1..2",
+    "accept -1": "line 128: state -1 out of range 1..2",
+    "trans source \u00b2": "line 33: bad state '\u00b2'",
+    "trans target \u00b2": "line 33: bad state '\u00b2'",
+    "start \u00b2": "line 127: bad state '\u00b2'",
+    "accept \u00b2": "line 128: bad state '\u00b2'",
+    "trans source \uff12": _not_converse("u0", "u6"),
+    "trans target \uff12": {},
+    "start \uff12": {},
+    "accept \uff12": {"accept 2": "accept 1 2"},
+    "trans source 02": _not_converse("u0", "u6"),
+    "trans target 02": {},
+    "start 02": {},
+    "accept 02": {"accept 2": "accept 1 2"},
+    "trans source +2": _not_converse("u0", "u6"),
+    "trans target +2": {},
+    "start +2": {},
+    "accept +2": {"accept 2": "accept 1 2"},
+    "ia states=0 alphabet=62": "line 1: states and alphabet must be positive",
+    "ia states=3 alphabet=62":
+        {"ia states=2 alphabet=62": "ia states=3 alphabet=62"},
+    "ia states=\u00b2 alphabet=62": "line 1: bad states '\u00b2'",
+    "ia states=\uff12 alphabet=62": {},
+    "ia states=+2 alphabet=62": {},
+    "ia states 2 alphabet=62": "line 1: expected key=value, got 'states'",
+    "ia states=2 alphabet=61": "line 1: 62 symbols declared, header says 61",
+    "ia states=2 alphabet=63": "line 1: 62 symbols declared, header says 63",
+    "ia alphabet=62 states=2": {},
+    "ia states=2 alphabet=62 states=2": "line 1: duplicate states= key",
+    "ia states=2 alphabet=62 alphabet=62": "line 1: duplicate alphabet= key",
+    "ia states=2 alphabet=62 colour=1":
+        "line 1: expected exactly states= and alphabet=",
+    "undeclared symbol": "line 33: symbol 'zz' not declared by an inv line",
+    "trans before its inv": "line 2: symbol 'u0' not declared by an inv line",
+    "duplicate transition":
+        "line 34: duplicate transition for state 1 on 'u0'",
+    "conflicting transition":
+        "line 34: duplicate transition for state 1 on 'u0'",
+    "non-injective":
+        "line 1: transitions of 'u53': not injective: image 0 repeated",
+    "non-injective beside its converse":
+        "line 1: transitions of 'u53': not injective: image 1 repeated",
+    "non-converse partner": _not_converse("u0", "u6"),
+    "half an identity": _not_converse("u53", "u59"),
+    "conflicting involution": "line 3: conflicting involution for 'u0'",
+    "self-inverse symbol":
+        {"ia states=2 alphabet=62": "ia states=2 alphabet=63\ninv zz zz"},
+    "missing start": "line 1: missing start or accept line",
+    "missing accept": "line 1: missing start or accept line",
+    "duplicate start": "line 128: duplicate start line",
+    "duplicate accept": "line 129: duplicate accept line",
+    "unknown record": "line 128: unknown record 'final'",
+    "empty file": "line 1: expected 'ia states=<m> alphabet=<k>'",
+    "comment only": "line 1: expected 'ia states=<m> alphabet=<k>'",
+    "header only": "line 1: 0 symbols declared, header says 62",
+}
+
+
+def test_ia_parse_outcomes_are_pinned():
+    corpus = list(_ia_corpus())
+    assert [name for name, _ in corpus] == list(_IA_OUTCOMES)
+    plain = corpus[0][1].splitlines()
     kinds = set()
-    for name, text in _ia_corpus():
-        slow = _ia_outcome(formats._ia_by_lines, text)
-        fast = formats._ia_at_once(text)
-        assert fast is None or slow == ("ok", fast), name
-        assert _ia_outcome(parse_ia, text) == slow, name
-        kinds.add((fast is not None, slow[0]))
-    # read in one pass, left to the per-line parser, and rejected by it
-    assert kinds == {(True, "ok"), (False, "ok"), (False, "error")}
+    for name, text in corpus:
+        want = _IA_OUTCOMES[name]
+        if isinstance(want, str):
+            with pytest.raises(FormatError) as err:
+                parse_ia(text)
+            assert str(err.value) == want, name
+        else:
+            assert serialize_ia(parse_ia(text)) == "".join(
+                want.get(line, line) + "\n" for line in plain), name
+        kinds.add(type(want))
+    assert kinds == {str, dict}
 
 
 def test_eqn_relative_paths(tmp_path):
