@@ -8,13 +8,16 @@ Associativity is checked by Light's test over a generating set G of the
 table (Clifford & Preston, The Algebraic Theory of Semigroups I, section
 1.4): two n x n row gathers per generator, so O(|G| n^2) time and O(n^2)
 memory.  Then every element must have exactly one inverse.
+
+numpy is imported inside the functions that use it, not at the top of
+the module: importing it takes longer than a partial-bijection query,
+and no pb, graph, ncl, ia or eqn command builds a table.  After the
+first import, each such import is one lookup in sys.modules.
 """
 
 from __future__ import annotations
 
 from numbers import Integral
-
-import numpy as np
 
 from .pbij import PartialBijection
 
@@ -32,6 +35,8 @@ class CayleyTable:
     __slots__ = ("order", "array", "table", "inverse_map", "identity_index")
 
     def __init__(self, table):
+        import numpy as np
+
         arr = _square_array(table)
         n = len(arr)
         self._check_associativity(arr, n)
@@ -66,6 +71,8 @@ class CayleyTable:
 
     @staticmethod
     def _check_associativity(arr, n):
+        import numpy as np
+
         # Light's test: the a with (x a) y = x (a y) for all x, y are
         # closed under the product even when the table is not
         # associative, so it is enough to test a generating set.  Both
@@ -86,6 +93,8 @@ class CayleyTable:
 
     @staticmethod
     def _derive_inverses(arr, n):
+        import numpy as np
+
         # ok[x, y]: x y x = x and y x y = y
         ar = np.arange(n)
         ok = (arr[arr, ar[:, None]] == ar[:, None]) \
@@ -113,6 +122,8 @@ class CayleyTable:
         return [x for x in range(self.order) if self.is_idempotent(x)]
 
     def __eq__(self, other):
+        import numpy as np
+
         return (isinstance(other, CayleyTable)
                 and np.array_equal(self.array, other.array))
 
@@ -127,6 +138,8 @@ def _square_array(table):
     """The entries of `table` as a new n x n array of the smallest
     unsigned type that holds n - 1, after checking that there are n rows
     of n integers in 0..n-1."""
+    import numpy as np
+
     n = len(table)
     if n < 1:
         raise ValueError("empty table")
@@ -156,6 +169,8 @@ def _generating_set(arr, n):
     sides.  That is closure under the product (the table need not be
     associative), which does not depend on the order of growth, and
     evaluates each product of two members at most twice."""
+    import numpy as np
+
     inside = np.zeros(n, dtype=bool)
     members = np.empty(n, dtype=np.intp)
     count = 0

@@ -645,6 +645,19 @@ def cmd_verify(args):
 # -- argument parsing ------------------------------------------------------
 
 
+def _cap(text):
+    """The --cap value: an int, at least 1, since every closure holds an
+    element.  A non-integer gets argparse's own int message."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "invalid int value: %r" % text) from None
+    if cap < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % cap)
+    return cap
+
+
 def _file_args(sub):
     sub.add_argument("file")
 
@@ -719,7 +732,7 @@ def build_parser(names=tuple(_COMMANDS)):
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="accepted and ignored; output is deterministic")
-    common.add_argument("--cap", type=int, default=10**6,
+    common.add_argument("--cap", type=_cap, default=10**6,
                         help="closure element cap")
     # argparse lists the registered commands in usage lines, so a partial
     # build names them all through the metavar; a full build leaves it

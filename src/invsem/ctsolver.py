@@ -7,11 +7,13 @@ Elements, products and inverses are those of the GeneratorSystem on the
 table: without an identity, S^1 adjoins VIRTUAL_ONE; tables are never
 rebuilt.  The edges of both graphs are found by gathers on the table
 array, one column or row per generator.
+
+numpy is imported inside `_edges`, its only user, so that loading this
+module does not load numpy: importing it takes longer than a
+partial-bijection query, and only Cayley-table commands reach here.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .gensys import GeneratorSystem, VIRTUAL_ONE
 from .search import UnionFind, shortest_path
@@ -45,6 +47,8 @@ class CTSolver:
         and so the witness words.  The virtual identity, if adjoined,
         lies on no edge: every product of indices is an index.
         """
+        import numpy as np
+
         ar = np.arange(self.table.order)
         images = {u: act(u) for u in self.sigma}
         xs, ys, ps = [], [], []

@@ -7,6 +7,10 @@ ncl, ia, eqn).  Points and states are 1-based in files and 0-based in
 memory; '_' marks an undefined image; '%' starts a comment.  Parsing is
 strict and reports line numbers; serialization emits a canonical form
 that round-trips.
+
+numpy is imported inside `_ct_table_at_once`, the only function here
+that uses it, so that parsing any other kind of file never loads it:
+importing numpy takes longer than a partial-bijection query.
 """
 
 from __future__ import annotations
@@ -14,8 +18,6 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .pbij import PartialBijection
 from .cayley import CayleyTable
@@ -242,6 +244,8 @@ def _ct_table_at_once(body, n):
     entry gets the value int() gives its token.  Nothing here writes a
     message: another byte, a row of another length, an entry >= n or an
     invalid table all return None."""
+    import numpy as np
+
     rows = [line for _, line in body]
     block = " ".join(rows)
     if not block.isascii() \

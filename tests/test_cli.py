@@ -607,6 +607,24 @@ def test_cap_honoured_on_every_pb_route(tmp_path, capsys):
         assert code == 0 and out.splitlines()[0] == "YES", cmd
 
 
+def test_cap_below_one_is_rejected(tmp_path, capsys):
+    # every closure holds an element, so no cap below 1 can be met
+    b2 = _write(tmp_path, "b2.pb", "pb 2\ngen 2 _\ntarget 1 _\n"
+                "s 1 _\nt _ 2\n")
+    for cmd in ("classify", "member", "conj", "slp", "verify"):
+        argv = [cmd, b2] if cmd != "verify" else [cmd, "member", b2, b2]
+        for cap in ("0", "-5"):
+            code, out, err = run(capsys, *argv, "--cap", cap)
+            assert (code, out) == (2, ""), (cmd, cap)
+            assert err.startswith("usage: invsem %s " % cmd)
+            assert err.endswith("error: argument --cap: must be at least "
+                                "1, got %s\n" % cap), (cmd, cap)
+    code, out, err = run(capsys, "member", b2, "--cap", "x")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --cap: invalid int value: 'x'\n")
+    assert run(capsys, "member", b2, "--cap", "1")[0] == 1
+
+
 def test_assume_hint_is_checked(tmp_path, capsys):
     # U is General and holds the target; a false hint used to route it
     # to a solver that printed NO
@@ -807,22 +825,45 @@ def test_each_call_builds_its_own_parser(tmp_path, capsys, monkeypatch):
     assert len(built) == 2 and built[0] is not built[1]
 
 
-def test_module_entry_point_reads_sys_argv(tmp_path):
-    path = _write(tmp_path, "g.pb", PB_GROUP)
+def _python(*args):
+    """Run a fresh interpreter that imports this checkout's invsem."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(invsem.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
 
-    def invsem_process(*argv):
-        return subprocess.run([sys.executable, "-m", "invsem.cli", *argv],
-                              env=env, capture_output=True, text=True,
-                              timeout=120)
 
-    done = invsem_process("member", path)
+def test_module_entry_point_reads_sys_argv(tmp_path):
+    path = _write(tmp_path, "g.pb", PB_GROUP)
+    done = _python("-m", "invsem.cli", "member", path)
     assert (done.returncode, done.stdout, done.stderr) == (0, "YES\n", "")
-    done = invsem_process("nope")
+    done = _python("-m", "invsem.cli", "nope")
     assert done.returncode == 2 and done.stdout == ""
     assert "invalid choice: 'nope'" in done.stderr
+
+
+def test_numpy_loads_on_the_first_table_only(tmp_path, capsys):
+    pb = _write(tmp_path, "g.pb", PB_GROUP)
+    ct = _write(tmp_path, "y2.ct", CT_Y2)
+    done = _python("-c", """if True:
+        import sys
+        def numpy_loaded():
+            print("numpy loaded:", "numpy" in sys.modules)
+        import invsem
+        numpy_loaded()
+        from invsem import cli
+        numpy_loaded()
+        print("exit", cli.main(["member", sys.argv[1]]))
+        numpy_loaded()
+        print("exit", cli.main(["member", sys.argv[2]]))
+        numpy_loaded()
+        """, pb, ct)
+    _, ct_out, ct_err = run(capsys, "member", ct)
+    assert (done.returncode, done.stderr) == (0, ct_err)
+    assert done.stdout == ("numpy loaded: False\n" * 2 + "YES\nexit 0\n"
+                           "numpy loaded: False\n" + ct_out + "exit 0\n"
+                           "numpy loaded: True\n")
 
 
 def test_ct_conj_leaves_the_table_lists_unbuilt(tmp_path, capsys,
