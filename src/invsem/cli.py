@@ -16,14 +16,12 @@ from .gensys import GeneratorSystem, VIRTUAL_ONE
 from .oracle import (ClosureCapExceeded, close, naive_member, naive_conjugate,
                      naive_green, naive_green_leq)
 from .classify import classify_generated
-from .groups import pb_group_member, group_conjugate, perm_group_of, \
-    set_transporter
+from .groups import perm_group_of, set_transporter
 from .ctsolver import CTSolver
 from .slp import (NotGenerated, slp_eval, slp_to_text, slp_from_text,
                   slp_semilattice, slp_group, slp_clifford)
-from .munn import (OutsideTractable, dispatch_member, dispatch_conjugate,
-                   clifford_member, clifford_conjugate, sis_member,
-                   sis_conjugate, require_variety)
+from .munn import (OutsideTractable, SOLVERS, dispatch_member,
+                   dispatch_conjugate, require_variety, solve)
 from .automata import (InverseAutomaton, ProductCapExceeded,
                        intersect_nonempty)
 from .hardness import (gen_ugap_conj, gen_ugap_member, gen_ncl_conj,
@@ -98,47 +96,6 @@ def cmd_classify(args):
     return 0
 
 
-# the variety each explicit pb solver is exact on, checked as --assume is
-_SOLVER_VARIETY = {"group": "Group", "clifford": "Clifford",
-                   "sis": "StrictInverse"}
-
-
-def _pb_solver(gs, args):
-    """The pb solver to run.  An explicit group, clifford or sis solver
-    is taken only where U lies in its variety."""
-    if args.force_oracle:
-        return "oracle"
-    if args.solver == "ct-greedy":
-        raise CLIError("solver %r does not apply to pb instances"
-                       % args.solver)
-    if args.solver in _SOLVER_VARIETY:
-        try:
-            require_variety(gs, _SOLVER_VARIETY[args.solver], args.cap)
-        except ValueError as exc:
-            raise CLIError("--solver %s: %s" % (args.solver, exc))
-    return args.solver
-
-
-def _pb_member(gs, t, args):
-    explain = {} if args.explain else None
-    solver = _pb_solver(gs, args)
-    if solver == "auto":
-        ok = dispatch_member(gs, t, assume=args.assume, cap=args.cap,
-                             explain=explain)
-        word = None
-    elif solver == "oracle":
-        ok, word = naive_member(gs, t, args.cap)
-    elif solver == "group":
-        ok, word = pb_group_member(gs, t)
-    elif solver == "clifford":
-        ok, word = clifford_member(gs, t), None
-    else:
-        ok, word = sis_member(gs, t, explain=explain), None
-    if explain:
-        _print_explain(explain)
-    return ok, word
-
-
 def _check_flags(args, model):
     """Reject a --model that does not match the file, --force-oracle
     beside a --solver other than the oracle, and an --assume hint where
@@ -154,90 +111,74 @@ def _check_flags(args, model):
                        "instances")
 
 
-def _ct_oracle(args):
-    """True for the oracle, False for the greedy CT solver; the pb
-    solvers do not apply to ct instances."""
-    if args.solver == "oracle" or args.force_oracle:
-        return True
-    if args.solver in ("auto", "ct-greedy"):
-        return False
-    raise CLIError("solver %r does not apply to ct instances" % args.solver)
+# the records each query reads, in the order they are required
+_RECORDS = {"member": ("target",), "conj": ("s", "t")}
+
+
+def _decide(args, query):
+    """member or conj on a pb or ct file: run the solver that the flags
+    and the variety of U pick, and print the answer and its witness.
+    An explicit group, clifford or sis solver is taken only where U lies
+    in its variety."""
+    inst = _load(args.file)
+    model = ("pb" if isinstance(inst, PBInstance)
+             else "ct" if isinstance(inst, CTInstance) else None)
+    if model is None:
+        raise CLIError("%s needs a pb or ct instance" % query)
+    _check_flags(args, model)
+    gs = _system_of(inst) if model == "pb" else None
+    xs = [_require(getattr(inst, key), key) for key in _RECORDS[query]]
+    solver = "oracle" if args.force_oracle else args.solver
+    if solver not in ("auto", "oracle") and (model == "ct") != (
+            solver == "ct-greedy"):
+        raise CLIError("solver %r does not apply to %s instances"
+                       % (solver, model))
+    member = query == "member"
+    explain = {} if args.explain else None
+    if solver == "oracle":
+        ok, w = (naive_member if member else naive_conjugate)(
+            gs or inst.system(), *xs, args.cap)
+    elif model == "ct":
+        ct, solver = CTSolver(inst.table, inst.gens), "ct-greedy"
+        if member:
+            ok, w, iterations = ct.member(*xs)
+            if explain is not None:
+                explain["greedy_iterations"] = iterations
+        else:
+            ok, w = ct.conjugate(*xs), None
+    elif solver == "auto" and member:
+        ok, w = dispatch_member(gs, *xs, assume=args.assume, cap=args.cap,
+                                explain=explain), None
+    elif solver == "auto":
+        ok, w = dispatch_conjugate(gs, *xs, assume=args.assume, cap=args.cap,
+                                   explain=explain)
+    else:
+        variety = {name: v for v, name in SOLVERS.items()}[solver]
+        try:
+            require_variety(gs, variety, args.cap)
+        except ValueError as exc:
+            raise CLIError("--solver %s: %s" % (solver, exc))
+        ok, w = solve(variety, query, gs, *xs, cap=args.cap, explain=explain)
+    if explain is not None:
+        explain.setdefault("solver", solver)
+        _print_explain(explain)
+    print("YES" if ok else "NO")
+    if ok and w is not None and not member:
+        print(formats.image_line("conjugator", w) if model == "pb" else
+              "conjugator %s" % ("one" if w == VIRTUAL_ONE else w))
+    elif ok and w is not None:
+        # a greedy word lists element indices, the others generator numbers
+        print("word" + "".join(" %d" % x for x in w)
+              if solver == "ct-greedy" else _word_line(w))
+    return 0
 
 
 def cmd_member(args):
-    inst = _load(args.file)
-    if isinstance(inst, PBInstance):
-        _check_flags(args, "pb")
-        gs = _system_of(inst)
-        t = _require(inst.target, "target")
-        ok, word = _pb_member(gs, t, args)
-        print("YES" if ok else "NO")
-        if ok and word is not None:
-            print(_word_line(word))
-        return 0
-    if isinstance(inst, CTInstance):
-        _check_flags(args, "ct")
-        t = _require(inst.target, "target")
-        if _ct_oracle(args):
-            ok, word = naive_member(inst.system(), t, args.cap)
-            print("YES" if ok else "NO")
-            if ok:
-                print(_word_line(word))
-        else:
-            ok, word, _ = CTSolver(inst.table, inst.gens).member(t)
-            print("YES" if ok else "NO")
-            if ok:
-                print("word" + "".join(" %d" % x for x in word))
-        return 0
-    raise CLIError("member needs a pb or ct instance")
-
-
-def _pb_conjugate(gs, s, t, args):
-    explain = {} if args.explain else None
-    solver = _pb_solver(gs, args)
-    if solver == "auto":
-        ok, u = dispatch_conjugate(gs, s, t, assume=args.assume,
-                                   cap=args.cap, explain=explain)
-    elif solver == "oracle":
-        ok, u = naive_conjugate(gs, s, t, args.cap)
-    elif solver == "group":
-        ok, u = group_conjugate(gs, s, t)
-    elif solver == "clifford":
-        ok, u = clifford_conjugate(gs, s, t)
-    else:
-        ok, u = sis_conjugate(gs, s, t, explain=explain)
-    if explain:
-        _print_explain(explain)
-    return ok, u
+    return _decide(args, "member")
 
 
 def cmd_conj(args):
-    inst = _load(args.file)
-    if isinstance(inst, PBInstance):
-        _check_flags(args, "pb")
-        gs = _system_of(inst)
-        s = _require(inst.s, "s")
-        t = _require(inst.t, "t")
-        ok, u = _pb_conjugate(gs, s, t, args)
-        print("YES" if ok else "NO")
-        if ok and u is not None:
-            print(formats.image_line("conjugator", u))
-        return 0
-    if isinstance(inst, CTInstance):
-        _check_flags(args, "ct")
-        s = _require(inst.s, "s")
-        t = _require(inst.t, "t")
-        if _ct_oracle(args):
-            ok, u = naive_conjugate(inst.system(), s, t, args.cap)
-            print("YES" if ok else "NO")
-            if ok:
-                print("conjugator %s"
-                      % ("one" if u == VIRTUAL_ONE else str(u)))
-        else:
-            ok = CTSolver(inst.table, inst.gens).conjugate(s, t)
-            print("YES" if ok else "NO")
-        return 0
-    raise CLIError("conj needs a pb or ct instance")
+    return _decide(args, "conj")
 
 
 def cmd_green(args):

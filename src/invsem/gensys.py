@@ -52,11 +52,13 @@ class GeneratorSystem:
         self.adjoined_identity = (
             self.model == "ct" and table.identity_index is None
         )
-        # lazy caches, kept for the life of the system: closure,
-        # classification, the idempotents u u~ of the generators, group
-        # BSGS and its diagonal action, Munn graphs by delta, bases by
-        # (delta, anchor), H-class records by (solver, e-hat)
+        # lazy caches, kept for the life of the system: closure, the
+        # largest element cap it exceeded, classification, the
+        # idempotents u u~ of the generators, group BSGS and its diagonal
+        # action, Munn graphs by delta, bases by (delta, anchor), H-class
+        # records by (solver, e-hat)
         self._closure = None
+        self._over_cap = 0
         self._variety = None
         self._idempotents = None
         self._bsgs = None

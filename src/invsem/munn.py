@@ -104,7 +104,7 @@ def munn_dot(M):
     for i, v in enumerate(M.vertices):
         lines.append('  v%d [label="%s"];' % (i, label(v)))
     for gi, a, b in M.edges:
-        lines.append('  v%d -- v%d [label="g%d"];' % (a, b, gi))
+        lines.append('  v%d -- v%d [label="g%d"];' % (a, b, gi + 1))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -491,38 +491,47 @@ def _route(gs, assume, cap, explain):
     return name
 
 
-def dispatch_member(gs, t, assume=None, cap=GENERAL_CAP, explain=None):
-    """Route a partial-bijection membership instance by variety."""
-    name = _route(gs, assume, cap, explain)
-    if name in ("Trivial", "Semilattice"):
-        return semilattice_member(gs, t)
-    if name == "Group":
-        ok, _ = pb_group_member(gs, t)
-        return ok
-    if name == "Clifford":
-        return clifford_member(gs, t)
-    if name == "StrictInverse":
-        return sis_member(gs, t, explain=explain)
+# the solver that is exact on each variety; `--solver group|clifford|sis`
+# names one directly
+SOLVERS = {"Trivial": "semilattice", "Semilattice": "semilattice",
+           "Group": "group", "Clifford": "clifford", "StrictInverse": "sis",
+           "General": "general"}
+
+
+def solve(variety, query, gs, *xs, cap=GENERAL_CAP, explain=None):
+    """Decide `query` on U by the solver of `variety`: "member" with
+    xs = (t,) or "conj" with xs = (s, t).  Returns (bool, witness or
+    None), the witness a word for Group membership and a conjugator for
+    conjugacy.  The solvers are looked up when called, so a rebound
+    module attribute (a tracing wrapper) is the one that runs."""
+    if explain is not None:
+        explain["solver"] = SOLVERS[variety]
+    member = query == "member"
+    if variety in ("Trivial", "Semilattice"):
+        return ((semilattice_member(gs, *xs), None) if member
+                else semilattice_conjugate(gs, *xs))
+    if variety == "Group":
+        return (pb_group_member if member else group_conjugate)(gs, *xs)
+    if variety == "Clifford":
+        return ((clifford_member(gs, *xs), None) if member
+                else clifford_conjugate(gs, *xs))
+    if variety == "StrictInverse":
+        return ((sis_member(gs, *xs, explain=explain), None) if member
+                else sis_conjugate(gs, *xs, explain=explain))
     try:
-        ok, _ = naive_member(gs, t, cap)
+        return (naive_member if member else general_conjugate)(gs, *xs, cap)
     except ClosureCapExceeded as exc:
         raise OutsideTractable(str(exc))
-    return ok
+
+
+def dispatch_member(gs, t, assume=None, cap=GENERAL_CAP, explain=None):
+    """Route a partial-bijection membership instance by variety."""
+    return solve(_route(gs, assume, cap, explain), "member", gs, t,
+                 cap=cap, explain=explain)[0]
 
 
 def dispatch_conjugate(gs, s, t, assume=None, cap=GENERAL_CAP, explain=None):
     """Route a partial-bijection conjugacy instance by variety.
     Returns (bool, conjugator or None)."""
-    name = _route(gs, assume, cap, explain)
-    if name in ("Trivial", "Semilattice"):
-        return semilattice_conjugate(gs, s, t)
-    if name == "Group":
-        return group_conjugate(gs, s, t)
-    if name == "Clifford":
-        return clifford_conjugate(gs, s, t)
-    if name == "StrictInverse":
-        return sis_conjugate(gs, s, t, explain=explain)
-    try:
-        return general_conjugate(gs, s, t, cap)
-    except ClosureCapExceeded as exc:
-        raise OutsideTractable(str(exc))
+    return solve(_route(gs, assume, cap, explain), "conj", gs, s, t,
+                 cap=cap, explain=explain)

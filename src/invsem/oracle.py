@@ -58,6 +58,9 @@ def close(gs, cap=ELEMENT_CAP, product_cap=PRODUCT_CAP):
     if gs._closure is not None:
         # a completed closure is the full set regardless of the cap used
         return gs._closure
+    if cap <= gs._over_cap:
+        # the enumeration is deterministic and passed this cap before
+        raise ClosureCapExceeded("closure exceeded %d elements" % cap)
     gens = gs.generators
     mul = gs.mul
     # the generators are distinct (GeneratorSystem deduplicates them)
@@ -82,6 +85,7 @@ def close(gs, cap=ELEMENT_CAP, product_cap=PRODUCT_CAP):
             k = index.get(y)
             if k is None:
                 if len(elements) >= cap:
+                    gs._over_cap = cap
                     raise ClosureCapExceeded(
                         "closure exceeded %d elements" % cap
                     )

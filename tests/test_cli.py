@@ -13,9 +13,12 @@ from invsem import cli
 from invsem.cli import main
 from invsem.pbij import PartialBijection
 from invsem.cayley import brandt_table
-from invsem.formats import CTInstance, parse_pb, parse_eqn, parse, serialize
+from invsem.formats import (CTInstance, PBInstance, parse_pb, parse_eqn,
+                            parse, serialize)
+from invsem.oracle import close
 
-from helpers import K4_NCL, PRISM_NCL, rand_ncl_machine
+from helpers import K4_NCL, PRISM_NCL, rand_ncl_machine, rand_pb, \
+    sample_systems
 from invsem.formats import serialize_ncl
 
 
@@ -733,6 +736,79 @@ def test_general_conj_prints_what_the_oracle_prints(tmp_path, capsys):
         code, out, _ = run(capsys, "conj", path)
         assert code == 0 and out.splitlines()[0] == answer
         assert out == run(capsys, "conj", path, "--solver", "oracle")[1]
+
+
+def test_explain_names_the_solver_on_every_route(tmp_path, capsys):
+    pb = _write(tmp_path, "g.pb", PB_GROUP + "s 2 3 1\nt 2 3 1\n")
+    ct = _write(tmp_path, "y2.ct", CT_Y2)
+    b2 = _write(tmp_path, "b2.pb", "pb 2\ngen 2 _\ntarget 1 _\n"
+                "s 1 _\nt _ 2\n")
+    general = _write(tmp_path, "gen.pb", "pb 3\ngen 2 3 1\ngen 2 1 3\n"
+                     "gen 1 2 _\ntarget 1 _ _\ns 1 2 _\nt _ 2 3\n")
+    semilattice = _write(tmp_path, "s.pb", PB_SEMILATTICE)
+    cases = [(pb, [], "group"), (semilattice, [], "semilattice"),
+             (b2, [], "sis"), (general, [], "general"),
+             (pb, ["--solver", "group"], "group"),
+             (pb, ["--solver", "clifford"], "clifford"),
+             (pb, ["--solver", "sis"], "sis"),
+             (pb, ["--solver", "oracle"], "oracle"),
+             (pb, ["--force-oracle"], "oracle"),
+             (ct, [], "ct-greedy"), (ct, ["--solver", "ct-greedy"], "ct-greedy"),
+             (ct, ["--solver", "oracle"], "oracle"),
+             (ct, ["--force-oracle"], "oracle")]
+    for cmd in ("member", "conj"):
+        for path, extra, solver in cases:
+            code, out, err = run(capsys, cmd, path, *extra, "--explain")
+            lines = err.splitlines()
+            assert code == 0 and "solver: %s" % solver in lines, (
+                cmd, path, extra)
+            # the explanation goes to stderr only
+            assert run(capsys, cmd, path, *extra) == (code, out, "")
+            greedy = cmd == "member" and solver == "ct-greedy"
+            assert greedy == any(line.startswith("greedy_iterations: ")
+                                 for line in lines), (cmd, path, extra)
+
+
+# the varieties each explicit pb solver is exact on
+_EXACT_ON = {
+    "group": ("Trivial", "Group"),
+    "clifford": ("Trivial", "Semilattice", "Group", "Clifford"),
+    "sis": ("Trivial", "Semilattice", "Group", "Clifford", "StrictInverse"),
+}
+
+
+def test_explicit_solvers_agree_with_the_oracle(tmp_path, capsys):
+    rng = random.Random(16)
+    runs = {solver: 0 for solver in _EXACT_ON}
+    witnesses = 0
+    for gs, name in sample_systems(rng, 4, degrees=(3, 6), closure_cap=300):
+        elements = close(gs).elements
+        for _ in range(3):
+            s, u = rng.choice(elements), rng.choice(elements)
+            target = (rng.choice(elements) if rng.random() < 0.6
+                      else rand_pb(rng, gs.degree))
+            t = gs.mul(gs.mul(gs.inv(u), s), u)  # often conjugate to s
+            path = _write(tmp_path, "q.pb", serialize(PBInstance(
+                gs.degree, list(gs.generators), target=target, s=s, t=t)))
+            for cmd in ("member", "conj"):
+                code, want, _ = run(capsys, cmd, path, "--solver", "oracle")
+                assert code == 0
+                for solver, varieties in _EXACT_ON.items():
+                    if name not in varieties:
+                        continue
+                    code, out, _ = run(capsys, cmd, path, "--solver", solver)
+                    assert code == 0
+                    assert out.splitlines()[0] == want.splitlines()[0], (
+                        cmd, solver, name)
+                    # every printed witness (word or conjugator) checks out
+                    code, verdict, _ = _verify(capsys, tmp_path, cmd, path,
+                                               out)
+                    assert (code, verdict.strip()) in (
+                        (0, "OK"), (0, "OK no witness to check")), (
+                        cmd, solver, out, verdict)
+                    runs[solver] += 1
+                    witnesses += verdict.strip() == "OK"
+    assert min(runs.values()) >= 20 and witnesses >= 20, (runs, witnesses)
 
 
 def test_explicit_pb_solver_runs_inside_its_variety(tmp_path, capsys):

@@ -1,14 +1,16 @@
 """Munn graphs, bases, and the strict inverse solvers."""
 
 import random
+import re
 
 import pytest
 
 from invsem.pbij import (PartialBijection, partial_identity, brandt,
                          all_partial_bijections, direct_product)
 from invsem.gensys import GeneratorSystem
-from invsem.oracle import close, naive_member, naive_conjugate
-from invsem.classify import classify_generated
+from invsem.oracle import (ClosureCapExceeded, close, naive_member,
+                           naive_conjugate)
+from invsem.classify import classify_generated, classify_from_generators
 from invsem.munn import (OutsideTractable, orbit_closure,
                          munn_graph, munn_dot, basis_at, hclass_generators,
                          sis_min_idempotent, clifford_min_idempotent,
@@ -49,6 +51,16 @@ def test_munn_graph_on_brandt_generators():
     assert len(M.edges) == 4
     assert set(M.comp) == {0}
     assert "--" in munn_dot(M)
+
+
+def test_munn_dot_numbers_edges_as_word_lines_do():
+    # an edge is labelled g<i> with i 1-based, as in `word` lines
+    maps, idx = brandt(3)
+    gs = GeneratorSystem([maps[idx[(0, 1)]], maps[idx[(1, 2)]]], degree=3)
+    M = munn_graph(gs, range(3))
+    labels = re.findall(r'label="(g\d+)"', munn_dot(M))
+    assert labels == ["g%d" % (gi + 1) for gi, _, _ in M.edges]
+    assert sorted(labels) == ["g1", "g2", "g3", "g4"]
 
 
 def test_basis_conjugators_and_hclass():
@@ -188,6 +200,48 @@ def test_general_route_respects_cap():
          PartialBijection(6, (1, 0, 2, 3, 4, None))], degree=6)
     with pytest.raises(Exception):
         dispatch_member(gs, gs.one, cap=50)
+
+
+def _counting(gens, n):
+    """A system on n points whose products are counted in a list."""
+    gs = GeneratorSystem(gens, degree=n)
+    products = []
+    mul = gs.mul
+    gs.mul = lambda x, y: products.append(1) or mul(x, y)
+    return gs, products
+
+
+def test_over_cap_closure_is_enumerated_once():
+    # the 8-cycle, a transposition and a rank-7 idempotent generate a
+    # General U far past the cap: classifying it enumerates U up to the
+    # cap, and the General solver is then refused without a second
+    # enumeration, on this query and on every later one
+    n, cap = 8, 300
+    gens = [PartialBijection(n, tuple((i + 1) % n for i in range(n))),
+            PartialBijection(n, (1, 0) + tuple(range(2, n))),
+            PartialBijection(n, tuple(range(n - 1)) + (None,))]
+    gs, one_closure = _counting(gens, n)
+    with pytest.raises(ClosureCapExceeded):
+        close(gs, cap)
+    gs, from_generators = _counting(gens, n)
+    assert classify_from_generators(gs) is None
+    gs, products = _counting(gens, n)
+    for query in range(1, 4):
+        with pytest.raises(OutsideTractable,
+                           match="^closure exceeded %d elements$" % cap):
+            dispatch_member(gs, gs.one, cap=cap)
+        assert len(products) == (len(one_closure)
+                                 + query * len(from_generators))
+    # a smaller cap is refused at once with its own figure; a larger one
+    # enumerates again
+    before = len(products)
+    with pytest.raises(ClosureCapExceeded,
+                       match="^closure exceeded 100 elements$"):
+        close(gs, 100)
+    assert len(products) == before
+    with pytest.raises(ClosureCapExceeded):
+        close(gs, cap + 1)
+    assert len(products) > before + len(one_closure)
 
 
 def _symmetric_group(n):
