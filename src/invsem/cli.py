@@ -16,7 +16,7 @@ from .gensys import GeneratorSystem, VIRTUAL_ONE
 from .oracle import (ClosureCapExceeded, close, naive_member, naive_conjugate,
                      naive_green, naive_green_leq)
 from .classify import classify_generated
-from .groups import perm_group_of, set_transporter
+from .groups import group_element, perm_group_of, set_transporter
 from .ctsolver import CTSolver
 from .slp import (NotGenerated, slp_eval, slp_to_text, slp_from_text,
                   slp_semilattice, slp_group, slp_clifford)
@@ -135,33 +135,38 @@ def _decide(args, query):
                        % (solver, model))
     member = query == "member"
     explain = {} if args.explain else None
-    if solver == "oracle":
-        ok, w = (naive_member if member else naive_conjugate)(
-            gs or inst.system(), *xs, args.cap)
-    elif model == "ct":
-        ct, solver = CTSolver(inst.table, inst.gens), "ct-greedy"
-        if member:
-            ok, w, iterations = ct.member(*xs)
-            if explain is not None:
-                explain["greedy_iterations"] = iterations
+    try:
+        if solver == "oracle":
+            ok, w = (naive_member if member else naive_conjugate)(
+                gs or inst.system(), *xs, args.cap)
+        elif model == "ct":
+            ct, solver = CTSolver(inst.table, inst.gens), "ct-greedy"
+            if member:
+                ok, w, iterations = ct.member(*xs)
+                if explain is not None:
+                    explain["greedy_iterations"] = iterations
+            else:
+                ok, w = ct.conjugate(*xs), None
+        elif solver == "auto" and member:
+            ok, w = dispatch_member(gs, *xs, assume=args.assume,
+                                    cap=args.cap, explain=explain), None
+        elif solver == "auto":
+            ok, w = dispatch_conjugate(gs, *xs, assume=args.assume,
+                                       cap=args.cap, explain=explain)
         else:
-            ok, w = ct.conjugate(*xs), None
-    elif solver == "auto" and member:
-        ok, w = dispatch_member(gs, *xs, assume=args.assume, cap=args.cap,
-                                explain=explain), None
-    elif solver == "auto":
-        ok, w = dispatch_conjugate(gs, *xs, assume=args.assume, cap=args.cap,
-                                   explain=explain)
-    else:
-        variety = {name: v for v, name in SOLVERS.items()}[solver]
-        try:
-            require_variety(gs, variety, args.cap)
-        except ValueError as exc:
-            raise CLIError("--solver %s: %s" % (solver, exc))
-        ok, w = solve(variety, query, gs, *xs, cap=args.cap, explain=explain)
-    if explain is not None:
-        explain.setdefault("solver", solver)
-        _print_explain(explain)
+            variety = {name: v for v, name in SOLVERS.items()}[solver]
+            try:
+                require_variety(gs, variety, args.cap)
+            except ValueError as exc:
+                raise CLIError("--solver %s: %s" % (solver, exc))
+            ok, w = solve(variety, query, gs, *xs, cap=args.cap,
+                          explain=explain)
+    finally:
+        # also when the solver refuses: the route is known by then
+        if explain is not None:
+            if solver != "auto":
+                explain.setdefault("solver", solver)
+            _print_explain(explain)
     print("YES" if ok else "NO")
     if ok and w is not None and not member:
         print(formats.image_line("conjugator", w) if model == "pb" else
@@ -253,12 +258,9 @@ def cmd_transport(args):
     if found is None:
         print("NO")
         return 0
-    _, word = found
-    u = gs.one
-    for i in word:
-        u = gs.mul(u, gs.generators[i])
     print("YES")
-    print(formats.image_line("transporter", u))
+    print(formats.image_line("transporter",
+                             group_element(gs, points, found)))
     return 0
 
 

@@ -2,13 +2,23 @@
 membership for permutation groups, the partial-bijection wrapper, set
 transporter and conjugacy via the graph-of-the-map reduction.
 
-Permutations are tuples p with x^p = p[x]; products are left-to-right
-(apply the left factor first), matching the partial-bijection
-convention.  Witness words are tuples of generator indices; generators
-are inverse-closed internally so no signed letters are needed.
+Permutations are tuples p with x^p = p[x] (256-byte tables multiplied
+by bytes.translate inside a PermGroup on at most 256 points); products
+are left-to-right (apply the left factor first), matching the
+partial-bijection convention.  Witness words are tuples of generator
+indices; generators are inverse-closed internally so no signed letters
+are needed.  The build stores no words: `PermGroup.rep_words` expands
+them from the Schreier vectors when a witness is printed.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
+
+from .pbij import PartialBijection
+
+ID256 = bytes(range(256))
+
 
 def _pmul(a, b):
     return tuple([b[x] for x in a])
@@ -21,14 +31,25 @@ def _pinv(a):
     return tuple(inv)
 
 
+def _binv(a):
+    return bytes.maketrans(a, ID256)
+
+
+# how: input letter i, or (j, x, s, y) for rep_j(x) s rep_j(y)^-1;
+# strip: the point at each level it sifted past
+_Strong = namedtuple("_Strong", "perm serial how strip")
+
+
 class _Level:
-    __slots__ = ("b", "gens", "transversal", "inverse")
+    __slots__ = ("b", "gens", "transversal", "sifted", "seen")
 
     def __init__(self, b, identity):
         self.b = b
-        self.gens = []  # (perm, word)
-        self.transversal = {b: (identity, ())}  # point -> (rep, word), b^rep = point
-        self.inverse = {b: (identity, ())}  # point -> inverse of its rep
+        self.gens = []  # the strong generators stored here
+        # point y -> (rep, its inverse, x, s): b^rep = y, rep = rep(x) s
+        self.transversal = {b: (identity, identity, None, None)}
+        self.sifted = {}  # point -> strong generators made before it
+        self.seen = 0  # strong generators made before the last orbit
 
 
 class PermGroup:
@@ -53,30 +74,32 @@ class PermGroup:
                 index[ig] = len(self.gens)
                 self.gens.append(ig)
         self.inv_index = [index[_pinv(g)] for g in self.gens]
+        self._mul, self._inv, self._id = ((bytes.translate, _binv, ID256)
+                                          if m <= 256 else
+                                          (_pmul, _pinv, self.identity))
         self.levels = []
+        self.strong = []  # every strong generator, in order of creation
         self._fixed = None
         for i, g in enumerate(self.gens):
-            self._insert(g, (i,))
+            self._insert(self._encode(g), i)
         self._stabilize()
+
+    def _encode(self, p):
+        return bytes(p) + ID256[self.m:] if self._id is ID256 else p
 
     # -- construction ------------------------------------------------------
 
-    def _inv_pw(self, p, w):
-        # invert an element given as a word over self.gens
-        return _pinv(p), tuple(self.inv_index[letter] for letter in reversed(w))
-
-    def _strip(self, start, p, w):
-        reps = []
-        for j in range(start, len(self.levels)):
-            lvl = self.levels[j]
+    def _strip(self, p):
+        """Sift p: (residue, the point at each level passed)."""
+        pts, mul = [], self._mul
+        for lvl in self.levels:
             x = p[lvl.b]
             if x not in lvl.transversal:
-                return p, w, j, reps
-            reps.append(lvl.transversal[x])
-            ir, irw = lvl.inverse[x]
-            p = _pmul(p, ir)
-            w = w + irw
-        return p, w, len(self.levels), reps
+                break
+            pts.append(x)
+            if x != lvl.b:
+                p = mul(p, lvl.transversal[x][1])
+        return p, pts
 
     def _gens_at(self, j):
         # Strong generators of the level-j stabilizer: everything stored
@@ -87,38 +110,40 @@ class PermGroup:
             out.extend(lvl.gens)
         return out
 
-    def _insert(self, p, w):
-        """Sift (p, w); store a nontrivial residue as a strong generator
-        at its strip depth."""
-        p, w, j, _ = self._strip(0, p, w)
-        if p == self.identity:
+    def _insert(self, p, how):
+        """Sift p; store a nontrivial residue as a strong generator at
+        its strip depth."""
+        p, pts = self._strip(p)
+        if p == self._id:
             return False
-        if j == len(self.levels):
+        if len(pts) == len(self.levels):
             b = min(x for x in range(self.m) if p[x] != x)
-            self.levels.append(_Level(b, self.identity))
-        self.levels[j].gens.append((p, w))
+            self.levels.append(_Level(b, self._id))
+        self.strong.append(_Strong(p, len(self.strong), how, tuple(pts)))
+        self.levels[len(pts)].gens.append(self.strong[-1])
         return True
 
     def _orbit(self, j):
-        # extend the transversal of b_j under the level-j stabilizer
+        # extend the transversal of b_j under the level-j stabilizer; it
+        # is closed under the generators it has seen, so old points meet
+        # only new ones, in the order a full rescan would meet them
         lvl = self.levels[j]
         gens = self._gens_at(j)
+        new = [s for s in gens if s.serial >= lvl.seen]
+        lvl.seen = len(self.strong)
         pts = list(lvl.transversal)
-        k = 0
-        while k < len(pts):
-            x = pts[k]
-            k += 1
-            r, rw = lvl.transversal[x]
-            for s, sw in gens:
-                y = s[x]
+        old = len(pts)
+        for k, x in enumerate(pts):  # pts grows as the orbit does
+            r = lvl.transversal[x][0]
+            for s in new if k < old else gens:
+                y = s.perm[x]
                 if y not in lvl.transversal:
-                    rep = (_pmul(r, s), rw + sw)
-                    lvl.transversal[y] = rep
-                    lvl.inverse[y] = self._inv_pw(*rep)
+                    rep = self._mul(r, s.perm)
+                    lvl.transversal[y] = (rep, self._inv(rep), x, s)
                     pts.append(y)
 
     def _stabilize(self):
-        # Fixpoint: recompute all orbits, then hunt for a Schreier
+        # Fixpoint: extend all orbits, then hunt for a Schreier
         # generator that does not sift to the identity; each insertion
         # grows the transversal product, so this terminates.
         while True:
@@ -128,19 +153,55 @@ class PermGroup:
                 return
 
     def _find_violation(self):
-        for j in range(len(self.levels)):
-            lvl = self.levels[j]
+        # Transversal entries are never replaced and levels are only
+        # appended, so a Schreier generator that sifted to the identity
+        # still does: none is tested again, and the first violation is
+        # the one a full rescan would find.
+        mul, made = self._mul, len(self.strong)
+        for j, lvl in enumerate(self.levels):
             gens = self._gens_at(j)
-            for x, (r, rw) in list(lvl.transversal.items()):
-                for s, sw in gens:
-                    y = s[x]
-                    iq, iqw = lvl.inverse[y]
-                    sg = _pmul(_pmul(r, s), iq)
-                    if sg == self.identity:
+            for x, (r, _, _, _) in lvl.transversal.items():
+                done = lvl.sifted.get(x, 0)
+                if done == made:
+                    continue
+                for s in gens:
+                    if s.serial < done:
                         continue
-                    if self._insert(sg, rw + sw + iqw):
+                    y = s.perm[x]
+                    sg = mul(mul(r, s.perm), lvl.transversal[y][1])
+                    if sg != self._id and self._insert(sg, (j, x, s, y)):
                         return True
+                lvl.sifted[x] = made
         return False
+
+    # -- words -------------------------------------------------------------
+
+    def rep_words(self, pairs):
+        """The words of the transversal reps at the (level, point) pairs.
+        A strong generator's word uses only older ones' words, so they
+        are expanded oldest first."""
+        words = []  # of the strong generators, in order of creation
+
+        def inverse(j, x):
+            return tuple([self.inv_index[c] for c in reversed(rep(j, x))])
+
+        def rep(j, x):
+            lvl, path = self.levels[j], []
+            while x != lvl.b:
+                _, _, x, s = lvl.transversal[x]
+                for g in self.strong[len(words):s.serial + 1]:
+                    if isinstance(g.how, int):
+                        w = (g.how,)
+                    else:
+                        i, y, t, z = g.how
+                        w = rep(i, y) + words[t.serial] + inverse(i, z)
+                    for i, y in enumerate(g.strip):
+                        w += inverse(i, y)
+                    words.append(w)
+                path.append(words[s.serial])
+            return tuple([c for w in reversed(path) for c in w])
+
+        return [rep(j, x) for j, x in pairs]
 
     # -- queries -----------------------------------------------------------
 
@@ -151,8 +212,8 @@ class PermGroup:
             fixed = [frozenset(range(self.m))]
             for lvl in reversed(self.levels):
                 moved = set()
-                for p, _ in lvl.gens:
-                    moved.update(x for x in range(self.m) if p[x] != x)
+                for s in lvl.gens:
+                    moved.update(x for x in range(self.m) if s.perm[x] != x)
                 fixed.append(fixed[-1] - moved)
             self._fixed = fixed[::-1]
         return self._fixed
@@ -164,34 +225,33 @@ class PermGroup:
             n *= len(lvl.transversal)
         return n
 
-    def contains(self, p):
-        """Membership by sifting; returns (bool, witness word or None)."""
+    def contains(self, p, word=True):
+        """Membership by sifting; returns (bool, witness word or None).
+        The word is expanded only if `word` is true."""
         p = tuple(p)
         if len(p) != self.m:
             raise ValueError("degree mismatch")
-        res, _, _, reps = self._strip(0, p, ())
-        if res != self.identity:
+        res, pts = self._strip(self._encode(p))
+        if res != self._id:
             return False, None
-        # p = r_k ... r_1 where reps = [r_1, ..., r_k] in strip order
-        word = ()
-        for _, rw in reversed(reps):
-            word = word + rw
-        return True, word
+        if not word:
+            return True, None
+        # p = r_k ... r_1 where r_i is the rep at the i-th strip point
+        words = self.rep_words(enumerate(pts))
+        return True, tuple([c for w in reversed(words) for c in w])
 
     def elements(self):
         """All (perm, word) pairs; deterministic order."""
-        out = [(self.identity, ())]
-        for lvl in self.levels:
-            out = [
-                (_pmul(r, p), rw + w)
-                for r, rw in lvl.transversal.values()
-                for p, w in out
-            ]
-        return out
+        out = [(self._id, ())]
+        for j, lvl in enumerate(self.levels):
+            words = self.rep_words((j, x) for x in lvl.transversal)
+            out = [(self._mul(r[0], p), rw + w) for r, rw in zip(
+                lvl.transversal.values(), words) for p, w in out]
+        return [(tuple(p[:self.m]), w) for p, w in out]
 
 
 def set_transporter(G, delta_s, delta_t):
-    """Some g in G with delta_s^g = delta_t, as (perm, word), or None.
+    """Some g in G with delta_s^g = delta_t, as a tuple, or None.
 
     Exhaustive depth-first backtrack over the stabilizer chain, pruning
     on points fixed by the remaining levels.
@@ -211,21 +271,18 @@ def set_transporter(G, delta_s, delta_t):
         if fixed[i] & target != want[i]:
             return None
         if i == len(levels):
-            return (G.identity, ()) if delta_s == target else None
-        inverse = levels[i].inverse
-        for pt, (r, rw) in levels[i].transversal.items():
-            ir, _ = inverse[pt]
-            sub = search(i + 1, frozenset(ir[x] for x in target))
-            if sub is not None:
-                h, hw = sub
-                return _pmul(h, r), hw + rw
+            return G._id if delta_s == target else None
+        for r, ir, _, _ in levels[i].transversal.values():
+            h = search(i + 1, frozenset(ir[x] for x in target))
+            if h is not None:
+                return G._mul(h, r)
         return None
 
-    result = search(0, delta_t)
-    if result is not None:
-        p, _ = result
+    p = search(0, delta_t)
+    if p is not None:
+        p = tuple(p[:G.m])
         assert frozenset(p[x] for x in delta_s) == delta_t
-    return result
+    return p
 
 
 # -- partial-bijection wrappers -------------------------------------------
@@ -266,21 +323,30 @@ def perm_group_of(gs):
     return gs._bsgs
 
 
-def pb_group_member(gs, t):
+def pb_group_member(gs, t, word=True):
     """Membership for <Sigma> a group: domain test, then a sift on the
     common domain.  Returns (bool, witness word over Sigma or None); the
-    word is never empty.
+    word is never empty, and is expanded only if `word` is true.
     """
     G, points = perm_group_of(gs)
     dom = frozenset(points)
     if t.domain() != dom or t.ran() != dom:
         return False, None
-    ok, word = G.contains(_as_perm(t, points))
-    if ok and not word:
+    ok, w = G.contains(_as_perm(t, points), word)
+    if w == ():
         # the sift spells the identity as (); u u~ is the same element
         # and is a word over Sigma, so the witness lies in U
-        word = (0, G.inv_index[0])
-    return ok, word
+        w = (0, G.inv_index[0])
+    return ok, w
+
+
+def group_element(gs, points, q):
+    """The element of U^1 acting on the group domain `points` as the
+    position permutation q; the identity of S^1 if q is the identity."""
+    if q == tuple(range(len(q))):
+        return gs.one
+    image = dict(zip(points, [points[i] for i in q]))
+    return PartialBijection(gs.degree, map(image.get, range(gs.degree)))
 
 
 def _diagonal_group(gs):
@@ -318,13 +384,11 @@ def group_conjugate(gs, s, t):
     D = _diagonal_group(gs)
     delta_s = frozenset(pos[x] * m + pos[y] for x, y in s.graph())
     delta_t = frozenset(pos[x] * m + pos[y] for x, y in t.graph())
-    found = set_transporter(D, delta_s, delta_t)
-    if found is None:
+    p = set_transporter(D, delta_s, delta_t)
+    if p is None:
         return False, None
-    _, word = found
-    u = gs.one
-    for letter in word:
-        u = gs.mul(u, gs.generators[letter])
+    # a diagonal element moves (i, i) to (i^g, i^g)
+    u = group_element(gs, points, tuple(p[i * m + i] // m for i in range(m)))
     ub = gs.inv(u)
     assert gs.mul(gs.mul(ub, s), u) == t
     assert gs.mul(gs.mul(u, t), ub) == s

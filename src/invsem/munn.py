@@ -299,7 +299,7 @@ def clifford_member(gs, t):
     ehat, in_u = clifford_min_idempotent(gs, e)
     if not in_u or ehat != e:
         return False
-    ok, _ = pb_group_member(hclass(gs, ehat).group, t)
+    ok, _ = pb_group_member(hclass(gs, ehat).group, t, word=False)
     return ok
 
 
@@ -351,7 +351,7 @@ def sis_member(gs, t, explain=None):
         explain["basis_gamma"] = dict(H.basis.gamma)
         explain["group_generators"] = hclass_generators(gs, H.basis)
         explain["group_target"] = t_prime
-    ok, _ = pb_group_member(H.group, t_prime)
+    ok, _ = pb_group_member(H.group, t_prime, word=False)
     return ok
 
 
@@ -498,10 +498,11 @@ SOLVERS = {"Trivial": "semilattice", "Semilattice": "semilattice",
            "General": "general"}
 
 
-def solve(variety, query, gs, *xs, cap=GENERAL_CAP, explain=None):
+def solve(variety, query, gs, *xs, cap=GENERAL_CAP, explain=None,
+          word=True):
     """Decide `query` on U by the solver of `variety`: "member" with
     xs = (t,) or "conj" with xs = (s, t).  Returns (bool, witness or
-    None), the witness a word for Group membership and a conjugator for
+    None): a word for Group membership if `word`, a conjugator for
     conjugacy.  The solvers are looked up when called, so a rebound
     module attribute (a tracing wrapper) is the one that runs."""
     if explain is not None:
@@ -511,7 +512,8 @@ def solve(variety, query, gs, *xs, cap=GENERAL_CAP, explain=None):
         return ((semilattice_member(gs, *xs), None) if member
                 else semilattice_conjugate(gs, *xs))
     if variety == "Group":
-        return (pb_group_member if member else group_conjugate)(gs, *xs)
+        return (pb_group_member(gs, *xs, word=word) if member
+                else group_conjugate(gs, *xs))
     if variety == "Clifford":
         return ((clifford_member(gs, *xs), None) if member
                 else clifford_conjugate(gs, *xs))
@@ -527,7 +529,7 @@ def solve(variety, query, gs, *xs, cap=GENERAL_CAP, explain=None):
 def dispatch_member(gs, t, assume=None, cap=GENERAL_CAP, explain=None):
     """Route a partial-bijection membership instance by variety."""
     return solve(_route(gs, assume, cap, explain), "member", gs, t,
-                 cap=cap, explain=explain)[0]
+                 cap=cap, explain=explain, word=False)[0]
 
 
 def dispatch_conjugate(gs, s, t, assume=None, cap=GENERAL_CAP, explain=None):

@@ -409,6 +409,69 @@ def test_ncl_automata_bytes_are_pinned(tmp_path, capsys, name, text,
     assert code == 0 and out == "YES\nword %s\n" % witness
 
 
+# the group witnesses on fixed degree-6 systems: each pb file holds the
+# generators and then records that all answer YES or all answer NO
+WITNESS_GENERATORS = {
+    "S6": ["2 3 4 5 6 1", "2 1 3 4 5 6"],
+    "S3wrS2": ["2 3 1 4 5 6", "2 1 3 4 5 6", "4 5 6 1 2 3"],
+    "S2wrS3": ["2 1 3 4 5 6", "3 4 5 6 1 2", "3 4 1 2 5 6"],
+    # S_5 on five of six points: its identity is not the identity of S^1
+    "S5of6": ["2 3 4 5 1 _", "2 1 3 4 5 _"],
+    # S_3 on {1,2,3} and {4,5,6} at once, and its restriction to {1,2,3}:
+    # a Clifford semigroup with two H-classes
+    "Clifford": ["2 3 1 5 6 4", "2 1 3 5 4 6", "1 2 3 _ _ _"],
+}
+
+# (system, answer, records, sha256 of the stdout of `member --solver
+# group`, auto `conj` and `transport` in turn, each followed by an
+# "exit <status>" line; the Clifford system runs `conj` only)
+WITNESS_PINS = [
+    ("S6", "yes", ["target 3 1 2 6 4 5", "s 2 1 3 4 5 6", "t 1 2 3 4 6 5",
+                   "ds 1 2", "dt 5 3"],
+     "66f5c8c44ef57eb91a5ecc379bce3e382914cd3ac9a3ed8aee7d24a18710b3fc"),
+    ("S6", "no", ["target 1 2 3 4 5 _", "s 2 1 3 4 5 6", "t 2 3 1 4 5 6",
+                  "ds 1 2", "dt 3"],
+     "1883ae5b84d3f3e27b151509142a37879a35a8aa27c2ffafa59fece8f8b0a445"),
+    ("S3wrS2", "yes", ["target 5 4 6 2 3 1", "s 2 1 3 4 5 6",
+                       "t 1 2 3 5 4 6", "ds 1 2", "dt 6 4"],
+     "5bd8e1b21e3bdf5035f7b87c9c248395964500903833823677cdaea7c9851f49"),
+    ("S3wrS2", "no", ["target 1 2 4 3 5 6", "s 2 1 3 4 5 6",
+                      "t 4 5 6 1 2 3", "ds 1 2", "dt 3 4"],
+     "1883ae5b84d3f3e27b151509142a37879a35a8aa27c2ffafa59fece8f8b0a445"),
+    ("S2wrS3", "yes", ["target 4 3 6 5 2 1", "s 2 1 3 4 5 6",
+                       "t 1 2 3 4 6 5", "ds 1 2", "dt 5 6"],
+     "243df373c8cdaa51e6ffcf2db054ec65154e947c9aeb29db6ee2337d8096186b"),
+    ("S2wrS3", "no", ["target 2 3 1 4 5 6", "s 2 1 3 4 5 6",
+                      "t 3 4 1 2 5 6", "ds 1 2", "dt 2 3"],
+     "1883ae5b84d3f3e27b151509142a37879a35a8aa27c2ffafa59fece8f8b0a445"),
+    ("S5of6", "yes", ["target 1 2 3 4 5 _", "s 2 1 3 4 5 _",
+                      "t 2 1 3 4 5 _", "ds 1 2", "dt 2 1"],
+     "b15dacf9d99cc9946df33ce1232b7828523798a8b95cd0031fe6ead0cc644058"),
+    ("Clifford", "yes", ["s 2 1 3 _ _ _", "t 3 2 1 _ _ _"],
+     "c8a34aa7dcf33c473240638396fb43e670cd450eeb2a734eded853b420030b6b"),
+    ("Clifford", "no", ["s 2 1 3 _ _ _", "t 2 3 1 _ _ _"],
+     "42ff64cbc6df479c275b292c29a5bf28fa186be81df79ddeb04c87ef27264916"),
+]
+
+
+@pytest.mark.parametrize("name, answer, records, digest", WITNESS_PINS)
+def test_group_witnesses_are_pinned(tmp_path, capsys, name, answer, records,
+                                    digest):
+    text = "pb 6\n" + "".join("gen %s\n" % g
+                              for g in WITNESS_GENERATORS[name])
+    path = _write(tmp_path, "%s_%s.pb" % (name, answer),
+                  text + "".join(r + "\n" for r in records))
+    commands = ([["conj", path]] if name == "Clifford" else
+                [["member", path, "--solver", "group"], ["conj", path],
+                 ["transport", path]])
+    stdout = ""
+    for argv in commands:
+        code, out, _ = run(capsys, *argv)
+        assert out.split("\n", 1)[0] == answer.upper(), argv
+        stdout += out + "exit %d\n" % code
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+
+
 def test_gen_ncl_conj_and_member(tmp_path, capsys):
     rng = random.Random(1)
     machine = rand_ncl_machine(rng, "k4")
@@ -767,6 +830,32 @@ def test_explain_names_the_solver_on_every_route(tmp_path, capsys):
             greedy = cmd == "member" and solver == "ct-greedy"
             assert greedy == any(line.startswith("greedy_iterations: ")
                                  for line in lines), (cmd, path, extra)
+
+
+def test_explain_survives_a_refusal(tmp_path, capsys):
+    # the 8-cycle, a transposition and a rank-7 idempotent: a General U
+    # far past the cap, refused after its route was chosen
+    path = _write(tmp_path, "i8.pb", "pb 8\ngen 2 3 4 5 6 7 8 1\n"
+                  "gen 2 1 3 4 5 6 7 8\ngen 1 2 3 4 5 6 7 _\n"
+                  "target 1 2 3 4 5 6 7 8\ns 1 2 3 4 5 6 7 _\n"
+                  "t 2 1 3 4 5 6 7 _\n")
+    refused = "refused: closure exceeded 300 elements"
+    for cmd in ("member", "conj"):
+        code, out, err = run(capsys, cmd, path, "--cap", "300", "--explain")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["classified_by: closure",
+                                    "solver: general", "variety: General",
+                                    refused], cmd
+        code, out, err = run(capsys, cmd, path, "--cap", "300", "--explain",
+                             "--solver", "oracle")
+        assert (code, out, err) == (1, "", "solver: oracle\n%s\n" % refused)
+        assert run(capsys, cmd, path, "--cap", "300") == (1, "", refused + "\n")
+        # an input error also keeps what was chosen before it
+        code, out, err = run(capsys, cmd, path, "--cap", "300", "--explain",
+                             "--solver", "group")
+        assert (code, out) == (2, "") and err.splitlines() == [
+            "solver: group", "error: --solver group: variety Group does "
+            "not hold: U is General"]
 
 
 # the varieties each explicit pb solver is exact on

@@ -1,5 +1,6 @@
 """Schreier-Sims machinery, group membership and set transporters."""
 
+import math
 import random
 
 import pytest
@@ -94,16 +95,12 @@ def test_set_transporter_reverified():
         ds = frozenset(rng.sample(range(m), k))
         dt = frozenset(rng.sample(range(m), k))
         found = set_transporter(G, ds, dt)
-        brute = any(frozenset(p[x] for x in ds) == dt
-                    for p in _brute_order(gens, m))
+        elements = _brute_order(gens, m)
+        brute = any(frozenset(p[x] for x in ds) == dt for p in elements)
         assert (found is not None) == brute
         if found is not None:
-            p, word = found
-            assert frozenset(p[x] for x in ds) == dt
-            acc = tuple(range(m))
-            for i in word:
-                acc = tuple(G.gens[i][x] for x in acc)
-            assert acc == p
+            assert found in elements
+            assert frozenset(found[x] for x in ds) == dt
             hits += 1
     assert hits > 20
 
@@ -201,14 +198,19 @@ def _replay(G, word):
 def test_stored_inverses_undo_their_transversal_reps():
     for name, gens, m in STORED_INVERSE_GROUPS:
         G = PermGroup(gens, m)
-        for lvl in G.levels:
-            assert lvl.inverse.keys() == lvl.transversal.keys(), name
-            for x, (r, rw) in lvl.transversal.items():
-                ir, irw = lvl.inverse[x]
-                assert tuple(ir[y] for y in r) == G.identity, name
-                assert ir[x] == lvl.b
-                assert irw == tuple(G.inv_index[i] for i in reversed(rw))
-                assert _replay(G, irw) == ir
+        for j, lvl in enumerate(G.levels):
+            words = G.rep_words([(j, x) for x in lvl.transversal])
+            for (x, (r, ir, x0, s)), rw in zip(lvl.transversal.items(),
+                                               words):
+                assert tuple(ir[r[y]] for y in range(m)) == G.identity, name
+                assert r[lvl.b] == x and ir[x] == lvl.b
+                # the Schreier vector: rep(x) = rep(x0) s
+                if x == lvl.b:
+                    assert x0 is None and s is None
+                else:
+                    r0 = lvl.transversal[x0][0]
+                    assert all(s.perm[r0[y]] == r[y] for y in range(m))
+                assert _replay(G, rw) == tuple(r[:m]), name
 
 
 def test_witnesses_on_symmetric_wreath_and_diagonal_groups():
@@ -235,6 +237,121 @@ def test_witnesses_on_symmetric_wreath_and_diagonal_groups():
             assert (found is not None) == any(
                 frozenset(p[x] for x in ds) == dt for p in elements), name
             if found is not None:
-                p, word = found
-                assert frozenset(p[x] for x in ds) == dt
-                assert _replay(G, word) == p
+                assert found in elements
+                assert frozenset(found[x] for x in ds) == dt
+
+
+def test_symmetric_group_of_degree_30():
+    G = PermGroup(_sym(30), 30)
+    assert G.order == math.factorial(30)
+    assert [lvl.b for lvl in G.levels] == list(range(29))
+
+
+def _near_top(m):
+    """A small group moving the last points of degree m (a 3-cycle on
+    the top three and a transposition of 0 with the top point) and one
+    that also moves points 1 and 2."""
+    top = m - 1
+
+    def perm(*cycles):
+        p = list(range(m))
+        for cycle in cycles:
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                p[a] = b
+        return tuple(p)
+
+    return [[perm((top - 2, top - 1, top)), perm((0, top))],
+            [perm((1, 2, top)), perm((top - 1, top)), perm((0, top - 2))]]
+
+
+@pytest.mark.parametrize("m", [255, 256, 257])
+def test_both_sides_of_the_bytes_threshold(m):
+    rng = random.Random(m)
+    for gens in _near_top(m):
+        G = PermGroup(gens, m)
+        elements = _brute_order(gens, m)
+        assert G.order == len(elements)
+        for p in elements:
+            ok, word = G.contains(p)
+            assert ok and _replay(G, word) == p
+        moved = sorted({x for g in gens for x in range(m) if g[x] != x})
+        for p in rng.sample(sorted(elements), 5):
+            # a transposition of two moved points, mostly outside G
+            a, b = rng.sample(moved, 2)
+            q = list(p)
+            q[a], q[b] = q[b], q[a]
+            assert G.contains(tuple(q))[0] == (tuple(q) in elements)
+        for _ in range(40):
+            k = rng.randrange(1, 4)
+            pool = moved + [3, 4, m // 2]
+            ds = frozenset(rng.sample(pool, k))
+            dt = frozenset(rng.sample(pool, k))
+            found = set_transporter(G, ds, dt)
+            assert (found is not None) == any(
+                frozenset(p[x] for x in ds) == dt for p in elements)
+            if found is not None:
+                assert found in elements
+                assert frozenset(found[x] for x in ds) == dt
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_group_conjugate_on_diagonals_of_256_and_289_points(n):
+    from invsem.oracle import naive_conjugate
+    rng = random.Random(n)
+    # the dihedral group of the n-gon, with its rotation restricted to
+    # nothing else: every point is in the domain
+    rotation = PartialBijection(n, tuple((i + 1) % n for i in range(n)))
+    reflection = PartialBijection(n, tuple((-i) % n for i in range(n)))
+    gs = GeneratorSystem([rotation, reflection], degree=n)
+    assert perm_group_of(gs)[0].order == 2 * n
+    elements = sorted(close(gs).elements)
+    answers = set()
+    for _ in range(60):
+        s = rng.choice(elements)
+        t = rng.choice(elements)
+        if rng.random() < 0.3:
+            # a partial bijection on the domain, outside U
+            t = rand_perm_on(rng, n, rng.sample(range(n), rng.randrange(1, n)))
+            s = t if rng.random() < 0.2 else rand_perm_on(
+                rng, n, rng.sample(range(n), len(t.domain())))
+        ok, u = group_conjugate(gs, s, t)
+        assert ok == naive_conjugate(gs, s, t)[0]
+        if ok:
+            ub = gs.inv(u)
+            assert gs.mul(gs.mul(ub, s), u) == t
+            assert gs.mul(gs.mul(u, t), ub) == s
+        answers.add(ok)
+    assert answers == {True, False}
+
+
+def test_no_word_is_expanded_unless_printed(tmp_path, capsys, monkeypatch):
+    from invsem.munn import dispatch_member, dispatch_conjugate
+    from invsem.cli import main
+    from helpers import sample_systems
+    calls = []
+    expand = PermGroup.rep_words
+    monkeypatch.setattr(PermGroup, "rep_words",
+                        lambda G, pairs: calls.append(1) or expand(G, pairs))
+    rng = random.Random(6)
+    routes = set()
+    for gs, name in sample_systems(rng, 6, degrees=(3, 6)):
+        if name not in ("Group", "Clifford", "StrictInverse"):
+            continue
+        routes.add(name)
+        elements = list(close(gs).elements)
+        for _ in range(10):
+            s, t = rng.choice(elements), rng.choice(elements)
+            assert dispatch_member(gs, t)
+            dispatch_conjugate(gs, s, t)
+    assert routes == {"Group", "Clifford", "StrictInverse"}
+    path = tmp_path / "s4.pb"
+    path.write_text("pb 4\ngen 2 3 4 1\ngen 2 1 3 4\ntarget 4 3 2 1\n"
+                    "s 2 1 3 4\nt 1 2 4 3\nds 1 2\ndt 4 3\n")
+    for argv in (["transport", str(path)], ["conj", str(path)],
+                 ["member", str(path)]):
+        assert main(argv) == 0
+    assert calls == []
+    # the one printed word is the one expansion
+    assert main(["member", str(path), "--solver", "group"]) == 0
+    assert calls == [1]
+    assert capsys.readouterr().out.count("YES") == 4
