@@ -23,23 +23,21 @@ from .pbij import (
 from .cayley import CayleyTable, preston_wagner, brandt_table, y2_table
 from .gensys import GeneratorSystem
 from .oracle import close, naive_member, naive_conjugate, naive_green
-from .classify import VarietyTag, classify, classify_generated
+from .classify import VarietyTag, classify_generated
 from .groups import PermGroup, perm_group_of, pb_group_member, \
     group_conjugate, set_transporter
-from .ctsolver import CTSolver, ct_member, ct_conjugate, ct_r_equiv
+from .ctsolver import CTSolver
 from .slp import (SLP, slp_eval, slp_to_text, slp_from_text,
                   slp_semilattice, slp_group, slp_clifford, NotGenerated)
 from .munn import (OutsideTractable, munn_graph, munn_dot, basis_at,
                    sis_member, sis_conjugate, clifford_member,
                    clifford_conjugate, dispatch_member, dispatch_conjugate)
-from .automata import InverseAutomaton, intersect_nonempty, as_dfa, \
-    ProductCapExceeded
-from .ncl import NCLMachine, ncl_validate, ncl_reach_bruteforce, replay
+from .automata import InverseAutomaton, intersect_nonempty, ProductCapExceeded
+from .ncl import NCLMachine, ncl_validate
 from .hardness import (gen_ugap_conj, gen_ugap_member, gen_ncl_conj,
-                       gen_ncl_member, gen_ncl_automata,
-                       conjugation_orbit_decide, gen_mgs, gen_equation)
-from .meta import (mgs_decide, EquationSystem, solve_equations,
-                   solve_equations_bruteforce)
+                       gen_ncl_member, gen_ncl_automata, gen_mgs,
+                       gen_equation)
+from .meta import mgs_decide, EquationSystem, solve_equations
 from .formats import parse, serialize, FormatError
 
 __all__ = [
@@ -62,7 +60,6 @@ __all__ = [
     "naive_conjugate",
     "naive_green",
     "VarietyTag",
-    "classify",
     "classify_generated",
     "PermGroup",
     "perm_group_of",
@@ -70,9 +67,6 @@ __all__ = [
     "group_conjugate",
     "set_transporter",
     "CTSolver",
-    "ct_member",
-    "ct_conjugate",
-    "ct_r_equiv",
     "SLP",
     "slp_eval",
     "slp_to_text",
@@ -93,24 +87,19 @@ __all__ = [
     "dispatch_conjugate",
     "InverseAutomaton",
     "intersect_nonempty",
-    "as_dfa",
     "ProductCapExceeded",
     "NCLMachine",
     "ncl_validate",
-    "ncl_reach_bruteforce",
-    "replay",
     "gen_ugap_conj",
     "gen_ugap_member",
     "gen_ncl_conj",
     "gen_ncl_member",
     "gen_ncl_automata",
-    "conjugation_orbit_decide",
     "gen_mgs",
     "gen_equation",
     "mgs_decide",
     "EquationSystem",
     "solve_equations",
-    "solve_equations_bruteforce",
     "parse",
     "serialize",
     "FormatError",

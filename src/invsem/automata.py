@@ -111,19 +111,3 @@ def intersect_nonempty(automata, cap=PRODUCT_CAP):
     except SearchCapExceeded:
         raise ProductCapExceeded(
             "product BFS exceeded %d states" % cap) from None
-
-
-def as_dfa(A, failure_state=None):
-    """Total-transition view: adds a failure state absorbing all
-    undefined transitions.  Returns (states, transitions dict
-    symbol -> tuple, start, accepting) with the failure state last.
-    """
-    fail = A.states if failure_state is None else failure_state
-    n = A.states + 1
-    trans = {}
-    for a in A.alphabet:
-        da = A.transitions[a]
-        row = [fail if da[q] is None else da[q] for q in range(A.states)]
-        row.append(fail)
-        trans[a] = tuple(row)
-    return n, trans, A.start, frozenset(A.accepting)

@@ -249,19 +249,3 @@ def direct_product_table(A, B):
         for i in range(A.order * nb)
     ]
     return CayleyTable(table)
-
-
-def from_closure(elements, mul):
-    """Export a closed element list as a CayleyTable.
-
-    Returns (table, index) where index maps each element to its 0-based
-    position in `elements`.
-    """
-    index = {x: i for i, x in enumerate(elements)}
-    if len(index) != len(elements):
-        raise ValueError("duplicate elements")
-    table = [
-        [index[mul(x, y)] for y in elements]
-        for x in elements
-    ]
-    return CayleyTable(table), index

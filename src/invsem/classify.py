@@ -8,17 +8,16 @@ dispatch: Trivial, Semilattice, Group, Clifford, StrictInverse, General.
 inverse-closed generator list Sigma (`classify_from_generators`), with
 O(|Sigma|^2) products and no enumeration of U = <Sigma>.  Only when U
 is not Clifford does it enumerate U, under the closure cap, to split
-StrictInverse from General.  `classify` is the closure-based reference:
-it reads every variety off a closed element list.  Both read Green's
-D-classes off the pairs (x x~, x~ x) (`d_class_labels`), as does
-`meta` for its maximal J-classes.
+StrictInverse from General.  That split reads Green's D-classes off the
+pairs (x x~, x~ x) (`d_class_labels`), as does `meta` for its maximal
+J-classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .oracle import ClosureCapExceeded, close
+from .oracle import ClosureCapExceeded, ELEMENT_CAP, close
 
 SEMILATTICES = ("Trivial", "Semilattice")
 GROUPS = ("Trivial", "Group")
@@ -56,22 +55,6 @@ def _tag(name, classified_by="closure", cap_exceeded=False):
                       divides_B21=name == "General",
                       cap_exceeded=cap_exceeded,
                       classified_by=classified_by)
-
-
-def classify(gs, elements):
-    """Classify the closed element list `elements` (products and
-    inverses taken via gs).
-    """
-    left, right = _idempotent_indices(gs, elements)
-    if all(x == e for x, e in enumerate(left)):  # every x = x x~
-        name = "Trivial" if len(left) == 1 else "Semilattice"
-    elif len(set(left)) == 1:
-        name = "Group"
-    elif left == right:
-        name = "Clifford"
-    else:
-        name = "StrictInverse" if _is_strict_inverse(gs, elements) else "General"
-    return _tag(name)
 
 
 def classify_from_generators(gs):
@@ -163,7 +146,7 @@ def _is_strict_inverse(gs, elements):
     return True
 
 
-def classify_generated(gs, cap=10**6):
+def classify_generated(gs, cap=ELEMENT_CAP):
     """Classify U = <Sigma>: from the generators when U is Clifford,
     otherwise by enumerating U under `cap` to split StrictInverse from
     General.  On closure-cap overflow fall back to the General tag with

@@ -13,12 +13,12 @@ import os
 import sys
 
 from .gensys import GeneratorSystem, VIRTUAL_ONE
-from .oracle import (ClosureCapExceeded, close, naive_member, naive_conjugate,
-                     naive_green, naive_green_leq)
+from .oracle import (ELEMENT_CAP, ClosureCapExceeded, close, naive_member,
+                     naive_conjugate, naive_green, naive_green_leq)
 from .classify import classify_generated
 from .groups import group_element, perm_group_of, set_transporter
 from .ctsolver import CTSolver
-from .slp import (NotGenerated, slp_eval, slp_to_text, slp_from_text,
+from .slp import (NotGenerated, slp_eval, slp_to_text, slp_from_records,
                   slp_semilattice, slp_group, slp_clifford)
 from .munn import (OutsideTractable, SOLVERS, dispatch_member,
                    dispatch_conjugate, require_variety, solve)
@@ -509,9 +509,11 @@ def _verify_transport(inst, lines, args):
 def _verify_slp(inst, lines, args):
     gs = _system_of(inst)
     t = _require(inst.target, "target")
-    slp = slp_from_text("\n".join(
-        " ".join(tokens) for _, tokens in lines
-        if tokens[0] in ("g", "m", "inv", "target")))
+    records = [(lineno, tokens) for lineno, tokens in lines
+               if tokens[0] in ("g", "m", "inv", "target")]
+    if not any(tokens[0] == "target" for _, tokens in records):
+        return "FAIL missing target line"
+    slp = slp_from_records(records, len(gs.generators))
     if slp_eval(gs, slp) != t:
         return "FAIL slp does not evaluate to the target"
     return "OK"
@@ -675,7 +677,7 @@ def build_parser(names=tuple(_COMMANDS)):
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="accepted and ignored; output is deterministic")
-    common.add_argument("--cap", type=_cap, default=10**6,
+    common.add_argument("--cap", type=_cap, default=ELEMENT_CAP,
                         help="closure element cap")
     # argparse lists the registered commands in usage lines, so a partial
     # build names them all through the metavar; a full build leaves it

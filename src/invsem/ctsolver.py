@@ -108,7 +108,7 @@ class CTSolver:
 
     # -- greedy membership -------------------------------------------------
 
-    def member(self, t, check=True):
+    def member(self, t):
         """Greedy membership: is t in U = <Sigma>?
 
         Returns (bool, witness word, iterations).  The loop follows the
@@ -155,33 +155,17 @@ class CTSolver:
             if step is None:
                 break
             y, u = step
-            if check:
-                word = word + self._r_path_word(x, y) + (u,)
+            word = word + self._r_path_word(x, y) + (u,)
             x = mul(y, u)
             iterations += 1
-            if check:
-                # invariants: x in U with the witness word, and x x~ t = t
-                acc = one
-                for letter in word:
-                    acc = mul(acc, letter)
-                assert acc == x, "witness word does not evaluate to x"
-                assert mul(mul(x, inv(x)), t) == t, "x x~ t = t violated"
+            # invariants: x in U with the witness word, and x x~ t = t
+            acc = one
+            for letter in word:
+                acc = mul(acc, letter)
+            assert acc == x, "witness word does not evaluate to x"
+            assert mul(mul(x, inv(x)), t) == t, "x x~ t = t violated"
             assert iterations <= len(elements), \
                 "greedy loop exceeded |S| steps"
         if not self.r_equiv(x, t):
             return False, None, iterations
-        word = word + self._r_path_word(x, t) if check else None
-        return True, word, iterations
-
-
-def ct_r_equiv(table, sigma, s, t):
-    return CTSolver(table, sigma).r_equiv(s, t)
-
-
-def ct_conjugate(table, sigma, s, t):
-    return CTSolver(table, sigma).conjugate(s, t)
-
-
-def ct_member(table, sigma, t):
-    ok, word, _ = CTSolver(table, sigma).member(t)
-    return ok, word
+        return True, word + self._r_path_word(x, t), iterations

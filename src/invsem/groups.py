@@ -240,15 +240,6 @@ class PermGroup:
         words = self.rep_words(enumerate(pts))
         return True, tuple([c for w in reversed(words) for c in w])
 
-    def elements(self):
-        """All (perm, word) pairs; deterministic order."""
-        out = [(self._id, ())]
-        for j, lvl in enumerate(self.levels):
-            words = self.rep_words((j, x) for x in lvl.transversal)
-            out = [(self._mul(r[0], p), rw + w) for r, rw in zip(
-                lvl.transversal.values(), words) for p, w in out]
-        return [(tuple(p[:self.m]), w) for p, w in out]
-
 
 def set_transporter(G, delta_s, delta_t):
     """Some g in G with delta_s^g = delta_t, as a tuple, or None.

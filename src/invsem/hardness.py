@@ -1,8 +1,7 @@
-"""Instance generators for the hardness reductions, each paired with a
-small-scale checking oracle: graph reachability to Brandt-semigroup
-conjugacy/membership, constraint-logic reachability to partial
-bijections and to inverse automata, membership to minimum generating
-set, and idempotent conjugacy to a single equation.
+"""Instance generators for the hardness reductions: graph reachability
+to Brandt-semigroup conjugacy/membership, constraint-logic reachability
+to partial bijections and to inverse automata, membership to minimum
+generating set, and idempotent conjugacy to a single equation.
 """
 
 from __future__ import annotations
@@ -223,49 +222,6 @@ def gen_ncl_automata(M):
                 2, alphabet, involution, transitions, 0 if c == start else 1,
                 frozenset((0 if c == accept else 1,))))
     return enc, automata
-
-
-def automata_word_to_transitions(enc, word):
-    """Map an intersection witness over the shared alphabet back to the
-    edge-reversal sequence it describes."""
-    out = []
-    for sym in word:
-        i = int(sym[1:])
-        out.append(enc.labels[i][0])
-    return tuple(out)
-
-
-# -- conjugation-orbit oracle ----------------------------------------------
-
-
-def conjugation_orbit_decide(gs, s, t, step_check=None):
-    """Decide idempotent conjugacy by BFS over {u~ e u} images, without
-    closing the generated subsemigroup.  Edges require both defining
-    equations, so the search never leaves the conjugacy class of s.
-    """
-    mul = gs.mul
-    inv = gs.inv
-    if s == t:
-        return True
-    seen = {s}
-    frontier = [s]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for u in gs.generators:
-                ub = inv(u)
-                f = mul(mul(ub, e), u)
-                if step_check is not None:
-                    step_check(e, u, f)
-                if f == e or mul(mul(u, f), ub) != e:
-                    continue
-                if f not in seen:
-                    if f == t:
-                        return True
-                    seen.add(f)
-                    nxt.append(f)
-        frontier = nxt
-    return False
 
 
 # -- membership to minimum generating set ----------------------------------

@@ -23,7 +23,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .classify import d_class_labels
-from .gensys import GeneratorSystem
 from .oracle import close, ELEMENT_CAP
 from .search import reach
 
@@ -31,13 +30,12 @@ from .search import reach
 # -- minimum generating set ------------------------------------------------
 
 
-def mgs_decide(u, k, cap=ELEMENT_CAP):
+def mgs_decide(gs, k, cap=ELEMENT_CAP):
     """Is there Xi with |Xi| <= k and <Xi> = U?
 
-    `u` is a GeneratorSystem or a list of partial bijections closed
-    under products and inverses.  Xi is not required to be
-    inverse-closed: inverses are added when closing but |Xi| counts the
-    chosen elements only.  Returns (bool, witness tuple or None).
+    `gs` is a GeneratorSystem and U = <Sigma>.  Xi is not required to
+    be inverse-closed: inverses are added when closing but |Xi| counts
+    the chosen elements only.  Returns (bool, witness tuple or None).
 
     The search starts from the forced candidates F: those that are the
     only candidate of their maximal J-class.  Some smallest generating
@@ -50,18 +48,8 @@ def mgs_decide(u, k, cap=ELEMENT_CAP):
     `hardness.gen_mgs` instance whose target is a member, where every
     maximal class is forced) the decision is that one closure.
     """
-    if isinstance(u, GeneratorSystem):
-        gs = u
-        cl = close(gs, cap)
-        elements = cl.elements
-    else:
-        elements = list(u)
-        if not elements:
-            raise ValueError("empty element list")
-        gs = GeneratorSystem(elements, degree=elements[0].degree)
-        cl = close(gs, cap)
-        if not len(cl.elements) == len(set(elements)) == len(elements):
-            raise ValueError("element list is not closed")
+    cl = close(gs, cap)
+    elements = cl.elements
     full_n = len(elements)
     if k <= 0:
         return False, None
@@ -69,14 +57,6 @@ def mgs_decide(u, k, cap=ELEMENT_CAP):
     # The whole search runs over indices into `elements`; cols[b][a] is
     # the index of elements[a] * elements[b].
     cols, inv_t = _product_table(gs, cl)
-    gen_idx = list(range(len(gs.generators)))
-    if elements is not cl.elements:
-        # an element list is searched in its own order
-        pos = [cl.index[x] for x in elements]
-        back = sorted(range(full_n), key=pos.__getitem__)  # pos inverted
-        cols = [[back[cols[pb][pa]] for pa in pos] for pb in pos]
-        inv_t = [back[inv_t[c]] for c in pos]
-        gen_idx = sorted(back[g] for g in gen_idx)
 
     def grow(closure, chosen, x):
         # <closure + {x}> where closure = <chosen> is closed.  Every
@@ -107,8 +87,9 @@ def mgs_decide(u, k, cap=ELEMENT_CAP):
     # maximal J-class.  The classes are read off the pairs (a a~, a~ a).
     label = d_class_labels([cols[b][a] for a, b in enumerate(inv_t)],
                            [cols[a][b] for a, b in enumerate(inv_t)])
+    # the generators are the first elements of the closure
     n_classes, class_of = _maximal_class_cover(
-        [cols[g] for g in gen_idx], label, candidates)
+        cols[:len(gs.generators)], label, candidates)
     if n_classes > k:
         return False, None
 
@@ -290,23 +271,3 @@ def solve_equations(system, ambient, cap=ELEMENT_CAP):
         for eq in system.equations:
             assert holds(eq, result), "assignment fails re-verification"
     return result
-
-
-def solve_equations_bruteforce(system, ambient, cap=ELEMENT_CAP):
-    """Exhaustive enumeration without pruning; confirmation oracle for
-    small search spaces."""
-    system.check()
-    mul = ambient.mul
-    inv = ambient.inv
-    domains = []
-    for name in system.variables:
-        gs = system.constraints.get(name) or ambient
-        domains.append(list(close(gs, cap).elements))
-    from itertools import product
-    for combo in product(*domains):
-        assignment = dict(zip(system.variables, combo))
-        if all(eval_word(l, assignment, mul, inv)
-               == eval_word(r, assignment, mul, inv)
-               for l, r in system.equations):
-            return assignment
-    return None

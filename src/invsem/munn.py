@@ -12,14 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .pbij import identity, partial_identity
-from .oracle import ClosureCapExceeded, close, naive_member
+from .oracle import ClosureCapExceeded, ELEMENT_CAP, close, naive_member
 from .classify import VarietyTag, classify_generated
 from .gensys import GeneratorSystem
 from .groups import pb_group_member, group_conjugate
 from .search import UnionFind, reach
-
-
-GENERAL_CAP = 10**6
 
 
 class OutsideTractable(Exception):
@@ -387,7 +384,7 @@ def sis_conjugate(gs, s, t, explain=None):
 # -- general conjugacy -----------------------------------------------------
 
 
-def general_conjugate(gs, s, t, cap=GENERAL_CAP):
+def general_conjugate(gs, s, t, cap=ELEMENT_CAP):
     """Relative conjugacy for any U: the first u of the closure, in
     enumeration order, with u~ s u = t and u t u~ = s, so the answer and
     conjugator are those of oracle.naive_conjugate.  Each u costs an
@@ -460,7 +457,7 @@ _HINT_HOLDS = {
 }
 
 
-def require_variety(gs, variety, cap=GENERAL_CAP):
+def require_variety(gs, variety, cap=ELEMENT_CAP):
     """Classify U and check that it lies at or below `variety`: a
     ValueError if not, OutsideTractable where the closure cap cut off
     the StrictInverse/General split.  Returns the tag."""
@@ -498,7 +495,7 @@ SOLVERS = {"Trivial": "semilattice", "Semilattice": "semilattice",
            "General": "general"}
 
 
-def solve(variety, query, gs, *xs, cap=GENERAL_CAP, explain=None,
+def solve(variety, query, gs, *xs, cap=ELEMENT_CAP, explain=None,
           word=True):
     """Decide `query` on U by the solver of `variety`: "member" with
     xs = (t,) or "conj" with xs = (s, t).  Returns (bool, witness or
@@ -526,13 +523,13 @@ def solve(variety, query, gs, *xs, cap=GENERAL_CAP, explain=None,
         raise OutsideTractable(str(exc))
 
 
-def dispatch_member(gs, t, assume=None, cap=GENERAL_CAP, explain=None):
+def dispatch_member(gs, t, assume=None, cap=ELEMENT_CAP, explain=None):
     """Route a partial-bijection membership instance by variety."""
     return solve(_route(gs, assume, cap, explain), "member", gs, t,
                  cap=cap, explain=explain, word=False)[0]
 
 
-def dispatch_conjugate(gs, s, t, assume=None, cap=GENERAL_CAP, explain=None):
+def dispatch_conjugate(gs, s, t, assume=None, cap=ELEMENT_CAP, explain=None):
     """Route a partial-bijection conjugacy instance by variety.
     Returns (bool, conjugator or None)."""
     return solve(_route(gs, assume, cap, explain), "conj", gs, s, t,

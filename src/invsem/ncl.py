@@ -68,12 +68,6 @@ def ncl_validate(M):
     return problems
 
 
-def all_configs(M):
-    """All valid configurations, in binary counting order."""
-    m = len(M.edges)
-    return [c for c in product((0, 1), repeat=m) if is_config(M, c)]
-
-
 def local_configs(M, v):
     """Valid orientations of the edges at v, as tuples over
     incident_edges(M, v) in listing order; binary counting order."""
@@ -94,53 +88,3 @@ def local_configs(M, v):
 def restrict(M, orientation, v):
     """The local configuration of a global orientation at v."""
     return tuple(orientation[i] for i in incident_edges(M, v))
-
-
-def transitions_of(M, config):
-    """(edge index, successor configuration) pairs, edge order."""
-    out = []
-    for i in range(len(M.edges)):
-        nxt = list(config)
-        nxt[i] = 1 - nxt[i]
-        nxt = tuple(nxt)
-        if is_config(M, nxt):
-            out.append((i, nxt))
-    return out
-
-
-def ncl_reach_bruteforce(M):
-    """BFS over the configuration graph; returns (bool, edge-index
-    sequence from config_s to config_t or None)."""
-    if M.config_s == M.config_t:
-        return True, ()
-    prev = {M.config_s: None}
-    queue = [M.config_s]
-    qi = 0
-    while qi < len(queue):
-        c = queue[qi]
-        qi += 1
-        for i, nxt in transitions_of(M, c):
-            if nxt not in prev:
-                prev[nxt] = (c, i)
-                if nxt == M.config_t:
-                    seq = []
-                    cur = nxt
-                    while prev[cur] is not None:
-                        cur, j = prev[cur]
-                        seq.append(j)
-                    return True, tuple(reversed(seq))
-                queue.append(nxt)
-    return False, None
-
-
-def replay(M, seq):
-    """Apply an edge-reversal sequence to config_s; raises ValueError
-    if any intermediate orientation violates the in-flow constraint."""
-    cur = M.config_s
-    for step, i in enumerate(seq):
-        nxt = list(cur)
-        nxt[i] = 1 - nxt[i]
-        cur = tuple(nxt)
-        if not is_config(M, cur):
-            raise ValueError("step %d: invalid configuration" % step)
-    return cur

@@ -101,16 +101,6 @@ def close(gs, cap=ELEMENT_CAP, product_cap=PRODUCT_CAP):
     return result
 
 
-def eval_word(gs, word):
-    """Evaluate a tuple of generator indices."""
-    if not word:
-        raise ValueError("empty word")
-    x = gs.generators[word[0]]
-    for i in word[1:]:
-        x = gs.mul(x, gs.generators[i])
-    return x
-
-
 def naive_member(gs, t, cap=ELEMENT_CAP):
     """Is t in <Sigma>?  Returns (bool, witness word or None)."""
     cl = close(gs, cap)

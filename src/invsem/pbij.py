@@ -130,15 +130,6 @@ def singleton(n, x, y):
     return PartialBijection(n, images)
 
 
-def from_pairs(n, pairs):
-    images = [None] * n
-    for x, y in pairs:
-        if images[x] is not None:
-            raise ValueError("point %d mapped twice" % x)
-        images[x] = y
-    return PartialBijection(n, images)
-
-
 def idempotent_power(x, mul=None):
     """The unique idempotent power x^omega."""
     if mul is None:
@@ -194,18 +185,3 @@ def direct_product(parts):
                 images[offset + x] = offset + y
         offset += len(p)
     return _make(images)
-
-
-def all_partial_bijections(n):
-    """Every element of I(Omega) for small n (|I_n| grows fast)."""
-    result = [()]
-    for x in range(n):
-        nxt = []
-        for prefix in result:
-            used = set(p for p in prefix if p is not None)
-            nxt.append(prefix + (None,))
-            for y in range(n):
-                if y not in used:
-                    nxt.append(prefix + (y,))
-        result = nxt
-    return [_make(images) for images in result]

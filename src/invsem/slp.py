@@ -33,20 +33,24 @@ class SLP:
 
     def validate(self, n_gens):
         for pos, item in enumerate(self.items):
-            kind = item[0]
-            if kind == "g":
-                if not (0 <= item[1] < n_gens):
-                    raise ValueError("item %d: bad generator index" % pos)
-            elif kind == "m":
-                if not (0 <= item[1] < pos and 0 <= item[2] < pos):
-                    raise ValueError("item %d: operand not earlier" % pos)
-            elif kind == "i":
-                if not (0 <= item[1] < pos):
-                    raise ValueError("item %d: operand not earlier" % pos)
-            else:
-                raise ValueError("item %d: unknown kind %r" % (pos, kind))
+            problem = _item_problem(item, pos, n_gens)
+            if problem is not None:
+                raise ValueError("item %d: %s" % (pos, problem))
         if not (0 <= self.target < len(self.items)):
             raise ValueError("target index out of range")
+
+
+def _item_problem(item, pos, n_gens):
+    """Why `item` cannot be item `pos` of an SLP over n_gens generators
+    (any number if None), or None."""
+    kind = item[0]
+    if kind == "g":
+        return (None if n_gens is None or 0 <= item[1] < n_gens
+                else "bad generator index")
+    if kind in ("m", "i"):
+        return (None if all(0 <= j < pos for j in item[1:])
+                else "operand not earlier")
+    return "unknown kind %r" % (kind,)
 
 
 def slp_eval(gs, slp):
@@ -79,28 +83,45 @@ def slp_to_text(slp):
 
 
 def slp_from_text(text):
+    return slp_from_records((lineno, raw.split()) for lineno, raw
+                            in enumerate(text.splitlines(), 1))
+
+
+def slp_from_records(records, n_gens=None):
+    """The SLP of (line number, tokens) records in the text form of
+    `slp_to_text`; tokens from a % on are a comment.  Every error names
+    the record's line.  Generator indices are checked only against a
+    given n_gens."""
     items = []
     target = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("%")[0].strip()
-        if not line:
+    for lineno, tokens in records:
+        parts = " ".join(tokens).split("%")[0].split()
+        if not parts:
             continue
-        parts = line.split()
         try:
             if parts[0] == "g" and len(parts) == 2:
-                items.append(("g", int(parts[1])))
+                item = ("g", int(parts[1]))
             elif parts[0] == "m" and len(parts) == 3:
-                items.append(("m", int(parts[1]), int(parts[2])))
+                item = ("m", int(parts[1]), int(parts[2]))
             elif parts[0] == "inv" and len(parts) == 2:
-                items.append(("i", int(parts[1])))
+                item = ("i", int(parts[1]))
             elif parts[0] == "target" and len(parts) == 2:
-                target = int(parts[1])
+                target = (lineno, int(parts[1]))
+                continue
             else:
                 raise ValueError
         except ValueError:
-            raise ValueError("line %d: cannot parse %r" % (lineno, raw))
+            raise ValueError("line %d: cannot parse %r"
+                             % (lineno, " ".join(tokens)))
+        problem = _item_problem(item, len(items), n_gens)
+        if problem is not None:
+            raise ValueError("line %d: %s" % (lineno, problem))
+        items.append(item)
     if target is None:
         raise ValueError("missing target line")
+    lineno, target = target
+    if not (0 <= target < len(items)):
+        raise ValueError("line %d: target index out of range" % lineno)
     return SLP(tuple(items), target)
 
 

@@ -186,7 +186,8 @@ config-t > < < < > < < > <
 def rand_ncl_machine(rng, shape):
     """A random constraint-logic machine on the K4 or triangular-prism
     frame: random edge weights and a random valid configuration pair."""
-    from invsem.ncl import NCLMachine, all_configs
+    from invsem.ncl import NCLMachine
+    from reference import all_configs
     pairs = K4_EDGES if shape == "k4" else PRISM_EDGES
     nv = 4 if shape == "k4" else 6
     while True:

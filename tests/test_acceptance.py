@@ -12,28 +12,27 @@ import time
 
 import numpy as np
 
-from invsem.pbij import (PartialBijection, partial_identity, compose,
-                         all_partial_bijections)
+from invsem.pbij import PartialBijection, partial_identity, compose
 from invsem.gensys import GeneratorSystem
 from invsem.oracle import (close, naive_member, naive_conjugate,
                            ClosureCapExceeded)
 from invsem.cayley import (y2_table, brandt_table, direct_product_table,
-                           from_closure, preston_wagner, CayleyTable)
-from invsem.ctsolver import CTSolver, ct_member, ct_conjugate
+                           preston_wagner, CayleyTable)
+from invsem.ctsolver import CTSolver
 from invsem.munn import dispatch_member, dispatch_conjugate
 from invsem.slp import slp_eval, slp_semilattice, slp_group, slp_clifford
-from invsem.ncl import ncl_reach_bruteforce, replay
 from invsem.automata import intersect_nonempty, validate as ia_validate
 from invsem.hardness import (gen_ugap_conj, gen_ugap_member, gen_ncl_conj,
-                             gen_ncl_member, gen_ncl_automata,
-                             automata_word_to_transitions,
-                             conjugation_orbit_decide, gen_mgs,
+                             gen_ncl_member, gen_ncl_automata, gen_mgs,
                              gen_equation)
 from invsem.meta import mgs_decide, solve_equations
 
 from helpers import (rand_pb, rand_partial_identity, clifford_gens,
                      sample_systems, sample_sis_systems, check_munn_lemmas,
                      rand_ncl_machine)
+from reference import (all_partial_bijections, automata_word_to_transitions,
+                       conjugation_orbit_decide, from_closure,
+                       ncl_reach_bruteforce, replay)
 
 
 def _report(num, desc, ok, detail=""):
@@ -353,9 +352,9 @@ def test_criterion_6_ugap_exhaustive():
                 want = find(s) == find(t)
                 ctab, csig, e_s, e_t = gen_ugap_conj(n, edges, s, t)
                 mtab, msig, target = gen_ugap_member(n, edges, s, t)
-                if ct_conjugate(ctab, csig, e_s, e_t) != want:
+                if CTSolver(ctab, csig).conjugate(e_s, e_t) != want:
                     cross_bad += 1
-                if ct_member(mtab, msig, target)[0] != want:
+                if CTSolver(mtab, msig).member(target)[0] != want:
                     cross_bad += 1
                 cross_checked += 1
     _report(6, "UGAP reduction exhaustive to 6 vertices",

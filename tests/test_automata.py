@@ -7,7 +7,9 @@ import pytest
 
 from invsem.pbij import PartialBijection
 from invsem.automata import (InverseAutomaton, ProductCapExceeded,
-                             validate, intersect_nonempty, as_dfa)
+                             validate, intersect_nonempty)
+
+from reference import as_dfa
 
 
 def _letter_pair(states, images):

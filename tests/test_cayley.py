@@ -11,11 +11,12 @@ import pytest
 
 from invsem.pbij import compose
 from invsem.cayley import (CayleyTable, preston_wagner, y2_table,
-                           brandt_table, direct_product_table, from_closure)
+                           brandt_table, direct_product_table)
 from invsem.gensys import GeneratorSystem
 from invsem.oracle import close
 
 from helpers import sample_systems
+from reference import from_closure
 
 
 def test_rejects_non_associative_with_triple():

@@ -8,11 +8,12 @@ import pytest
 from invsem.pbij import PartialBijection, brandt, identity, partial_identity
 from invsem.gensys import GeneratorSystem
 from invsem.oracle import close
-from invsem.classify import (classify, classify_generated, d_class_labels,
+from invsem.classify import (classify_generated, d_class_labels,
                              _idempotent_indices, _is_strict_inverse)
-from invsem.cayley import brandt_table, direct_product_table, from_closure
+from invsem.cayley import brandt_table, direct_product_table
 
 from helpers import j_related, rand_pb, sample_systems, two_sided_ideals
+from reference import classify, from_closure
 
 
 def _tag_of(gens, n):

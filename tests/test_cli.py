@@ -136,6 +136,33 @@ def test_slp_group_and_verify(tmp_path, capsys):
     assert code == 0 and out.strip() == "OK"
 
 
+def test_verify_slp_names_the_answer_file_line(tmp_path, capsys):
+    # errors name the record's line in the answer file; comment lines
+    # and trailing comments count as lines but are not records
+    path = _write(tmp_path, "g.pb", PB_GROUP)
+    cases = [
+        ("YES\n% comment\nlength 3\ng 0\nm 0 x\ntarget 1\n",
+         "line 5: cannot parse 'm 0 x'"),
+        ("YES\n% comment\ng 0\nm 0 1\ntarget 1\n",
+         "line 4: operand not earlier"),
+        ("YES\ng 0\ninv 1\ntarget 1\n", "line 3: operand not earlier"),
+        ("YES\ng 0\ng 2\ntarget 1\n", "line 3: bad generator index"),
+        ("YES\ng 0\n\ntarget 1\n", "line 4: target index out of range"),
+    ]
+    for text, message in cases:
+        answer = _write(tmp_path, "ans.txt", text)
+        code, out, err = run(capsys, "verify", "slp", path, answer)
+        assert (code, out, err) == (2, "", "error: %s\n" % message), text
+    # a YES answer without a target line fails like a missing witness
+    answer = _write(tmp_path, "ans.txt", "YES\ng 0\n")
+    assert run(capsys, "verify", "slp", path, answer) == (
+        1, "FAIL missing target line\n", "")
+    # the target is the second generator, the 3-cycle's inverse
+    answer = _write(tmp_path, "ans.txt",
+                    "YES\n% c\ng 1 % the inverse\ntarget 0\n")
+    assert run(capsys, "verify", "slp", path, answer) == (0, "OK\n", "")
+
+
 def test_slp_refuses_general(tmp_path, capsys):
     text = "pb 3\ngen 2 _ _\ngen _ 3 1\ngen 1 3 _\ntarget 2 _ _\n"
     path = _write(tmp_path, "gen.pb", text)
@@ -248,7 +275,7 @@ def test_gen_ncl_automata_and_intersect(tmp_path, capsys):
     code, out, _ = run(capsys, "automata", "intersect", *files)
     assert code == 0
     first = out.splitlines()[0]
-    from invsem.ncl import ncl_reach_bruteforce
+    from reference import ncl_reach_bruteforce
     assert (first == "YES") == ncl_reach_bruteforce(machine)[0]
     if first == "YES":
         answer = _write(tmp_path, "ans.txt", out)

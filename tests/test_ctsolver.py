@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from invsem.cayley import y2_table, brandt_table, from_closure
+from invsem.cayley import y2_table, brandt_table
 from invsem.search import UnionFind
 from invsem.gensys import GeneratorSystem
 from invsem.oracle import close, naive_member, naive_conjugate, naive_green
-from invsem.ctsolver import CTSolver, ct_member, ct_conjugate, ct_r_equiv
+from invsem.ctsolver import CTSolver
 
 from helpers import sample_systems
+from reference import from_closure
 
 
 def _tables(rng, count, max_size=100):
@@ -55,7 +56,7 @@ def test_conjugate_agrees_with_oracle():
                 s = rng.randrange(n)
                 t = rng.randrange(n)
                 expected, _ = naive_conjugate(gs, s, t)
-                assert ct_conjugate(table, sigma, s, t) == expected
+                assert CTSolver(table, sigma).conjugate(s, t) == expected
 
 
 def test_r_equiv_agrees_with_oracle():
@@ -68,7 +69,7 @@ def test_r_equiv_agrees_with_oracle():
             for _ in range(10):
                 s = rng.randrange(n)
                 t = rng.randrange(n)
-                assert ct_r_equiv(table, sigma, s, t) == \
+                assert CTSolver(table, sigma).r_equiv(s, t) == \
                     naive_green(gs, s, t, "R")
 
 
@@ -102,10 +103,10 @@ def test_brandt_member_matrix():
 
 def test_y2_solver():
     table = y2_table()
-    assert ct_member(table, [1], 1)[0]
-    assert not ct_member(table, [1], 0)[0]
-    assert ct_conjugate(table, [1], 0, 0)
-    assert not ct_conjugate(table, [1], 0, 1)
+    assert CTSolver(table, [1]).member(1)[0]
+    assert not CTSolver(table, [1]).member(0)[0]
+    assert CTSolver(table, [1]).conjugate(0, 0)
+    assert not CTSolver(table, [1]).conjugate(0, 1)
 
 
 def test_graph_edges_match_the_product_scan():

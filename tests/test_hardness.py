@@ -8,19 +8,18 @@ import pytest
 from invsem.pbij import PartialBijection, partial_identity
 from invsem.gensys import GeneratorSystem
 from invsem.oracle import close, naive_member, naive_conjugate
-from invsem.ctsolver import ct_member, ct_conjugate
-from invsem.ncl import ncl_reach_bruteforce
+from invsem.ctsolver import CTSolver
 from invsem.meta import mgs_decide, solve_equations
 from invsem.hardness import (gen_ugap_conj, gen_ugap_member, ncl_encode,
                              gen_ncl_conj, gen_ncl_member,
-                             gen_ncl_automata, automata_word_to_transitions,
-                             conjugation_orbit_decide, gen_mgs,
-                             gen_equation)
+                             gen_ncl_automata, gen_mgs, gen_equation)
 from invsem.automata import validate, intersect_nonempty
 from invsem.formats import parse_ncl
 
 from helpers import (K4_NCL, PRISM_NCL, rand_ncl_machine,
                      sample_systems, rand_pb)
+from reference import (automata_word_to_transitions, conjugation_orbit_decide,
+                       ncl_reach_bruteforce, replay)
 
 
 def _connected(n, edges, s, t):
@@ -49,9 +48,9 @@ def test_ugap_exhaustive_small():
                 for t in range(n):
                     want = _connected(n, edges, s, t)
                     table, sigma, es, et = gen_ugap_conj(n, edges, s, t)
-                    assert ct_conjugate(table, sigma, es, et) == want
+                    assert CTSolver(table, sigma).conjugate(es, et) == want
                     table, sigma, target = gen_ugap_member(n, edges, s, t)
-                    assert ct_member(table, sigma, target)[0] == want
+                    assert CTSolver(table, sigma).member(target)[0] == want
 
 
 def test_ugap_rejects_bad_graphs():
@@ -139,7 +138,6 @@ def test_ncl_automata_reduction():
         word = intersect_nonempty(automata)
         assert (word is not None) == want
         if word is not None:
-            from invsem.ncl import replay
             seq = automata_word_to_transitions(enc, word)
             assert replay(M, seq) == M.config_t
         seen.add(want)

@@ -11,10 +11,10 @@ from invsem.gensys import GeneratorSystem
 from invsem.oracle import close, naive_conjugate
 from invsem.hardness import gen_mgs
 from invsem import meta
-from invsem.meta import (mgs_decide, EquationSystem, eval_word,
-                         solve_equations, solve_equations_bruteforce)
+from invsem.meta import mgs_decide, EquationSystem, eval_word, solve_equations
 
 from helpers import j_related, rand_pb, sample_systems, two_sided_ideals
+from reference import solve_equations_bruteforce
 
 
 def _closure_set(gens, n):
@@ -48,28 +48,9 @@ def test_mgs_tight_witness():
         done += 1
 
 
-def test_mgs_on_element_lists():
-    n = 3
-    gs = GeneratorSystem([partial_identity(3, [0]),
-                          partial_identity(3, [1])], degree=3)
-    elements = list(close(gs).elements)
-    ok, witness = mgs_decide(elements, 2)
-    assert ok
-    assert not mgs_decide(elements, 1)[0]
-    with pytest.raises(ValueError):
-        mgs_decide([], 1)
-    # an element list that is not closed is rejected
-    with pytest.raises(ValueError):
-        mgs_decide([partial_identity(3, [0]), partial_identity(3, [1])], 2)
-    # as is one with a repeat, even if its length matches the closure's
-    swap = PartialBijection(2, (1, 0))
-    with pytest.raises(ValueError):
-        mgs_decide([swap, swap], 1)
-
-
 def test_mgs_matches_brute_force_subset_search():
     # the smallest generating set found by trying every subset of U, on
-    # GeneratorSystems and on closed element lists
+    # GeneratorSystems and on their closures listed in a shuffled order
     rng = random.Random(3)
     done = 0
     while done < 30:
@@ -85,7 +66,7 @@ def test_mgs_matches_brute_force_subset_search():
             want = any(_closure_set(list(sub), n) == full
                        for size in range(1, k + 1)
                        for sub in itertools.combinations(elements, size))
-            for u in (gs, elements):
+            for u in (gs, GeneratorSystem(elements, degree=n)):
                 ok, witness = mgs_decide(u, k)
                 assert ok == want, (gens, k)
                 if ok:
@@ -234,7 +215,7 @@ def test_mgs_search_past_the_forced_start_matches_brute_force(monkeypatch):
 
 
 def test_maximal_class_cover_matches_brute_force_j_classes(monkeypatch):
-    # on systems and on shuffled closed element lists: the maximal
+    # on systems and on their shuffled closures: the maximal
     # J-classes of the two-sided ideals, their number, and the class of
     # each candidate and of every element
     calls = []
@@ -258,7 +239,9 @@ def test_maximal_class_cover_matches_brute_force_j_classes(monkeypatch):
     for gs in systems:
         shuffled = list(close(gs).elements)
         rng.shuffle(shuffled)
-        for u, order in ((gs, close(gs).elements), (shuffled, shuffled)):
+        listed = GeneratorSystem(shuffled, degree=gs.degree)
+        for u, order in ((gs, close(gs).elements),
+                         (listed, close(listed).elements)):
             calls.clear()
             mgs_decide(u, 1)
             ((count, class_of), candidates, (_, every)), = calls
