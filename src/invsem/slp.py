@@ -106,7 +106,7 @@ def slp_from_records(records, n_gens=None):
             elif parts[0] == "inv" and len(parts) == 2:
                 item = ("i", int(parts[1]))
             elif parts[0] == "target" and len(parts) == 2:
-                target = (lineno, int(parts[1]))
+                target, target_line = int(parts[1]), lineno
                 continue
             else:
                 raise ValueError
@@ -119,9 +119,8 @@ def slp_from_records(records, n_gens=None):
         items.append(item)
     if target is None:
         raise ValueError("missing target line")
-    lineno, target = target
     if not (0 <= target < len(items)):
-        raise ValueError("line %d: target index out of range" % lineno)
+        raise ValueError("line %d: target index out of range" % target_line)
     return SLP(tuple(items), target)
 
 
