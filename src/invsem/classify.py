@@ -9,8 +9,8 @@ inverse-closed generator list Sigma (`classify_from_generators`), with
 O(|Sigma|^2) products and no enumeration of U = <Sigma>.  Only when U
 is not Clifford does it enumerate U, under the closure cap, to split
 StrictInverse from General.  That split reads Green's D-classes off the
-pairs (x x~, x~ x) (`d_class_labels`), as does `meta` for its maximal
-J-classes.
+pairs (x x~, x~ x) (`d_class_labels`) of the closure's codes, without
+decoding them, as `meta` does for its maximal J-classes.
 """
 
 from __future__ import annotations
@@ -95,11 +95,14 @@ def classify_from_generators(gs):
     return None
 
 
-def _idempotent_indices(gs, elements):
+def _idempotent_indices(gs, elements, index=None):
     """The indices in the closed list `elements` of x x~ and of x~ x,
-    as two lists."""
+    as two lists.  `gs` is anything with mul and inv on the list's
+    items: a GeneratorSystem, or BytesCodec over closure codes; `index`
+    maps each item to its position when the caller has one."""
     mul = gs.mul
-    index = {x: i for i, x in enumerate(elements)}
+    if index is None:
+        index = {x: i for i, x in enumerate(elements)}
     left = []
     right = []
     try:
@@ -128,13 +131,14 @@ def d_class_labels(left, right):
     return [least[e] for e in left]
 
 
-def _is_strict_inverse(gs, elements):
-    """Idempotent-pair test on the closed list `elements`: for every
-    idempotent e and idempotents f1, f2 below e, f1 D f2 forces
-    f1 = f2.  Only idempotents sharing their D-class can break it.
+def _is_strict_inverse(gs, elements, index=None):
+    """Idempotent-pair test on the closed list `elements` (items and
+    `gs` as in _idempotent_indices): for every idempotent e and
+    idempotents f1, f2 below e, f1 D f2 forces f1 = f2.  Only
+    idempotents sharing their D-class can break it.
     """
     mul = gs.mul
-    left, right = _idempotent_indices(gs, elements)
+    left, right = _idempotent_indices(gs, elements, index)
     label = d_class_labels(left, right)
     idems = [x for x, e in enumerate(left) if x == e]  # x = x x~
     multi = {label[f] for f in idems if label[f] != f}  # two or more
@@ -162,7 +166,7 @@ def classify_generated(gs, cap=ELEMENT_CAP):
             cl = close(gs, cap)
         except ClosureCapExceeded:
             return _tag("General", cap_exceeded=True)
-        tag = _tag("StrictInverse" if _is_strict_inverse(gs, cl.elements)
-                   else "General")
+        strict = _is_strict_inverse(cl.codec or gs, cl.codes, cl.index)
+        tag = _tag("StrictInverse" if strict else "General")
     gs._variety = tag
     return tag

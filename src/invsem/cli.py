@@ -210,7 +210,7 @@ def cmd_slp(args):
     try:
         if tag.is_semilattice():
             slp = slp_semilattice(gs, t)
-            size = len(close(gs, args.cap).elements)
+            size = len(close(gs, args.cap))
             bound = 2 * math.ceil(math.log2(size + 1))
         elif tag.is_group():
             # the group SLP search enumerates U, so |U| must fit the cap
@@ -218,7 +218,7 @@ def cmd_slp(args):
                 G, _ = perm_group_of(gs)
                 size = G.order
             else:
-                size = len(close(gs, args.cap).elements)
+                size = len(close(gs, args.cap))
             if size > args.cap:
                 raise Refusal("group order %d exceeds the cap" % size)
             slp = slp_group(gs, t, cap=args.cap)
@@ -405,12 +405,13 @@ def _gen(args):
 
 
 def _read_answer(path):
-    """(YES?, [(lineno, tokens)] of the lines after the first)."""
+    """(YES?, [(lineno, tokens)] of the lines after the first); tokens
+    from a % on are a comment, and lines without tokens are skipped."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            lines = [(lineno, ln.split())
+            lines = [(lineno, tokens)
                      for lineno, ln in enumerate(handle, 1)
-                     if ln.strip() and not ln.startswith("%")]
+                     if (tokens := ln.partition("%")[0].split())]
     except OSError as exc:
         raise CLIError(str(exc))
     if not lines or lines[0][1] not in (["YES"], ["NO"]):
@@ -526,8 +527,7 @@ def _verify_mgs(inst, lines, args):
     if not gens:
         return "FAIL missing gen lines"
     sub = GeneratorSystem(gens, degree=inst.degree)
-    if (set(close(sub, args.cap).elements)
-            != set(close(gs, args.cap).elements)):
+    if close(sub, args.cap).index.keys() != close(gs, args.cap).index.keys():
         return "FAIL witness set does not generate the closure"
     return "OK"
 

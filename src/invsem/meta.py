@@ -49,13 +49,12 @@ def mgs_decide(gs, k, cap=ELEMENT_CAP):
     maximal class is forced) the decision is that one closure.
     """
     cl = close(gs, cap)
-    elements = cl.elements
-    full_n = len(elements)
+    full_n = len(cl)
     if k <= 0:
         return False, None
 
-    # The whole search runs over indices into `elements`; cols[b][a] is
-    # the index of elements[a] * elements[b].
+    # The whole search runs over closure indices, and only the witness
+    # is decoded; cols[b][a] is the index of elements[a] * elements[b].
     cols, inv_t = _product_table(gs, cl)
 
     def grow(closure, chosen, x):
@@ -102,7 +101,7 @@ def mgs_decide(gs, k, cap=ELEMENT_CAP):
     letters = forced + tuple(inv_t[x] for x in forced)
     start = frozenset(reach(letters, [cols[y] for y in letters]))
     if len(start) == full_n:
-        return True, tuple(elements[i] for i in forced)
+        return True, tuple(map(cl.element, forced))
 
     # Breadth-first over subset sizes; states are the distinct closures
     # reachable by some partial Xi, so equivalent subsets collapse.
@@ -129,7 +128,7 @@ def mgs_decide(gs, k, cap=ELEMENT_CAP):
                 grown.add(key)
                 new = frozenset(grow(closure, chosen, x))
                 if len(new) == full_n:
-                    witness = tuple(elements[i] for i in chosen + (x,))
+                    witness = tuple(map(cl.element, chosen + (x,)))
                     return True, witness
                 if new not in seen:
                     seen.add(new)
@@ -150,7 +149,7 @@ def _product_table(gs, cl):
     followed along the g-edges.  Likewise b~ = Sigma[g]~ * b'~."""
     right = cl.right
     edge_cols = [[row[g] for row in right] for g in range(len(gs.generators))]
-    gen_inv = [cl.index[gs.inv(g)] for g in gs.generators]
+    gen_inv = [cl.index[cl.encode(gs.inv(g))] for g in gs.generators]
     cols = []
     inv = []
     for b, witness in enumerate(cl.product_witness):

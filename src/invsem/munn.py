@@ -411,17 +411,22 @@ def general_conjugate(gs, s, t, cap=ELEMENT_CAP):
     """
     if s == t:
         return True, gs.one
-    elements = close(gs, cap).elements
+    cl = close(gs, cap)
     pairs = [(a, b) for a, b in enumerate(s) if b is not None]
     if len(pairs) != len(t) - t.count(None):
         return False, None
-    for u in elements:
+    # scan the codes, and decode only the u returned
+    codec = cl.codec
+    undefined, tt = ((codec.undefined, codec.table(codec.encode(t)))
+                     if codec else (None, t))
+    for i, u in enumerate(cl.codes):
         for a, b in pairs:
             x = u[a]
             y = u[b]
-            if x is None or y is None or t[x] != y:
+            if x == undefined or y == undefined or tt[x] != y:
                 break
         else:
+            u = cl.element(i)
             mul = gs.mul
             ub = gs.inv(u)
             assert mul(mul(ub, s), u) == t and mul(mul(u, t), ub) == s

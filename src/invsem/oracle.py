@@ -1,11 +1,19 @@
 """Brute-force ground truth: closure enumeration, naive membership,
-naive relative conjugacy, and naive relative Green's relations.
+naive relative conjugacy, and naive relative Green's relations; the
+fast solvers are validated against this module.
 
-Everything here optimizes for auditability over speed; the fast solvers
-are validated against this module.
+The enumeration is a plain breadth-first search, but on the pb model up
+to degree 255 it runs on bytes codes (`pbij.BytesCodec`): a product is
+one bytes.translate and the index is keyed by codes.  A closure decodes
+its codes to PartialBijection once, when `Closure.elements` is first
+read, or one at a time through `Closure.element`; membership, words and
+the Green ideals encode their arguments instead.  Above degree 255 and
+on Cayley tables the search multiplies the elements with gs.mul.
 """
 
 from __future__ import annotations
+
+from .pbij import BytesCodec
 
 ELEMENT_CAP = 10**6
 PRODUCT_CAP = 10**8
@@ -19,29 +27,51 @@ class Closure:
     """The elements of U = <Sigma> with word witnesses and the right
     Cayley graph.
 
-    elements: breadth-first enumeration, deduplicated;
+    codes: breadth-first enumeration, deduplicated, as the kernel holds
+    the elements: pbij.BytesCodec codes on the pb model up to degree
+    255 (codec is BytesCodec), the elements themselves otherwise (codec
+    is None).  index maps a code to its position.  elements decodes the
+    codes once, on first read; element(i) decodes one.
     product_witness[i] is None for generators and otherwise a pair
     (j, g) with elements[i] = elements[j] * Sigma[g].  Generator g is
     elements[g].  right[j][g] is the index of elements[j] * Sigma[g],
     so right is the right Cayley graph of U with respect to Sigma.
     """
 
-    def __init__(self, elements, product_witness, right):
-        self.elements = elements
+    def __init__(self, codes, product_witness, right, index, codec):
+        self.codes = codes
         self.product_witness = product_witness
         self.right = right
-        self.index = {x: i for i, x in enumerate(elements)}
+        self.index = index
+        self.codec = codec
+        self._elements = None if codec else codes
+
+    @property
+    def elements(self):
+        if self._elements is None:
+            self._elements = list(map(self.codec.decode, self.codes))
+        return self._elements
+
+    def element(self, i):
+        if self._elements is None:
+            return self.codec.decode(self.codes[i])
+        return self._elements[i]
+
+    def encode(self, x):
+        return self.codec.encode(x) if self.codec else x
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.codes)
 
     def __contains__(self, x):
-        return x in self.index
+        if self.codec and len(x) != len(self.codes[0]):
+            return False
+        return self.encode(x) in self.index
 
     def word_for(self, x):
         """The generator indices, in order, of the breadth-first word
         that reaches x: a shortest word for x."""
-        i = self.index[x]
+        i = self.index[self.encode(x)]
         word = []
         while self.product_witness[i] is not None:
             i, g = self.product_witness[i]
@@ -54,6 +84,10 @@ def close(gs, cap=ELEMENT_CAP, product_cap=PRODUCT_CAP):
     generators in list order), recording every product as an edge of
     the right Cayley graph.  Sigma is inverse-closed, so this is the
     full inverse-subsemigroup closure.
+
+    On the pb model up to degree 255 the elements are BytesCodec codes
+    and a product is one bytes.translate by the generator's table;
+    otherwise it is gs.mul on the elements.
     """
     if gs._closure is not None:
         # a completed closure is the full set regardless of the cap used
@@ -61,42 +95,49 @@ def close(gs, cap=ELEMENT_CAP, product_cap=PRODUCT_CAP):
     if cap <= gs._over_cap:
         # the enumeration is deterministic and passed this cap before
         raise ClosureCapExceeded("closure exceeded %d elements" % cap)
-    gens = gs.generators
-    mul = gs.mul
+    if gs.model == "pb" and gs.degree <= BytesCodec.max_degree:
+        codec = BytesCodec
+        gens = [codec.encode(g) for g in gs.generators]
+        tables = [codec.table(g) for g in gens]
+        mul = codec.product
+    else:
+        codec = None
+        gens = tables = gs.generators
+        mul = gs.mul
     # the generators are distinct (GeneratorSystem deduplicates them)
-    elements = list(gens)
+    codes = list(gens)
     product_witness = [None] * len(gens)
     index = {g: i for i, g in enumerate(gens)}
     right = []
     products = 0
     # elements are expanded in index order, which is breadth-first
-    # order, so right[j] is appended when elements[j] is expanded
+    # order, so right[j] is appended when codes[j] is expanded
     j = 0
-    while j < len(elements):
-        x = elements[j]
+    while j < len(codes):
+        x = codes[j]
         row = []
-        for i, g in enumerate(gens):
+        for i, t in enumerate(tables):
             products += 1
             if products > product_cap:
                 raise ClosureCapExceeded(
                     "closure exceeded %d product evaluations" % product_cap
                 )
-            y = mul(x, g)
+            y = mul(x, t)
             k = index.get(y)
             if k is None:
-                if len(elements) >= cap:
+                if len(codes) >= cap:
                     gs._over_cap = cap
                     raise ClosureCapExceeded(
                         "closure exceeded %d elements" % cap
                     )
-                k = len(elements)
+                k = len(codes)
                 index[y] = k
-                elements.append(y)
+                codes.append(y)
                 product_witness.append((j, i))
             row.append(k)
         right.append(tuple(row))
         j += 1
-    result = Closure(elements, product_witness, right)
+    result = Closure(codes, product_witness, right, index, codec)
     gs._closure = result
     return result
 
@@ -164,11 +205,13 @@ def naive_green_leq(gs, s, t, relation, cap=ELEMENT_CAP):
     if relation == "H":
         return (naive_green_leq(gs, s, t, "R", cap)
                 and naive_green_leq(gs, s, t, "L", cap))
-    el = close(gs, cap).elements
+    # the ideals are taken over the closure's codes
+    cl = close(gs, cap)
+    ops, el, s, t = cl.codec or gs, cl.codes, cl.encode(s), cl.encode(t)
     if relation == "R":
-        return s in _right_ideal(gs, t, el)
+        return s in _right_ideal(ops, t, el)
     if relation == "L":
-        return s in _left_ideal(gs, t, el)
+        return s in _left_ideal(ops, t, el)
     if relation in ("J", "D"):
-        return s in _two_sided_ideal(gs, t, el)
+        return s in _two_sided_ideal(ops, t, el)
     raise ValueError("unknown relation %r" % (relation,))

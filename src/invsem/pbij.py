@@ -5,7 +5,8 @@ images, with None marking an undefined image.  Points are 0-based
 internally; file formats use 1-based points (see formats.py).
 
 Composition is left-to-right: (a * b) sends x to (x^a)^b, i.e. the left
-factor acts first.
+factor acts first.  `BytesCodec` holds elements of degree at most 255
+as bytes for the closure kernel in oracle.py.
 """
 
 from __future__ import annotations
@@ -100,6 +101,51 @@ def _make(images):
     """A PartialBijection from images already known to be valid, without
     the constructor's checks: the kernel of every product."""
     return tuple.__new__(PartialBijection, images)
+
+
+_POINTS = bytes(range(256))
+_UNDEFINED = b"\xff" * 256
+
+
+class BytesCodec:
+    """Partial bijections of degree at most 255 as codes: the bytes of
+    their images, with 255 for "undefined".  Two codes are equal exactly
+    when their elements are, so a code-keyed index dedups and orders as
+    an element-keyed one.
+
+    The product x * y is product(x, table(y)), one bytes.translate: the
+    table is y padded to 256 entries with 255 -> 255, so an undefined
+    image stays undefined.  The inverse is one bytes.maketrans: points
+    first map to 255, then later pairs send each image back to its
+    point.  The class is a namespace; mul and inv let it stand in for a
+    GeneratorSystem over codes.
+    """
+
+    max_degree = 255
+    undefined = 255
+    product = staticmethod(bytes.translate)
+
+    @staticmethod
+    def encode(x):
+        return bytes([255 if y is None else y for y in x])
+
+    @staticmethod
+    def decode(code):
+        return _make([None if y == 255 else y for y in code])
+
+    @staticmethod
+    def table(y):
+        return y.ljust(256, b"\xff")
+
+    @staticmethod
+    def mul(x, y):
+        return x.translate(y.ljust(256, b"\xff"))
+
+    @staticmethod
+    def inv(x):
+        n = len(x)
+        return bytes.maketrans(_POINTS[:n] + x,
+                               _UNDEFINED[:n] + _POINTS[:n])[:n]
 
 
 def compose(a, b):

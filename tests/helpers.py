@@ -136,6 +136,21 @@ def sample_systems(rng, per_kind, degrees=(2, 6), sig_max=4,
     return out
 
 
+def top_points_system(n):
+    """A small U on n points that moves only 0, 1, n-2 and n-1: a
+    3-cycle through the top points, an idempotent undefined at the top
+    point, and a rank-2 map sending the top point to 0.  Degrees 255 and
+    256 put it on either side of the closure's bytes codes."""
+    top = n - 1
+    images = list(range(n))
+    images[0], images[top], images[top - 1] = top, top - 1, 0
+    rank2 = [None] * n
+    rank2[top], rank2[1] = 0, top
+    return GeneratorSystem([PartialBijection(n, images),
+                            PartialBijection(n, list(range(top)) + [None]),
+                            PartialBijection(n, rank2)], degree=n)
+
+
 def two_sided_ideals(gs, elements):
     """The ideal U^1 x U^1 of each element of the closed list, as a set
     of list indices, by brute force over the full product table."""

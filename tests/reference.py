@@ -67,6 +67,28 @@ def group_elements(G):
     return [(tuple(p[:G.m]), w) for p, w in out]
 
 
+def close_bfs(gs):
+    """U = <Sigma> by breadth-first search over gs.mul on the elements
+    themselves, generators in list order, without caps: (elements,
+    product_witness, right) as oracle.close records them."""
+    gens = gs.generators
+    elements = list(gens)
+    witness = [None] * len(gens)
+    index = {g: i for i, g in enumerate(gens)}
+    right = []
+    for j, x in enumerate(elements):  # elements grows as U is found
+        row = []
+        for i, g in enumerate(gens):
+            y = gs.mul(x, g)
+            if y not in index:
+                index[y] = len(elements)
+                elements.append(y)
+                witness.append((j, i))
+            row.append(index[y])
+        right.append(tuple(row))
+    return elements, witness, right
+
+
 def eval_word(gs, word):
     """Evaluate a tuple of generator indices."""
     if not word:

@@ -617,6 +617,21 @@ def test_verify_rejects_bogus_witnesses(tmp_path, capsys):
     assert code == 1 and out.startswith("FAIL")
 
 
+def test_verify_member_and_conj_drop_trailing_comments(tmp_path, capsys):
+    # tokens from a % on are a comment on every answer line, as in
+    # verify slp; the tokens before it are still checked
+    pb = _write(tmp_path, "c.pb", "pb 3\ngen 2 3 1\ntarget 2 3 1\n"
+                "s 1 _ _\nt _ 2 _\n")
+    for what, answer, want in (
+            ("member", "YES % a member\nword g1 % first\n", (0, "OK\n")),
+            ("member", "YES\n  % note\nword g1 g1 % squared\n", (1, None)),
+            ("conj", "YES\nconjugator 2 3 1 % the cycle\n", (0, "OK\n")),
+            ("conj", "YES\nconjugator 3 1 2 % its inverse\n", (1, None))):
+        code, out, err = _verify(capsys, tmp_path, what, pb, answer)
+        assert (code, err) == (want[0], ""), answer
+        assert out == want[1] if want[1] else out.startswith("FAIL")
+
+
 def test_verify_conj_checks_conjugator_in_u1(tmp_path, capsys):
     # U = <1 _> = {1 _}; the swap 2 1 satisfies both defining equations
     # for s = 1 _, t = _ 2, but it is neither in U nor the identity

@@ -5,8 +5,8 @@ import re
 
 import pytest
 
-from invsem.pbij import (PartialBijection, partial_identity, brandt,
-                         direct_product)
+from invsem.pbij import (BytesCodec, PartialBijection, partial_identity,
+                         brandt, direct_product)
 from invsem.gensys import GeneratorSystem
 from invsem.oracle import (ClosureCapExceeded, close, naive_member,
                            naive_conjugate)
@@ -19,7 +19,7 @@ from invsem.munn import (OutsideTractable, orbit_closure,
                          dispatch_conjugate, require_variety)
 
 from helpers import (rand_pb, sample_systems, sample_sis_systems,
-                     check_munn_lemmas)
+                     check_munn_lemmas, top_points_system)
 from reference import all_partial_bijections
 
 
@@ -203,16 +203,19 @@ def test_general_route_respects_cap():
         dispatch_member(gs, gs.one, cap=50)
 
 
-def _counting(gens, n):
-    """A system on n points whose products are counted in a list."""
+def _counting(gens, n, monkeypatch):
+    """A system on n points whose products are counted in a list: its
+    gs.mul calls and, until the next call, the closure's bytes kernel."""
     gs = GeneratorSystem(gens, degree=n)
     products = []
     mul = gs.mul
     gs.mul = lambda x, y: products.append(1) or mul(x, y)
+    monkeypatch.setattr(BytesCodec, "product", staticmethod(
+        lambda x, t: products.append(1) or x.translate(t)))
     return gs, products
 
 
-def test_over_cap_closure_is_enumerated_once():
+def test_over_cap_closure_is_enumerated_once(monkeypatch):
     # the 8-cycle, a transposition and a rank-7 idempotent generate a
     # General U far past the cap: classifying it enumerates U up to the
     # cap, and the General solver is then refused without a second
@@ -221,12 +224,13 @@ def test_over_cap_closure_is_enumerated_once():
     gens = [PartialBijection(n, tuple((i + 1) % n for i in range(n))),
             PartialBijection(n, (1, 0) + tuple(range(2, n))),
             PartialBijection(n, tuple(range(n - 1)) + (None,))]
-    gs, one_closure = _counting(gens, n)
+    gs, one_closure = _counting(gens, n, monkeypatch)
     with pytest.raises(ClosureCapExceeded):
         close(gs, cap)
-    gs, from_generators = _counting(gens, n)
+    assert len(one_closure) > cap - len(gs.generators)
+    gs, from_generators = _counting(gens, n, monkeypatch)
     assert classify_from_generators(gs) is None
-    gs, products = _counting(gens, n)
+    gs, products = _counting(gens, n, monkeypatch)
     for query in range(1, 4):
         with pytest.raises(OutsideTractable,
                            match="^closure exceeded %d elements$" % cap):
@@ -431,6 +435,20 @@ def test_general_conjugate_matches_oracle_on_all_of_i3():
         for s, t in pairs:
             assert general_conjugate(gs, s, t) == naive_conjugate(gs, s, t)
     assert "General" in varieties
+
+
+def test_general_conjugate_matches_oracle_across_the_bytes_threshold():
+    # the scan reads bytes codes up to degree 255 and the elements above
+    for n in (255, 256):
+        gs = top_points_system(n)
+        elements = close(gs).elements
+        yes = 0
+        for s in elements[::15]:
+            for t in elements:
+                want = naive_conjugate(gs, s, t)
+                assert general_conjugate(gs, s, t) == want
+                yes += want[0] and s != t
+        assert yes > 10
 
 
 def test_general_conjugate_matches_oracle_on_conjugate_pairs():

@@ -4,13 +4,13 @@ import random
 
 import pytest
 
-from invsem.pbij import PartialBijection
+from invsem.pbij import BytesCodec, PartialBijection
 from invsem.gensys import GeneratorSystem
 from invsem.oracle import (ClosureCapExceeded, close, naive_member,
                            naive_conjugate, naive_green, naive_green_leq)
 
-from helpers import rand_pb, sample_systems
-from reference import eval_word, from_closure
+from helpers import rand_pb, sample_systems, top_points_system
+from reference import close_bfs, eval_word, from_closure
 
 
 def test_close_idempotent():
@@ -27,7 +27,7 @@ def _check_right_graph(gs):
     for j, x in enumerate(cl.elements):
         assert len(cl.right[j]) == len(gs.generators)
         for i, g in enumerate(gs.generators):
-            assert cl.right[j][i] == cl.index[gs.mul(x, g)]
+            assert cl.right[j][i] == cl.index[cl.encode(gs.mul(x, g))]
 
 
 def test_closure_records_right_cayley_graph():
@@ -69,6 +69,46 @@ def test_closure_words_are_the_first_breadth_first_words():
         cl = close(gs)
         assert queue == cl.elements
         assert [cl.word_for(x) for x in queue] == [words[x] for x in queue]
+
+
+def _assert_close_matches_reference(gs):
+    elements, witness, right = close_bfs(gs)
+    cl = close(gs)
+    assert cl.elements == elements
+    assert all(type(x) is type(y) for x, y in zip(cl.elements, elements))
+    assert cl.product_witness == witness
+    assert cl.right == right
+    for i, x in enumerate(elements):
+        word = []
+        while witness[i] is not None:
+            i, g = witness[i]
+            word.append(g)
+        assert cl.word_for(x) == (i,) + tuple(reversed(word))
+    return cl
+
+
+def test_close_matches_reference_bfs():
+    # the kernel (bytes codes up to degree 255, gs.mul on the elements
+    # above and on Cayley tables) enumerates, records and answers
+    # exactly as a breadth-first search over gs.mul
+    rng = random.Random(19)
+    for gs, _ in sample_systems(rng, 4, degrees=(2, 6), closure_cap=400):
+        assert _assert_close_matches_reference(gs).codec is BytesCodec
+        table, _ = from_closure(close(gs).elements, gs.mul)
+        sigma = rng.sample(range(table.order), min(table.order, 2))
+        ct = _assert_close_matches_reference(
+            GeneratorSystem(sigma, table=table))
+        assert ct.codec is None
+    for n in (254, 255, 256, 257):
+        cl = _assert_close_matches_reference(top_points_system(n))
+        assert cl.codec is (BytesCodec if n <= 255 else None)
+        assert len(cl) > 20
+        for x in cl.elements:
+            assert x in cl
+        # every element fixes or leaves undefined the points 2..n-3
+        assert PartialBijection(n, [None, None, 3] + [None] * (n - 3)) \
+            not in cl
+        assert PartialBijection(n + 1, range(n + 1)) not in cl
 
 
 def test_member_witness_evaluates():
