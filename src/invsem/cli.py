@@ -20,8 +20,7 @@ from .groups import group_element, perm_group_of, set_transporter
 from .ctsolver import CTSolver
 from .slp import (NotGenerated, slp_eval, slp_to_text, slp_from_records,
                   slp_semilattice, slp_group, slp_clifford)
-from .munn import (OutsideTractable, SOLVERS, dispatch_member,
-                   dispatch_conjugate, require_variety, solve)
+from .munn import OutsideTractable, SOLVERS, dispatch_member, route, solve
 from .automata import (InverseAutomaton, ProductCapExceeded,
                        intersect_nonempty)
 from .hardness import (gen_ugap_conj, gen_ugap_member, gen_ncl_conj,
@@ -96,39 +95,23 @@ def cmd_classify(args):
     return 0
 
 
-def _check_flags(args, model):
-    """Reject a --model that does not match the file, --force-oracle
-    beside a --solver other than the oracle, and an --assume hint where
-    it is not honoured: it steers only the auto pb route."""
-    if args.model not in ("auto", model):
-        raise CLIError("file is a %s instance, not %s" % (model, args.model))
-    if args.force_oracle and args.solver not in ("auto", "oracle"):
-        raise CLIError("--force-oracle conflicts with --solver %s"
-                       % args.solver)
-    if args.assume is not None and (model == "ct" or args.solver != "auto"
-                                    or args.force_oracle):
-        raise CLIError("--assume applies only to the auto solver on pb "
-                       "instances")
-
-
 # the records each query reads, in the order they are required
 _RECORDS = {"member": ("target",), "conj": ("s", "t")}
 
 
 def _decide(args, query):
-    """member or conj on a pb or ct file: run the solver that the flags
-    and the variety of U pick, and print the answer and its witness.
-    An explicit group, clifford or sis solver is taken only where U lies
-    in its variety."""
+    """member or conj on a pb or ct file: run the solver that --solver
+    names (for auto: ct-greedy on a ct file, the solver of U's variety on
+    a pb file) and print the answer and its witness.  An explicit pb
+    solver other than general runs only where U lies in its variety."""
     inst = _load(args.file)
     model = ("pb" if isinstance(inst, PBInstance)
              else "ct" if isinstance(inst, CTInstance) else None)
     if model is None:
         raise CLIError("%s needs a pb or ct instance" % query)
-    _check_flags(args, model)
     gs = _system_of(inst) if model == "pb" else None
     xs = [_require(getattr(inst, key), key) for key in _RECORDS[query]]
-    solver = "oracle" if args.force_oracle else args.solver
+    solver = args.solver
     if solver not in ("auto", "oracle") and (model == "ct") != (
             solver == "ct-greedy"):
         raise CLIError("solver %r does not apply to %s instances"
@@ -147,20 +130,14 @@ def _decide(args, query):
                     explain["greedy_iterations"] = iterations
             else:
                 ok, w = ct.conjugate(*xs), None
-        elif solver == "auto" and member:
-            ok, w = dispatch_member(gs, *xs, assume=args.assume,
-                                    cap=args.cap, explain=explain), None
-        elif solver == "auto":
-            ok, w = dispatch_conjugate(gs, *xs, assume=args.assume,
-                                       cap=args.cap, explain=explain)
         else:
-            variety = {name: v for v, name in SOLVERS.items()}[solver]
             try:
-                require_variety(gs, variety, args.cap)
+                variety = route(gs, solver, args.cap, explain)
             except ValueError as exc:
                 raise CLIError("--solver %s: %s" % (solver, exc))
+            # the auto route prints no member word, so none is spelt
             ok, w = solve(variety, query, gs, *xs, cap=args.cap,
-                          explain=explain)
+                          explain=explain, word=solver != "auto")
     finally:
         # also when the solver refuses: the route is known by then
         if explain is not None:
@@ -425,13 +402,22 @@ def _records(lines, key):
             if tokens[0] == key]
 
 
+def _record(lines, key):
+    """The one record of `_records(lines, key)`, or None; a second line
+    led by key is an input error, as only one witness is checked."""
+    found = _records(lines, key)
+    if len(found) > 1:
+        raise CLIError("line %d: repeated %s record" % (found[1][0], key))
+    return found[0] if found else None
+
+
 def _verify_member(inst, lines, args):
     gs = _system_of(inst)
     t = _require(inst.target, "target")
-    words = _records(lines, "word")
-    if not words:
+    found = _record(lines, "word")
+    if found is None:
         return "OK no witness to check"
-    lineno, tokens = words[0]
+    lineno, tokens = found
     letters = []
     for tok in tokens:
         # g<i> names generator i; a ct word may also list element indices
@@ -458,10 +444,10 @@ def _verify_conj(inst, lines, args):
     gs = _system_of(inst)
     s = _require(inst.s, "s")
     t = _require(inst.t, "t")
-    found = _records(lines, "conjugator")
-    if not found:
+    found = _record(lines, "conjugator")
+    if found is None:
         return "OK no witness to check"
-    lineno, tokens = found[0]
+    lineno, tokens = found
     if gs.model == "pb":
         u = formats.parse_images(tokens, gs.degree, lineno)
     elif len(tokens) != 1:
@@ -492,10 +478,10 @@ def _verify_transport(inst, lines, args):
                             "transport needs a pb instance"))
     ds = _require(inst.ds, "ds")
     dt = _require(inst.dt, "dt")
-    found = _records(lines, "transporter")
-    if not found:
+    found = _record(lines, "transporter")
+    if found is None:
         return "FAIL missing transporter line"
-    lineno, tokens = found[0]
+    lineno, tokens = found
     u = formats.parse_images(tokens, inst.degree, lineno)
     image = {u[x] for x in ds}
     if None in image:
@@ -538,6 +524,9 @@ def _verify_eqn(inst, lines, args):
     assignment = {}
     for lineno, tokens in _records(lines, "assign"):
         value = formats.parse_images(tokens[1:], inst.ambient.degree, lineno)
+        if tokens[0] in assignment:
+            raise CLIError("line %d: repeated assign record for %s"
+                           % (lineno, tokens[0]))
         assignment[tokens[0]] = value
     for name in inst.system.variables:
         if name not in assignment:
@@ -555,10 +544,10 @@ def _verify_eqn(inst, lines, args):
 
 
 def _verify_automata(inst, lines, args):
-    found = _records(lines, "word")
-    if not found:
+    found = _record(lines, "word")
+    if found is None:
         return "FAIL missing word line"
-    word = tuple(found[0][1])
+    word = tuple(found[1])
     for path in [args.instance] + list(args.extra):
         auto = _expect(_load(path), InverseAutomaton,
                        "%s: not an ia instance" % path)
@@ -609,14 +598,9 @@ def _file_args(sub):
 
 def _decision_args(sub):
     sub.add_argument("file")
-    sub.add_argument("--model", default="auto", choices=["auto", "pb", "ct"])
     sub.add_argument("--solver", default="auto",
-                     choices=["auto", "oracle", "group", "clifford", "sis",
-                              "ct-greedy"])
-    sub.add_argument("--assume", default=None,
-                     choices=["Trivial", "Semilattice", "Group", "Clifford",
-                              "StrictInverse", "General"])
-    sub.add_argument("--force-oracle", action="store_true")
+                     choices=["auto", "oracle", "ct-greedy",
+                              *dict.fromkeys(SOLVERS.values())])
     sub.add_argument("--explain", action="store_true")
 
 

@@ -451,62 +451,55 @@ def semilattice_conjugate(gs, s, t):
 
 # -- dispatcher ------------------------------------------------------------
 
-# does a tag put U at or below the assumed variety?
-_HINT_HOLDS = {
-    "Trivial": lambda tag: tag.name == "Trivial",
+# does a tag put U at or below the variety of an explicit solver?
+_HOLDS = {
     "Semilattice": VarietyTag.is_semilattice,
     "Group": VarietyTag.is_group,
     "Clifford": VarietyTag.is_clifford,
     "StrictInverse": VarietyTag.is_strict_inverse,
-    "General": lambda tag: True,
 }
 
+# the solver that is exact on each variety
+SOLVERS = {"Trivial": "semilattice", "Semilattice": "semilattice",
+           "Group": "group", "Clifford": "clifford", "StrictInverse": "sis",
+           "General": "general"}
+# the variety each solver is named for: semilattice stands for Semilattice
+_VARIETY_OF = {name: v for v, name in SOLVERS.items()}
 
-def require_variety(gs, variety, cap=ELEMENT_CAP):
-    """Classify U and check that it lies at or below `variety`: a
-    ValueError if not, OutsideTractable where the closure cap cut off
-    the StrictInverse/General split.  Returns the tag."""
-    if variety not in _HINT_HOLDS:
-        raise ValueError("unknown variety %r" % (variety,))
+
+def route(gs, solver="auto", cap=ELEMENT_CAP, explain=None):
+    """The variety whose solver decides the instance, for `solver`
+    "auto" or a name in SOLVERS.  auto takes the classification of U;
+    general is exact on every U and skips it; any other solver is taken
+    only where U lies at or below its variety: a ValueError if not,
+    OutsideTractable where the closure cap cut off the
+    StrictInverse/General split."""
+    if solver == "general":
+        return "General"
     tag = classify_generated(gs, cap)
-    if not _HINT_HOLDS[variety](tag):
+    if solver == "auto":
+        if explain is not None:
+            explain["variety"] = tag.name
+            explain["classified_by"] = tag.classified_by
+        return tag.name
+    variety = _VARIETY_OF[solver]
+    if not _HOLDS[variety](tag):
         if tag.cap_exceeded and variety == "StrictInverse":
             raise OutsideTractable("closure cap exceeded while checking "
                                    "the variety StrictInverse")
         raise ValueError("variety %s does not hold: U is %s"
                          % (variety, tag.name))
-    return tag
-
-
-def _route(gs, assume, cap, explain):
-    """The variety name whose solver decides the instance.  A hint
-    `assume` other than General is taken only where require_variety
-    accepts it; General is always taken and skips the classification."""
-    if assume == "General":
-        name, by = assume, "assume"
-    else:
-        tag = require_variety(gs, assume or "General", cap)
-        name, by = assume or tag.name, tag.classified_by
-    if explain is not None:
-        explain["variety"] = name
-        explain["classified_by"] = by
-    return name
-
-
-# the solver that is exact on each variety; `--solver group|clifford|sis`
-# names one directly
-SOLVERS = {"Trivial": "semilattice", "Semilattice": "semilattice",
-           "Group": "group", "Clifford": "clifford", "StrictInverse": "sis",
-           "General": "general"}
+    return variety
 
 
 def solve(variety, query, gs, *xs, cap=ELEMENT_CAP, explain=None,
           word=True):
     """Decide `query` on U by the solver of `variety`: "member" with
     xs = (t,) or "conj" with xs = (s, t).  Returns (bool, witness or
-    None): a word for Group membership if `word`, a conjugator for
-    conjugacy.  The solvers are looked up when called, so a rebound
-    module attribute (a tracing wrapper) is the one that runs."""
+    None): a word for Group and General membership if `word`, a
+    conjugator for conjugacy.  The solvers are looked up when called, so
+    a rebound module attribute (a tracing wrapper) is the one that
+    runs."""
     if explain is not None:
         explain["solver"] = SOLVERS[variety]
     member = query == "member"
@@ -523,19 +516,22 @@ def solve(variety, query, gs, *xs, cap=ELEMENT_CAP, explain=None,
         return ((sis_member(gs, *xs, explain=explain), None) if member
                 else sis_conjugate(gs, *xs, explain=explain))
     try:
-        return (naive_member if member else general_conjugate)(gs, *xs, cap)
+        if not member:
+            return general_conjugate(gs, *xs, cap)
+        ok, w = naive_member(gs, *xs, cap)
+        return ok, w if word else None
     except ClosureCapExceeded as exc:
         raise OutsideTractable(str(exc))
 
 
-def dispatch_member(gs, t, assume=None, cap=ELEMENT_CAP, explain=None):
+def dispatch_member(gs, t, cap=ELEMENT_CAP, explain=None):
     """Route a partial-bijection membership instance by variety."""
-    return solve(_route(gs, assume, cap, explain), "member", gs, t,
+    return solve(route(gs, "auto", cap, explain), "member", gs, t,
                  cap=cap, explain=explain, word=False)[0]
 
 
-def dispatch_conjugate(gs, s, t, assume=None, cap=ELEMENT_CAP, explain=None):
+def dispatch_conjugate(gs, s, t, cap=ELEMENT_CAP, explain=None):
     """Route a partial-bijection conjugacy instance by variety.
     Returns (bool, conjugator or None)."""
-    return solve(_route(gs, assume, cap, explain), "conj", gs, s, t,
+    return solve(route(gs, "auto", cap, explain), "conj", gs, s, t,
                  cap=cap, explain=explain)

@@ -79,7 +79,7 @@ class Closure:
         return (i,) + tuple(reversed(word))
 
 
-def close(gs, cap=ELEMENT_CAP, product_cap=PRODUCT_CAP):
+def close(gs, cap=ELEMENT_CAP):
     """Saturate Sigma under products (breadth-first by word length,
     generators in list order), recording every product as an edge of
     the right Cayley graph.  Sigma is inverse-closed, so this is the
@@ -118,9 +118,9 @@ def close(gs, cap=ELEMENT_CAP, product_cap=PRODUCT_CAP):
         row = []
         for i, t in enumerate(tables):
             products += 1
-            if products > product_cap:
+            if products > PRODUCT_CAP:
                 raise ClosureCapExceeded(
-                    "closure exceeded %d product evaluations" % product_cap
+                    "closure exceeded %d product evaluations" % PRODUCT_CAP
                 )
             y = mul(x, t)
             k = index.get(y)

@@ -83,19 +83,20 @@ def slp_to_text(slp):
 
 
 def slp_from_text(text):
-    return slp_from_records((lineno, raw.split()) for lineno, raw
-                            in enumerate(text.splitlines(), 1))
+    """The SLP of the text form of `slp_to_text`; tokens from a % on are
+    a comment."""
+    return slp_from_records((lineno, raw.partition("%")[0].split())
+                            for lineno, raw in enumerate(text.splitlines(), 1))
 
 
 def slp_from_records(records, n_gens=None):
     """The SLP of (line number, tokens) records in the text form of
-    `slp_to_text`; tokens from a % on are a comment.  Every error names
-    the record's line.  Generator indices are checked only against a
-    given n_gens."""
+    `slp_to_text`, comments already stripped.  Every error names the
+    record's line.  Generator indices are checked only against a given
+    n_gens."""
     items = []
     target = None
-    for lineno, tokens in records:
-        parts = " ".join(tokens).split("%")[0].split()
+    for lineno, parts in records:
         if not parts:
             continue
         try:
@@ -112,7 +113,7 @@ def slp_from_records(records, n_gens=None):
                 raise ValueError
         except ValueError:
             raise ValueError("line %d: cannot parse %r"
-                             % (lineno, " ".join(tokens)))
+                             % (lineno, " ".join(parts)))
         problem = _item_problem(item, len(items), n_gens)
         if problem is not None:
             raise ValueError("line %d: %s" % (lineno, problem))

@@ -51,7 +51,7 @@ def test_classify(tmp_path, capsys):
 def test_member_pb_routes(tmp_path, capsys):
     path = _write(tmp_path, "g.pb", PB_GROUP)
     for extra in ([], ["--solver", "oracle"], ["--solver", "group"],
-                  ["--force-oracle"], ["--assume", "Group"]):
+                  ["--solver", "general"]):
         code, out, _ = run(capsys, "member", path, *extra)
         assert code == 0
         assert out.splitlines()[0] == "YES"
@@ -106,20 +106,38 @@ def test_green_h_leq(tmp_path, capsys):
         assert code == 0 and out.strip() == answer, pair
 
 
-def test_force_oracle_rejected_beside_another_solver(tmp_path, capsys):
+def test_removed_route_options_are_unrecognized(tmp_path, capsys):
+    # --model only repeated the file header; the model comes from the file
     pb = _write(tmp_path, "g.pb", PB_GROUP + "s 2 3 1\nt 2 3 1\n")
     ct = _write(tmp_path, "y2.ct", CT_Y2)
     for cmd in ("member", "conj"):
-        for path, solver in ((pb, "ct-greedy"), (pb, "group"),
-                             (ct, "group"), (ct, "ct-greedy")):
-            code, out, err = run(capsys, cmd, path, "--solver", solver,
-                                 "--force-oracle")
-            assert code == 2 and out == "", (cmd, path, solver)
-            assert "--force-oracle" in err
+        for path, model in ((pb, "pb"), (ct, "ct"), (pb, "ct")):
+            code, out, err = run(capsys, cmd, path, "--model", model)
+            assert (code, out) == (2, ""), (cmd, path, model)
+            assert err.endswith("invsem: error: unrecognized "
+                                "arguments: --model %s\n" % model), err
+
+
+def test_force_oracle_rejected_beside_another_solver(tmp_path, capsys):
+    # --solver oracle is the one way to the oracle: --force-oracle is
+    # unrecognized, alone or beside any --solver
+    pb = _write(tmp_path, "g.pb", PB_GROUP + "s 2 3 1\nt 2 3 1\n")
+    ct = _write(tmp_path, "y2.ct", CT_Y2)
+    for cmd in ("member", "conj"):
+        for path, extra in ((pb, ["--solver", "ct-greedy"]),
+                            (pb, ["--solver", "group"]),
+                            (ct, ["--solver", "group"]),
+                            (ct, ["--solver", "ct-greedy"]),
+                            (pb, ["--solver", "oracle"]),
+                            (ct, ["--solver", "oracle"]),
+                            (pb, []), (ct, [])):
+            code, out, err = run(capsys, cmd, path, *extra, "--force-oracle")
+            assert (code, out) == (2, ""), (cmd, path, extra)
+            assert err.endswith("invsem: error: unrecognized "
+                                "arguments: --force-oracle\n"), err
         for path in (pb, ct):
-            for extra in ([], ["--solver", "oracle"]):
-                code, _, _ = run(capsys, cmd, path, "--force-oracle", *extra)
-                assert code == 0, (cmd, path, extra)
+            code, _, _ = run(capsys, cmd, path, "--solver", "oracle")
+            assert code == 0, (cmd, path)
 
 
 def test_slp_group_and_verify(tmp_path, capsys):
@@ -534,9 +552,9 @@ def test_input_errors_exit_2(tmp_path, capsys):
     no_target = _write(tmp_path, "nt.pb", "pb 2\ngen 2 1\n")
     assert run(capsys, "member", no_target)[0] == 2
     assert run(capsys, "frobnicate")[0] == 2
-    # model mismatch
+    # a solver that does not fit the file's model
     ct = _write(tmp_path, "y2.ct", CT_Y2)
-    assert run(capsys, "member", ct, "--model", "pb")[0] == 2
+    assert run(capsys, "member", ct, "--solver", "group")[0] == 2
 
 
 def test_refusal_exit_1(tmp_path, capsys):
@@ -617,6 +635,43 @@ def test_verify_rejects_bogus_witnesses(tmp_path, capsys):
     assert code == 1 and out.startswith("FAIL")
 
 
+def test_verify_rejects_a_second_witness(tmp_path, capsys):
+    # only one witness is checked, so a second one would go unread: in
+    # <(1 2 3)>, g1 g1 spells the target and g1 does not, in either order
+    pb = _write(tmp_path, "c3.pb", "pb 3\ngen 2 3 1\ntarget 3 1 2\n"
+                "s 2 3 1\nt 2 3 1\nds 1\ndt 2\n")
+    ia = _write(tmp_path, "a.ia", "ia states=2 alphabet=2\ninv a A\n"
+                "trans 1 a 2\ntrans 2 A 1\nstart 1\naccept 2\n")
+    eqn = str(tmp_path / "inst.eqn")
+    src = _write(tmp_path, "st.pb", PB_SEMILATTICE)
+    assert run(capsys, "gen", "equation", src, "-o", eqn)[0] == 0
+    for what, path, first, second, key, alone in (
+            ("member", pb, "word g1 g1", "word g1", "word", "OK"),
+            ("member", pb, "word g1", "word g1 g1", "word", "FAIL"),
+            ("conj", pb, "conjugator 1 2 3", "conjugator 3 1 2",
+             "conjugator", "OK"),
+            ("transport", pb, "transporter 2 3 1", "transporter 1 2 3",
+             "transporter", "OK"),
+            ("automata", ia, "word a", "word A", "word", "OK"),
+            ("eqn", eqn, "assign X 1 _", "assign X _ 2",
+             "assign record for X", "FAIL")):
+        answer = "YES\n%s\n%% between\n%s\n" % (first, second)
+        code, out, err = _verify(capsys, tmp_path, what, path, answer)
+        assert (code, out) == (2, ""), (what, answer)
+        assert err == "error: line 4: repeated %s\n" % (
+            key if key.startswith("assign") else key + " record"), err
+        # the first record alone is checked as before
+        code, out, _ = _verify(capsys, tmp_path, what, path,
+                               "YES\n%s\n" % first)
+        assert (code, out.split()[0]) == (alone != "OK", alone), what
+    # repeated gen lines are an MGS witness, and one record per SLP item
+    code, out, _ = run(capsys, "mgs", pb, "-k", "1")
+    answer = _write(tmp_path, "mgs.txt", out + out.splitlines()[1] + "\n")
+    assert run(capsys, "verify", "mgs", pb, answer) == (0, "OK\n", "")
+    slp = _write(tmp_path, "slp.txt", "YES\ng 0\ng 0\nm 0 1\ntarget 2\n")
+    assert run(capsys, "verify", "slp", pb, slp) == (0, "OK\n", "")
+
+
 def test_verify_member_and_conj_drop_trailing_comments(tmp_path, capsys):
     # tokens from a % on are a comment on every answer line, as in
     # verify slp; the tokens before it are still checked
@@ -657,15 +712,14 @@ def test_ct_files_reject_pb_solvers_and_wrong_model(tmp_path, capsys):
     ct = _write(tmp_path, "y2.ct", CT_Y2)
     pb = _write(tmp_path, "s.pb", PB_SEMILATTICE)
     for cmd in ("member", "conj"):
-        for solver in ("group", "clifford", "sis"):
+        for solver in ("semilattice", "group", "clifford", "sis", "general"):
             code, out, err = run(capsys, cmd, ct, "--solver", solver)
             assert code == 2 and out == "" and "does not apply" in err
-        code, out, err = run(capsys, cmd, ct, "--model", "pb")
-        assert code == 2 and out == "" and "not pb" in err
-        code, out, err = run(capsys, cmd, pb, "--model", "ct")
-        assert code == 2 and out == "" and "not ct" in err
-        for extra in ([], ["--solver", "oracle"], ["--model", "ct"],
-                      ["--solver", "ct-greedy"]):
+            assert "ct instances" in err
+        code, out, err = run(capsys, cmd, pb, "--solver", "ct-greedy")
+        assert code == 2 and out == "" and "does not apply" in err
+        assert "pb instances" in err
+        for extra in ([], ["--solver", "oracle"], ["--solver", "ct-greedy"]):
             assert run(capsys, cmd, ct, *extra)[0] == 0
 
 
@@ -694,7 +748,7 @@ def test_cap_honoured_on_every_pb_route(tmp_path, capsys):
     # so s and t are not conjugate
     path = _write(tmp_path, "c.pb", PB_GROUP + "s 2 3 1\nt 3 1 2\n")
     for cmd, answer in (("member", "YES"), ("conj", "NO")):
-        for extra in (["--force-oracle"], ["--solver", "oracle"]):
+        for extra in (["--solver", "oracle"], ["--solver", "general"]):
             code, out, err = run(capsys, cmd, path, "--cap", "1", *extra)
             assert code == 1 and out == "", (cmd, extra)
             assert "refused" in err
@@ -735,17 +789,20 @@ def test_cap_below_one_is_rejected(tmp_path, capsys):
 
 def test_assume_hint_is_checked(tmp_path, capsys):
     # U is General and holds the target; a false hint used to route it
-    # to a solver that printed NO
+    # to a solver that printed NO. --assume is gone and each explicit
+    # solver is checked as the hint was
     path = _write(tmp_path, "gen.pb",
-                  "pb 3\ngen 2 _ 1\ngen 1 2 _\ntarget 1 _ _\n")
+                  "pb 3\ngen 2 _ 1\ngen 1 2 _\ntarget 1 _ _\ns 1 _ _\n"
+                  "t 1 _ _\n")
     assert run(capsys, "classify", path)[1].splitlines()[0] == "General"
-    for hint in ("StrictInverse", "Semilattice"):
-        code, out, err = run(capsys, "member", path, "--assume", hint)
-        assert code == 2 and out == "", hint
-        assert "does not hold" in err
-    for extra in ([], ["--assume", "General"]):
-        code, out, _ = run(capsys, "member", path, *extra)
-        assert code == 0 and out.splitlines()[0] == "YES", extra
+    for cmd in ("member", "conj"):
+        for solver in ("semilattice", "group", "clifford", "sis"):
+            code, out, err = run(capsys, cmd, path, "--solver", solver)
+            assert code == 2 and out == "", (cmd, solver)
+            assert "does not hold" in err and "Traceback" not in err
+        for extra in ([], ["--solver", "oracle"], ["--solver", "general"]):
+            code, out, _ = run(capsys, cmd, path, *extra)
+            assert code == 0 and out.splitlines()[0] == "YES", extra
 
 
 def test_explain_names_how_u_was_classified(tmp_path, capsys):
@@ -779,6 +836,8 @@ def test_verify_eqn_checks_assignment_in_constraint(tmp_path, capsys):
 
 
 def test_assume_rejected_where_not_honoured(tmp_path, capsys):
+    # --assume is honoured nowhere now: it is unrecognized on every file
+    # and beside every route, and --solver general takes its one use
     # Y2 generated by its zero is a semilattice, not a group
     ct = _write(tmp_path, "y2.ct", "ct 2\n0 1\n1 1\ngens 0\ntarget 1\n"
                 "s 0\nt 0\n")
@@ -789,13 +848,14 @@ def test_assume_rejected_where_not_honoured(tmp_path, capsys):
              (ct, ["--solver", "oracle", "--assume", "Semilattice"]),
              (pb, ["--solver", "sis", "--assume", "Semilattice"]),
              (pb, ["--solver", "oracle", "--assume", "General"]),
-             (pb, ["--force-oracle", "--assume", "General"])]
+             (pb, ["--assume", "General"])]
     for cmd in ("member", "conj"):
         for path, extra in cases:
             code, out, err = run(capsys, cmd, path, *extra)
-            assert code == 2 and out == "", (cmd, extra)
-            assert "--assume" in err
-        code, out, _ = run(capsys, cmd, pb, "--assume", "General")
+            assert (code, out) == (2, ""), (cmd, extra)
+            assert err.endswith("invsem: error: unrecognized arguments: "
+                                "%s\n" % " ".join(extra[-2:])), err
+        code, out, _ = run(capsys, cmd, pb, "--solver", "general")
         assert code == 0 and out.splitlines()[0] == "YES", cmd
 
 
@@ -816,11 +876,11 @@ def test_explicit_pb_solver_is_checked_like_assume(tmp_path, capsys):
     path = _write(tmp_path, "gen.pb",
                   "pb 3\ngen 2 3 1\ngen 2 1 3\ngen 1 2 _\ntarget 1 _ _\n"
                   "s 1 _ _\nt _ 2 _\n")
-    for extra in ([], ["--solver", "oracle"]):
-        code, out, _ = run(capsys, "member", path, *extra)
-        assert code == 0 and out.splitlines()[0] == "YES", extra
     for cmd in ("member", "conj"):
-        for solver in ("group", "clifford", "sis"):
+        for extra in ([], ["--solver", "oracle"], ["--solver", "general"]):
+            code, out, _ = run(capsys, cmd, path, *extra)
+            assert code == 0 and out.splitlines()[0] == "YES", extra
+        for solver in ("semilattice", "group", "clifford", "sis"):
             code, out, err = run(capsys, cmd, path, "--solver", solver)
             assert code == 2 and out == "", (cmd, solver)
             assert "does not hold" in err and "Traceback" not in err
@@ -840,7 +900,8 @@ def test_general_conj_prints_what_the_oracle_prints(tmp_path, capsys):
         path = _write(tmp_path, "gen.pb", head + pair)
         code, out, _ = run(capsys, "conj", path)
         assert code == 0 and out.splitlines()[0] == answer
-        assert out == run(capsys, "conj", path, "--solver", "oracle")[1]
+        for solver in ("oracle", "general"):
+            assert out == run(capsys, "conj", path, "--solver", solver)[1]
 
 
 def test_explain_names_the_solver_on_every_route(tmp_path, capsys):
@@ -856,11 +917,11 @@ def test_explain_names_the_solver_on_every_route(tmp_path, capsys):
              (pb, ["--solver", "group"], "group"),
              (pb, ["--solver", "clifford"], "clifford"),
              (pb, ["--solver", "sis"], "sis"),
+             (pb, ["--solver", "general"], "general"),
+             (semilattice, ["--solver", "semilattice"], "semilattice"),
              (pb, ["--solver", "oracle"], "oracle"),
-             (pb, ["--force-oracle"], "oracle"),
              (ct, [], "ct-greedy"), (ct, ["--solver", "ct-greedy"], "ct-greedy"),
-             (ct, ["--solver", "oracle"], "oracle"),
-             (ct, ["--force-oracle"], "oracle")]
+             (ct, ["--solver", "oracle"], "oracle")]
     for cmd in ("member", "conj"):
         for path, extra, solver in cases:
             code, out, err = run(capsys, cmd, path, *extra, "--explain")
@@ -952,11 +1013,66 @@ def test_explicit_pb_solver_runs_inside_its_variety(tmp_path, capsys):
             assert code == 0 and out.splitlines()[0] == "YES", (cmd, solver)
 
 
+# a pb file of each variety, with a target in U and, but for the
+# semilattice, a conjugate pair, and the explicit pb solvers that take it
+SOLVER_MATRIX = {
+    "Trivial": ("pb 2\ngen 1 2\ntarget 1 2\ns 1 2\nt 1 2\n",
+                ("semilattice", "group", "clifford", "sis")),
+    "Semilattice": (PB_SEMILATTICE, ("semilattice", "clifford", "sis")),
+    "Group": ("pb 3\ngen 2 3 1\ngen 2 1 3\ntarget 3 1 2\ns 2 1 3\n"
+              "t 1 3 2\n", ("group", "clifford", "sis")),
+    "Clifford": ("pb 6\n" + "".join("gen %s\n" % g for g in
+                                     WITNESS_GENERATORS["Clifford"])
+                 + "target 3 1 2 _ _ _\ns 2 1 3 _ _ _\nt 3 2 1 _ _ _\n",
+                 ("clifford", "sis")),
+    "StrictInverse": ("pb 2\ngen 2 _\ntarget 1 _\ns 1 _\nt _ 2\n",
+                      ("sis",)),
+    "General": ("pb 3\ngen 2 3 1\ngen 2 1 3\ngen 1 2 _\ntarget 1 _ _\n"
+                "s 1 2 _\nt _ 2 3\n", ()),
+}
+ROUTES = ("auto", "oracle", "ct-greedy", "semilattice", "group", "clifford",
+          "sis", "general")
+
+
+def test_every_solver_on_every_variety(tmp_path, capsys):
+    """Each --solver choice on a file of each variety and on a ct file
+    gives auto's answer with a witness that verify accepts, or exits 2
+    because the solver does not fit the file."""
+    table, idx = brandt_table(3)
+    files = {name: (_write(tmp_path, name + ".pb", text),
+                    {"auto", "oracle", "general", *solvers})
+             for name, (text, solvers) in SOLVER_MATRIX.items()}
+    files["ct"] = (_write(tmp_path, "b3.ct", serialize(CTInstance(
+        table, [idx[(0, 1)], idx[(1, 2)]], target=idx[(2, 0)],
+        s=idx[(0, 0)], t=idx[(2, 2)]))), {"auto", "oracle", "ct-greedy"})
+    for name, (path, takes) in files.items():
+        assert run(capsys, "classify", path)[1].split("\n", 1)[0] == (
+            name if name != "ct" else "StrictInverse")
+        for cmd in ("member", "conj"):
+            code, auto, _ = run(capsys, cmd, path)
+            assert code == 0, (name, cmd)
+            for solver in ROUTES:
+                code, out, err = run(capsys, cmd, path, "--solver", solver)
+                if solver not in takes:
+                    assert (code, out) == (2, ""), (name, cmd, solver)
+                    assert ("does not hold" in err
+                            or "does not apply" in err), err
+                    continue
+                assert code == 0, (name, cmd, solver, err)
+                assert out.split("\n", 1)[0] == auto.split("\n", 1)[0], (
+                    name, cmd, solver)
+                code, verdict, _ = _verify(capsys, tmp_path, cmd, path, out)
+                witness = "OK" if len(out.splitlines()) > 1 else (
+                    "OK no witness to check")
+                assert (code, verdict) == (0, witness + "\n"), (
+                    name, cmd, solver, out)
+
+
 # a call of every command that parses; each runs on one pb file
 CALLS = {
     "classify": ["classify", "{pb}"],
     "member": ["member", "{pb}", "--solver", "oracle", "--cap", "7"],
-    "conj": ["conj", "{pb}", "--model", "pb", "--explain"],
+    "conj": ["conj", "{pb}", "--solver", "sis", "--explain"],
     "green": ["green", "{pb}", "--rel", "R", "--leq"],
     "slp": ["slp", "{pb}", "--seed", "3"],
     "transport": ["transport", "{pb}"],
@@ -968,7 +1084,7 @@ CALLS = {
 }
 BAD_CHOICES = {
     "member": ["member", "{pb}", "--solver", "nope"],
-    "conj": ["conj", "{pb}", "--model", "nope"],
+    "conj": ["conj", "{pb}", "--solver", "Group"],
     "green": ["green", "{pb}", "--rel", "X"],
     "gen": ["gen", "nope", "{pb}", "-o", "{out}"],
     "verify": ["verify", "nope", "{pb}", "{pb}"],

@@ -16,7 +16,7 @@ from invsem.munn import (OutsideTractable, orbit_closure,
                          sis_min_idempotent, clifford_min_idempotent,
                          sis_member, sis_conjugate, clifford_conjugate,
                          general_conjugate, dispatch_member,
-                         dispatch_conjugate, require_variety)
+                         dispatch_conjugate, route, solve, SOLVERS)
 
 from helpers import (rand_pb, sample_systems, sample_sis_systems,
                      check_munn_lemmas, top_points_system)
@@ -281,33 +281,33 @@ def test_dispatch_on_s12_never_enumerates():
     assert gs._closure is None
 
 
-def test_assume_is_checked_against_the_classification():
+def test_explicit_solvers_are_checked_against_the_classification():
     order = ("Trivial", "Semilattice", "Group", "Clifford",
              "StrictInverse", "General")
-    below = {"Trivial": {"Trivial"},
-             "Semilattice": {"Trivial", "Semilattice"},
-             "Group": {"Trivial", "Group"},
-             "Clifford": {"Trivial", "Semilattice", "Group", "Clifford"},
-             "StrictInverse": set(order) - {"General"},
-             "General": set(order)}
+    # the varieties each explicit solver is exact on
+    below = {"semilattice": {"Trivial", "Semilattice"},
+             "group": {"Trivial", "Group"},
+             "clifford": {"Trivial", "Semilattice", "Group", "Clifford"},
+             "sis": set(order) - {"General"},
+             "general": set(order)}
+    assert set(below) == set(SOLVERS.values())
     rng = random.Random(7)
-    from helpers import rand_pb
     for gs, name in sample_systems(rng, 4, degrees=(2, 4),
                                    closure_cap=200):
         elements = list(close(gs).elements)
         s, t = rng.choice(elements), rand_pb(rng, gs.degree)
-        for hint in order:
-            if name in below[hint]:
-                # an accepted hint routes to a solver that is exact on U
-                assert (dispatch_member(gs, t, assume=hint)
+        for solver, varieties in below.items():
+            if name in varieties:
+                # an accepted solver is exact on U
+                variety = route(gs, solver)
+                assert SOLVERS[variety] == solver
+                assert (solve(variety, "member", gs, t)[0]
                         == naive_member(gs, t)[0])
-                assert (dispatch_conjugate(gs, s, t, assume=hint)[0]
+                assert (solve(variety, "conj", gs, s, t)[0]
                         == naive_conjugate(gs, s, t)[0])
             else:
                 with pytest.raises(ValueError):
-                    dispatch_member(gs, t, assume=hint)
-                with pytest.raises(ValueError):
-                    dispatch_conjugate(gs, s, t, assume=hint)
+                    route(gs, solver)
 
 
 def _fresh(gs):
@@ -410,12 +410,15 @@ def test_explicit_hint_rejects_a_system_outside_its_variety():
                                 partial_identity(3, [0, 1])], degree=3)
 
     with pytest.raises(OutsideTractable):
-        require_variety(system(), "StrictInverse", cap=3)
+        route(system(), "sis", cap=3)
     gs = system()
-    for variety in ("Group", "Clifford", "StrictInverse"):
+    for solver in ("semilattice", "group", "clifford", "sis"):
         with pytest.raises(ValueError):
-            require_variety(gs, variety)
-    assert require_variety(gs, "General").name == "General"
+            route(gs, solver)
+    # general is taken without classifying U, auto classifies it
+    fresh = system()
+    assert route(fresh, "general") == "General" and fresh._variety is None
+    assert route(fresh) == "General"
     with pytest.raises(ValueError):
         # two Munn vertices dominate e: not a wrong answer under -O
         sis_min_idempotent(gs, partial_identity(3, [0]))
