@@ -2,8 +2,8 @@
 
 Decisions print YES or NO on the first line, witnesses on following
 lines.  Exit status 0 means a completed decision (either answer), 1 a
-refusal (cap exceeded or outside the tractable varieties), 2 an input
-error.
+refusal (cap exceeded or outside the tractable varieties) or a stdout
+closed before the answer was written, 2 an input error.
 """
 
 from __future__ import annotations
@@ -694,7 +694,15 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # a closed stdout (`| head`): the exit flush goes to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (FormatError, CLIError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -54,15 +54,14 @@ class GeneratorSystem:
         )
         # lazy caches, kept for the life of the system: closure, the
         # largest element cap it exceeded, classification, the
-        # idempotents u u~ of the generators, group BSGS and its diagonal
-        # action, Munn graphs by delta, bases by (delta, anchor), H-class
-        # records by (solver, e-hat)
+        # idempotents u u~ of the generators, the group BSGS (whose
+        # stabilizer chain also finds conjugators), Munn graphs by delta,
+        # bases by (delta, anchor), H-class records by (solver, e-hat)
         self._closure = None
         self._over_cap = 0
         self._variety = None
         self._idempotents = None
         self._bsgs = None
-        self._diagonal = None
         self._munn = {}
         self._bases = {}
         self._hclasses = {}

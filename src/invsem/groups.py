@@ -1,19 +1,21 @@
 """Terminal solver for the group case: deterministic Schreier-Sims
-membership for permutation groups, the partial-bijection wrapper, set
-transporter and conjugacy via the graph-of-the-map reduction.
+membership for permutation groups, the partial-bijection wrapper, and
+one backtrack for conjugators of partial maps and set transporters.
 
 Permutations are tuples p with x^p = p[x] (256-byte tables multiplied
-by bytes.translate inside a PermGroup on at most 256 points); products
-are left-to-right (apply the left factor first), matching the
-partial-bijection convention.  Witness words are tuples of generator
-indices; generators are inverse-closed internally so no signed letters
-are needed.  The build stores no words: `PermGroup.rep_words` expands
-them from the Schreier vectors when a witness is printed.
+by bytes.translate inside a PermGroup on m < 256 points; point m is an
+undefined image, fixed by all); products are left-to-right (apply the
+left factor first), matching the partial-bijection convention.  Witness
+words are tuples of generator indices; generators are inverse-closed
+internally so no signed letters are needed.  The build stores no words:
+`PermGroup.rep_words` expands them from the Schreier vectors when a
+witness is printed.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cached_property
 
 from .pbij import PartialBijection
 
@@ -75,24 +77,26 @@ class PermGroup:
                 self.gens.append(ig)
         self.inv_index = [index[_pinv(g)] for g in self.gens]
         self._mul, self._inv, self._id = ((bytes.translate, _binv, ID256)
-                                          if m <= 256 else
-                                          (_pmul, _pinv, self.identity))
+                                          if m < 256 else
+                                          (_pmul, _pinv, tuple(range(m + 1))))
         self.levels = []
         self.strong = []  # every strong generator, in order of creation
-        self._fixed = None
         for i, g in enumerate(self.gens):
             self._insert(self._encode(g), i)
         self._stabilize()
 
     def _encode(self, p):
-        return bytes(p) + ID256[self.m:] if self._id is ID256 else p
+        # p's table, padded with point m (an undefined image) and above
+        m = self.m
+        return bytes(p) + ID256[m:] if self._id is ID256 else (*p, m)
 
     # -- construction ------------------------------------------------------
 
-    def _strip(self, p):
-        """Sift p: (residue, the point at each level passed)."""
-        pts, mul = [], self._mul
-        for lvl in self.levels:
+    def _strip(self, p, start=0):
+        """Sift p, which fixes the base points before level `start`:
+        (residue, the point at each level passed)."""
+        pts, mul = [lvl.b for lvl in self.levels[:start]], self._mul
+        for lvl in self.levels[start:]:
             x = p[lvl.b]
             if x not in lvl.transversal:
                 break
@@ -110,10 +114,10 @@ class PermGroup:
             out.extend(lvl.gens)
         return out
 
-    def _insert(self, p, how):
-        """Sift p; store a nontrivial residue as a strong generator at
-        its strip depth."""
-        p, pts = self._strip(p)
+    def _insert(self, p, how, start=0):
+        """Sift p from level `start`; store a nontrivial residue as a
+        strong generator at its strip depth."""
+        p, pts = self._strip(p, start)
         if p == self._id:
             return False
         if len(pts) == len(self.levels):
@@ -168,8 +172,10 @@ class PermGroup:
                     if s.serial < done:
                         continue
                     y = s.perm[x]
+                    # sg fixes b_0 .. b_j, so its sift starts below j
                     sg = mul(mul(r, s.perm), lvl.transversal[y][1])
-                    if sg != self._id and self._insert(sg, (j, x, s, y)):
+                    if sg != self._id and self._insert(sg, (j, x, s, y),
+                                                       j + 1):
                         return True
                 lvl.sifted[x] = made
         return False
@@ -205,18 +211,21 @@ class PermGroup:
 
     # -- queries -----------------------------------------------------------
 
-    def fixed_points(self):
-        """fixed[i]: the points fixed by every strong generator at level
-        i or deeper (fixed[len(levels)] is every point).  Computed once."""
-        if self._fixed is None:
-            fixed = [frozenset(range(self.m))]
-            for lvl in reversed(self.levels):
-                moved = set()
-                for s in lvl.gens:
-                    moved.update(x for x in range(self.m) if s.perm[x] != x)
-                fixed.append(fixed[-1] - moved)
-            self._fixed = fixed[::-1]
-        return self._fixed
+    @cached_property
+    def _fixed_views(self):
+        """Per level i and one past the last, tables (a, c) such that
+        mul(mul(a, p), c) keeps of a partial map p what the level-i
+        stabilizer fixes: p at each point fixed by all of it, with an
+        image it moves read as b_i (m if undefined)."""
+        m, moved, views = self.m, set(), []
+        for b, gens in [(m, ())] + [(lvl.b, lvl.gens)
+                                    for lvl in reversed(self.levels)]:
+            for s in gens:
+                moved.update(x for x in range(m) if s.perm[x] != x)
+            views.append(tuple(
+                self._encode([y if x in moved else x for x in range(m)])
+                for y in (m, b)))
+        return views[::-1]
 
     @property
     def order(self):
@@ -240,40 +249,46 @@ class PermGroup:
         words = self.rep_words(enumerate(pts))
         return True, tuple([c for w in reversed(words) for c in w])
 
+    def conjugator(self, s, t):
+        """Some g in the group with g~ s g = t, as a tuple, or None, for
+        partial maps s and t on its points (images, None if undefined).
+
+        Exhaustive depth-first backtrack over the stabilizer chain: g is
+        h r with r a level-i rep and h in the level-(i+1) stabilizer, so
+        h~ s h = r t r~; a node is pruned where s and its target differ
+        at the points its stabilizer fixes.
+        """
+        m, mul, levels = self.m, self._mul, self.levels
+        s, t = (self._encode([m if y is None else y for y in p])
+                for p in (s, t))
+        if s.count(m) != t.count(m):
+            return None
+        views = self._fixed_views
+        want = [mul(mul(a, s), c) for a, c in views]
+
+        def search(i, target):
+            a, c = views[i]
+            if mul(mul(a, target), c) != want[i]:
+                return None
+            if i == len(levels):
+                return self._id
+            for r, ir, _, _ in levels[i].transversal.values():
+                h = search(i + 1, mul(mul(r, target), ir))
+                if h is not None:
+                    return mul(h, r)
+            return None
+
+        g = search(0, t)
+        assert g is None or mul(s, g) == mul(g, t)
+        return None if g is None else tuple(g[:m])
+
 
 def set_transporter(G, delta_s, delta_t):
-    """Some g in G with delta_s^g = delta_t, as a tuple, or None.
-
-    Exhaustive depth-first backtrack over the stabilizer chain, pruning
-    on points fixed by the remaining levels.
-    """
-    delta_s = frozenset(delta_s)
-    delta_t = frozenset(delta_t)
-    if len(delta_s) != len(delta_t):
-        return None
-    levels = G.levels
-    fixed = G.fixed_points()
-    # a level-i stabilizer element fixes fixed[i] pointwise, so it can
-    # only reach targets that agree with delta_s there
-    want = [f & delta_s for f in fixed]
-
-    def search(i, target):
-        # find h in the level-i stabilizer with delta_s^h = target
-        if fixed[i] & target != want[i]:
-            return None
-        if i == len(levels):
-            return G._id if delta_s == target else None
-        for r, ir, _, _ in levels[i].transversal.values():
-            h = search(i + 1, frozenset(ir[x] for x in target))
-            if h is not None:
-                return G._mul(h, r)
-        return None
-
-    p = search(0, delta_t)
-    if p is not None:
-        p = tuple(p[:G.m])
-        assert frozenset(p[x] for x in delta_s) == delta_t
-    return p
+    """Some g in G with delta_s^g = delta_t, as a tuple, or None: a
+    conjugator of the partial identities on delta_s and delta_t."""
+    sets = frozenset(delta_s), frozenset(delta_t)
+    return G.conjugator(*([x if x in d else None for x in range(G.m)]
+                          for d in sets))
 
 
 # -- partial-bijection wrappers -------------------------------------------
@@ -340,46 +355,22 @@ def group_element(gs, points, q):
     return PartialBijection(gs.degree, map(image.get, range(gs.degree)))
 
 
-def _diagonal_group(gs):
-    """The diagonal action of a group GeneratorSystem on ordered pairs
-    of its domain, a PermGroup on m^2 points (pair (i, j) is i*m + j).
-    Cached."""
-    if gs._diagonal is None:
-        _, points = perm_group_of(gs)
-        m = len(points)
-        diag_gens = []
-        for g in gs.generators:
-            p = _as_perm(g, points)
-            diag_gens.append(tuple(
-                p[i] * m + p[j] for i in range(m) for j in range(m)
-            ))
-        gs._diagonal = PermGroup(diag_gens, m * m)
-    return gs._diagonal
-
-
 def group_conjugate(gs, s, t):
-    """Conjugacy with conjugators from a group U = <Sigma>: reduces to a
-    set transporter on the graphs of s and t under the diagonal action.
+    """Conjugacy with conjugators from a group U = <Sigma>: a conjugator
+    of s and t in the permutation group U induces on its domain.
 
     Returns (bool, conjugator or None).
     """
     if s == t:
         return True, gs.one
-    _, points = perm_group_of(gs)
-    dom = frozenset(points)
-    if not (s.domain() <= dom and s.ran() <= dom
-            and t.domain() <= dom and t.ran() <= dom):
+    G, points = perm_group_of(gs)
+    if not s.domain() | s.ran() | t.domain() | t.ran() <= set(points):
         return False, None
-    m = len(points)
     pos = {x: i for i, x in enumerate(points)}
-    D = _diagonal_group(gs)
-    delta_s = frozenset(pos[x] * m + pos[y] for x, y in s.graph())
-    delta_t = frozenset(pos[x] * m + pos[y] for x, y in t.graph())
-    p = set_transporter(D, delta_s, delta_t)
-    if p is None:
+    q = G.conjugator(*([pos.get(p[x]) for x in points] for p in (s, t)))
+    if q is None:
         return False, None
-    # a diagonal element moves (i, i) to (i^g, i^g)
-    u = group_element(gs, points, tuple(p[i * m + i] // m for i in range(m)))
+    u = group_element(gs, points, q)
     ub = gs.inv(u)
     assert gs.mul(gs.mul(ub, s), u) == t
     assert gs.mul(gs.mul(u, t), ub) == s

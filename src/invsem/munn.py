@@ -232,8 +232,8 @@ def _basis(gs, M, anchor):
 @dataclass
 class HClass:
     """The group H-class of U at a dominating idempotent e-hat: a group
-    GeneratorSystem (its BSGS and diagonal action are cached on it) and,
-    for a strict inverse U, the basis at e-hat with gamma and lambda."""
+    GeneratorSystem (its BSGS, which finds conjugators, is cached on it)
+    and, for a strict inverse U, the basis at e-hat with gamma, lambda."""
     ehat: object
     group: GeneratorSystem
     basis: Basis = None

@@ -19,6 +19,7 @@ REMOVED = {
     "invsem.cayley": ("from_closure",),
     "invsem.classify": ("classify",),
     "invsem.ctsolver": ("ct_member", "ct_conjugate", "ct_r_equiv"),
+    "invsem.groups": ("_diagonal_group",),
     "invsem.hardness": ("automata_word_to_transitions",
                         "conjugation_orbit_decide"),
     "invsem.meta": ("solve_equations_bruteforce",),
@@ -69,6 +70,7 @@ def test_removed_names_are_gone():
             if name != "classify":
                 assert not hasattr(invsem, name), name
     assert not hasattr(PermGroup, "elements")
+    assert not hasattr(PermGroup, "fixed_points")
     # invsem.classify is the module again, not a re-exported function
     assert isinstance(invsem.classify, types.ModuleType)
     assert len(set(invsem.__all__)) == len(invsem.__all__)

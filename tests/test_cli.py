@@ -1148,13 +1148,14 @@ def test_each_call_builds_its_own_parser(tmp_path, capsys, monkeypatch):
     assert len(built) == 2 and built[0] is not built[1]
 
 
-def _python(*args):
-    """Run a fresh interpreter that imports this checkout's invsem."""
+def _python(*args, stdout=subprocess.PIPE, **env):
+    """Run a fresh interpreter that imports this checkout's invsem, with
+    `env` added to its environment."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(invsem.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
 
 
 def test_module_entry_point_reads_sys_argv(tmp_path):
@@ -1164,6 +1165,20 @@ def test_module_entry_point_reads_sys_argv(tmp_path):
     done = _python("-m", "invsem.cli", "nope")
     assert done.returncode == 2 and done.stdout == ""
     assert "invalid choice: 'nope'" in done.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_closed_stdout_exits_1_without_a_traceback(tmp_path, unbuffered):
+    path = _write(tmp_path, "s3.pb", "pb 3\ngen 2 3 1\ngen 2 1 3\n"
+                  "s 2 1 _\nt _ 3 2\n")
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before anything is written
+    try:
+        done = _python("-m", "invsem.cli", "conj", path, stdout=write,
+                       PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, "")
 
 
 def test_numpy_loads_on_the_first_table_only(tmp_path, capsys):

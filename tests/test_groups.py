@@ -1,5 +1,7 @@
-"""Schreier-Sims machinery, group membership and set transporters."""
+"""Schreier-Sims machinery, group membership, set transporters and
+conjugators."""
 
+import hashlib
 import math
 import random
 
@@ -7,7 +9,9 @@ import pytest
 
 from invsem.pbij import PartialBijection
 from invsem.gensys import GeneratorSystem
-from invsem.oracle import close, naive_member
+from invsem.oracle import close, naive_conjugate
+from invsem.formats import PBInstance, image_line, serialize
+from invsem.cli import main
 from invsem.groups import (PermGroup, set_transporter, perm_group_of,
                            pb_group_member, group_conjugate)
 
@@ -136,7 +140,6 @@ def test_pb_group_member_vs_oracle():
 
 def test_group_conjugate_equations_and_oracle():
     rng = random.Random(4)
-    from invsem.oracle import naive_conjugate
     for _ in range(150):
         n = rng.randrange(2, 6)
         dom = [x for x in range(n) if rng.random() < 0.8] or [0]
@@ -242,6 +245,50 @@ def test_witnesses_on_symmetric_wreath_and_diagonal_groups():
                 assert frozenset(found[x] for x in ds) == dt
 
 
+def _bsgs_record(G):
+    """A build as plain data: per level its base point, its transversal
+    in order (point, rep, inverse, parent point, Schreier generator) and
+    its stored generators; per strong generator its table, how it was
+    made and its strip."""
+    m = G.m
+
+    def serial(s):
+        return None if s is None else s.serial
+
+    levels = [(lvl.b, [(x, tuple(r[:m]), tuple(ir[:m]), x0, serial(s))
+                       for x, (r, ir, x0, s) in lvl.transversal.items()],
+               [s.serial for s in lvl.gens]) for lvl in G.levels]
+    strong = [(tuple(s.perm[:m]), s.serial,
+               s.how if isinstance(s.how, int)
+               else (s.how[0], s.how[1], s.how[2].serial, s.how[3]),
+               s.strip) for s in G.strong]
+    return levels, strong
+
+
+def test_bsgs_of_random_groups_is_pinned():
+    # the digest of every build decision over 400 random groups (half
+    # of them moving a random subset of points) and the structured
+    # groups of this file, on both sides of the bytes threshold; it is
+    # the digest of the build that sifted every Schreier generator from
+    # level 0
+    rng = random.Random(7)
+    groups = []
+    for k in range(400):
+        m = rng.randrange(2, 13)
+        pool = (range(m) if k % 2 else
+                rng.sample(range(m), rng.randrange(2, m + 1)))
+        gens = [tuple(rand_perm_on(rng, m, rng.sample(
+                    pool, rng.randrange(2, len(pool) + 1))).images)
+                for _ in range(rng.randrange(1, 4))]
+        groups.append(([tuple(x if y is None else y
+                              for x, y in enumerate(g)) for g in gens], m))
+    groups += [(gens, m) for _, gens, m in STORED_INVERSE_GROUPS]
+    groups += [(gens, m) for m in (255, 256, 257) for gens in _near_top(m)]
+    records = repr([_bsgs_record(PermGroup(gens, m)) for gens, m in groups])
+    assert hashlib.sha256(records.encode()).hexdigest() == (
+        "3c7e4cd965b57dd3ece2ff23c4356cf3d60d83866758a89f4b9b4ddf5f9c7fed")
+
+
 def test_symmetric_group_of_degree_30():
     G = PermGroup(_sym(30), 30)
     assert G.order == math.factorial(30)
@@ -295,16 +342,16 @@ def test_both_sides_of_the_bytes_threshold(m):
                 assert frozenset(found[x] for x in ds) == dt
 
 
-@pytest.mark.parametrize("n", [16, 17])
-def test_group_conjugate_on_diagonals_of_256_and_289_points(n):
-    from invsem.oracle import naive_conjugate
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_group_conjugate_on_both_sides_of_the_bytes_threshold(n):
     rng = random.Random(n)
-    # the dihedral group of the n-gon, with its rotation restricted to
-    # nothing else: every point is in the domain
+    # the dihedral group of the n-gon: every point is in the domain, and
+    # n = 255 is the last degree whose tables are bytes
     rotation = PartialBijection(n, tuple((i + 1) % n for i in range(n)))
     reflection = PartialBijection(n, tuple((-i) % n for i in range(n)))
     gs = GeneratorSystem([rotation, reflection], degree=n)
-    assert perm_group_of(gs)[0].order == 2 * n
+    G = perm_group_of(gs)[0]
+    assert G.order == 2 * n and (G._id == bytes(range(256))) == (n < 256)
     elements = sorted(close(gs).elements)
     answers = set()
     for _ in range(60):
@@ -323,6 +370,67 @@ def test_group_conjugate_on_diagonals_of_256_and_289_points(n):
             assert gs.mul(gs.mul(u, t), ub) == s
         answers.add(ok)
     assert answers == {True, False}
+    perms = [tuple(g) for g in elements]
+    answers = set()
+    for _ in range(30):
+        ds = frozenset(rng.sample(range(n), rng.randrange(1, 4)))
+        dt = frozenset(rng.sample(range(n), len(ds)))
+        if rng.random() < 0.5:
+            dt = frozenset(rng.choice(perms)[x] for x in ds)
+        found = set_transporter(G, ds, dt)
+        assert (found is not None) == any(
+            frozenset(p[x] for x in ds) == dt for p in perms)
+        if found is not None:
+            assert found in perms and frozenset(found[x] for x in ds) == dt
+        answers.add(found is not None)
+    assert answers == {True, False}
+
+
+def _random_group_system(rng):
+    """A group GeneratorSystem of degree 2-9 and order at most 720: one
+    to three permutations of random parts of a common domain."""
+    while True:
+        n = rng.randrange(2, 10)
+        dom = [x for x in range(n) if rng.random() < 0.8] or [0]
+        gens = []
+        for _ in range(rng.randrange(1, 4)):
+            part = rng.sample(dom, rng.randrange(1, len(dom) + 1))
+            images = list(rand_perm_on(rng, n, part))
+            gens.append(PartialBijection(n, [
+                y if y is not None or x not in dom else x
+                for x, y in enumerate(images)]))
+        gs = GeneratorSystem(gens, degree=n)
+        if perm_group_of(gs)[0].order <= 720:
+            return gs, dom
+
+
+def test_group_conjugate_agrees_with_the_oracle_and_verify(tmp_path,
+                                                           capsys):
+    rng = random.Random(10)
+    instance, answer = tmp_path / "g.pb", tmp_path / "g.answer"
+    answers = {True: 0, False: 0}
+    for _ in range(1000):
+        gs, dom = _random_group_system(rng)
+        n = gs.degree
+        elements = close(gs).elements
+        s = (rng.choice(elements) if rng.random() < 0.5 else
+             rand_perm_on(rng, n, rng.sample(dom, rng.randrange(1, len(dom)
+                                                                 + 1))))
+        s = PartialBijection(n, [None if rng.random() < 0.3 else y
+                                 for y in s])
+        u = rng.choice(elements)
+        t = (gs.mul(gs.mul(gs.inv(u), s), u) if rng.random() < 0.6 else
+             PartialBijection(n, rng.sample(list(s), n)))
+        ok, u = group_conjugate(gs, s, t)
+        assert ok == naive_conjugate(gs, s, t)[0], (gs.generators, s, t)
+        answers[ok] += 1
+        if ok:
+            instance.write_text(serialize(PBInstance(
+                n, list(gs.generators), s=s, t=t)))
+            answer.write_text("YES\n%s\n" % image_line("conjugator", u))
+            assert main(["verify", "conj", str(instance), str(answer)]) == 0
+            assert capsys.readouterr().out == "OK\n"
+    assert min(answers.values()) > 200
 
 
 def test_no_word_is_expanded_unless_printed(tmp_path, capsys, monkeypatch):

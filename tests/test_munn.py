@@ -402,6 +402,41 @@ def test_repeated_queries_build_no_new_groups_or_munn_graphs(monkeypatch):
         assert built == before, name
 
 
+def test_conj_builds_one_permutation_group_per_group_system(monkeypatch):
+    # a conjugator comes from the stabilizer chain of the group system
+    # itself: no second group, such as its action on pairs, is built
+    import invsem.groups as groups_module
+    built = []
+    perm_init = groups_module.PermGroup.__init__
+    monkeypatch.setattr(groups_module.PermGroup, "__init__",
+                        lambda G, *a: built.append(G) or perm_init(G, *a))
+    rng = random.Random(11)
+    # HELD_SYSTEMS, but with the Brandt semigroup B(S_3, 2): the
+    # H-classes of B(C_3, 2) are abelian, so its conjugacy never
+    # reaches a group search
+    systems = HELD_SYSTEMS[:2] + (("StrictInverse", 6, [
+        (1, 2, 0, None, None, None), (1, 0, 2, None, None, None),
+        (3, 4, 5, None, None, None)]),)
+    for name, n, images in systems:
+        gs = GeneratorSystem([PartialBijection(n, g) for g in images],
+                             degree=n)
+        assert not hasattr(gs, "_diagonal")
+        assert classify_generated(gs).name == name
+        elements = close(gs).elements
+        del built[:]
+        found = 0
+        for _ in range(40):
+            s, u = rng.choice(elements), rng.choice(elements)
+            t = gs.mul(gs.mul(gs.inv(u), s), u)
+            found += s != t and dispatch_conjugate(gs, s, t)[0]
+        assert found, name
+        groups = [x._bsgs[0] for x in
+                  [gs] + [H.group for H in gs._hclasses.values()]
+                  if x._bsgs is not None]
+        assert groups and len(built) == len(groups), name
+        assert {id(G) for G in built} == {id(G) for G in groups}, name
+
+
 def test_explicit_hint_rejects_a_system_outside_its_variety():
     # S_3 with a rank-2 idempotent is neither Clifford nor strict inverse
     def system():
