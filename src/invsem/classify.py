@@ -7,21 +7,27 @@ dispatch: Trivial, Semilattice, Group, Clifford, StrictInverse, General.
 `classify_generated` decides the first four exactly from the
 inverse-closed generator list Sigma (`classify_from_generators`), with
 O(|Sigma|^2) products and no enumeration of U = <Sigma>.  Only when U
-is not Clifford does it enumerate U, under the closure cap, to split
-StrictInverse from General.  That split reads Green's D-classes off the
-pairs (x x~, x~ x) (`d_class_labels`) of the closure's codes, without
-decoding them, as `meta` does for its maximal J-classes.
+is not Clifford does it split StrictInverse from General, on the
+idempotents E(U) alone (`_split_on_idempotents`): an orbit of the
+generators' idempotents, under the cap on |E(U)|, never the closure.
+`d_class_labels` reads Green's D-classes off the pairs (x x~, x~ x) of
+a closed element list, as `meta` does for its maximal J-classes.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .oracle import ClosureCapExceeded, ELEMENT_CAP, close
+from .oracle import ELEMENT_CAP
+from .pbij import BytesCodec
 
 SEMILATTICES = ("Trivial", "Semilattice")
 GROUPS = ("Trivial", "Group")
 CLIFFORD = ("Trivial", "Semilattice", "Group", "Clifford")
+
+# the refusal where E(U) passes the cap, with the cap as its figure
+E_CAP_EXCEEDED = "idempotent (E(U)) cap exceeded: more than %d idempotents"
 
 
 @dataclass(frozen=True)
@@ -31,8 +37,10 @@ class VarietyTag:
     divides_B2: bool
     divides_B21: bool
     cap_exceeded: bool = False
-    # "generators" or "closure": how the name was decided
-    classified_by: str = field(default="closure", compare=False)
+    # "generators" or "idempotents": how the name was decided
+    classified_by: str = field(default="idempotents", compare=False)
+    # |E(U)| where the idempotents decided the name, else None
+    idempotents: int | None = field(default=None, compare=False)
 
     def is_semilattice(self):
         return self.name in SEMILATTICES
@@ -47,14 +55,16 @@ class VarietyTag:
         return self.name != "General"
 
 
-def _tag(name, classified_by="closure", cap_exceeded=False):
+def _tag(name, classified_by="idempotents", cap_exceeded=False,
+         idempotents=None):
     """The tag of a variety name; the divisor flags follow from it."""
     return VarietyTag(name,
                       divides_Y2=name not in GROUPS,
                       divides_B2=name not in CLIFFORD,
                       divides_B21=name == "General",
                       cap_exceeded=cap_exceeded,
-                      classified_by=classified_by)
+                      classified_by=classified_by,
+                      idempotents=idempotents)
 
 
 def classify_from_generators(gs):
@@ -95,26 +105,6 @@ def classify_from_generators(gs):
     return None
 
 
-def _idempotent_indices(gs, elements, index=None):
-    """The indices in the closed list `elements` of x x~ and of x~ x,
-    as two lists.  `gs` is anything with mul and inv on the list's
-    items: a GeneratorSystem, or BytesCodec over closure codes; `index`
-    maps each item to its position when the caller has one."""
-    mul = gs.mul
-    if index is None:
-        index = {x: i for i, x in enumerate(elements)}
-    left = []
-    right = []
-    try:
-        for x in elements:
-            xb = gs.inv(x)
-            left.append(index[mul(x, xb)])
-            right.append(index[mul(xb, x)])
-    except KeyError:
-        raise ValueError("element list is not closed") from None
-    return left, right
-
-
 def d_class_labels(left, right):
     """The D-class (= J-class, finite case) of each element of an
     inverse semigroup as the least idempotent index in it, from the
@@ -131,42 +121,110 @@ def d_class_labels(left, right):
     return [least[e] for e in left]
 
 
-def _is_strict_inverse(gs, elements, index=None):
-    """Idempotent-pair test on the closed list `elements` (items and
-    `gs` as in _idempotent_indices): for every idempotent e and
-    idempotents f1, f2 below e, f1 D f2 forces f1 = f2.  Only
-    idempotents sharing their D-class can break it.
+def _split_on_idempotents(gs, cap):
+    """StrictInverse or General, decided on E(U) = {x~ x : x in U}
+    alone: (strict, |E(U)|), or None when E(U) has more than `cap`
+    elements.  Sigma is inverse-closed; the facts below hold in every
+    inverse semigroup (Lawson, Inverse Semigroups, 1998).
+
+    - E(U) is the orbit of the seeds u~ u (u in Sigma) under
+      e -> u~ e u: x = w u has x~ x = u~ (w~ w) u.  On the pb model
+      u~ e_A u is the partial identity on (A & dom u) u, and e <= f is
+      A <= B.
+    - Every idempotent lies below a seed, as u~ (w~ w) u <= u~ u.  So
+      an idempotent above two idempotents puts a seed above both.
+    - The D-classes of E(U) are the components of the edges
+      e - u~ e u with e <= u u~ (on pb: A <= dom u).  An edge is a
+      D-pair: x = e u has x x~ = e u u~ e = e and x~ x = u~ e u; and
+      its reverse is the edge of u~ from u~ e u <= u~ u.  Conversely let
+      x = u_1 ... u_k have x x~ = e and x~ x = f.  Put p_i = e u_1 ...
+      u_i (p_0 = e, p_k = e x = x) and e_i = p_i~ p_i, so that
+      e_0 = e, e_k = f and e_i = u_i~ e_(i-1) u_i.  The idempotents
+      p_i p_i~ descend from e to x x~ = e, so all equal e; then
+      e = p_(i-1) u_i u_i~ p_(i-1)~ gives e_(i-1) <= u_i u_i~ on
+      multiplying by p_(i-1)~ on the left and p_(i-1) on the right.  So
+      e = e_0 - e_1 - ... - e_k = f is a path of edges in E(U).  (On
+      pb: every prefix of x maps all of A = dom x.)
+    - U is strict inverse when no idempotent lies above two distinct
+      D-related ones; by the second fact it is enough to look above
+      each seed, and only at idempotents whose D-class has two or more.
+
+    The orbit is walked one D-class at a time: the edges from a class's
+    first idempotent reach the class, and every other step leads to an
+    idempotent that starts a later class unless an edge reaches it
+    first.  Cost: |E(U)| |Sigma| products for the orbit and edges, and
+    |Sigma| products per shared idempotent for the test.  Up to degree
+    255 the idempotents are pbij.BytesCodec codes and a product is one
+    bytes.translate; otherwise gs.mul on the elements.
     """
-    mul = gs.mul
-    left, right = _idempotent_indices(gs, elements, index)
-    label = d_class_labels(left, right)
-    idems = [x for x, e in enumerate(left) if x == e]  # x = x x~
-    multi = {label[f] for f in idems if label[f] != f}  # two or more
-    shared = [(elements[f], label[f]) for f in idems if label[f] in multi]
-    for top in map(elements.__getitem__, idems):
-        below = [c for f, c in shared if mul(f, top) == f]
+    if gs.model == "pb" and gs.degree <= BytesCodec.max_degree:
+        ops = BytesCodec
+        gens = [ops.encode(u) for u in gs.generators]
+        table, product = ops.table, ops.product
+    else:
+        ops = gs
+        gens = gs.generators
+        table, product = (lambda x: x), gs.mul
+    steps = []  # (u~, u, u u~) per generator, the right factors as tables
+    for u in gens:
+        ub = ops.inv(u)
+        steps.append((ub, table(u), table(ops.mul(u, ub))))
+    seeds = list(dict.fromkeys(product(ub, tu) for ub, tu, _ in steps))
+    if len(seeds) > cap:
+        return None
+    found = list(seeds)  # E(U) in the order the walk finds it
+    seen = set(found)
+    label = {}  # idempotent -> the first idempotent of its D-class
+    for top in found:
+        if top in label:
+            continue
+        label[top] = top
+        stack = [top]
+        while stack:
+            e = stack.pop()
+            te = table(e)
+            for ub, tu, td in steps:
+                f = product(product(ub, te), tu)
+                if f not in seen:
+                    if len(found) >= cap:
+                        return None
+                    seen.add(f)
+                    found.append(f)
+                if f not in label and product(e, td) == e:
+                    label[f] = top
+                    stack.append(f)
+    size = Counter(label.values())
+    shared = [(f, c) for f, c in label.items() if size[c] > 1]
+    for s in seeds:
+        ts = table(s)
+        below = [c for f, c in shared if product(f, ts) == f]
         if len(below) != len(set(below)):
-            return False
-    return True
+            return False, len(found)
+    return True, len(found)
 
 
 def classify_generated(gs, cap=ELEMENT_CAP):
     """Classify U = <Sigma>: from the generators when U is Clifford,
-    otherwise by enumerating U under `cap` to split StrictInverse from
-    General.  On closure-cap overflow fall back to the General tag with
-    a marker.
+    otherwise on E(U) under `cap` to split StrictInverse from General.
+    Where E(U) passes the cap, return the General tag with a marker and
+    record the cap on gs, so that this cap and every smaller one are
+    refused at once.
     """
     if gs._variety is not None:
         return gs._variety
+    if cap <= gs._over_e_cap:
+        # the walk is deterministic and passed this cap before
+        return _tag("General", cap_exceeded=True)
     name = classify_from_generators(gs)
     if name is not None:
         tag = _tag(name, "generators")
     else:
-        try:
-            cl = close(gs, cap)
-        except ClosureCapExceeded:
+        split = _split_on_idempotents(gs, cap)
+        if split is None:
+            gs._over_e_cap = cap
             return _tag("General", cap_exceeded=True)
-        strict = _is_strict_inverse(cl.codec or gs, cl.codes, cl.index)
-        tag = _tag("StrictInverse" if strict else "General")
+        strict, count = split
+        tag = _tag("StrictInverse" if strict else "General",
+                   idempotents=count)
     gs._variety = tag
     return tag

@@ -15,7 +15,7 @@ import sys
 from .gensys import GeneratorSystem, VIRTUAL_ONE
 from .oracle import (ELEMENT_CAP, ClosureCapExceeded, close, naive_member,
                      naive_conjugate, naive_green, naive_green_leq)
-from .classify import classify_generated
+from .classify import E_CAP_EXCEEDED, classify_generated
 from .groups import group_element, perm_group_of, set_transporter
 from .ctsolver import CTSolver
 from .slp import (NotGenerated, slp_eval, slp_to_text, slp_from_records,
@@ -88,7 +88,7 @@ def cmd_classify(args):
     gs = _system_of(inst)
     tag = classify_generated(gs, cap=args.cap)
     if tag.cap_exceeded:
-        raise Refusal("closure cap exceeded during classification")
+        raise Refusal(E_CAP_EXCEEDED % args.cap)
     print(tag.name)
     for flag in ("divides_Y2", "divides_B2", "divides_B21"):
         print("%s %s" % (flag, "yes" if getattr(tag, flag) else "no"))
@@ -182,7 +182,7 @@ def cmd_slp(args):
     t = _require(inst.target, "target")
     tag = classify_generated(gs, cap=args.cap)
     if tag.cap_exceeded:
-        raise Refusal("closure cap exceeded during classification")
+        raise Refusal(E_CAP_EXCEEDED % args.cap)
     import math
     try:
         if tag.is_semilattice():

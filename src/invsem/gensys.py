@@ -53,12 +53,14 @@ class GeneratorSystem:
             self.model == "ct" and table.identity_index is None
         )
         # lazy caches, kept for the life of the system: closure, the
-        # largest element cap it exceeded, classification, the
-        # idempotents u u~ of the generators, the group BSGS (whose
-        # stabilizer chain also finds conjugators), Munn graphs by delta,
-        # bases by (delta, anchor), H-class records by (solver, e-hat)
+        # largest element cap it exceeded, the largest cap that E(U)
+        # exceeded, classification, the idempotents u u~ of the
+        # generators, the group BSGS (whose stabilizer chain also finds
+        # conjugators), Munn graphs by delta, bases by (delta, anchor),
+        # H-class records by (solver, e-hat)
         self._closure = None
         self._over_cap = 0
+        self._over_e_cap = 0
         self._variety = None
         self._idempotents = None
         self._bsgs = None

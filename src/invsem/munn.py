@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .pbij import identity, partial_identity
 from .oracle import ClosureCapExceeded, ELEMENT_CAP, close, naive_member
-from .classify import VarietyTag, classify_generated
+from .classify import E_CAP_EXCEEDED, VarietyTag, classify_generated
 from .gensys import GeneratorSystem
 from .groups import pb_group_member, group_conjugate
 from .search import UnionFind, reach
@@ -471,21 +471,26 @@ def route(gs, solver="auto", cap=ELEMENT_CAP, explain=None):
     """The variety whose solver decides the instance, for `solver`
     "auto" or a name in SOLVERS.  auto takes the classification of U;
     general is exact on every U and skips it; any other solver is taken
-    only where U lies at or below its variety: a ValueError if not,
-    OutsideTractable where the closure cap cut off the
-    StrictInverse/General split."""
+    only where U lies at or below its variety: a ValueError if not.
+    OutsideTractable where the cap on E(U) cut off the
+    StrictInverse/General split that auto or sis needs."""
     if solver == "general":
         return "General"
     tag = classify_generated(gs, cap)
     if solver == "auto":
         if explain is not None:
-            explain["variety"] = tag.name
             explain["classified_by"] = tag.classified_by
+            if tag.idempotents is not None:
+                explain["idempotents"] = tag.idempotents
+            if not tag.cap_exceeded:
+                explain["variety"] = tag.name
+        if tag.cap_exceeded:
+            raise OutsideTractable(E_CAP_EXCEEDED % cap)
         return tag.name
     variety = _VARIETY_OF[solver]
     if not _HOLDS[variety](tag):
         if tag.cap_exceeded and variety == "StrictInverse":
-            raise OutsideTractable("closure cap exceeded while checking "
+            raise OutsideTractable(E_CAP_EXCEEDED % cap + ", while checking "
                                    "the variety StrictInverse")
         raise ValueError("variety %s does not hold: U is %s"
                          % (variety, tag.name))

@@ -7,7 +7,7 @@ decides faster, or a small constructor for test inputs.
 from itertools import product
 
 from invsem.cayley import CayleyTable
-from invsem.classify import _idempotent_indices, _is_strict_inverse, _tag
+from invsem.classify import _tag, d_class_labels
 from invsem.meta import eval_word as eval_eq_word
 from invsem.ncl import is_config
 from invsem.oracle import ELEMENT_CAP, close
@@ -102,11 +102,45 @@ def eval_word(gs, word):
 # -- classification ----------------------------------------------------------
 
 
+def idempotent_indices(gs, elements):
+    """The indices in the closed list `elements` of x x~ and of x~ x,
+    as two lists."""
+    index = {x: i for i, x in enumerate(elements)}
+    left = []
+    right = []
+    try:
+        for x in elements:
+            xb = gs.inv(x)
+            left.append(index[gs.mul(x, xb)])
+            right.append(index[gs.mul(xb, x)])
+    except KeyError:
+        raise ValueError("element list is not closed") from None
+    return left, right
+
+
+def is_strict_inverse(gs, elements):
+    """Idempotent-pair test on the closed list `elements`: for every
+    idempotent e and idempotents f1, f2 below e, f1 D f2 forces
+    f1 = f2.  Only idempotents sharing their D-class can break it.
+    """
+    mul = gs.mul
+    left, right = idempotent_indices(gs, elements)
+    label = d_class_labels(left, right)
+    idems = [x for x, e in enumerate(left) if x == e]  # x = x x~
+    multi = {label[f] for f in idems if label[f] != f}  # two or more
+    shared = [(elements[f], label[f]) for f in idems if label[f] in multi]
+    for top in map(elements.__getitem__, idems):
+        below = [c for f, c in shared if mul(f, top) == f]
+        if len(below) != len(set(below)):
+            return False
+    return True
+
+
 def classify(gs, elements):
     """Classify the closed element list `elements` (products and
-    inverses taken via gs).
+    inverses taken via gs) by its idempotent pairs.
     """
-    left, right = _idempotent_indices(gs, elements)
+    left, right = idempotent_indices(gs, elements)
     if all(x == e for x, e in enumerate(left)):  # every x = x x~
         name = "Trivial" if len(left) == 1 else "Semilattice"
     elif len(set(left)) == 1:
@@ -114,7 +148,7 @@ def classify(gs, elements):
     elif left == right:
         name = "Clifford"
     else:
-        name = "StrictInverse" if _is_strict_inverse(gs, elements) else "General"
+        name = "StrictInverse" if is_strict_inverse(gs, elements) else "General"
     return _tag(name)
 
 

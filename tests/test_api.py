@@ -17,7 +17,8 @@ SRC = pathlib.Path(invsem.__file__).parent
 REMOVED = {
     "invsem.automata": ("as_dfa",),
     "invsem.cayley": ("from_closure",),
-    "invsem.classify": ("classify",),
+    "invsem.classify": ("classify", "_idempotent_indices",
+                        "_is_strict_inverse"),
     "invsem.ctsolver": ("ct_member", "ct_conjugate", "ct_r_equiv"),
     "invsem.groups": ("_diagonal_group",),
     "invsem.hardness": ("automata_word_to_transitions",

@@ -2,18 +2,20 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from invsem.pbij import PartialBijection, brandt, identity, partial_identity
 from invsem.gensys import GeneratorSystem
 from invsem.oracle import close
-from invsem.classify import (classify_generated, d_class_labels,
-                             _idempotent_indices, _is_strict_inverse)
+from invsem.classify import classify_generated, d_class_labels
 from invsem.cayley import brandt_table, direct_product_table
 
-from helpers import j_related, rand_pb, sample_systems, two_sided_ideals
-from reference import classify, from_closure
+from helpers import (j_related, rand_pb, sample_systems, top_points_system,
+                     two_sided_ideals)
+from reference import (classify, from_closure, idempotent_indices,
+                       is_strict_inverse)
 
 
 def _tag_of(gens, n):
@@ -155,10 +157,35 @@ def test_generators_agree_with_closure_on_pb_systems():
         tag = classify_generated(fresh)
         assert tag == classify(gs, close(gs).elements), gs.generators
         assert tag.classified_by == (
-            "generators" if tag.is_clifford() else "closure")
+            "generators" if tag.is_clifford() else "idempotents")
         names.add(tag.name)
     assert names == {"Trivial", "Semilattice", "Group", "Clifford",
                      "StrictInverse", "General"}
+
+
+def test_idempotent_split_matches_the_closure_split():
+    # on random systems of degree 1 to 6 and on either side of the bytes
+    # codes, the split on E(U) gives the tag of the idempotent-pair test
+    # on the whole closure, and counts E(U)
+    rng = random.Random(9)
+    systems = [top_points_system(255), top_points_system(256)]
+    for _ in range(2000):
+        n = rng.randrange(1, 7)
+        systems.append(GeneratorSystem(
+            [rand_pb(rng, n) for _ in range(rng.randrange(1, 4))], degree=n))
+    names = Counter()
+    for gs in systems:
+        tag = classify_generated(gs)
+        elements = close(gs).elements
+        assert tag == classify(gs, elements), gs.generators
+        if tag.classified_by == "idempotents":
+            assert tag.idempotents == sum(map(gs.is_idempotent, elements))
+        else:
+            assert tag.idempotents is None and tag.is_clifford()
+        names[tag.name] += 1
+    assert names["StrictInverse"] > 100 and names["General"] > 500
+    assert [classify_generated(gs).classified_by
+            for gs in systems[:2]] == ["idempotents"] * 2
 
 
 def test_generators_agree_with_closure_on_ct_systems():
@@ -205,7 +232,7 @@ def test_pair_classes_match_brute_force_ideals():
         mul = gs.mul
         elements = close(gs).elements
         ideals = two_sided_ideals(gs, elements)
-        label = d_class_labels(*_idempotent_indices(gs, elements))
+        label = d_class_labels(*idempotent_indices(gs, elements))
         for x, y in itertools.product(range(len(elements)), repeat=2):
             assert (label[x] == label[y]) == j_related(ideals, x, y)
         idems = [e for e in elements if mul(e, e) == e]
@@ -214,7 +241,7 @@ def test_pair_classes_match_brute_force_ideals():
             for e in idems
             for f1, f2 in itertools.combinations(
                 [f for f in idems if mul(f, e) == f], 2))
-        assert _is_strict_inverse(gs, elements) == want, gs.generators
+        assert is_strict_inverse(gs, elements) == want, gs.generators
         verdicts.append(want)
     assert len(systems) >= 300
     assert verdicts[:2] == [True, False]  # B_2 and B_2^1

@@ -757,16 +757,53 @@ def test_cap_honoured_on_every_pb_route(tmp_path, capsys):
         # the auto route recognises the group from its generators
         code, out, _ = run(capsys, cmd, path, "--cap", "1")
         assert code == 0 and out.splitlines()[0] == answer, cmd
-    # B(2) on two points has five elements and is strict inverse, not
-    # Clifford: the auto route enumerates it to split StrictInverse
-    # from General, under the cap
+    # B(2) on two points has five elements, three of them idempotent,
+    # and is strict inverse, not Clifford: the auto route walks E(B(2))
+    # to split StrictInverse from General, under the cap
     b2 = _write(tmp_path, "b2.pb", "pb 2\ngen 2 _\ntarget 1 _\n"
                 "s 1 _\nt _ 2\n")
     for cmd in ("member", "conj"):
-        code, out, err = run(capsys, cmd, b2, "--cap", "4")
+        code, out, err = run(capsys, cmd, b2, "--cap", "2")
         assert code == 1 and out == "" and "refused" in err, cmd
-        code, out, _ = run(capsys, cmd, b2, "--cap", "5")
+        code, out, _ = run(capsys, cmd, b2, "--cap", "3")
         assert code == 0 and out.splitlines()[0] == "YES", cmd
+
+
+# B(S_3, 2): S_3 on the first block and a map onto the second; 25
+# elements, 3 of them idempotent
+PB_BRANDT = ("pb 6\ngen 2 1 3 _ _ _\ngen 2 3 1 _ _ _\ngen 4 5 6 _ _ _\n"
+             "target 5 4 6 _ _ _\n")
+
+
+def test_cap_binds_on_idempotents_before_the_closure(tmp_path, capsys):
+    # E(U) fits the cap where U does not: the split, and the sis solver
+    # after it, answer; the routes that enumerate U are refused
+    path = _write(tmp_path, "b.pb", PB_BRANDT + "s 1 2 3 _ _ _\n"
+                  "t _ _ _ 4 5 6\n")
+    assert run(capsys, "classify", path, "--cap", "10") == (
+        0, "StrictInverse\ndivides_Y2 yes\ndivides_B2 yes\n"
+        "divides_B21 no\n", "")
+    code, out, err = run(capsys, "member", path, "--cap", "10", "--explain")
+    assert (code, out) == (0, "YES\n")
+    assert {"classified_by: idempotents", "idempotents: 3", "solver: sis",
+            "variety: StrictInverse"} <= set(err.splitlines())
+    assert run(capsys, "conj", path, "--cap", "10")[:2] == (
+        0, "YES\nconjugator 4 5 6 _ _ _\n")
+    for solver in ("general", "oracle"):
+        assert run(capsys, "member", path, "--cap", "10", "--solver",
+                   solver) == (1, "", "refused: closure exceeded 10 "
+                                      "elements\n")
+    # below |E(U)| the refusal names the idempotent cap and its figure
+    refused = "refused: idempotent (E(U)) cap exceeded: more than 2 " \
+              "idempotents"
+    for argv in (["classify"], ["slp"], ["member"], ["conj"]):
+        assert run(capsys, *argv, path, "--cap", "2") == (
+            1, "", refused + "\n"), argv
+    assert run(capsys, "member", path, "--cap", "2", "--solver", "sis") == (
+        1, "", refused + ", while checking the variety StrictInverse\n")
+    code, out, err = run(capsys, "member", path, "--cap", "2", "--explain")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["classified_by: idempotents", refused]
 
 
 def test_cap_below_one_is_rejected(tmp_path, capsys):
@@ -808,9 +845,13 @@ def test_assume_hint_is_checked(tmp_path, capsys):
 def test_explain_names_how_u_was_classified(tmp_path, capsys):
     semilattice = _write(tmp_path, "s.pb", PB_SEMILATTICE)
     b2 = _write(tmp_path, "b2.pb", "pb 2\ngen 2 _\ntarget 1 _\n")
-    for path, by in ((semilattice, "generators"), (b2, "closure")):
+    for path, by in ((semilattice, "generators"), (b2, "idempotents")):
         code, _, err = run(capsys, "member", path, "--explain")
         assert code == 0 and "classified_by: %s" % by in err.splitlines()
+        # |E(U)| is shown where the idempotents decided the variety
+        idempotents = [line for line in err.splitlines()
+                       if line.startswith("idempotents: ")]
+        assert idempotents == (["idempotents: 3"] if path == b2 else [])
 
 
 def test_verify_transport_checks_transporter_in_u1(tmp_path, capsys):
@@ -946,9 +987,9 @@ def test_explain_survives_a_refusal(tmp_path, capsys):
     for cmd in ("member", "conj"):
         code, out, err = run(capsys, cmd, path, "--cap", "300", "--explain")
         assert (code, out) == (1, "")
-        assert err.splitlines() == ["classified_by: closure",
-                                    "solver: general", "variety: General",
-                                    refused], cmd
+        assert err.splitlines() == ["classified_by: idempotents",
+                                    "idempotents: 256", "solver: general",
+                                    "variety: General", refused], cmd
         code, out, err = run(capsys, cmd, path, "--cap", "300", "--explain",
                              "--solver", "oracle")
         assert (code, out, err) == (1, "", "solver: oracle\n%s\n" % refused)

@@ -217,9 +217,10 @@ def _counting(gens, n, monkeypatch):
 
 def test_over_cap_closure_is_enumerated_once(monkeypatch):
     # the 8-cycle, a transposition and a rank-7 idempotent generate a
-    # General U far past the cap: classifying it enumerates U up to the
-    # cap, and the General solver is then refused without a second
-    # enumeration, on this query and on every later one
+    # General U far past the cap, with 256 idempotents: classifying it
+    # walks E(U) under the cap, the General solver enumerates U up to
+    # the cap, and it is then refused without a second enumeration, on
+    # this query and on every later one
     n, cap = 8, 300
     gens = [PartialBijection(n, tuple((i + 1) % n for i in range(n))),
             PartialBijection(n, (1, 0) + tuple(range(2, n))),
@@ -230,13 +231,16 @@ def test_over_cap_closure_is_enumerated_once(monkeypatch):
     assert len(one_closure) > cap - len(gs.generators)
     gs, from_generators = _counting(gens, n, monkeypatch)
     assert classify_from_generators(gs) is None
+    gs, classified = _counting(gens, n, monkeypatch)
+    tag = classify_generated(gs, cap)
+    assert (tag.name, tag.idempotents) == ("General", 256)
+    assert len(classified) > len(from_generators) + 256
     gs, products = _counting(gens, n, monkeypatch)
     for query in range(1, 4):
         with pytest.raises(OutsideTractable,
                            match="^closure exceeded %d elements$" % cap):
             dispatch_member(gs, gs.one, cap=cap)
-        assert len(products) == (len(one_closure)
-                                 + query * len(from_generators))
+        assert len(products) == len(one_closure) + len(classified)
     # a smaller cap is refused at once with its own figure; a larger one
     # enumerates again
     before = len(products)
@@ -247,6 +251,73 @@ def test_over_cap_closure_is_enumerated_once(monkeypatch):
     with pytest.raises(ClosureCapExceeded):
         close(gs, cap + 1)
     assert len(products) > before + len(one_closure)
+
+
+def test_over_cap_idempotents_are_walked_once(monkeypatch):
+    # I_8 has 256 idempotents: past cap 100, E(U) is walked once and the
+    # overflow is kept on the system, so that cap and every smaller one
+    # are refused without a product; a larger cap walks E(U) again
+    n = 8
+    gens = [PartialBijection(n, tuple((i + 1) % n for i in range(n))),
+            PartialBijection(n, (1, 0) + tuple(range(2, n))),
+            PartialBijection(n, tuple(range(n - 1)) + (None,))]
+    gs, products = _counting(gens, n, monkeypatch)
+    tag = classify_generated(gs, 100)
+    assert (tag.name, tag.cap_exceeded, tag.idempotents) == (
+        "General", True, None)
+    walked = len(products)
+    assert walked > 100
+    for cap in (100, 50):
+        assert classify_generated(gs, cap).cap_exceeded
+        with pytest.raises(OutsideTractable, match="^%s$" % re.escape(
+                "idempotent (E(U)) cap exceeded: more than %d idempotents"
+                % cap)):
+            dispatch_member(gs, gs.one, cap=cap)
+    assert len(products) == walked
+    assert classify_generated(gs, 255).cap_exceeded
+    assert len(products) > walked
+    tag = classify_generated(gs, 256)
+    assert (tag.name, tag.cap_exceeded, tag.idempotents) == (
+        "General", False, 256)
+    assert gs._closure is None and gs._over_cap == 0
+
+
+def _brandt_over_symmetric(k, m):
+    """B(S_k, m) on m blocks of k points: S_k on block 0 from a k-cycle
+    and a transposition, and the maps of block i onto block i + 1.  It
+    has m^2 k! + 1 elements and m + 1 idempotents."""
+    n = k * m
+    blank = (None,) * (n - k)
+    gens = [PartialBijection(n, tuple((i + 1) % k for i in range(k)) + blank),
+            PartialBijection(n, (1, 0) + tuple(range(2, k)) + blank)]
+    for b in range(m - 1):
+        images = [None] * n
+        images[b * k:(b + 1) * k] = range((b + 1) * k, (b + 2) * k)
+        gens.append(PartialBijection(n, images))
+    return GeneratorSystem(gens, degree=n)
+
+
+def test_dispatch_on_large_brandt_systems_never_enumerates():
+    # B(S_12, 4) and B(S_50, 5) are strict inverse and far past the
+    # default cap, with 5 and 6 idempotents: the split reads E(U) and the
+    # sis solver decides, and no closure is started
+    for k, m in ((12, 4), (50, 5)):
+        gs = _brandt_over_symmetric(k, m)
+        # the k-cycle on block 0, then block 0 onto block m - 1
+        member = gs.generators[0]
+        for shift in gs.generators[3::2]:
+            member = gs.mul(member, shift)
+        assert member.ran() == frozenset(range((m - 1) * k, m * k))
+        explain = {}
+        assert dispatch_member(gs, member, explain=explain)
+        assert (explain["variety"], explain["classified_by"],
+                explain["idempotents"]) == ("StrictInverse", "idempotents",
+                                            m + 1)
+        # the identity on blocks 0 and 1 has rank 2k, and every element
+        # of U has rank k or 0
+        assert not dispatch_member(gs, partial_identity(gs.degree,
+                                                        range(2 * k)))
+        assert gs._closure is None and gs._over_cap == 0
 
 
 def _symmetric_group(n):
