@@ -16,7 +16,8 @@ from .gensys import GeneratorSystem, VIRTUAL_ONE
 from .oracle import (ELEMENT_CAP, ClosureCapExceeded, close, naive_member,
                      naive_conjugate, naive_green, naive_green_leq)
 from .classify import E_CAP_EXCEEDED, classify_generated
-from .groups import group_element, perm_group_of, set_transporter
+from .groups import (group_element, pb_group_member, perm_group_of,
+                     set_transporter)
 from .ctsolver import CTSolver
 from .slp import (NotGenerated, slp_eval, slp_to_text, slp_from_records,
                   slp_semilattice, slp_group, slp_clifford)
@@ -190,12 +191,16 @@ def cmd_slp(args):
             size = len(close(gs, args.cap))
             bound = 2 * math.ceil(math.log2(size + 1))
         elif tag.is_group():
-            # the group SLP search enumerates U, so |U| must fit the cap
+            # decide membership first; the SLP search for a member
+            # enumerates U, so then |U| must fit the cap
             if gs.model == "pb":
-                G, _ = perm_group_of(gs)
-                size = G.order
+                size = perm_group_of(gs)[0].order
+                member = pb_group_member(gs, t, word=False)[0]
             else:
-                size = len(close(gs, args.cap))
+                cl = close(gs, args.cap)
+                size, member = len(cl), t in cl
+            if not member:
+                raise NotGenerated("target not in the generated group")
             if size > args.cap:
                 raise Refusal("group order %d exceeds the cap" % size)
             slp = slp_group(gs, t, cap=args.cap)

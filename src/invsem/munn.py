@@ -492,8 +492,9 @@ def route(gs, solver="auto", cap=ELEMENT_CAP, explain=None):
         if tag.cap_exceeded and variety == "StrictInverse":
             raise OutsideTractable(E_CAP_EXCEEDED % cap + ", while checking "
                                    "the variety StrictInverse")
-        raise ValueError("variety %s does not hold: U is %s"
-                         % (variety, tag.name))
+        # past the cap the generators still show U is not Clifford
+        raise ValueError("variety %s does not hold: U is %s" % (
+            variety, "not Clifford" if tag.cap_exceeded else tag.name))
     return variety
 
 

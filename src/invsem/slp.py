@@ -1,7 +1,9 @@
 """Straight-line programs over a generator list, with the constructive
 length-bounded builders: greedy minimal factorization for semilattices,
 BFS / cube-doubling for groups, and the two-phase Clifford
-construction.
+construction.  On the pb model up to degree 255 the group search runs on
+`pbij.BytesCodec` codes, which compare as their elements do, so it finds
+the same words and emits the same SLP as over `PartialBijection`s.
 
 An SLP is a sequence of items, each Gen(i) (a generator reference),
 Mul(i, j) or Inv(i) with strictly earlier operand indices, plus the
@@ -13,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .oracle import ELEMENT_CAP, ClosureCapExceeded
+from .pbij import BytesCodec
+from .groups import pb_group_member
 from .munn import generator_idempotents, hclass, idempotent_meet
 
 BFS_THRESHOLD = 4096
@@ -181,7 +185,18 @@ def _identity_slp():
 def slp_group(gs, g, bfs_threshold=BFS_THRESHOLD, cap=ELEMENT_CAP):
     """SLP for a group element; generic over the GeneratorSystem."""
     identity = gs.mul(gs.generators[0], gs.inv(gs.generators[0]))
-    return slp_group_low(gs.generators, gs.mul, gs.inv, identity, g,
+    return _search(gs, gs.generators, identity, g, bfs_threshold, cap)
+
+
+def _search(gs, gens, identity, target, bfs_threshold, cap):
+    """slp_group_low over elements of gs: on BytesCodec codes on the pb
+    model up to degree 255, else over gs.mul and gs.inv."""
+    if gs.model == "pb" and gs.degree <= BytesCodec.max_degree:
+        encode = BytesCodec.encode
+        return slp_group_low([encode(u) for u in gens], BytesCodec.mul,
+                             BytesCodec.inv, encode(identity),
+                             encode(target), bfs_threshold, cap)
+    return slp_group_low(gens, gs.mul, gs.inv, identity, target,
                          bfs_threshold, cap)
 
 
@@ -222,14 +237,16 @@ def slp_group_low(gens, mul, inv, identity, target,
 def _cube_doubling(gens, mul, inv, identity, target, cap):
     """Reachability-lemma construction: grow a cube C(h_1..h_k) whose
     difference set C^-1 C doubles until it absorbs the target; each new
-    h is a first-found d*g outside the difference set.
+    h is a first-found d*g outside the difference set.  A cube of more
+    than CUBE_CAP elements raises ClosureCapExceeded.
     """
     # cube: element -> bitmask over h indices (product in index order)
     cube = {identity: 0}
     hdefs = []  # h_j = (mask1, mask2, gen index): cube[m1]^-1 cube[m2] * gen
     while True:
         if len(cube) > CUBE_CAP:
-            raise NotGenerated("cube-doubling exceeded its element cap")
+            raise ClosureCapExceeded("cube-doubling exceeded %d elements"
+                                     % CUBE_CAP)
         diff = {}
         for x1, m1 in cube.items():
             ix1 = inv(x1)
@@ -326,7 +343,9 @@ def _emit_cube_slp(hdefs, final, gens):
 def slp_clifford(gs, t, bfs_threshold=BFS_THRESHOLD, cap=ELEMENT_CAP):
     """Two phases: an SLP for the idempotent t t~ over the generator
     idempotents s s~, then a group SLP in the H-class of t t~ (under
-    `cap`), both rewritten over the original generators.
+    `cap`), both rewritten over the original generators.  On the pb
+    model t is sifted through the H-class's BSGS before phase 2, so a
+    non-member is answered without a search.
     """
     gens = gs.generators
     mul = gs.mul
@@ -339,7 +358,8 @@ def slp_clifford(gs, t, bfs_threshold=BFS_THRESHOLD, cap=ELEMENT_CAP):
         raise NotGenerated("no generator idempotent above t t~")
     if ehat != e:
         raise NotGenerated("t t~ not in the idempotent span; t not generated")
-    eligible = hclass(gs, e).eligible
+    H = hclass(gs, e)
+    eligible = H.eligible
     items = []
     acc = None
     for i in _greedy_deletion(gs, idems, eligible, e):
@@ -358,9 +378,11 @@ def slp_clifford(gs, t, bfs_threshold=BFS_THRESHOLD, cap=ELEMENT_CAP):
             raise NotGenerated("idempotent target differs from its t t~")
         return SLP(tuple(items), e_item)
 
+    if gs.model == "pb" and not pb_group_member(H.group, t, word=False)[0]:
+        raise NotGenerated("target not in the generated group")
     # phase 2: group SLP over Sigma' = {e s : s s~ >= e}
     prime = [mul(e, gens[i]) for i in eligible]
-    sub = slp_group_low(prime, mul, inv, e, t, bfs_threshold, cap)
+    sub = _search(gs, prime, e, t, bfs_threshold, cap)
     # splice, remapping Gen(j) to Mul(e_item, Gen(eligible[j]))
     offset = {}
     for pos, item in enumerate(sub.items):

@@ -151,6 +151,22 @@ def top_points_system(n):
                             PartialBijection(n, rank2)], degree=n)
 
 
+def top_points_group(n, clifford=False):
+    """S_4 on the points 0, 1, n-2 and n-1 of n >= 6, fixing the rest:
+    a 4-cycle and a transposition of the top points.  With `clifford`,
+    also the idempotent undefined at point 2, which the group fixes, so
+    U is Clifford with the two H-classes of the identity and of that
+    idempotent.  Degrees 255 and 256 put it on either side of the
+    bytes codes."""
+    cycle, swap = list(range(n)), list(range(n))
+    cycle[0], cycle[1], cycle[n - 2], cycle[n - 1] = 1, n - 2, n - 1, 0
+    swap[n - 2], swap[n - 1] = n - 1, n - 2
+    gens = [PartialBijection(n, cycle), PartialBijection(n, swap)]
+    if clifford:
+        gens.append(partial_identity(n, set(range(n)) - {2}))
+    return GeneratorSystem(gens, degree=n)
+
+
 def two_sided_ideals(gs, elements):
     """The ideal U^1 x U^1 of each element of the closed list, as a set
     of list indices, by brute force over the full product table."""

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output shapes, determinism."""
 
+import functools
 import hashlib
 import os
 import random
@@ -10,6 +11,7 @@ import pytest
 
 import invsem
 from invsem import cli
+from invsem import slp as slp_module
 from invsem.cli import main
 from invsem.pbij import PartialBijection
 from invsem.cayley import brandt_table
@@ -216,6 +218,53 @@ def test_slp_cap_binds_on_the_group_search(tmp_path, capsys):
     code, out, _ = run(capsys, "slp", idem, "--cap", "1000")
     assert code == 0 and out.splitlines()[0] == "YES"
     assert "verified yes" in out.splitlines()
+
+
+def test_slp_decides_non_members_without_a_search(tmp_path, capsys,
+                                                  monkeypatch):
+    # a group on pb and on ct, and a Clifford monoid whose H-class at
+    # t t~ = "1 2 3 _" is {"1 2 3 _", "2 1 3 _"}
+    def no_search(*args):
+        raise AssertionError("slp searched for a non-member")
+
+    monkeypatch.setattr(slp_module, "slp_group_low", no_search)
+    z4 = "\n".join(" ".join(str((i + j) % 4) for j in range(4))
+                   for i in range(4))
+    for name, text in (
+            ("g.pb", "pb 4\ngen 2 1 4 3\ntarget 2 1 3 4\n"),
+            ("g.ct", "ct 4\n%s\ngens 2\ntarget 1\n" % z4),
+            ("c.pb", "pb 4\ngen 2 1 3 4\ngen 1 2 3 _\ntarget 3 2 1 _\n")):
+        path = _write(tmp_path, name, text)
+        assert run(capsys, "slp", path) == (
+            0, "NO\nreason target not in the generated group\n", ""), name
+
+
+def test_slp_answers_no_past_the_cap(tmp_path, capsys):
+    # S_12 fixing point 13, and a target that moves 13: a non-member is
+    # decided at any group order, a member must fit the cap
+    cycle = "2 3 4 5 6 7 8 9 10 11 12 1 13"
+    swap = "2 1 3 4 5 6 7 8 9 10 11 12 13"
+    gens = "pb 13\ngen %s\ngen %s\n" % (cycle, swap)
+    path = _write(tmp_path, "s12.pb", gens
+                  + "target 13 2 3 4 5 6 7 8 9 10 11 12 1\n")
+    assert run(capsys, "slp", path, "--cap", "1000") == (
+        0, "NO\nreason target not in the generated group\n", "")
+    path = _write(tmp_path, "s12yes.pb", gens + "target %s\n" % swap)
+    assert run(capsys, "slp", path, "--cap", "1000") == (
+        1, "", "refused: group order 479001600 exceeds the cap\n")
+
+
+def test_slp_cube_doubling_cap_is_refused(tmp_path, capsys, monkeypatch):
+    # a member target whose cube passes CUBE_CAP is refused, not NO
+    monkeypatch.setattr(cli, "slp_group",
+                        functools.partial(slp_module.slp_group,
+                                          bfs_threshold=2))
+    path = _write(tmp_path, "c7.pb", "pb 7\ngen 2 3 4 5 6 7 1\n"
+                  "target 4 5 6 7 1 2 3\n")
+    assert run(capsys, "slp", path)[0] == 0
+    monkeypatch.setattr(slp_module, "CUBE_CAP", 1)
+    assert run(capsys, "slp", path) == (
+        1, "", "refused: cube-doubling exceeded 1 elements\n")
 
 
 def test_transport(tmp_path, capsys):
@@ -804,6 +853,19 @@ def test_cap_binds_on_idempotents_before_the_closure(tmp_path, capsys):
     code, out, err = run(capsys, "member", path, "--cap", "2", "--explain")
     assert (code, out) == (1, "")
     assert err.splitlines() == ["classified_by: idempotents", refused]
+
+
+def test_explicit_solver_past_the_e_cap_says_u_is_not_clifford(
+        tmp_path, capsys):
+    # the cap cuts off the StrictInverse/General split, but the
+    # generators still show that B(S_3, 2) is not Clifford
+    path = _write(tmp_path, "b.pb", PB_BRANDT)
+    for solver in ("semilattice", "group", "clifford"):
+        variety = solver.capitalize()
+        assert run(capsys, "member", path, "--cap", "2", "--solver",
+                   solver) == (2, "", "error: --solver %s: variety %s does "
+                               "not hold: U is not Clifford\n"
+                               % (solver, variety)), solver
 
 
 def test_cap_below_one_is_rejected(tmp_path, capsys):

@@ -6,15 +6,15 @@ import random
 
 import pytest
 
-from invsem.pbij import PartialBijection, partial_identity
+from invsem.pbij import BytesCodec, PartialBijection, partial_identity
 from invsem.gensys import GeneratorSystem
 from invsem.oracle import close
-from invsem.slp import (SLP, NotGenerated, slp_eval, slp_to_text,
-                        slp_from_text, slp_semilattice, slp_group,
-                        slp_clifford)
+from invsem.slp import (BFS_THRESHOLD, SLP, NotGenerated, slp_eval,
+                        slp_to_text, slp_from_text, slp_semilattice,
+                        slp_group, slp_clifford)
 
 from helpers import (rand_partial_identity, rand_perm_on, clifford_gens,
-                     sample_systems)
+                     sample_systems, top_points_group)
 
 
 def test_validate_rejects_bad_programs():
@@ -85,6 +85,32 @@ def test_group_cube_doubling_path():
     for t in elements:
         slp = slp_group(gs, t, bfs_threshold=2)
         assert slp_eval(gs, slp) == t
+
+
+@pytest.mark.parametrize("n", [254, 255, 256, 257])
+def test_search_on_codes_emits_the_tuple_search_slp(monkeypatch, n):
+    # codes up to degree 255, tuples above; forcing the tuple search
+    # must give the same items on the BFS and the cube-doubling paths
+    group = top_points_group(n)
+    clifford = top_points_group(n, clifford=True)
+    cases = ([(slp_group, group, t) for t in close(group).elements]
+             + [(slp_clifford, clifford, t)
+                for t in close(clifford).elements])
+    code_products = []
+    code_mul = BytesCodec.mul
+    monkeypatch.setattr(BytesCodec, "mul", staticmethod(
+        lambda x, y: code_products.append(1) or code_mul(x, y)))
+    for threshold in (BFS_THRESHOLD, 2):
+        del code_products[:]
+        slps = [build(gs, t, bfs_threshold=threshold)
+                for build, gs, t in cases]
+        assert bool(code_products) == (n <= BytesCodec.max_degree)
+        for slp, (_, gs, t) in zip(slps, cases):
+            assert slp_eval(gs, slp) == t
+        with monkeypatch.context() as m:
+            m.setattr(BytesCodec, "max_degree", -1)
+            assert [build(gs, t, bfs_threshold=threshold)
+                    for build, gs, t in cases] == slps
 
 
 def test_group_not_generated():
