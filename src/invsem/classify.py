@@ -9,7 +9,8 @@ inverse-closed generator list Sigma (`classify_from_generators`), with
 O(|Sigma|^2) products and no enumeration of U = <Sigma>.  Only when U
 is not Clifford does it split StrictInverse from General, on the
 idempotents E(U) alone (`_split_on_idempotents`): an orbit of the
-generators' idempotents, under the cap on |E(U)|, never the closure.
+generators' idempotents, under the cap on |E(U)|, never the closure,
+run on the codes of the system's element kernel, `GeneratorSystem.codec`.
 `d_class_labels` reads Green's D-classes off the pairs (x x~, x~ x) of
 a closed element list, as `meta` does for its maximal J-classes.
 """
@@ -20,7 +21,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .oracle import ELEMENT_CAP
-from .pbij import BytesCodec
 
 SEMILATTICES = ("Trivial", "Semilattice")
 GROUPS = ("Trivial", "Group")
@@ -153,18 +153,12 @@ def _split_on_idempotents(gs, cap):
     first idempotent reach the class, and every other step leads to an
     idempotent that starts a later class unless an edge reaches it
     first.  Cost: |E(U)| |Sigma| products for the orbit and edges, and
-    |Sigma| products per shared idempotent for the test.  Up to degree
-    255 the idempotents are pbij.BytesCodec codes and a product is one
-    bytes.translate; otherwise gs.mul on the elements.
+    |Sigma| products per shared idempotent for the test, on gs.codec's
+    codes.
     """
-    if gs.model == "pb" and gs.degree <= BytesCodec.max_degree:
-        ops = BytesCodec
-        gens = [ops.encode(u) for u in gs.generators]
-        table, product = ops.table, ops.product
-    else:
-        ops = gs
-        gens = gs.generators
-        table, product = (lambda x: x), gs.mul
+    ops = gs.codec
+    gens = [ops.encode(u) for u in gs.generators]
+    table, product = ops.right, ops.product
     steps = []  # (u~, u, u u~) per generator, the right factors as tables
     for u in gens:
         ub = ops.inv(u)

@@ -663,11 +663,6 @@ def build_parser(names=tuple(_COMMANDS)):
     parser = argparse.ArgumentParser(
         prog="invsem",
         description="membership and conjugacy in finite inverse semigroups")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="accepted and ignored; output is deterministic")
-    common.add_argument("--cap", type=_cap, default=ELEMENT_CAP,
-                        help="closure element cap")
     # argparse lists the registered commands in usage lines, so a partial
     # build names them all through the metavar; a full build leaves it
     # unset, because error lines about the command argument print the
@@ -675,12 +670,14 @@ def build_parser(names=tuple(_COMMANDS)):
     metavar = ("{%s}" % ",".join(_COMMANDS)
                if len(names) < len(_COMMANDS) else None)
     subs = parser.add_subparsers(dest="command", required=True,
-                                 metavar=metavar,
-                                 parser_class=lambda **kw: argparse.
-                                 ArgumentParser(parents=[common], **kw))
+                                 metavar=metavar)
     for name in names:
         func, add_arguments = _COMMANDS[name]
         sub = subs.add_parser(name)
+        sub.add_argument("--seed", type=int, default=None,
+                         help="accepted and ignored; output is deterministic")
+        sub.add_argument("--cap", type=_cap, default=ELEMENT_CAP,
+                         help="closure element cap")
         add_arguments(sub)
         sub.set_defaults(func=func)
     return parser

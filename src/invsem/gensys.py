@@ -5,7 +5,7 @@ inside an ambient S.
 
 from __future__ import annotations
 
-from .pbij import PartialBijection, compose, identity
+from .pbij import BytesCodec, PartialBijection, compose, identity
 
 # Virtual adjoined identity for Cayley tables without one; never a valid
 # element index.
@@ -97,6 +97,23 @@ class GeneratorSystem:
 
     def is_idempotent(self, x):
         return self.mul(x, x) == x
+
+    # -- the element kernel ------------------------------------------------
+
+    @property
+    def codec(self):
+        """The kernel that every scan over U, E(U) or a group search runs
+        on, read at each call: pbij.BytesCodec codes on the pb model up
+        to degree 255, otherwise the system itself, whose codes are its
+        elements (encode, decode and right are the identity, product is
+        mul, and an undefined image is None)."""
+        if self.model == "pb" and self.degree <= BytesCodec.max_degree:
+            return BytesCodec
+        return self
+
+    undefined = None
+    encode = decode = right = staticmethod(lambda x: x)
+    product = property(lambda self: self.mul)
 
     def __repr__(self):
         where = ("degree %d" % self.degree if self.model == "pb"

@@ -417,8 +417,7 @@ def general_conjugate(gs, s, t, cap=ELEMENT_CAP):
         return False, None
     # scan the codes, and decode only the u returned
     codec = cl.codec
-    undefined, tt = ((codec.undefined, codec.table(codec.encode(t)))
-                     if codec else (None, t))
+    undefined, tt = codec.undefined, codec.right(codec.encode(t))
     for i, u in enumerate(cl.codes):
         for a, b in pairs:
             x = u[a]

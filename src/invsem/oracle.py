@@ -2,18 +2,15 @@
 naive relative conjugacy, and naive relative Green's relations; the
 fast solvers are validated against this module.
 
-The enumeration is a plain breadth-first search, but on the pb model up
-to degree 255 it runs on bytes codes (`pbij.BytesCodec`): a product is
-one bytes.translate and the index is keyed by codes.  A closure decodes
-its codes to PartialBijection once, when `Closure.elements` is first
-read, or one at a time through `Closure.element`; membership, words and
-the Green ideals encode their arguments instead.  Above degree 255 and
-on Cayley tables the search multiplies the elements with gs.mul.
+The enumeration is a plain breadth-first search on the codes of the
+system's element kernel, `GeneratorSystem.codec` (bytes codes, where a
+product is one bytes.translate, up to degree 255 on the pb model).  A
+closure decodes its codes once, when `Closure.elements` is first read,
+or one at a time through `Closure.element`; membership, words,
+conjugators and the Green ideals encode their arguments instead.
 """
 
 from __future__ import annotations
-
-from .pbij import BytesCodec
 
 ELEMENT_CAP = 10**6
 PRODUCT_CAP = 10**8
@@ -27,10 +24,9 @@ class Closure:
     """The elements of U = <Sigma> with word witnesses and the right
     Cayley graph.
 
-    codes: breadth-first enumeration, deduplicated, as the kernel holds
-    the elements: pbij.BytesCodec codes on the pb model up to degree
-    255 (codec is BytesCodec), the elements themselves otherwise (codec
-    is None).  index maps a code to its position.  elements decodes the
+    codes: breadth-first enumeration, deduplicated, as codec (the
+    system's GeneratorSystem.codec when it was closed) holds the
+    elements.  index maps a code to its position.  elements decodes the
     codes once, on first read; element(i) decodes one.
     product_witness[i] is None for generators and otherwise a pair
     (j, g) with elements[i] = elements[j] * Sigma[g].  Generator g is
@@ -44,7 +40,7 @@ class Closure:
         self.right = right
         self.index = index
         self.codec = codec
-        self._elements = None if codec else codes
+        self._elements = None
 
     @property
     def elements(self):
@@ -58,15 +54,16 @@ class Closure:
         return self._elements[i]
 
     def encode(self, x):
-        return self.codec.encode(x) if self.codec else x
+        return self.codec.encode(x)
 
     def __len__(self):
         return len(self.codes)
 
     def __contains__(self, x):
-        if self.codec and len(x) != len(self.codes[0]):
+        try:
+            return self.encode(x) in self.index
+        except ValueError:  # an image past 255 has no bytes code
             return False
-        return self.encode(x) in self.index
 
     def word_for(self, x):
         """The generator indices, in order, of the breadth-first word
@@ -83,11 +80,7 @@ def close(gs, cap=ELEMENT_CAP):
     """Saturate Sigma under products (breadth-first by word length,
     generators in list order), recording every product as an edge of
     the right Cayley graph.  Sigma is inverse-closed, so this is the
-    full inverse-subsemigroup closure.
-
-    On the pb model up to degree 255 the elements are BytesCodec codes
-    and a product is one bytes.translate by the generator's table;
-    otherwise it is gs.mul on the elements.
+    full inverse-subsemigroup closure, held as gs.codec's codes.
     """
     if gs._closure is not None:
         # a completed closure is the full set regardless of the cap used
@@ -95,15 +88,10 @@ def close(gs, cap=ELEMENT_CAP):
     if cap <= gs._over_cap:
         # the enumeration is deterministic and passed this cap before
         raise ClosureCapExceeded("closure exceeded %d elements" % cap)
-    if gs.model == "pb" and gs.degree <= BytesCodec.max_degree:
-        codec = BytesCodec
-        gens = [codec.encode(g) for g in gs.generators]
-        tables = [codec.table(g) for g in gens]
-        mul = codec.product
-    else:
-        codec = None
-        gens = tables = gs.generators
-        mul = gs.mul
+    codec = gs.codec
+    gens = [codec.encode(g) for g in gs.generators]
+    tables = [codec.right(g) for g in gens]
+    mul = codec.product
     # the generators are distinct (GeneratorSystem deduplicates them)
     codes = list(gens)
     product_witness = [None] * len(gens)
@@ -158,12 +146,14 @@ def naive_conjugate(gs, s, t, cap=ELEMENT_CAP):
     """
     if s == t:
         return True, gs.one
-    mul = gs.mul
-    inv = gs.inv
-    for u in close(gs, cap).elements:
+    # scan the codes, and decode only the u returned
+    cl = close(gs, cap)
+    codec = cl.codec
+    mul, inv, s, t = codec.mul, codec.inv, codec.encode(s), codec.encode(t)
+    for i, u in enumerate(cl.codes):
         ub = inv(u)
         if mul(mul(ub, s), u) == t and mul(mul(u, t), ub) == s:
-            return True, u
+            return True, cl.element(i)
     return False, None
 
 
@@ -207,7 +197,7 @@ def naive_green_leq(gs, s, t, relation, cap=ELEMENT_CAP):
                 and naive_green_leq(gs, s, t, "L", cap))
     # the ideals are taken over the closure's codes
     cl = close(gs, cap)
-    ops, el, s, t = cl.codec or gs, cl.codes, cl.encode(s), cl.encode(t)
+    ops, el, s, t = cl.codec, cl.codes, cl.encode(s), cl.encode(t)
     if relation == "R":
         return s in _right_ideal(ops, t, el)
     if relation == "L":

@@ -6,7 +6,7 @@ internally; file formats use 1-based points (see formats.py).
 
 Composition is left-to-right: (a * b) sends x to (x^a)^b, i.e. the left
 factor acts first.  `BytesCodec` holds elements of degree at most 255
-as bytes for the closure kernel in oracle.py.
+as bytes; it is the element kernel `GeneratorSystem.codec` picks there.
 """
 
 from __future__ import annotations
@@ -80,12 +80,6 @@ class PartialBijection(tuple):
     def ran(self):
         return frozenset(y for y in self if y is not None)
 
-    def graph(self):
-        """The set of (x, x^s) pairs."""
-        return frozenset(
-            (x, y) for x, y in enumerate(self) if y is not None
-        )
-
     def is_idempotent(self):
         return all(y is None or y == x for x, y in enumerate(self))
 
@@ -113,12 +107,13 @@ class BytesCodec:
     when their elements are, so a code-keyed index dedups and orders as
     an element-keyed one.
 
-    The product x * y is product(x, table(y)), one bytes.translate: the
-    table is y padded to 256 entries with 255 -> 255, so an undefined
+    The product x * y is product(x, right(y)), one bytes.translate:
+    right(y) is y padded to 256 entries with 255 -> 255, so an undefined
     image stays undefined.  The inverse is one bytes.maketrans: points
     first map to 255, then later pairs send each image back to its
     point.  The class is a namespace; mul and inv let it stand in for a
-    GeneratorSystem over codes.
+    GeneratorSystem over codes, as a GeneratorSystem over its elements
+    stands in for it above degree 255.
     """
 
     max_degree = 255
@@ -134,7 +129,7 @@ class BytesCodec:
         return _make([None if y == 255 else y for y in code])
 
     @staticmethod
-    def table(y):
+    def right(y):
         return y.ljust(256, b"\xff")
 
     @staticmethod

@@ -1,9 +1,9 @@
 """Straight-line programs over a generator list, with the constructive
 length-bounded builders: greedy minimal factorization for semilattices,
 BFS / cube-doubling for groups, and the two-phase Clifford
-construction.  On the pb model up to degree 255 the group search runs on
-`pbij.BytesCodec` codes, which compare as their elements do, so it finds
-the same words and emits the same SLP as over `PartialBijection`s.
+construction.  The group search runs on the codes of the system's
+element kernel, `GeneratorSystem.codec`, which compare as their elements
+do, so every kernel finds the same words and emits the same SLP.
 
 An SLP is a sequence of items, each Gen(i) (a generator reference),
 Mul(i, j) or Inv(i) with strictly earlier operand indices, plus the
@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .oracle import ELEMENT_CAP, ClosureCapExceeded
-from .pbij import BytesCodec
 from .groups import pb_group_member
 from .munn import generator_idempotents, hclass, idempotent_meet
 
@@ -182,33 +181,28 @@ def _identity_slp():
     return SLP((("g", 0), ("i", 0), ("m", 0, 1)), 2)
 
 
-def slp_group(gs, g, bfs_threshold=BFS_THRESHOLD, cap=ELEMENT_CAP):
+def slp_group(gs, g, cap=ELEMENT_CAP):
     """SLP for a group element; generic over the GeneratorSystem."""
     identity = gs.mul(gs.generators[0], gs.inv(gs.generators[0]))
-    return _search(gs, gs.generators, identity, g, bfs_threshold, cap)
+    return _search(gs, gs.generators, identity, g, cap)
 
 
-def _search(gs, gens, identity, target, bfs_threshold, cap):
-    """slp_group_low over elements of gs: on BytesCodec codes on the pb
-    model up to degree 255, else over gs.mul and gs.inv."""
-    if gs.model == "pb" and gs.degree <= BytesCodec.max_degree:
-        encode = BytesCodec.encode
-        return slp_group_low([encode(u) for u in gens], BytesCodec.mul,
-                             BytesCodec.inv, encode(identity),
-                             encode(target), bfs_threshold, cap)
-    return slp_group_low(gens, gs.mul, gs.inv, identity, target,
-                         bfs_threshold, cap)
+def _search(gs, gens, identity, target, cap):
+    """slp_group_low over elements of gs, on gs.codec's codes."""
+    codec = gs.codec
+    encode = codec.encode
+    return slp_group_low([encode(u) for u in gens], codec.mul, codec.inv,
+                         encode(identity), encode(target), cap)
 
 
 def _over_cap(cap):
     return ClosureCapExceeded("group SLP search exceeded %d elements" % cap)
 
 
-def slp_group_low(gens, mul, inv, identity, target,
-                  bfs_threshold=BFS_THRESHOLD, cap=ELEMENT_CAP):
+def slp_group_low(gens, mul, inv, identity, target, cap=ELEMENT_CAP):
     """BFS shortest word while the group stays small; cube-doubling
-    beyond the threshold (length O(log^2 |G|)).  Both enumerate group
-    elements, and more than `cap` of them raise ClosureCapExceeded.
+    beyond BFS_THRESHOLD elements (length O(log^2 |G|)).  Both enumerate
+    group elements, and more than `cap` of them raise ClosureCapExceeded.
     """
     if target == identity:
         return _identity_slp()
@@ -228,7 +222,7 @@ def slp_group_low(gens, mul, inv, identity, target,
                     if len(words) > cap:
                         raise _over_cap(cap)
                     nxt.append(y)
-        if len(words) > bfs_threshold:
+        if len(words) > BFS_THRESHOLD:
             return _cube_doubling(gens, mul, inv, identity, target, cap)
         frontier = nxt
     raise NotGenerated("target not in the generated group")
@@ -340,7 +334,7 @@ def _emit_cube_slp(hdefs, final, gens):
 # -- Clifford --------------------------------------------------------------
 
 
-def slp_clifford(gs, t, bfs_threshold=BFS_THRESHOLD, cap=ELEMENT_CAP):
+def slp_clifford(gs, t, cap=ELEMENT_CAP):
     """Two phases: an SLP for the idempotent t t~ over the generator
     idempotents s s~, then a group SLP in the H-class of t t~ (under
     `cap`), both rewritten over the original generators.  On the pb
@@ -382,7 +376,7 @@ def slp_clifford(gs, t, bfs_threshold=BFS_THRESHOLD, cap=ELEMENT_CAP):
         raise NotGenerated("target not in the generated group")
     # phase 2: group SLP over Sigma' = {e s : s s~ >= e}
     prime = [mul(e, gens[i]) for i in eligible]
-    sub = _search(gs, prime, e, t, bfs_threshold, cap)
+    sub = _search(gs, prime, e, t, cap)
     # splice, remapping Gen(j) to Mul(e_item, Gen(eligible[j]))
     offset = {}
     for pos, item in enumerate(sub.items):

@@ -1,6 +1,5 @@
 """Command-line interface: exit codes, output shapes, determinism."""
 
-import functools
 import hashlib
 import os
 import random
@@ -256,9 +255,7 @@ def test_slp_answers_no_past_the_cap(tmp_path, capsys):
 
 def test_slp_cube_doubling_cap_is_refused(tmp_path, capsys, monkeypatch):
     # a member target whose cube passes CUBE_CAP is refused, not NO
-    monkeypatch.setattr(cli, "slp_group",
-                        functools.partial(slp_module.slp_group,
-                                          bfs_threshold=2))
+    monkeypatch.setattr(slp_module, "BFS_THRESHOLD", 2)
     path = _write(tmp_path, "c7.pb", "pb 7\ngen 2 3 4 5 6 7 1\n"
                   "target 4 5 6 7 1 2 3\n")
     assert run(capsys, "slp", path)[0] == 0

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from invsem.classify import classify_generated
 from invsem.pbij import BytesCodec, PartialBijection
 from invsem.gensys import GeneratorSystem
+from invsem.munn import general_conjugate
 from invsem.oracle import (ClosureCapExceeded, close, naive_member,
                            naive_conjugate, naive_green, naive_green_leq)
 
@@ -88,20 +90,20 @@ def _assert_close_matches_reference(gs):
 
 
 def test_close_matches_reference_bfs():
-    # the kernel (bytes codes up to degree 255, gs.mul on the elements
-    # above and on Cayley tables) enumerates, records and answers
-    # exactly as a breadth-first search over gs.mul
+    # the kernel gs.codec (bytes codes up to degree 255, the system over
+    # its elements above and on Cayley tables) enumerates, records and
+    # answers exactly as a breadth-first search over gs.mul
     rng = random.Random(19)
     for gs, _ in sample_systems(rng, 4, degrees=(2, 6), closure_cap=400):
         assert _assert_close_matches_reference(gs).codec is BytesCodec
         table, _ = from_closure(close(gs).elements, gs.mul)
         sigma = rng.sample(range(table.order), min(table.order, 2))
-        ct = _assert_close_matches_reference(
-            GeneratorSystem(sigma, table=table))
-        assert ct.codec is None
+        ct_gs = GeneratorSystem(sigma, table=table)
+        assert _assert_close_matches_reference(ct_gs).codec is ct_gs
     for n in (254, 255, 256, 257):
-        cl = _assert_close_matches_reference(top_points_system(n))
-        assert cl.codec is (BytesCodec if n <= 255 else None)
+        gs = top_points_system(n)
+        cl = _assert_close_matches_reference(gs)
+        assert cl.codec is (BytesCodec if n <= 255 else gs)
         assert len(cl) > 20
         for x in cl.elements:
             assert x in cl
@@ -109,6 +111,56 @@ def test_close_matches_reference_bfs():
         assert PartialBijection(n, [None, None, 3] + [None] * (n - 3)) \
             not in cl
         assert PartialBijection(n + 1, range(n + 1)) not in cl
+        # images past 255 have no bytes code
+        assert PartialBijection(2 * n, range(2 * n)) not in cl
+
+
+def _kernel_answers(gens, n, pairs):
+    """What a fresh system on gens answers through its element kernel:
+    the kernel, the closure order and words, the variety, and the
+    conjugacy and Green answers on pairs."""
+    gs = GeneratorSystem(gens, degree=n)
+    cl = close(gs)
+    tag = classify_generated(gs)
+    return (gs.codec is BytesCodec, cl.codec is gs.codec, cl.elements,
+            [cl.word_for(x) for x in cl.elements], tag, tag.idempotents,
+            [general_conjugate(gs, s, t) for s, t in pairs],
+            [naive_conjugate(gs, s, t) for s, t in pairs],
+            [naive_green_leq(gs, s, t, r) for s, t in pairs[:4]
+             for r in "RLJ"])
+
+
+def test_element_kernel_matches_bytes_kernel(monkeypatch):
+    # these pb systems have degree <= 6, so gs.codec is BytesCodec; with
+    # max_degree below every degree the same generators run on the
+    # system's own elements, and every scan must answer alike
+    rng = random.Random(24)
+    for gs, _ in sample_systems(rng, 3, degrees=(2, 6), closure_cap=150):
+        elements = close(gs).elements
+        picked = rng.sample(elements, min(len(elements), 4))
+        pairs = [(s, t) for s in picked for t in picked]
+        pairs += [(s, gs.mul(gs.mul(gs.inv(u), s), u))
+                  for s, u in zip(picked, reversed(picked))]
+        pairs += [(rand_pb(rng, gs.degree), rand_pb(rng, gs.degree))]
+        by_codes = _kernel_answers(gs.generators, gs.degree, pairs)
+        assert by_codes[:2] == (True, True)
+        assert any(ok for ok, _ in by_codes[6])
+        with monkeypatch.context() as m:
+            m.setattr(BytesCodec, "max_degree", -1)
+            # the kernel is read at each call, not fixed at construction
+            assert gs.codec is gs
+            by_elements = _kernel_answers(gs.generators, gs.degree, pairs)
+        assert gs.codec is BytesCodec
+        assert by_elements[:2] == (False, True)
+        assert by_elements[2:] == by_codes[2:]
+    for n in (1, 6, 254, 255, 256, 257):
+        gs = top_points_system(n) if n > 6 else GeneratorSystem(
+            [PartialBijection(n, range(n))], degree=n)
+        assert gs.codec is (BytesCodec if n <= 255 else gs)
+    pb = top_points_system(6)
+    ct = GeneratorSystem([0, 1], table=from_closure(close(pb).elements,
+                                                    pb.mul)[0])
+    assert ct.codec is ct
 
 
 def test_member_witness_evaluates():

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from invsem import slp as slp_module
 from invsem.pbij import BytesCodec, PartialBijection, partial_identity
 from invsem.gensys import GeneratorSystem
 from invsem.oracle import close
@@ -77,13 +78,14 @@ def test_group_round_trip_small():
             assert slp_eval(gs, slp) == t
 
 
-def test_group_cube_doubling_path():
+def test_group_cube_doubling_path(monkeypatch):
     # force the cube-doubling branch with a tiny BFS threshold
+    monkeypatch.setattr(slp_module, "BFS_THRESHOLD", 2)
     gs = GeneratorSystem([PartialBijection(7, (1, 2, 3, 4, 5, 6, 0))],
                          degree=7)
     elements = list(close(gs).elements)
     for t in elements:
-        slp = slp_group(gs, t, bfs_threshold=2)
+        slp = slp_group(gs, t)
         assert slp_eval(gs, slp) == t
 
 
@@ -101,16 +103,15 @@ def test_search_on_codes_emits_the_tuple_search_slp(monkeypatch, n):
     monkeypatch.setattr(BytesCodec, "mul", staticmethod(
         lambda x, y: code_products.append(1) or code_mul(x, y)))
     for threshold in (BFS_THRESHOLD, 2):
+        monkeypatch.setattr(slp_module, "BFS_THRESHOLD", threshold)
         del code_products[:]
-        slps = [build(gs, t, bfs_threshold=threshold)
-                for build, gs, t in cases]
+        slps = [build(gs, t) for build, gs, t in cases]
         assert bool(code_products) == (n <= BytesCodec.max_degree)
         for slp, (_, gs, t) in zip(slps, cases):
             assert slp_eval(gs, slp) == t
         with monkeypatch.context() as m:
             m.setattr(BytesCodec, "max_degree", -1)
-            assert [build(gs, t, bfs_threshold=threshold)
-                    for build, gs, t in cases] == slps
+            assert [build(gs, t) for build, gs, t in cases] == slps
 
 
 def test_group_not_generated():
