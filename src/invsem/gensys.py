@@ -77,7 +77,7 @@ class GeneratorSystem:
             return y
         if y == VIRTUAL_ONE:
             return x
-        return self.table.table[x][y]
+        return self.table.array.item(x, y)
 
     def inv(self, x):
         if self.model == "pb":

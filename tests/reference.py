@@ -57,6 +57,16 @@ def from_closure(elements, mul):
     return CayleyTable(table), index
 
 
+def inverse_candidates(rows):
+    """For each x of the table `rows` (n lists of n ints), the y with
+    x y x = x and y x y = y, by an n^2 scan; an inverse semigroup has
+    exactly one for each x, its inverse x~."""
+    n = len(rows)
+    return [[y for y in range(n)
+             if rows[rows[x][y]][x] == x and rows[rows[y][x]][y] == y]
+            for x in range(n)]
+
+
 def group_elements(G):
     """All (perm, word) pairs of the PermGroup G; deterministic order."""
     out = [(G._id, ())]

@@ -2,6 +2,7 @@
 into partial bijections."""
 
 import copy
+import itertools
 import pickle
 import random
 import re
@@ -16,7 +17,7 @@ from invsem.gensys import GeneratorSystem
 from invsem.oracle import close
 
 from helpers import sample_systems
-from reference import from_closure
+from reference import from_closure, inverse_candidates
 
 
 def test_rejects_non_associative_with_triple():
@@ -54,38 +55,169 @@ def _small_tables():
         yield from_closure(list(close(gs).elements), gs.mul)[0].table
 
 
-def test_light_test_agrees_with_brute_force_on_perturbed_tables():
-    rng = random.Random(11)
-    rejected = accepted = 0
+def _perturbed_tables(rng, per_table):
+    """per_table copies of each small table of order > 1, each with one
+    entry changed at random."""
     for base in _small_tables():
         n = len(base)
-        for _ in range(6 if n > 1 else 0):
+        for _ in range(per_table if n > 1 else 0):
             t = [list(row) for row in base]
             i, j = rng.randrange(n), rng.randrange(n)
             t[i][j] = (t[i][j] + rng.randrange(1, n)) % n
-            bad = _non_associative_triples(t)
-            try:
-                CayleyTable(t)
-                found = None
-            except ValueError as exc:
-                # a table may also fail the inverse check after this one
-                found = re.match(r"not associative at \((\d+), (\d+), (\d+)\)",
-                                 str(exc))
-            if found:
-                assert tuple(int(v) for v in found.groups()) in bad
-                rejected += 1
-            else:
-                assert not bad, "missed non-associative %r" % (min(bad),)
-                accepted += 1
+            yield t
+
+
+def test_light_test_agrees_with_brute_force_on_perturbed_tables():
+    rejected = accepted = 0
+    for t in _perturbed_tables(random.Random(11), 6):
+        bad = _non_associative_triples(t)
+        try:
+            CayleyTable(t)
+            found = None
+        except ValueError as exc:
+            # a table may also fail the inverse check after this one
+            found = re.match(r"not associative at \((\d+), (\d+), (\d+)\)",
+                             str(exc))
+        if found:
+            assert tuple(int(v) for v in found.groups()) in bad
+            rejected += 1
+        else:
+            assert not bad, "missed non-associative %r" % (min(bad),)
+            accepted += 1
     # the perturbations exercise both outcomes
     assert rejected >= 10 and accepted >= 10
+
+
+def _commutative_idempotent_tables(n):
+    """Every n x n table with x x = x and x y = y x."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for values in itertools.product(range(n), repeat=len(pairs)):
+        t = [[x if x == y else None for y in range(n)] for x in range(n)]
+        for (x, y), v in zip(pairs, values):
+            t[x][y] = t[y][x] = v
+        yield t
+
+
+def _assert_rejected_at_failing_triple(t):
+    with pytest.raises(ValueError, match="not associative at") as exc:
+        CayleyTable(t)
+    i, g, k = (int(v) for v in re.match(
+        r"not associative at \((\d+), (\d+), (\d+)\)",
+        str(exc.value)).groups())
+    assert t[t[i][g]][k] != t[i][t[g][k]]
+
+
+def test_meet_test_agrees_with_brute_force_on_small_tables():
+    # every commutative idempotent table of order <= 4: the meet test
+    # holds exactly on the associative ones, which are accepted as
+    # semilattices; the others are rejected at a failing triple
+    counts = [0, 0]
+    for n in range(1, 5):
+        for t in _commutative_idempotent_tables(n):
+            associative = not _non_associative_triples(t)
+            assert CayleyTable._is_meet_table(
+                np.array(t, dtype=np.uint8), n) == associative
+            if associative:
+                S = CayleyTable(t)
+                assert S.inverse_map == tuple(range(n))
+            else:
+                _assert_rejected_at_failing_triple(t)
+            counts[associative] += 1
+    assert counts == [4038, 88]
+
+
+def _relabelled(meet, n, rng):
+    """The table of `meet` on 0..n-1 under a random relabelling p, and
+    p as a list: p[x] p[y] = p[meet(x, y)]."""
+    p = list(range(n))
+    rng.shuffle(p)
+    t = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            t[p[x]][p[y]] = p[meet(x, y)]
+    return t, p
+
+
+def test_semilattices_across_packed_word_boundaries():
+    # chains (min) and the lower sets 0..n-1 of a Boolean lattice
+    # (bitwise and) at orders around 64 and 128, relabelled
+    rng = random.Random(25)
+    for n in (63, 64, 65, 128, 129):
+        for meet, top in ((min, n - 1),
+                          (lambda x, y: x & y,
+                           n - 1 if n & (n - 1) == 0 else None)):
+            t, p = _relabelled(meet, n, rng)
+            assert CayleyTable._is_meet_table(np.array(t), n)
+            S = CayleyTable(t)
+            assert S.inverse_map == tuple(range(n))
+            assert S.identity_index == (None if top is None else p[top])
+            # x < y < z with x z = z: (x y) z = z but x (y z) = x
+            if meet is min:
+                x, y, z = sorted(rng.sample(range(n), 3))
+            else:
+                z = rng.choice([v for v in range(n) if bin(v).count("1") > 1])
+                y = z & ~(1 << rng.choice(
+                    [b for b in range(8) if z >> b & 1]))
+                x = y & ~(1 << rng.choice(
+                    [b for b in range(8) if y >> b & 1]))
+            assert meet(x, y) == x and meet(y, z) == y and meet(x, z) == x
+            t[p[x]][p[z]] = t[p[z]][p[x]] = p[z]
+            _assert_rejected_at_failing_triple(t)
+
+
+def _passes_light_test(t):
+    try:
+        CayleyTable._check_associativity(np.array(t), len(t))
+    except ValueError:
+        return False
+    return True
+
+
+def test_derive_inverses_matches_python_reference():
+    # the small tables, their perturbations that pass Light's test
+    # whatever their inverses, and B(12) x Y2
+    tables = list(_small_tables()) + [
+        t for t in _perturbed_tables(random.Random(12), 12)
+        if _passes_light_test(t)]
+    tables.append(
+        direct_product_table(brandt_table(12)[0], y2_table()).table)
+    unique = failed = 0
+    for t in tables:
+        n = len(t)
+        found = inverse_candidates(t)
+        bad = [x for x in range(n) if len(found[x]) != 1]
+        arr = np.array(t, dtype=np.min_scalar_type(n - 1))
+        if bad:
+            x = bad[0]
+            with pytest.raises(ValueError) as exc:
+                CayleyTable._derive_inverses(arr, n)
+            assert str(exc.value) == (
+                "element %d has %d inverses, expected exactly 1"
+                % (x, len(found[x])))
+            failed += 1
+        else:
+            assert CayleyTable._derive_inverses(arr, n) \
+                == tuple(f[0] for f in found)
+            unique += 1
+    # both outcomes, perturbations among the unique ones
+    assert unique >= 15 and failed >= 15
 
 
 def test_rejects_bad_inverses():
     # left-zero band: every element is idempotent but inverses are not
     # unique
-    with pytest.raises(ValueError, match="inverses"):
+    with pytest.raises(ValueError, match="^element 0 has 2 inverses, "
+                       "expected exactly 1$"):
         CayleyTable(((0, 0), (1, 1)))
+    # each passes the meet test on the rows but for one of its
+    # preconditions: the right-zero band is not commutative, the null
+    # semigroup is not idempotent
+    with pytest.raises(ValueError, match="^element 0 has 2 inverses, "
+                       "expected exactly 1$"):
+        CayleyTable(((0, 1), (0, 1)))
+    with pytest.raises(ValueError, match="^element 1 has 0 inverses, "
+                       "expected exactly 1$"):
+        CayleyTable(((0, 0), (0, 0)))
 
 
 def test_rejects_ragged_and_out_of_range():
@@ -142,10 +274,7 @@ def test_large_table_matches_python_reference():
     n = S.order
     assert n >= 290
     inverse = []
-    for x in range(n):
-        row = t[x]
-        found = [y for y in range(n)
-                 if t[row[y]][x] == x and t[t[y][x]][y] == y]
+    for found in inverse_candidates(t):
         assert len(found) == 1
         inverse.append(found[0])
     identity = [e for e in range(n)

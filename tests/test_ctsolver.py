@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from invsem.cayley import y2_table, brandt_table
+from invsem.cayley import (CayleyTable, brandt_table, direct_product_table,
+                           y2_table)
 from invsem.search import UnionFind
 from invsem.gensys import GeneratorSystem
 from invsem.oracle import close, naive_member, naive_conjugate, naive_green
@@ -141,3 +142,37 @@ def test_graph_edges_match_the_product_scan():
                 for y in solver.elements:
                     assert solver.conjugate(x, y) == \
                         (ref.find(x) == ref.find(y))
+
+
+def test_member_at_order_514_reads_products_from_the_array():
+    # B(16) x Y2: the greedy loop reads its products from the array, so
+    # `table` is never built, and the answers and words are those of
+    # the same loop on products read from lists of Python ints
+    S = direct_product_table(brandt_table(16)[0], y2_table())
+    assert S.order == 514
+    rows = S.array.tolist()
+    rng = random.Random(514)
+    sigma = rng.sample(range(S.order), 4)
+    solver = CTSolver(S, sigma)
+    lists = CTSolver(S, sigma)
+    one = lists.gs.one
+
+    def list_mul(x, y):
+        return y if x == one else x if y == one else rows[x][y]
+
+    lists.gs.mul = list_mul
+    members = sorted(close(solver.gs).elements)
+    outside = sorted(set(range(S.order)) - set(members))
+    for t in rng.sample(members, 6) + rng.sample(outside, 6):
+        ok, word, iterations = solver.member(t)
+        assert (ok, word, iterations) == lists.member(t)
+        assert ok == (t in members)
+        if ok:
+            acc = solver.gs.one
+            for u in word:
+                acc = solver.gs.mul(acc, u)
+            assert acc == t
+    assert all(type(solver.gs.mul(x, y)) is int
+               for x in sigma for y in range(S.order))
+    with pytest.raises(AttributeError):
+        CayleyTable.table.__get__(S, CayleyTable)
