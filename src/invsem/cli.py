@@ -13,11 +13,11 @@ import os
 import sys
 
 from .gensys import GeneratorSystem, VIRTUAL_ONE
+from .pbij import partial_identity
 from .oracle import (ELEMENT_CAP, ClosureCapExceeded, close, naive_member,
                      naive_conjugate, naive_green, naive_green_leq)
 from .classify import E_CAP_EXCEEDED, classify_generated
-from .groups import (group_element, pb_group_member, perm_group_of,
-                     set_transporter)
+from .groups import group_conjugate, pb_group_member, perm_group_of
 from .ctsolver import CTSolver
 from .slp import (NotGenerated, slp_eval, slp_to_text, slp_from_records,
                   slp_semilattice, slp_group, slp_clifford)
@@ -231,18 +231,13 @@ def cmd_transport(args):
     gs = _system_of(inst)
     ds = _require(inst.ds, "ds")
     dt = _require(inst.dt, "dt")
-    G, points = perm_group_of(gs)
-    pos = {x: i for i, x in enumerate(points)}
-    if not (set(ds) <= set(points) and set(dt) <= set(points)):
-        print("NO")
-        return 0
-    found = set_transporter(G, [pos[x] for x in ds], [pos[x] for x in dt])
-    if found is None:
-        print("NO")
-        return 0
-    print("YES")
-    print(formats.image_line("transporter",
-                             group_element(gs, points, found)))
+    perm_group_of(gs)  # a U that is not a group is an input error
+    # a transporter is a conjugator of the partial identities on ds, dt
+    ok, u = group_conjugate(gs, partial_identity(gs.degree, ds),
+                            partial_identity(gs.degree, dt))
+    print("YES" if ok else "NO")
+    if ok:
+        print(formats.image_line("transporter", u))
     return 0
 
 
@@ -387,13 +382,9 @@ def _gen(args):
 
 
 def _read_answer(path):
-    """(YES?, [(lineno, tokens)] of the lines after the first); tokens
-    from a % on are a comment, and lines without tokens are skipped."""
+    """(YES?, the `formats.records` of the lines after the first)."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = [(lineno, tokens)
-                     for lineno, ln in enumerate(handle, 1)
-                     if (tokens := ln.partition("%")[0].split())]
+        lines = formats.records(formats._read_file(path))
     except OSError as exc:
         raise CLIError(str(exc))
     if not lines or lines[0][1] not in (["YES"], ["NO"]):
@@ -553,8 +544,9 @@ def _verify_automata(inst, lines, args):
     if found is None:
         return "FAIL missing word line"
     word = tuple(found[1])
-    for path in [args.instance] + list(args.extra):
-        auto = _expect(_load(path), InverseAutomaton,
+    # cmd_verify parsed the instance; the extra files are parsed here
+    for i, path in enumerate([args.instance] + list(args.extra)):
+        auto = _expect(_load(path) if i else inst, InverseAutomaton,
                        "%s: not an ia instance" % path)
         if not (set(word) <= set(auto.alphabet) and auto.accepts(word)):
             return "FAIL %s rejects the witness word" % path

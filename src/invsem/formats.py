@@ -8,9 +8,13 @@ memory; '_' marks an undefined image; '%' starts a comment.  Parsing is
 strict and reports line numbers; serialization emits a canonical form
 that round-trips.
 
-numpy is imported inside `_ct_table_at_once`, the only function here
-that uses it, so that parsing any other kind of file never loads it:
-importing numpy takes longer than a partial-bijection query.
+`records` is the one reader of record lines, for instance and answer
+files alike; lines split as `str.splitlines` splits them.  parse_ct
+keeps its lines unsplit for np.loadtxt, and parse_ia and kind_of split
+their own, for speed.  A ct table is read in one pass (`_ct_entries`)
+and validated once.  numpy is imported inside `_ct_entries`, the only
+function here that uses it, so that parsing any other kind of file
+never loads it: importing numpy takes longer than a pb query.
 """
 
 from __future__ import annotations
@@ -45,8 +49,9 @@ def _content_lines(text):
     return out
 
 
-def _logical_lines(text):
-    """(lineno, tokens) for non-empty lines with comments stripped."""
+def records(text):
+    """(lineno, tokens) of each line that holds a token once its comment
+    is stripped: the records of an instance or answer file."""
     return [(lineno, line.split()) for lineno, line in _content_lines(text)]
 
 
@@ -137,7 +142,7 @@ class PBInstance:
 
 
 def parse_pb(text):
-    lines = _logical_lines(text)
+    lines = records(text)
     n = _sized_header(lines[0] if lines else None, "pb", "degree")
     inst = PBInstance(n, [])
 
@@ -206,11 +211,12 @@ def parse_ct(text):
     n = _sized_header(lines and (lineno, lines[0][1].split()), "ct", "order")
     if len(lines) < 1 + n:
         raise FormatError("line %d: expected %d table rows" % (lineno, n))
-    body = lines[1:1 + n]
-    table = _ct_table_at_once(body, n)
-    if table is None:
+    entries = _ct_entries(lines[1:1 + n], n)
+    try:
+        table = CayleyTable(entries)
+    except ValueError as exc:
         first_extra = lines[1 + n][0] if len(lines) > 1 + n else lines[-1][0]
-        table = _ct_table_by_lines(body, n, first_extra)
+        _fail(first_extra, "invalid table: %s" % exc)
     inst = CTInstance(table, [])
     for lineno, line in lines[1 + n:]:
         tokens = line.split()
@@ -232,53 +238,42 @@ def parse_ct(text):
     return inst
 
 
-# the bytes a table row may hold for _ct_table_at_once
+# the bytes a table row may hold for the np.loadtxt conversion
 _DIGITS_AND_BLANKS = b"0123456789 \t"
 
 
-def _ct_table_at_once(body, n):
-    """The CayleyTable of the n (lineno, line) table rows, converted by
-    one np.loadtxt call, or None where _ct_table_by_lines must decide.
-
-    Only rows of ASCII digits, blanks and tabs are converted, so every
-    entry gets the value int() gives its token.  Nothing here writes a
-    message: another byte, a row of another length, an entry >= n or an
-    invalid table all return None."""
+def _ct_entries(body, n):
+    """The entries of the n (lineno, line) table rows, as an n x n array
+    or n lists of ints; every entry message comes from here.  Rows of
+    ASCII digits and blanks go through one np.loadtxt call; from the
+    first row with an entry >= n on, and wherever that call fails (any
+    other byte, a ragged row, an entry past int64), rows are read token
+    by token, which writes the message and keeps every int() spelling."""
     import numpy as np
 
     rows = [line for _, line in body]
     block = " ".join(rows)
-    if not block.isascii() \
-            or block.encode("ascii").translate(None, _DIGITS_AND_BLANKS):
-        return None
-    try:
-        arr = np.loadtxt(rows, dtype=np.int64, ndmin=2)
-    except ValueError:
-        return None
-    if arr.shape != (n, n):
-        return None
-    try:
-        return CayleyTable(arr)
-    except ValueError:
-        return None
-
-
-def _ct_table_by_lines(body, n, first_extra):
-    """The CayleyTable of the n (lineno, line) table rows, checked token
-    by token; every table message comes from here."""
-    rows = []
-    for lineno, line in body:
+    first = 0
+    if block.isascii() \
+            and not block.encode("ascii").translate(None, _DIGITS_AND_BLANKS):
+        try:
+            arr = np.loadtxt(rows, dtype=np.int64, ndmin=2)
+        except ValueError:
+            arr = None
+        if arr is not None and arr.shape == (n, n):
+            if arr.max() < n:
+                return arr
+            first = int((arr >= n).any(axis=1).argmax())
+    entries = []
+    for lineno, line in body[first:]:
         row = [_int(tok, lineno, "table entry") for tok in line.split()]
         if len(row) != n:
             _fail(lineno, "expected %d entries, got %d" % (n, len(row)))
         for v in row:
             if not (0 <= v < n):
                 _fail(lineno, "entry %d out of range 0..%d" % (v, n - 1))
-        rows.append(row)
-    try:
-        return CayleyTable(rows)
-    except ValueError as exc:
-        _fail(first_extra, "invalid table: %s" % exc)
+        entries.append(row)
+    return entries
 
 
 def serialize_ct(inst):
@@ -307,7 +302,7 @@ class GraphInstance:
 
 
 def parse_graph(text):
-    lines = _logical_lines(text)
+    lines = records(text)
     n = _sized_header(lines[0] if lines else None, "graph", "vertex count")
     inst = GraphInstance(n, [])
 
@@ -354,7 +349,7 @@ def serialize_graph(inst):
 
 
 def parse_ncl(text):
-    lines = _logical_lines(text)
+    lines = records(text)
     n = _sized_header(lines[0] if lines else None, "ncl", "vertex count")
     edges = []
     configs = {}
@@ -414,7 +409,7 @@ def parse_ia(text):
     """The InverseAutomaton of an ia file, read record by record; every
     ia message comes from here.
 
-    Lines are split as _logical_lines splits them, without building its
+    Lines are split as `records` splits them, without building its
     list.  Transition states spelt "1".."m" are looked up in a table
     that grows with the file rather than with m; any other state token
     goes through _index, which returns its value or writes the message.
@@ -623,7 +618,7 @@ def _resolve_token(token, inst, declared, lineno):
 
 
 def parse_eqn(text, base_dir="."):
-    lines = _logical_lines(text)
+    lines = records(text)
     if not lines or lines[0][1][0] != "eqn":
         raise FormatError("line 1: expected 'eqn over <pb-file>' header")
     lineno, head = lines[0]

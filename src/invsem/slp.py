@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .formats import records
 from .oracle import ELEMENT_CAP, ClosureCapExceeded
 from .groups import pb_group_member
 from .munn import generator_idempotents, hclass, idempotent_meet
@@ -88,20 +89,17 @@ def slp_to_text(slp):
 def slp_from_text(text):
     """The SLP of the text form of `slp_to_text`; tokens from a % on are
     a comment."""
-    return slp_from_records((lineno, raw.partition("%")[0].split())
-                            for lineno, raw in enumerate(text.splitlines(), 1))
+    return slp_from_records(records(text))
 
 
-def slp_from_records(records, n_gens=None):
+def slp_from_records(lines, n_gens=None):
     """The SLP of (line number, tokens) records in the text form of
-    `slp_to_text`, comments already stripped.  Every error names the
-    record's line.  Generator indices are checked only against a given
-    n_gens."""
+    `slp_to_text`, as `formats.records` reads them.  Every error names
+    the record's line.  Generator indices are checked only against a
+    given n_gens."""
     items = []
     target = None
-    for lineno, parts in records:
-        if not parts:
-            continue
+    for lineno, parts in lines:
         try:
             if parts[0] == "g" and len(parts) == 2:
                 item = ("g", int(parts[1]))

@@ -9,9 +9,10 @@ import sys
 import pytest
 
 import invsem
-from invsem import cli
+from invsem import cli, formats
 from invsem import slp as slp_module
 from invsem.cli import main
+from invsem.gensys import GeneratorSystem
 from invsem.pbij import PartialBijection
 from invsem.cayley import brandt_table
 from invsem.formats import (CTInstance, PBInstance, parse_pb, parse_eqn,
@@ -19,7 +20,7 @@ from invsem.formats import (CTInstance, PBInstance, parse_pb, parse_eqn,
 from invsem.oracle import close
 
 from helpers import K4_NCL, PRISM_NCL, rand_ncl_machine, rand_pb, \
-    sample_systems
+    rand_perm_on, sample_systems
 from invsem.formats import serialize_ncl
 
 
@@ -275,6 +276,48 @@ def test_transport(tmp_path, capsys):
     answer = _write(tmp_path, "ans.txt", out)
     code, out, _ = run(capsys, "verify", "transport", path, answer)
     assert code == 0 and out.strip() == "OK"
+
+
+def test_transport_agrees_with_a_search_over_u1(tmp_path, capsys):
+    # on random groups of partial permutations, transport answers YES
+    # exactly when some element of U^1 = U + {1} maps ds onto dt, and
+    # verify accepts every transporter; ds = dt outside the group's
+    # domain is carried by the identity of U^1
+    rng = random.Random(26)
+    path = str(tmp_path / "t.pb")
+    seen = set()
+    for _ in range(1000):
+        n = rng.randrange(1, 6)
+        dom = rng.sample(range(n), rng.randrange(n + 1))
+        gens = [rand_perm_on(rng, n, dom) for _ in range(rng.randint(1, 2))]
+        gs = GeneratorSystem(gens, degree=n)
+        u1 = list(close(gs).elements) + [gs.one]
+        ds = rng.sample(range(n), rng.randrange(n + 1))
+        pick, u = rng.randrange(3), rng.choice(u1)
+        dt = (ds if pick == 0 else [u[x] for x in ds if u[x] is not None]
+              if pick == 1 else rng.sample(range(n), rng.randrange(n + 1)))
+        want = any(None not in (u[x] for x in ds)
+                   and {u[x] for x in ds} == set(dt) for u in u1)
+        with open(path, "w") as handle:
+            handle.write(serialize(PBInstance(n, gens, ds=tuple(sorted(ds)),
+                                              dt=tuple(sorted(dt)))))
+        code, out, err = run(capsys, "transport", path)
+        assert (code, out.splitlines()[0], err) == (
+            0, "YES" if want else "NO", ""), (gens, ds, dt)
+        if want:
+            answer = _write(tmp_path, "ans.txt", out)
+            assert run(capsys, "verify", "transport", path, answer) == (
+                0, "OK\n", "")
+        outside = bool(set(ds) - set(dom))
+        seen.add((want, "empty" if not ds else "equal outside" if
+                  sorted(ds) == sorted(dt) and outside else
+                  "sizes differ" if len(ds) != len(dt) else "other"))
+    assert {(True, "empty"), (True, "equal outside"), (False, "sizes differ"),
+            (True, "other"), (False, "other")} <= seen
+    # a U that is not a group is an input error, also where ds = dt
+    path = _write(tmp_path, "f.pb", "pb 2\ngen 1 _\ngen _ 2\nds 1\ndt 1\n")
+    code, out, err = run(capsys, "transport", path)
+    assert (code, out) == (2, "") and "not a group" in err
 
 
 def test_mgs_roundtrip(tmp_path, capsys):
@@ -733,6 +776,24 @@ def test_verify_member_and_conj_drop_trailing_comments(tmp_path, capsys):
         assert out == want[1] if want[1] else out.startswith("FAIL")
 
 
+def test_answer_files_are_read_as_records(tmp_path, capsys):
+    # an answer file is read as an instance file is: everything from a %
+    # on is a comment, inside a token too; comment and blank lines are
+    # counted but skipped, so messages name the line of the file; lines
+    # split as str.splitlines splits them
+    pb = _write(tmp_path, "g.pb", PB_GROUP)
+    text = "% head\nYES%c\n\n  % note\nword g1 g1%g9 g2\n"
+    answer = _write(tmp_path, "ans.txt", text)
+    assert cli._read_answer(answer) == (True, [(5, ["word", "g1", "g1"])])
+    assert run(capsys, "verify", "member", pb, answer) == (0, "OK\n", "")
+    answer = _write(tmp_path, "ans.txt", "YES\n\n% c\nword g1 g9 % g3\n")
+    assert run(capsys, "verify", "member", pb, answer) == (
+        2, "", "error: line 4: generator 9 out of range 1..2\n")
+    answer = _write(tmp_path, "ans.txt", "YES\nword g1\x0cg1\n")
+    assert cli._read_answer(answer) == (True, [(2, ["word", "g1"]),
+                                               (3, ["g1"])])
+
+
 def test_verify_conj_checks_conjugator_in_u1(tmp_path, capsys):
     # U = <1 _> = {1 _}; the swap 2 1 satisfies both defining equations
     # for s = 1 _, t = _ 2, but it is neither in U nor the identity
@@ -787,6 +848,28 @@ def test_verify_automata_unknown_symbol_fails(tmp_path, capsys):
     assert code == 0 and out.strip() == "OK"
     code, out, _ = _verify(capsys, tmp_path, "automata", ia, "YES\nword b\n")
     assert code == 1 and out.startswith("FAIL")
+
+
+def test_verify_automata_parses_each_file_once(tmp_path, capsys,
+                                              monkeypatch):
+    # verify parses the instance once and each extra file once
+    src = _write(tmp_path, "k4.ncl", K4_NCL)
+    out_dir = str(tmp_path / "k4_ia")
+    assert run(capsys, "gen", "ncl-automata", src, "-o", out_dir)[0] == 0
+    files = sorted(os.path.join(out_dir, f) for f in os.listdir(out_dir))
+    code, out, _ = run(capsys, "automata", "intersect", *files)
+    assert code == 0 and out.startswith("YES\n")
+    answer = _write(tmp_path, "ans.txt", out)
+    parse, parsed = formats.parse, []
+    monkeypatch.setattr(formats, "parse",
+                        lambda path: parsed.append(path) or parse(path))
+    assert run(capsys, "verify", "automata", files[0], answer,
+               *files[1:]) == (0, "OK\n", "")
+    assert parsed == files
+    # an instance that is not an automaton is named as before
+    pb = _write(tmp_path, "g.pb", PB_GROUP)
+    assert run(capsys, "verify", "automata", pb, answer) == (
+        2, "", "error: %s: not an ia instance\n" % pb)
 
 
 def test_cap_honoured_on_every_pb_route(tmp_path, capsys):
@@ -1290,7 +1373,7 @@ def test_numpy_loads_on_the_first_table_only(tmp_path, capsys):
             print("numpy loaded:", "numpy" in sys.modules)
         import invsem
         numpy_loaded()
-        from invsem import cli
+        from invsem import cli, formats
         numpy_loaded()
         print("exit", cli.main(["member", sys.argv[1]]))
         numpy_loaded()

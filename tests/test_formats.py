@@ -1,12 +1,14 @@
 """Instance file formats: round trips, strict errors, and dispatch."""
 
 import random
+import re
 
 import pytest
 
 from invsem import formats
 from invsem.pbij import PartialBijection, partial_identity
-from invsem.cayley import y2_table, brandt_table
+from invsem.cayley import (CayleyTable, y2_table, brandt_table,
+                           direct_product_table)
 from invsem.ncl import NCLMachine
 from invsem.automata import InverseAutomaton
 from invsem.hardness import gen_ncl_automata
@@ -110,7 +112,8 @@ def _ct_text(rows, records="gens 1\ntarget 2\n"):
 
 def _ct_corpus():
     """(name, text, takes the array path) for table bodies that spell,
-    lay out or break the rows of B(4) (order 17) in different ways."""
+    lay out or break the rows of B(4) (order 17) in different ways; the
+    array path reads no entry token by token."""
     base = [" ".join(str(v) for v in row)
             for row in brandt_table(4)[0].table]
     row10 = next(i for i, r in enumerate(base) if " 10 " in " %s " % r)
@@ -150,8 +153,8 @@ def _ct_corpus():
     yield "missing row", _ct_text(base[:-1]), False
     yield "out of range", _ct_text(spell("10", "17")), False
     yield "huge entry", _ct_text(spell("10", "9" * 30)), False
-    yield "non-associative", _ct_text(non_associative, "gens 0\n"), False
-    yield "two inverses", _ct_text(two_inverses, "gens 0\n"), False
+    yield "non-associative", _ct_text(non_associative, "gens 0\n"), True
+    yield "two inverses", _ct_text(two_inverses, "gens 0\n"), True
     yield "bad record", _ct_text(base, "gens 1\nfoo 2\n"), True
     yield "no gens", _ct_text(base, "target 2\n"), True
     yield "record out of range", _ct_text(base, "gens 99\n"), True
@@ -166,25 +169,78 @@ def _ct_outcome(text):
     return "ok", (inst.table.table, inst.gens, inst.target, inst.s, inst.t)
 
 
+def _spy_ct_reads(monkeypatch):
+    """The line numbers of the table entries parse_ct reads token by
+    token, and the number of CayleyTable builds, as parse_ct runs."""
+    read, build = formats._int, CayleyTable.__init__
+    token_lines, builds = [], []
+
+    def spy_int(token, lineno, what):
+        if what == "table entry":
+            token_lines.append(lineno)
+        return read(token, lineno, what)
+
+    def spy_build(self, table):
+        builds.append(1)
+        build(self, table)
+
+    monkeypatch.setattr(formats, "_int", spy_int)
+    monkeypatch.setattr(CayleyTable, "__init__", spy_build)
+    return token_lines, builds
+
+
 def test_ct_array_path_matches_line_by_line_path(monkeypatch):
-    by_lines = formats._ct_table_by_lines
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return by_lines(*args)
-
-    monkeypatch.setattr(formats, "_ct_table_by_lines", spy)
+    token_lines, builds = _spy_ct_reads(monkeypatch)
     outcomes = set()
     for name, text, at_once in _ct_corpus():
-        calls.clear()
+        token_lines.clear()
+        builds.clear()
         got = _ct_outcome(text)
-        assert (not calls) == at_once, name
+        assert (not token_lines) == at_once, name
+        # the table is built once, unless a row count or entry is wrong
+        before_table = re.search(r": (bad table |expected \d+ |entry \d)",
+                                 got[1]) if got[0] == "error" else None
+        assert len(builds) == (before_table is None), name
         with monkeypatch.context() as m:
-            m.setattr(formats, "_ct_table_at_once", lambda body, n: None)
+            # no row passes the byte filter: every row is read by tokens
+            m.setattr(formats, "_DIGITS_AND_BLANKS", b"")
             assert _ct_outcome(text) == got, name
         outcomes.add(got[0])
     assert outcomes == {"ok", "error"}
+
+
+def test_order_514_rejections_read_the_table_once(monkeypatch):
+    # B(16) x Y2: a changed entry, an entry >= n in the last row, and an
+    # entry past int64 each give the message the table has always had;
+    # the table is built at most once, and only the rows from the first
+    # bad one on are read token by token once the array holds them
+    S = direct_product_table(brandt_table(16)[0], y2_table())
+    rows = serialize_ct(CTInstance(S, [1, 2, 3], target=5)).split("\n")
+
+    def edit(row, col, token):
+        lines = list(rows)
+        tokens = lines[1 + row].split()
+        tokens[col] = token
+        lines[1 + row] = " ".join(tokens)
+        return "\n".join(lines)
+
+    changed = str((S.table[3][5] + 1) % 514)
+    cases = [
+        (edit(3, 5, changed), "line 516: invalid table: not associative at "
+         "(0, 3, 5): (0*3)*5 != 0*(3*5)", [], 1),
+        (edit(513, 7, "514"), "line 515: entry 514 out of range 0..513",
+         [515] * 514, 0),
+        (edit(200, 9, "9" * 30), "line 202: entry %s out of range 0..513"
+         % ("9" * 30), [n for n in range(2, 203) for _ in range(514)], 0),
+    ]
+    token_lines, builds = _spy_ct_reads(monkeypatch)
+    assert _ct_outcome("\n".join(rows))[0] == "ok" and builds == [1]
+    for text, message, read_lines, built in cases:
+        token_lines.clear()
+        builds.clear()
+        assert _ct_outcome(text) == ("error", message)
+        assert token_lines == read_lines, message
+        assert len(builds) == built, message
 
 
 def test_graph_round_trip_and_errors():

@@ -39,6 +39,34 @@ def test_text_round_trip():
         slp_from_text("g 0\n")  # missing target
 
 
+def test_text_form_is_read_as_records():
+    # slp_from_text reads the records formats.records reads: comment
+    # lines, blank lines and everything from a % on (inside a token too)
+    # drop out, and a message names the line of the text it came from
+    rng = random.Random(26)
+    build = {"Semilattice": slp_semilattice, "Group": slp_group,
+             "Clifford": slp_clifford}
+    checked = 0
+    for gs, name in sample_systems(rng, 4, degrees=(2, 5)):
+        if name not in build:
+            continue
+        for t in list(close(gs).elements)[:5]:
+            slp = build[name](gs, t)
+            lines = slp_to_text(slp).splitlines()
+            assert slp_from_text("\n".join(lines)) == slp
+            text = "% an slp\n\n" + "".join(
+                "%s%%%d\n  %% note\n\n" % (line, i)
+                for i, line in enumerate(lines))
+            assert slp_from_text(text) == slp
+            # record i sits on line 3 + 3 i; corrupt the target record
+            bad = text.replace("target %d%%" % slp.target, "target x%")
+            with pytest.raises(ValueError, match="^line %d: cannot parse "
+                               "'target x'$" % (3 + 3 * len(slp.items))):
+                slp_from_text(bad)
+            checked += 1
+    assert checked >= 20
+
+
 def test_semilattice_round_trip_and_bound():
     rng = random.Random(0)
     for _ in range(200):
