@@ -11,6 +11,10 @@ is not Clifford does it split StrictInverse from General, on the
 idempotents E(U) alone (`_split_on_idempotents`): an orbit of the
 generators' idempotents, under the cap on |E(U)|, never the closure,
 run on the codes of the system's element kernel, `GeneratorSystem.codec`.
+On a General U the walk's D-classes of E(U) stay on the system: the
+auto route's General solvers (`munn.dclass_member`,
+`munn.dclass_conjugate`) decide on them and one Schutzenberger group
+per class, never on U.
 `d_class_labels` reads Green's D-classes off the pairs (x x~, x~ x) of
 a closed element list, as `meta` does for its maximal J-classes.
 """
@@ -121,6 +125,19 @@ def d_class_labels(left, right):
     return [least[e] for e in left]
 
 
+def idempotent_steps(gs):
+    """(u~, u, u u~) per generator u, as codes of gs.codec with u and
+    u u~ as right factors (`codec.right`): the step e -> u~ e u of E(U),
+    an edge of its D-classes where e <= u u~."""
+    ops = gs.codec
+    steps = []
+    for u in gs.generators:
+        u = ops.encode(u)
+        ub = ops.inv(u)
+        steps.append((ub, ops.right(u), ops.right(ops.mul(u, ub))))
+    return steps
+
+
 def _split_on_idempotents(gs, cap):
     """StrictInverse or General, decided on E(U) = {x~ x : x in U}
     alone: (strict, |E(U)|), or None when E(U) has more than `cap`
@@ -154,15 +171,13 @@ def _split_on_idempotents(gs, cap):
     idempotent that starts a later class unless an edge reaches it
     first.  Cost: |E(U)| |Sigma| products for the orbit and edges, and
     |Sigma| products per shared idempotent for the test, on gs.codec's
-    codes.
+    codes.  On a General U the map from each idempotent to the first of
+    its D-class (its root) is kept as gs._d_roots, from which `munn`
+    decides membership and conjugacy without the closure.
     """
     ops = gs.codec
-    gens = [ops.encode(u) for u in gs.generators]
     table, product = ops.right, ops.product
-    steps = []  # (u~, u, u u~) per generator, the right factors as tables
-    for u in gens:
-        ub = ops.inv(u)
-        steps.append((ub, table(u), table(ops.mul(u, ub))))
+    steps = idempotent_steps(gs)
     seeds = list(dict.fromkeys(product(ub, tu) for ub, tu, _ in steps))
     if len(seeds) > cap:
         return None
@@ -193,6 +208,8 @@ def _split_on_idempotents(gs, cap):
         ts = table(s)
         below = [c for f, c in shared if product(f, ts) == f]
         if len(below) != len(set(below)):
+            # the General solvers on the auto route read the D-classes
+            gs._d_roots = label
             return False, len(found)
     return True, len(found)
 

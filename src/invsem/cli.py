@@ -136,9 +136,8 @@ def _decide(args, query):
                 variety = route(gs, solver, args.cap, explain)
             except ValueError as exc:
                 raise CLIError("--solver %s: %s" % (solver, exc))
-            # the auto route prints no member word, so none is spelt
             ok, w = solve(variety, query, gs, *xs, cap=args.cap,
-                          explain=explain, word=solver != "auto")
+                          explain=explain, auto=solver == "auto")
     finally:
         # also when the solver refuses: the route is known by then
         if explain is not None:
@@ -508,8 +507,12 @@ def _verify_mgs(inst, lines, args):
             for lineno, tokens in _records(lines, "gen")]
     if not gens:
         return "FAIL missing gen lines"
+    # <witness> = U iff every witness lies in U and every generator of U
+    # in <witness>, each decided by the member routes under --cap
     sub = GeneratorSystem(gens, degree=inst.degree)
-    if close(sub, args.cap).index.keys() != close(gs, args.cap).index.keys():
+    if not (all(dispatch_member(gs, g, cap=args.cap) for g in gens)
+            and all(dispatch_member(sub, g, cap=args.cap)
+                    for g in gs.generators)):
         return "FAIL witness set does not generate the closure"
     return "OK"
 
@@ -529,7 +532,10 @@ def _verify_eqn(inst, lines, args):
             return "FAIL missing assignment for %s" % name
         # the domain solve_equations searches
         domain = inst.system.constraints.get(name) or ambient
-        if assignment[name] not in close(domain, args.cap):
+        value = assignment[name]
+        # a constraint file of another degree holds no value of this one
+        if (value.degree != domain.degree
+                or not dispatch_member(domain, value, cap=args.cap)):
             return "FAIL assignment for %s is outside its constraint" % name
     for lhs, rhs in inst.system.equations:
         left = eval_eq_word(lhs, assignment, ambient.mul, ambient.inv)

@@ -54,14 +54,19 @@ class GeneratorSystem:
         )
         # lazy caches, kept for the life of the system: closure, the
         # largest element cap it exceeded, the largest cap that E(U)
-        # exceeded, classification, the idempotents u u~ of the
-        # generators, the group BSGS (whose stabilizer chain also finds
-        # conjugators), Munn graphs by delta, bases by (delta, anchor),
-        # H-class records by (solver, e-hat)
+        # exceeded, classification, on a General U the D-class root of
+        # each idempotent (codes of codec, from the E(U) walk) and each
+        # one's code by its domain bit mask, the
+        # idempotents u u~ of the generators, the group BSGS (whose
+        # stabilizer chain also finds conjugators), Munn graphs by
+        # delta, bases by (delta, anchor), H-class records by (solver,
+        # e-hat), and by ("general", root) a D-class's reps and group
         self._closure = None
         self._over_cap = 0
         self._over_e_cap = 0
         self._variety = None
+        self._d_roots = None
+        self._d_masks = None
         self._idempotents = None
         self._bsgs = None
         self._munn = {}

@@ -335,10 +335,13 @@ def pb_group_member(gs, t, word=True):
     word is never empty, and is expanded only if `word` is true.
     """
     G, points = perm_group_of(gs)
-    dom = frozenset(points)
-    if t.domain() != dom or t.ran() != dom:
+    pos = dict(zip(points, range(len(points))))
+    q = [pos.get(t[x]) for x in points]
+    # t maps the domain into itself, so onto it, as t is injective; it
+    # is then undefined elsewhere iff it has no other defined point
+    if None in q or len(t) - t.count(None) != len(q):
         return False, None
-    ok, w = G.contains(_as_perm(t, points), word)
+    ok, w = G.contains(q, word)
     if w == ():
         # the sift spells the identity as (); u u~ is the same element
         # and is a word over Sigma, so the witness lies in U
@@ -364,10 +367,13 @@ def group_conjugate(gs, s, t):
     if s == t:
         return True, gs.one
     G, points = perm_group_of(gs)
-    if not s.domain() | s.ran() | t.domain() | t.ran() <= set(points):
+    pos = dict(zip(points, range(len(points))))
+    qs = [[pos.get(p[x]) for x in points] for p in (s, t)]
+    # s and t lie on the domain iff every defined point and its image do
+    if any(len(q) - q.count(None) != len(p) - p.count(None)
+           for p, q in zip((s, t), qs)):
         return False, None
-    pos = {x: i for i, x in enumerate(points)}
-    q = G.conjugator(*([pos.get(p[x]) for x in points] for p in (s, t)))
+    q = G.conjugator(*qs)
     if q is None:
         return False, None
     u = group_element(gs, points, q)

@@ -1,10 +1,15 @@
 """Reductions for Clifford and strict inverse semigroups of partial
 bijections: orbit closures, Munn graphs, bases, H-class generators,
-minimal dominating idempotents, general conjugacy over the closure, and
-the dispatcher that routes an instance to the matching solver.
+minimal dominating idempotents, membership and conjugacy in a General U
+from its D-classes of idempotents, general conjugacy over the closure,
+and the dispatcher that routes an instance to the matching solver.
 
-The Clifford and strict inverse solvers end in a call to the group
-solver on a single H-class.
+The Clifford, strict inverse and D-class solvers end in a call to the
+group solver on a single H-class.  On the auto route a General U is
+decided from E(U), which the classification already walked, and the
+maximal subgroup (Schutzenberger group) of one D-class, built once per
+class; U itself is never enumerated there (East, Egri-Nagy, Mitchell
+and Peresse, Computing finite semigroups, J. Symbolic Comput. 2019).
 """
 
 from __future__ import annotations
@@ -13,9 +18,10 @@ from dataclasses import dataclass
 
 from .pbij import identity, partial_identity
 from .oracle import ClosureCapExceeded, ELEMENT_CAP, close, naive_member
-from .classify import E_CAP_EXCEEDED, VarietyTag, classify_generated
+from .classify import (E_CAP_EXCEEDED, VarietyTag, classify_generated,
+                       idempotent_steps)
 from .gensys import GeneratorSystem
-from .groups import pb_group_member, group_conjugate
+from .groups import pb_group_member, group_conjugate, perm_group_of
 from .search import UnionFind, reach
 
 
@@ -233,11 +239,13 @@ def _basis(gs, M, anchor):
 class HClass:
     """The group H-class of U at a dominating idempotent e-hat: a group
     GeneratorSystem (its BSGS, which finds conjugators, is cached on it)
-    and, for a strict inverse U, the basis at e-hat with gamma, lambda."""
+    and, for a strict inverse U, the basis at e-hat with gamma, lambda;
+    for the D-class of a General U, its reps (`dclass`)."""
     ehat: object
     group: GeneratorSystem
     basis: Basis = None
     eligible: tuple = ()  # Clifford U: indices of u with u u~ >= e-hat
+    reps: dict = None  # D-class of a General U: code of g -> code of r_g
 
 
 def hclass(gs, ehat, basis=None):
@@ -381,7 +389,165 @@ def sis_conjugate(gs, s, t, explain=None):
     return True, v
 
 
-# -- general conjugacy -----------------------------------------------------
+# -- General U from its D-classes of idempotents ---------------------------
+
+
+def dclass(gs, root):
+    """The record of the D-class of E(U) whose root (the first idempotent
+    the E(U) walk found in it, `gs._d_roots`) is the code `root` of
+    gs.codec, built once per system: an HClass whose reps map the code
+    of each idempotent g of the class to that of an r_g in U with
+    r_g r_g~ = c and r_g~ r_g = g, for c the root, and whose group is
+    the H-class H_c, the maximal subgroup of U at c.
+
+    The reps grow along a breadth-first search of the class's edges
+    g -> g' = u~ g u (u in Sigma, g <= u u~), from r_c = c: with
+    r_g' = r_g u, r_g' r_g'~ = r_g g u u~ r_g~ = r_g r_g~ = c and
+    r_g'~ r_g' = u~ g u = g'.  Every edge gives the Schreier generator
+    r_g u r_g'~ of H_c (c on a tree edge, so those are left out): it has
+    (r_g u r_g'~)(r_g u r_g'~)~ = r_g u g' u~ r_g~ = c, as r_g u g' =
+    r_g u, and likewise on the right.  They generate H_c.  Let h in H_c
+    be u_1 ... u_k over Sigma, and put p_i = c u_1 ... u_i and
+    e_i = p_i~ p_i.  By the path argument of
+    `classify._split_on_idempotents`, c = e_0 - e_1 - ... - e_k = c is a
+    path of edges e_(i-1) -> e_i = u_i~ e_(i-1) u_i of the class, and the
+    product of its Schreier generators telescopes, as r_(e_i)~ r_(e_i)
+    = e_i and p_i e_i = p_i:
+
+        prod_i r_(e_(i-1)) u_i r_(e_i)~ = c u_1 e_1 u_2 ... e_(k-1) u_k c
+                                        = p_k c = h.
+
+    Cost: |D| |Sigma| products for the reps and generators, and the
+    group's BSGS, built on its first sift.
+    """
+    H = gs._hclasses.get(("general", root))
+    if H is None:
+        ops = gs.codec
+        product, mul, inv = ops.product, ops.mul, ops.inv
+        steps = idempotent_steps(gs)
+        reps = {root: root}
+        queue = [root]
+        gens = {}
+        for g in queue:
+            r, tg = reps[g], ops.right(g)
+            for ub, tu, td in steps:
+                if product(g, td) != g:
+                    continue
+                g2 = product(product(ub, tg), tu)
+                if g2 not in reps:
+                    reps[g2] = product(r, tu)
+                    queue.append(g2)
+                else:
+                    x = mul(product(r, tu), inv(reps[g2]))
+                    if x != root:
+                        gens[x] = None
+        group = GeneratorSystem(list(map(ops.decode, gens or [root])),
+                                degree=gs.degree)
+        H = gs._hclasses["general", root] = HClass(ops.decode(root), group,
+                                                   reps=reps)
+    return H
+
+
+def _explain_dclass(D, explain):
+    if explain is not None:
+        explain["dclass_idempotents"] = len(D.reps)
+        explain["hclass_order"] = perm_group_of(D.group)[0].order
+
+
+def dclass_member(gs, t, explain=None):
+    """Membership in a General U from its D-classes of idempotents
+    (gs._d_roots, kept by the classification) and one sift: t is in U
+    iff e = t t~ and f = t~ t lie in E(U) with one root c and
+    h = r_e t r_f~ lies in H_c (`dclass`).
+
+    h h~ = r_e t f t~ r_e~ = r_e e r_e~ = c, and likewise h~ h = c, so h
+    lies in the H-class of c in I_n.  If t is in U, e and f are
+    D-related in U and h is in U, so in H_c.  Conversely
+    r_e~ h r_f = e t f = t, which lies in U when h does.
+    """
+    ops = gs.codec
+    roots = gs._d_roots
+    assert roots is not None, "U must be classified General first"
+    x = ops.encode(t)
+    xb = ops.inv(x)
+    e, f = ops.mul(x, xb), ops.mul(xb, x)
+    c = roots.get(e)
+    if c is None or roots.get(f) != c:
+        return False
+    D = dclass(gs, c)
+    _explain_dclass(D, explain)
+    h = ops.mul(ops.mul(D.reps[e], x), ops.inv(D.reps[f]))
+    return pb_group_member(D.group, ops.decode(h), word=False)[0]
+
+
+def _least_above(gs, x):
+    """The code of the least idempotent of E(U) defined on dom x | ran x,
+    or None: the meet of all those above it, as E(U) is closed under
+    products, found on domain bit masks, which gs._d_masks maps to the
+    codes of E(U) (built once per system)."""
+    if gs._d_masks is None:
+        undefined = gs.codec.undefined
+        gs._d_masks = {sum(1 << i for i, y in enumerate(f) if y != undefined):
+                       f for f in gs._d_roots}
+    a = 0
+    for i, y in enumerate(x):
+        if y is not None:
+            a |= 1 << i | 1 << y
+    meet = -1
+    for m in gs._d_masks:
+        if a & m == a:
+            meet &= m
+    return gs._d_masks.get(meet)
+
+
+def dclass_conjugate(gs, s, t, explain=None):
+    """Conjugacy in a General U from its D-classes of idempotents and one
+    group conjugacy search.  Returns (bool, conjugator or None); s == t
+    gives gs.one.  With A = dom s | ran s and B = dom t | ran t, let f
+    and g be the least idempotents of E(U) defined on A and on B (E(U)
+    is closed under products).  Then s ~ t with s != t iff f and g share
+    a root c and some h in H_c has h~ s' h = t' (so also h t' h~ = s'),
+    where s' = r_f s r_f~ and t' = r_g t r_g~; the conjugator is
+    u = r_f~ h r_g.
+
+    Only if: a conjugator u (in U, as s != t) has A <= dom u and
+    B <= ran u, and maps graph(s) onto graph(t).  For any f' in E(U)
+    with e_A <= f' <= u u~, f' u also works: u~ f' s f' u = u~ s u and
+    f' u t u~ f' = f' s f' = s.  So u may be taken with u u~ = f.  Then
+    u g works likewise, and g <= u~ u, as u~ u lies in E(U) and is
+    defined on B; u g u~ lies in E(U), is defined on A (u carries A into
+    B) and lies below f, so it is f: u g joins f to g.
+    With u u~ = f and u~ u = g, h = r_f u r_g~ lies in H_c, and
+    r_f~ h r_g = f u g = u.  Then h~ s' h = r_g u~ s u r_g~ = t' and
+    h t' h~ = r_f u t u~ r_f~ = s'.
+    If: u = r_f~ h r_g lies in U, and u~ s u = r_g~ h~ s' h r_g =
+    r_g~ t' r_g = g t g = t; likewise u t u~ = f s f = s.
+    """
+    if s == t:
+        return True, gs.one
+    ops = gs.codec
+    roots = gs._d_roots
+    assert roots is not None, "U must be classified General first"
+    f = _least_above(gs, s)
+    g = _least_above(gs, t)
+    if f is None or g is None or roots[f] != roots[g]:
+        return False, None
+    D = dclass(gs, roots[f])
+    _explain_dclass(D, explain)
+    rf, rg = D.reps[f], D.reps[g]
+    s1, t1 = (ops.decode(ops.mul(ops.mul(r, ops.encode(x)), ops.inv(r)))
+              for r, x in ((rf, s), (rg, t)))
+    ok, h = group_conjugate(D.group, s1, t1)
+    if not ok:
+        return False, None
+    u = ops.decode(ops.mul(ops.mul(ops.inv(rf), ops.encode(h)), rg))
+    mul = gs.mul
+    ub = gs.inv(u)
+    assert mul(mul(ub, s), u) == t and mul(mul(u, t), ub) == s
+    return True, u
+
+
+# -- general conjugacy over the closure ------------------------------------
 
 
 def general_conjugate(gs, s, t, cap=ELEMENT_CAP):
@@ -498,12 +664,16 @@ def route(gs, solver="auto", cap=ELEMENT_CAP, explain=None):
 
 
 def solve(variety, query, gs, *xs, cap=ELEMENT_CAP, explain=None,
-          word=True):
+          auto=False):
     """Decide `query` on U by the solver of `variety`: "member" with
     xs = (t,) or "conj" with xs = (s, t).  Returns (bool, witness or
-    None): a word for Group and General membership if `word`, a
-    conjugator for conjugacy.  The solvers are looked up when called, so
-    a rebound module attribute (a tracing wrapper) is the one that
+    None): a conjugator for conjugacy, and for Group and General
+    membership a word unless `auto`.  `auto` runs the auto route's
+    solvers: they spell no member word, and they decide a General U of
+    partial bijections from E(U) and one D-class (`dclass_member`,
+    `dclass_conjugate`), where the named solver reads the closure and
+    answers as the oracle does.  The solvers are looked up when called,
+    so a rebound module attribute (a tracing wrapper) is the one that
     runs."""
     if explain is not None:
         explain["solver"] = SOLVERS[variety]
@@ -512,7 +682,7 @@ def solve(variety, query, gs, *xs, cap=ELEMENT_CAP, explain=None,
         return ((semilattice_member(gs, *xs), None) if member
                 else semilattice_conjugate(gs, *xs))
     if variety == "Group":
-        return (pb_group_member(gs, *xs, word=word) if member
+        return (pb_group_member(gs, *xs, word=not auto) if member
                 else group_conjugate(gs, *xs))
     if variety == "Clifford":
         return ((clifford_member(gs, *xs), None) if member
@@ -520,11 +690,14 @@ def solve(variety, query, gs, *xs, cap=ELEMENT_CAP, explain=None,
     if variety == "StrictInverse":
         return ((sis_member(gs, *xs, explain=explain), None) if member
                 else sis_conjugate(gs, *xs, explain=explain))
+    if auto and gs.model == "pb":
+        return ((dclass_member(gs, *xs, explain=explain), None) if member
+                else dclass_conjugate(gs, *xs, explain=explain))
     try:
         if not member:
             return general_conjugate(gs, *xs, cap)
         ok, w = naive_member(gs, *xs, cap)
-        return ok, w if word else None
+        return ok, None if auto else w
     except ClosureCapExceeded as exc:
         raise OutsideTractable(str(exc))
 
@@ -532,11 +705,11 @@ def solve(variety, query, gs, *xs, cap=ELEMENT_CAP, explain=None,
 def dispatch_member(gs, t, cap=ELEMENT_CAP, explain=None):
     """Route a partial-bijection membership instance by variety."""
     return solve(route(gs, "auto", cap, explain), "member", gs, t,
-                 cap=cap, explain=explain, word=False)[0]
+                 cap=cap, explain=explain, auto=True)[0]
 
 
 def dispatch_conjugate(gs, s, t, cap=ELEMENT_CAP, explain=None):
     """Route a partial-bijection conjugacy instance by variety.
     Returns (bool, conjugator or None)."""
     return solve(route(gs, "auto", cap, explain), "conj", gs, s, t,
-                 cap=cap, explain=explain)
+                 cap=cap, explain=explain, auto=True)

@@ -1016,6 +1016,18 @@ def test_verify_eqn_checks_assignment_in_constraint(tmp_path, capsys):
                            "YES\nassign X 2 1\n")
     assert code == 1
     assert out.strip() == "FAIL assignment for X is outside its constraint"
+    # a General constraint, <S_3 fixing 4, the identity on {1,2}>: the
+    # identity on {1,2,3} solves X~ s X = t but lies outside it, and the
+    # identity is in it
+    _write(tmp_path, "amb.pb", "pb 4\ngen 2 3 1 4\ngen 2 1 3 4\n"
+           "gen 1 2 _ _\ns 1 2 3 _\nt 1 2 3 _\n")
+    eqn = _write(tmp_path, "gen.eqn", "eqn over amb.pb\nvar X in amb.pb\n"
+                 "eq X~ s X = t\n")
+    for value, verdict in (("1 2 3 _", "FAIL assignment for X is outside "
+                            "its constraint"), ("1 2 3 4", "OK")):
+        code, out, _ = _verify(capsys, tmp_path, "eqn", eqn,
+                               "YES\nassign X %s\n" % value)
+        assert (code, out.strip()) == (verdict != "OK", verdict)
 
 
 def test_assume_rejected_where_not_honoured(tmp_path, capsys):
@@ -1043,14 +1055,28 @@ def test_assume_rejected_where_not_honoured(tmp_path, capsys):
 
 
 def test_verify_mgs_honours_cap(tmp_path, capsys):
+    # verify mgs decides membership by the member routes: U = I_3, from
+    # S_3 and a rank-2 idempotent, is General with 8 idempotents, so
+    # --cap binds on E(U); S_3 is a group, decided at any cap
+    i3 = _write(tmp_path, "i3.pb", "pb 3\ngen 2 3 1\ngen 2 1 3\ngen 1 2 _\n")
     s3 = _write(tmp_path, "s3.pb", "pb 3\ngen 2 1 3\ngen 2 3 1\n")
-    code, out, _ = run(capsys, "mgs", s3, "-k", "2")
-    assert code == 0 and out.splitlines()[0] == "YES"
-    answer = _write(tmp_path, "ans.txt", out)
-    code, out, err = run(capsys, "verify", "mgs", s3, answer, "--cap", "2")
-    assert code == 1 and out == "" and "refused" in err
-    code, out, _ = run(capsys, "verify", "mgs", s3, answer)
-    assert code == 0 and out.strip() == "OK"
+    for path, k, refused in ((i3, "3", True), (s3, "2", False)):
+        code, out, _ = run(capsys, "mgs", path, "-k", k)
+        assert code == 0 and out.splitlines()[0] == "YES"
+        answer = _write(tmp_path, "ans.txt", out)
+        code, out, err = run(capsys, "verify", "mgs", path, answer,
+                             "--cap", "2")
+        assert (code, out == "", "refused" in err) == (
+            (1, True, True) if refused else (0, False, False)), path
+        code, out, _ = run(capsys, "verify", "mgs", path, answer)
+        assert code == 0 and out.strip() == "OK"
+    # a witness that does not generate U: a generator short, or one
+    # outside U (a rank-2 map is not in S_3)
+    fail = "FAIL witness set does not generate the closure"
+    for witness in ("gen 2 1 3\n", "gen 2 1 3\ngen 2 3 1\ngen 1 2 _\n"):
+        code, out, _ = _verify(capsys, tmp_path, "mgs", s3,
+                               "YES\n" + witness)
+        assert (code, out.strip()) == (1, fail), witness
 
 
 def test_explicit_pb_solver_is_checked_like_assume(tmp_path, capsys):
@@ -1076,15 +1102,22 @@ def test_explicit_pb_solver_is_checked_like_assume(tmp_path, capsys):
 
 def test_general_conj_prints_what_the_oracle_prints(tmp_path, capsys):
     # U = <S_3, a rank-2 idempotent> is General: {1,2} and {2,3} are
-    # conjugate idempotents, a transposition and an idempotent are not
+    # conjugate idempotents, a transposition and an idempotent are not.
+    # --solver general prints the oracle's output; the auto route gives
+    # the oracle's answer with a conjugator of its own, which verifies
     head = "pb 3\ngen 2 3 1\ngen 2 1 3\ngen 1 2 _\n"
     for pair, answer in (("s 1 2 _\nt _ 2 3\n", "YES"),
                          ("s 2 1 _\nt 1 2 _\n", "NO")):
         path = _write(tmp_path, "gen.pb", head + pair)
-        code, out, _ = run(capsys, "conj", path)
+        code, out, _ = run(capsys, "conj", path, "--solver", "oracle")
         assert code == 0 and out.splitlines()[0] == answer
-        for solver in ("oracle", "general"):
-            assert out == run(capsys, "conj", path, "--solver", solver)[1]
+        assert out == run(capsys, "conj", path, "--solver", "general")[1]
+        code, auto, _ = run(capsys, "conj", path)
+        assert code == 0 and auto.splitlines()[0] == answer
+        assert (answer == "YES") == auto.startswith("YES\nconjugator ")
+        saved = _write(tmp_path, "auto.out", auto)
+        verdict = "OK\n" if answer == "YES" else "OK no witness to check\n"
+        assert run(capsys, "verify", "conj", path, saved) == (0, verdict, "")
 
 
 def test_explain_names_the_solver_on_every_route(tmp_path, capsys):
@@ -1119,29 +1152,61 @@ def test_explain_names_the_solver_on_every_route(tmp_path, capsys):
 
 
 def test_explain_survives_a_refusal(tmp_path, capsys):
-    # the 8-cycle, a transposition and a rank-7 idempotent: a General U
-    # far past the cap, refused after its route was chosen
+    # the 8-cycle, a transposition and a rank-7 idempotent: I_8, a
+    # General U with 256 idempotents, refused at cap 100 once E(U) passes
+    # it, after the classification was chosen
     path = _write(tmp_path, "i8.pb", "pb 8\ngen 2 3 4 5 6 7 8 1\n"
                   "gen 2 1 3 4 5 6 7 8\ngen 1 2 3 4 5 6 7 _\n"
                   "target 1 2 3 4 5 6 7 8\ns 1 2 3 4 5 6 7 _\n"
                   "t 2 1 3 4 5 6 7 _\n")
-    refused = "refused: closure exceeded 300 elements"
+    refused = ("refused: idempotent (E(U)) cap exceeded: more than 100 "
+               "idempotents")
+    oracle = "refused: closure exceeded 100 elements"
     for cmd in ("member", "conj"):
-        code, out, err = run(capsys, cmd, path, "--cap", "300", "--explain")
+        code, out, err = run(capsys, cmd, path, "--cap", "100", "--explain")
         assert (code, out) == (1, "")
         assert err.splitlines() == ["classified_by: idempotents",
-                                    "idempotents: 256", "solver: general",
-                                    "variety: General", refused], cmd
-        code, out, err = run(capsys, cmd, path, "--cap", "300", "--explain",
+                                    refused], cmd
+        code, out, err = run(capsys, cmd, path, "--cap", "100", "--explain",
                              "--solver", "oracle")
-        assert (code, out, err) == (1, "", "solver: oracle\n%s\n" % refused)
-        assert run(capsys, cmd, path, "--cap", "300") == (1, "", refused + "\n")
+        assert (code, out, err) == (1, "", "solver: oracle\n%s\n" % oracle)
+        assert run(capsys, cmd, path, "--cap", "100") == (1, "", refused + "\n")
         # an input error also keeps what was chosen before it
         code, out, err = run(capsys, cmd, path, "--cap", "300", "--explain",
                              "--solver", "group")
         assert (code, out) == (2, "") and err.splitlines() == [
             "solver: group", "error: --solver group: variety Group does "
             "not hold: U is General"]
+
+
+def test_explain_names_the_deciding_dclass_on_the_general_route(
+        tmp_path, capsys):
+    # I_8 (as above) answers at cap 300 from E(U): the identity is the
+    # one idempotent of its D-class, with H-class S_8; a rank-7
+    # idempotent and a partial transposition share the D-class of the
+    # eight rank-7 idempotents, with H-class S_7, and are not conjugate
+    path = _write(tmp_path, "i8.pb", "pb 8\ngen 2 3 4 5 6 7 8 1\n"
+                  "gen 2 1 3 4 5 6 7 8\ngen 1 2 3 4 5 6 7 _\n"
+                  "target 1 2 3 4 5 6 7 8\ns 1 2 3 4 5 6 7 _\n"
+                  "t 2 1 3 4 5 6 7 _\n")
+    head = ["classified_by: idempotents"]
+    tail = ["idempotents: 256", "solver: general", "variety: General"]
+    for cmd, answer, size, order in (("member", "YES", 1, 40320),
+                                     ("conj", "NO", 8, 5040)):
+        code, out, err = run(capsys, cmd, path, "--cap", "300", "--explain")
+        assert (code, out) == (0, answer + "\n")
+        assert err.splitlines() == head + [
+            "dclass_idempotents: %d" % size, "hclass_order: %d" % order
+        ] + tail, cmd
+        assert run(capsys, cmd, path, "--cap", "300") == (0, out, "")
+    # an idempotent outside E(U) meets no D-class, so neither key
+    # appears: <S_3 fixing 4, the identity on {1,2}> holds no map with
+    # domain {1,2,3}
+    outside = _write(tmp_path, "s3.pb", "pb 4\ngen 2 3 1 4\ngen 2 1 3 4\n"
+                     "gen 1 2 _ _\ntarget 1 2 3 _\n")
+    code, out, err = run(capsys, "member", outside, "--explain")
+    assert (code, out, err.splitlines()) == (0, "NO\n", head + [
+        "idempotents: 8", "solver: general", "variety: General"])
 
 
 # the varieties each explicit pb solver is exact on

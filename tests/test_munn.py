@@ -216,11 +216,12 @@ def _counting(gens, n, monkeypatch):
 
 
 def test_over_cap_closure_is_enumerated_once(monkeypatch):
-    # the 8-cycle, a transposition and a rank-7 idempotent generate a
-    # General U far past the cap, with 256 idempotents: classifying it
-    # walks E(U) under the cap, the General solver enumerates U up to
-    # the cap, and it is then refused without a second enumeration, on
-    # this query and on every later one
+    # the 8-cycle, a transposition and a rank-7 idempotent generate I_8,
+    # a General U far past the cap, with 256 idempotents: classifying it
+    # walks E(U) under the cap, and the auto route then answers from
+    # E(U) and one D-class, with no closure product; the closure, where
+    # asked for, is enumerated up to the cap once, and a repeat is
+    # refused without a second enumeration
     n, cap = 8, 300
     gens = [PartialBijection(n, tuple((i + 1) % n for i in range(n))),
             PartialBijection(n, (1, 0) + tuple(range(2, n))),
@@ -237,13 +238,24 @@ def test_over_cap_closure_is_enumerated_once(monkeypatch):
     assert len(classified) > len(from_generators) + 256
     gs, products = _counting(gens, n, monkeypatch)
     for query in range(1, 4):
-        with pytest.raises(OutsideTractable,
-                           match="^closure exceeded %d elements$" % cap):
-            dispatch_member(gs, gs.one, cap=cap)
-        assert len(products) == len(one_closure) + len(classified)
-    # a smaller cap is refused at once with its own figure; a larger one
-    # enumerates again
+        assert dispatch_member(gs, gs.one, cap=cap)
+        if query == 1:
+            # the classification's products, then those of the D-class
+            # {1}: at most four per generator, and none on a repeat
+            dclass_products = len(products) - len(classified)
+            assert 0 < dclass_products <= 4 * len(gs.generators)
+        assert len(products) == len(classified) + dclass_products
+        assert gs._closure is None and gs._over_cap == 0
+    with pytest.raises(ClosureCapExceeded):
+        close(gs, cap)
+    # a repeat is refused at once, and so is a smaller cap, with its
+    # own figure; a larger one enumerates again
     before = len(products)
+    assert before > len(classified) + cap - len(gs.generators)
+    with pytest.raises(ClosureCapExceeded,
+                       match="^closure exceeded %d elements$" % cap):
+        close(gs, cap)
+    assert len(products) == before
     with pytest.raises(ClosureCapExceeded,
                        match="^closure exceeded 100 elements$"):
         close(gs, 100)
@@ -611,3 +623,115 @@ def test_repeated_clifford_conjugate_reads_cached_idempotents(monkeypatch):
     assert clifford_conjugate(gs, s, t) == first
     assert calls == []
 
+
+def _general_cases(rng, count):
+    """`count` General systems of degree at most 7 from 1 to 3 random
+    generators, each with closure at most 3000, and its queries with the
+    oracle's answers: a member, a near miss (a member with its images
+    permuted on the same domain), a random map, a conjugate pair
+    (s, u~ s u) and a pair of members."""
+    cases = []
+    while len(cases) < count:
+        n = rng.randrange(1, 8)
+        gens = [rand_pb(rng, n) for _ in range(rng.randrange(1, 4))]
+        gs = GeneratorSystem(gens, degree=n)
+        if classify_from_generators(gs) is not None:
+            continue
+        try:
+            elements = close(gs, 3000).elements
+        except ClosureCapExceeded:
+            continue
+        if classify_generated(gs).name != "General":
+            continue
+        member = rng.choice(elements)
+        images = [y for y in member if y is not None]
+        rng.shuffle(images)
+        near = PartialBijection(n, [None if y is None else images.pop()
+                                    for y in member])
+        s, u = rng.choice(elements), rng.choice(elements)
+        conjugate = gs.mul(gs.mul(gs.inv(u), s), u)
+        queries = [(t,) for t in (member, near, rand_pb(rng, n))]
+        queries += [(s, conjugate), (s, rng.choice(elements))]
+        answers = [naive_member(gs, *q)[0] if len(q) == 1
+                   else naive_conjugate(gs, *q)[0] for q in queries]
+        cases.append((gens, n, queries, answers))
+    return cases
+
+
+def _auto_answers(gens, n, queries):
+    """The auto route's answers on a fresh system, each conjugator
+    checked against both defining equations and U^1."""
+    gs = GeneratorSystem(gens, degree=n)
+    answers = []
+    for q in queries:
+        if len(q) == 1:
+            answers.append(dispatch_member(gs, *q))
+            continue
+        ok, u = dispatch_conjugate(gs, *q)
+        if ok:
+            (s, t), ub = q, gs.inv(u)
+            assert gs.mul(gs.mul(ub, s), u) == t
+            assert gs.mul(gs.mul(u, t), ub) == s
+            assert u == gs.one or dispatch_member(gs, u)
+        answers.append(ok)
+    assert gs._closure is None and gs._over_cap == 0
+    return answers
+
+
+def test_general_auto_route_matches_the_oracle(monkeypatch):
+    # 2000 random General systems, on the bytes kernel and again on the
+    # element kernel (as above degree 255); the auto route never calls
+    # the closure
+    import invsem.munn as munn_module
+    import invsem.oracle as oracle_module
+    cases = _general_cases(random.Random(27), 2000)
+    kinds = {"member": set(), "conj": set()}
+    for _, _, queries, answers in cases:
+        for q, want in zip(queries, answers):
+            kinds["member" if len(q) == 1 else "conj"].add(want)
+    assert kinds == {"member": {True, False}, "conj": {True, False}}
+
+    def no_closure(*args):
+        raise AssertionError("the auto route enumerated U")
+
+    for module in (munn_module, oracle_module):
+        monkeypatch.setattr(module, "close", no_closure)
+    for gens, n, queries, answers in cases:
+        assert _auto_answers(gens, n, queries) == answers, (gens, queries)
+    monkeypatch.setattr(BytesCodec, "max_degree", -1)
+    for gens, n, queries, answers in cases:
+        assert GeneratorSystem(gens, degree=n).codec is not BytesCodec
+        assert _auto_answers(gens, n, queries) == answers, (gens, queries)
+
+
+def _symmetric_inverse_monoid(n):
+    """I_n from the n-cycle, a transposition and a rank n-1 idempotent."""
+    return GeneratorSystem(
+        [PartialBijection(n, tuple((i + 1) % n for i in range(n))),
+         PartialBijection(n, (1, 0) + tuple(range(2, n))),
+         PartialBijection(n, tuple(range(n - 1)) + (None,))], degree=n)
+
+
+def test_general_auto_route_on_i10_never_enumerates():
+    # |I_10| = 234662231, far past the default cap, with 1024
+    # idempotents: member and conj answer from E(U) and one D-class
+    n = 10
+    gs = _symmetric_inverse_monoid(n)
+    reversal = PartialBijection(n, tuple(range(n - 1, -1, -1)))
+    explain = {}
+    assert dispatch_member(gs, reversal, explain=explain)
+    assert (explain["variety"], explain["idempotents"],
+            explain["dclass_idempotents"], explain["hclass_order"]) == (
+        "General", 1024, 1, 3628800)
+    # a partial 3-cycle on {1,2,3} and one on {8,9,10}; a partial
+    # transposition is not conjugate to either
+    s = PartialBijection(n, (1, 2, 0) + (None,) * (n - 3))
+    t = PartialBijection(n, (None,) * (n - 3) + (n - 2, n - 1, n - 3))
+    swap = PartialBijection(n, (1, 0, None) + (None,) * (n - 3))
+    ok, u = dispatch_conjugate(gs, s, t)
+    ub = gs.inv(u)
+    assert ok and gs.mul(gs.mul(ub, s), u) == t
+    assert gs.mul(gs.mul(u, t), ub) == s
+    assert dispatch_member(gs, u)
+    assert dispatch_conjugate(gs, s, swap) == (False, None)
+    assert gs._closure is None and gs._over_cap == 0
