@@ -17,7 +17,7 @@ from .pbij import partial_identity
 from .oracle import (ELEMENT_CAP, ClosureCapExceeded, close, naive_member,
                      naive_conjugate, naive_green, naive_green_leq)
 from .classify import E_CAP_EXCEEDED, classify_generated
-from .groups import group_conjugate, pb_group_member, perm_group_of
+from .groups import _group_domain, pb_group_member, perm_group_of
 from .ctsolver import CTSolver
 from .slp import (NotGenerated, slp_eval, slp_to_text, slp_from_records,
                   slp_semilattice, slp_group, slp_clifford)
@@ -193,13 +193,14 @@ def cmd_slp(args):
             # decide membership first; the SLP search for a member
             # enumerates U, so then |U| must fit the cap
             if gs.model == "pb":
-                size = perm_group_of(gs)[0].order
                 member = pb_group_member(gs, t, word=False)[0]
             else:
                 cl = close(gs, args.cap)
-                size, member = len(cl), t in cl
+                member = t in cl
             if not member:
                 raise NotGenerated("target not in the generated group")
+            size = (perm_group_of(gs)[0].order if gs.model == "pb"
+                    else len(cl))
             if size > args.cap:
                 raise Refusal("group order %d exceeds the cap" % size)
             slp = slp_group(gs, t, cap=args.cap)
@@ -230,10 +231,10 @@ def cmd_transport(args):
     gs = _system_of(inst)
     ds = _require(inst.ds, "ds")
     dt = _require(inst.dt, "dt")
-    perm_group_of(gs)  # a U that is not a group is an input error
+    _group_domain(gs)  # a U that is not a group is an input error
     # a transporter is a conjugator of the partial identities on ds, dt
-    ok, u = group_conjugate(gs, partial_identity(gs.degree, ds),
-                            partial_identity(gs.degree, dt))
+    ok, u = solve("Group", "conj", gs, partial_identity(gs.degree, ds),
+                  partial_identity(gs.degree, dt))
     print("YES" if ok else "NO")
     if ok:
         print(formats.image_line("transporter", u))

@@ -58,9 +58,11 @@ class GeneratorSystem:
         # each idempotent (codes of codec, from the E(U) walk) and each
         # one's code by its domain bit mask, the
         # idempotents u u~ of the generators, the group BSGS (whose
-        # stabilizer chain also finds conjugators), Munn graphs by
-        # delta, bases by (delta, anchor), H-class records by (solver,
-        # e-hat), and by ("general", root) a D-class's reps and group
+        # stabilizer chain also finds conjugators), the orbit label of
+        # each point (read by every pb conj before any solver runs),
+        # Munn graphs by delta, bases by (delta, anchor), H-class
+        # records by (solver, e-hat), and by ("general", root) a
+        # D-class's reps and group
         self._closure = None
         self._over_cap = 0
         self._over_e_cap = 0
@@ -69,6 +71,7 @@ class GeneratorSystem:
         self._d_masks = None
         self._idempotents = None
         self._bsgs = None
+        self._orbit_labels = None
         self._munn = {}
         self._bases = {}
         self._hclasses = {}

@@ -1,6 +1,10 @@
 """Terminal solver for the group case: deterministic Schreier-Sims
 membership for permutation groups, the partial-bijection wrapper, and
-one backtrack for conjugators of partial maps and set transporters.
+one backtrack for conjugators of partial maps and set transporters;
+and the orbit-labelled cycle/chain signature that rules out conjugacy
+in any U of partial bijections before a group, Munn graph or D-class
+is built (cycle types first, as in Seress, Permutation Group
+Algorithms, 2003, ch. 9).
 
 Permutations are tuples p with x^p = p[x] (256-byte tables multiplied
 by bytes.translate inside a PermGroup on m < 256 points; point m is an
@@ -18,6 +22,7 @@ from collections import namedtuple
 from functools import cached_property
 
 from .pbij import PartialBijection
+from .search import reach
 
 ID256 = bytes(range(256))
 
@@ -332,15 +337,18 @@ def perm_group_of(gs):
 def pb_group_member(gs, t, word=True):
     """Membership for <Sigma> a group: domain test, then a sift on the
     common domain.  Returns (bool, witness word over Sigma or None); the
-    word is never empty, and is expanded only if `word` is true.
+    word is never empty, and is expanded only if `word` is true.  The
+    domain test comes first, so a target off the domain builds no BSGS.
     """
-    G, points = perm_group_of(gs)
+    # the common domain, read off one generator, as U is a group
+    points = [x for x, y in enumerate(gs.generators[0]) if y is not None]
     pos = dict(zip(points, range(len(points))))
     q = [pos.get(t[x]) for x in points]
     # t maps the domain into itself, so onto it, as t is injective; it
     # is then undefined elsewhere iff it has no other defined point
     if None in q or len(t) - t.count(None) != len(q):
         return False, None
+    G = perm_group_of(gs)[0]
     ok, w = G.contains(q, word)
     if w == ():
         # the sift spells the identity as (); u u~ is the same element
@@ -381,3 +389,61 @@ def group_conjugate(gs, s, t):
     assert gs.mul(gs.mul(ub, s), u) == t
     assert gs.mul(gs.mul(u, t), ub) == s
     return True, u
+
+
+# -- conjugation signatures -----------------------------------------------
+
+
+def orbit_labels(gs):
+    """The label of each point under U = <Sigma>, as a tuple: the least
+    point of its <Sigma>-orbit, so a point no generator touches labels
+    itself.  Computed from Sigma once per system."""
+    if gs._orbit_labels is None:
+        labels = list(range(gs.degree))
+        for x in range(gs.degree):
+            if labels[x] == x:  # the least point of an orbit not yet seen
+                for y in reach([x], gs.generators):
+                    labels[y] = x
+        gs._orbit_labels = tuple(labels)
+    return gs._orbit_labels
+
+
+def conj_signature(p, labels):
+    """The sorted list of (cyclic?, label sequence) over the components
+    of the graph of the partial map p: a chain read from its start, a
+    cycle at its least rotation, each point x read as labels[x].
+
+    With `orbit_labels(gs)`, conjugates in U share it, in any U <= I_n:
+    if u~ s u = t and u t u~ = s for some u in U (s != t), then u is
+    defined on dom s | ran s and (a, a^s) -> (a^u, (a^s)^u) carries
+    graph(s) onto graph(t) (`munn.general_conjugate`), so u maps each
+    component of s onto one of t of the same kind, point by point in
+    order; and x and x^u lie in one <Sigma>-orbit, as u is a product of
+    generators.  Cost O(n) for n points, and O(k^2) for a k-cycle only
+    where its labels differ.
+    """
+    left = {x for x, y in enumerate(p) if y is not None}
+    sig = []
+    for x in left - set(p):  # the chains, each from its start
+        left.discard(x)
+        seq = [labels[x]]
+        y = p[x]
+        while y is not None:
+            left.discard(y)
+            seq.append(labels[y])
+            y = p[y]
+        sig.append((False, tuple(seq)))
+    while left:  # the cycles
+        x = left.pop()
+        seq = [labels[x]]
+        y = p[x]
+        while y != x:
+            left.discard(y)
+            seq.append(labels[y])
+            y = p[y]
+        if seq.count(seq[0]) < len(seq):
+            m = min(seq)
+            seq = min(seq[i:] + seq[:i] for i, a in enumerate(seq) if a == m)
+        sig.append((True, tuple(seq)))
+    sig.sort()
+    return sig

@@ -4,12 +4,16 @@ minimal dominating idempotents, membership and conjugacy in a General U
 from its D-classes of idempotents, general conjugacy over the closure,
 and the dispatcher that routes an instance to the matching solver.
 
-The Clifford, strict inverse and D-class solvers end in a call to the
-group solver on a single H-class.  On the auto route a General U is
-decided from E(U), which the classification already walked, and the
-maximal subgroup (Schutzenberger group) of one D-class, built once per
-class; U itself is never enumerated there (East, Egri-Nagy, Mitchell
-and Peresse, Computing finite semigroups, J. Symbolic Comput. 2019).
+The dispatcher first compares a pb conjugacy pair s != t by its
+orbit-labelled cycle/chain signature (`groups.conj_signature`) and
+answers NO where they differ, before any solver below builds a Munn
+graph, a D-class, a group or the closure.  The Clifford, strict
+inverse and D-class solvers end in a call to the group solver on a
+single H-class.  On the auto route a General U is decided from E(U),
+which the classification already walked, and the maximal subgroup
+(Schutzenberger group) of one D-class, built once per class; U itself
+is never enumerated there (East, Egri-Nagy, Mitchell and Peresse,
+Computing finite semigroups, J. Symbolic Comput. 2019).
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from .oracle import ClosureCapExceeded, ELEMENT_CAP, close, naive_member
 from .classify import (E_CAP_EXCEEDED, VarietyTag, classify_generated,
                        idempotent_steps)
 from .gensys import GeneratorSystem
-from .groups import pb_group_member, group_conjugate, perm_group_of
+from .groups import (conj_signature, group_conjugate, orbit_labels,
+                     pb_group_member, perm_group_of)
 from .search import UnionFind, reach
 
 
@@ -608,12 +613,6 @@ def semilattice_member(gs, t):
     return gs.is_idempotent(t) and idempotent_meet(gs, gs.generators, t) == t
 
 
-def semilattice_conjugate(gs, s, t):
-    if s == t:
-        return True, gs.one
-    return False, None
-
-
 # -- dispatcher ------------------------------------------------------------
 
 # does a tag put U at or below the variety of an explicit solver?
@@ -672,15 +671,26 @@ def solve(variety, query, gs, *xs, cap=ELEMENT_CAP, explain=None,
     solvers: they spell no member word, and they decide a General U of
     partial bijections from E(U) and one D-class (`dclass_member`,
     `dclass_conjugate`), where the named solver reads the closure and
-    answers as the oracle does.  The solvers are looked up when called,
-    so a rebound module attribute (a tracing wrapper) is the one that
-    runs."""
+    answers as the oracle does.  A pb "conj" with s != t is first ruled
+    out where s and t differ in `groups.conj_signature` over U's orbit
+    labels, before any group, Munn graph, D-class or closure is built;
+    the check only ever answers NO.  The solvers are looked up when
+    called, so a rebound module attribute (a tracing wrapper) is the one
+    that runs."""
     if explain is not None:
         explain["solver"] = SOLVERS[variety]
     member = query == "member"
+    if not member and xs[0] == xs[1]:
+        return True, gs.one
     if variety in ("Trivial", "Semilattice"):
-        return ((semilattice_member(gs, *xs), None) if member
-                else semilattice_conjugate(gs, *xs))
+        # commuting idempotents: u s u = s u = t and t u = s give s = t
+        return (semilattice_member(gs, *xs) if member else False), None
+    if not member and gs.model == "pb":
+        labels = orbit_labels(gs)
+        if conj_signature(xs[0], labels) != conj_signature(xs[1], labels):
+            if explain is not None:
+                explain["signature"] = "differs"
+            return False, None
     if variety == "Group":
         return (pb_group_member(gs, *xs, word=not auto) if member
                 else group_conjugate(gs, *xs))

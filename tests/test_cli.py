@@ -1182,23 +1182,34 @@ def test_explain_survives_a_refusal(tmp_path, capsys):
 def test_explain_names_the_deciding_dclass_on_the_general_route(
         tmp_path, capsys):
     # I_8 (as above) answers at cap 300 from E(U): the identity is the
-    # one idempotent of its D-class, with H-class S_8; a rank-7
-    # idempotent and a partial transposition share the D-class of the
-    # eight rank-7 idempotents, with H-class S_7, and are not conjugate
-    path = _write(tmp_path, "i8.pb", "pb 8\ngen 2 3 4 5 6 7 8 1\n"
-                  "gen 2 1 3 4 5 6 7 8\ngen 1 2 3 4 5 6 7 _\n"
-                  "target 1 2 3 4 5 6 7 8\ns 1 2 3 4 5 6 7 _\n"
-                  "t 2 1 3 4 5 6 7 _\n")
+    # one idempotent of its D-class, with H-class S_8, and two rank-7
+    # idempotents share the D-class of the eight rank-7 idempotents,
+    # with H-class S_7, and are conjugate.  A rank-7 idempotent and a
+    # partial transposition differ in their cycle types, so their
+    # signatures decide NO before any D-class is built; I_8 holds every
+    # partial bijection on 8 points, so no pair of it that is not
+    # conjugate shares a signature
+    records = ("pb 8\ngen 2 3 4 5 6 7 8 1\ngen 2 1 3 4 5 6 7 8\n"
+               "gen 1 2 3 4 5 6 7 _\ntarget 1 2 3 4 5 6 7 8\n"
+               "s 1 2 3 4 5 6 7 _\n")
+    path = _write(tmp_path, "i8.pb", records + "t 2 1 3 4 5 6 7 _\n")
+    same = _write(tmp_path, "i8_same.pb", records + "t _ 2 3 4 5 6 7 8\n")
     head = ["classified_by: idempotents"]
     tail = ["idempotents: 256", "solver: general", "variety: General"]
-    for cmd, answer, size, order in (("member", "YES", 1, 40320),
-                                     ("conj", "NO", 8, 5040)):
-        code, out, err = run(capsys, cmd, path, "--cap", "300", "--explain")
-        assert (code, out) == (0, answer + "\n")
+    for cmd, file, answer, size, order in (
+            ("member", path, "YES", 1, 40320), ("conj", same, "YES", 8, 5040)):
+        code, out, err = run(capsys, cmd, file, "--cap", "300", "--explain")
+        assert (code, out.splitlines()[0]) == (0, answer)
         assert err.splitlines() == head + [
             "dclass_idempotents: %d" % size, "hclass_order: %d" % order
         ] + tail, cmd
-        assert run(capsys, cmd, path, "--cap", "300") == (0, out, "")
+        assert run(capsys, cmd, file, "--cap", "300") == (0, out, "")
+    code, out, err = run(capsys, "conj", path, "--cap", "300", "--explain")
+    assert (code, out) == (0, "NO\n")
+    assert err.splitlines() == head + [
+        "idempotents: 256", "signature: differs", "solver: general",
+        "variety: General"]
+    assert run(capsys, "conj", path, "--cap", "300") == (0, out, "")
     # an idempotent outside E(U) meets no D-class, so neither key
     # appears: <S_3 fixing 4, the identity on {1,2}> holds no map with
     # domain {1,2,3}

@@ -464,3 +464,53 @@ def test_no_word_is_expanded_unless_printed(tmp_path, capsys, monkeypatch):
     assert main(["member", str(path), "--solver", "group"]) == 0
     assert calls == [1]
     assert capsys.readouterr().out.count("YES") == 4
+
+
+def _count_group_builds(monkeypatch):
+    built = []
+    perm_init = PermGroup.__init__
+    monkeypatch.setattr(PermGroup, "__init__",
+                        lambda G, *a: built.append(G) or perm_init(G, *a))
+    return built
+
+
+def test_a_target_off_the_domain_builds_no_group(tmp_path, capsys,
+                                                 monkeypatch):
+    # S_4 on {1, 2, 3, 4}, undefined at 5: a target defined at 5 is off
+    # the group's domain, so member and slp answer NO before any BSGS is
+    # built; a target on the domain is sifted
+    built = _count_group_builds(monkeypatch)
+    gens = "pb 5\ngen 2 3 4 1 _\ngen 2 1 3 4 _\n"
+    off = tmp_path / "off.pb"
+    off.write_text(gens + "target 2 1 3 4 5\n")
+    for argv in (["member", str(off)], ["slp", str(off)],
+                 ["member", str(off), "--solver", "group"]):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "NO"
+    gs = GeneratorSystem([PartialBijection(5, (1, 2, 3, 0, None)),
+                          PartialBijection(5, (1, 0, 2, 3, None))], degree=5)
+    assert pb_group_member(gs, PartialBijection(5, (1, 0, 2, None, None))) \
+        == (False, None)
+    assert built == [] and gs._bsgs is None
+    on = tmp_path / "on.pb"
+    on.write_text(gens + "target 4 3 2 1 _\n")
+    assert main(["member", str(on)]) == 0
+    assert capsys.readouterr().out == "YES\n" and len(built) == 1
+
+
+def test_transport_rules_out_sets_that_meet_the_orbits_differently(
+        tmp_path, capsys, monkeypatch):
+    # S_4 x S_4 on {1..4} and {5..8}: {1, 2} and {1, 5} meet the two
+    # orbits in different counts, so no transporter exists and none is
+    # searched for; {1, 2} and {3, 4} need the group
+    built = _count_group_builds(monkeypatch)
+    path = tmp_path / "s4s4.pb"
+    gens = ("pb 8\ngen 2 3 4 1 5 6 7 8\ngen 2 1 3 4 5 6 7 8\n"
+            "gen 1 2 3 4 6 7 8 5\ngen 1 2 3 4 6 5 7 8\nds 1 2\n")
+    path.write_text(gens + "dt 1 5\n")
+    assert main(["transport", str(path)]) == 0
+    assert capsys.readouterr().out == "NO\n" and built == []
+    path.write_text(gens + "dt 3 4\n")
+    assert main(["transport", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("YES\ntransporter ") and len(built) == 1

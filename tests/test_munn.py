@@ -11,6 +11,7 @@ from invsem.gensys import GeneratorSystem
 from invsem.oracle import (ClosureCapExceeded, close, naive_member,
                            naive_conjugate)
 from invsem.classify import classify_generated, classify_from_generators
+from invsem.groups import conj_signature, orbit_labels
 from invsem.munn import (OutsideTractable, orbit_closure,
                          munn_graph, munn_dot, basis_at, hclass_generators,
                          sis_min_idempotent, clifford_min_idempotent,
@@ -735,3 +736,111 @@ def test_general_auto_route_on_i10_never_enumerates():
     assert dispatch_member(gs, u)
     assert dispatch_conjugate(gs, s, swap) == (False, None)
     assert gs._closure is None and gs._over_cap == 0
+
+
+# -- the conjugation signature ---------------------------------------------
+
+
+def _signature_pairs(rng, gs, elements):
+    """(s, u~ s u), a pair of random maps, and a near miss: u~ s u with
+    the images of two of its points swapped."""
+    n = gs.degree
+    s, u = rng.choice(elements), rng.choice(elements)
+    t = gs.mul(gs.mul(gs.inv(u), s), u)
+    images = list(t)
+    defined = [x for x in range(n) if images[x] is not None]
+    if len(defined) >= 2:
+        a, b = rng.sample(defined, 2)
+        images[a], images[b] = images[b], images[a]
+    return [(s, t), (rand_pb(rng, n), rand_pb(rng, n)),
+            (s, PartialBijection(n, images))]
+
+
+def test_signature_rules_out_only_pairs_that_are_not_conjugate(monkeypatch):
+    # 2000 systems of every variety, 9 pairs each: a pair whose
+    # signatures differ is not conjugate by the oracle, and the
+    # dispatcher (which rules such pairs out first) agrees with the
+    # oracle on every pair, on the bytes kernel and again on the
+    # element kernel
+    rng = random.Random(28)
+    cases, names = [], set()
+    differ = same_no = 0
+    for gs, name in sample_systems(rng, 400, degrees=(2, 5),
+                                   closure_cap=300):
+        names.add(name)
+        elements = close(gs).elements
+        labels = orbit_labels(gs)
+        for s, t in [p for _ in range(3)
+                     for p in _signature_pairs(rng, gs, elements)]:
+            want = naive_conjugate(gs, s, t)[0]
+            if conj_signature(s, labels) != conj_signature(t, labels):
+                assert not want, (gs.generators, s, t)
+                differ += 1
+            else:
+                same_no += not want
+            cases.append((gs.generators, gs.degree, s, t, want))
+    assert len(cases) == 18000 and differ > 9000 and same_no > 30
+    assert names >= {"Semilattice", "Group", "Clifford", "StrictInverse",
+                     "General"}
+
+    def check(gens, n, s, t, want):
+        gs = GeneratorSystem(gens, degree=n)
+        ok, u = dispatch_conjugate(gs, s, t)
+        assert ok == want, (gens, s, t)
+        if ok:
+            ub = gs.inv(u)
+            assert gs.mul(gs.mul(ub, s), u) == t
+            assert gs.mul(gs.mul(u, t), ub) == s
+
+    for case in cases:
+        check(*case)
+    monkeypatch.setattr(BytesCodec, "max_degree", -1)
+    for case in cases:
+        check(*case)
+
+
+def test_equal_signatures_still_reach_the_group_search():
+    # A_5: (1 2 3 4 5) and (1 2 3 5 4) share a cycle type and the one
+    # orbit, so their signatures agree, but they lie in the two classes
+    # that the 5-cycles of S_5 split into
+    n = 5
+    gs = GeneratorSystem([PartialBijection(n, (1, 2, 3, 4, 0)),
+                          PartialBijection(n, (1, 2, 0, 3, 4))], degree=n)
+    s = PartialBijection(n, (1, 2, 3, 4, 0))
+    t = PartialBijection(n, (1, 2, 4, 0, 3))
+    labels = orbit_labels(gs)
+    assert labels == (0,) * n
+    assert conj_signature(s, labels) == conj_signature(t, labels)
+    explain = {}
+    assert dispatch_conjugate(gs, s, t, explain=explain) == (False, None)
+    assert "signature" not in explain and gs._bsgs is not None
+    assert naive_conjugate(gs, s, t) == (False, None)
+    assert dispatch_conjugate(gs, s, gs.mul(gs.mul(gs.inv(s), s), s))[0]
+
+
+def test_signature_answers_before_any_solver_cache_is_built():
+    # one pair per variety that the signature rules out: a 3-cycle
+    # against a transposition, or against three fixed points
+    S4 = [(1, 2, 3, 0), (1, 0, 2, 3)]
+    cases = (
+        ("Group", 4, S4, (1, 2, 0, 3), (1, 0, 2, 3)),
+        ("Clifford", 5, [(1, 2, 0, 3, 4), (1, 0, 2, 3, 4),
+                         (None, None, None, 4, 3)],
+         (1, 2, 0, 3, 4), (1, 0, 2, 3, 4)),
+        ("StrictInverse", 6, [(1, 2, 0, None, None, None),
+                              (3, 4, 5, None, None, None)],
+         (1, 2, 0, None, None, None), (0, 1, 2, None, None, None)),
+        ("General", 4, S4 + [(0, 1, 2, None)],
+         (1, 2, 0, None), (1, 0, None, None)),
+    )
+    for name, n, images, s, t in cases:
+        gs = GeneratorSystem([PartialBijection(n, g) for g in images],
+                             degree=n)
+        s, t = PartialBijection(n, s), PartialBijection(n, t)
+        explain = {}
+        assert dispatch_conjugate(gs, s, t, explain=explain) == (False, None)
+        assert (explain["variety"], explain["signature"]) == (name,
+                                                             "differs")
+        assert (gs._bsgs, gs._munn, gs._hclasses, gs._closure) == (
+            None, {}, {}, None), name
+        assert naive_conjugate(gs, s, t) == (False, None)
