@@ -27,7 +27,7 @@ from .classify import (E_CAP_EXCEEDED, VarietyTag, classify_generated,
 from .gensys import GeneratorSystem
 from .groups import (conj_signature, group_conjugate, orbit_labels,
                      pb_group_member, perm_group_of)
-from .search import UnionFind, reach
+from .search import UnionFind
 
 
 class OutsideTractable(Exception):
@@ -40,11 +40,15 @@ class OutsideTractable(Exception):
 
 def orbit_closure(gs, points):
     """X^<Sigma>: the points reachable from X in the Schreier graph,
-    restricted to points with an incident generator edge.
+    restricted to points with an incident generator edge.  Read off
+    `groups.orbit_labels`: the points that share a label with a touched
+    point of X (an untouched point labels itself, and no touched one
+    carries its label).
     """
     gens = gs.generators
-    return frozenset(reach([x for x in points
-                            if any(u[x] is not None for u in gens)], gens))
+    labels = orbit_labels(gs)
+    keep = {labels[x] for x in points if any(u[x] is not None for u in gens)}
+    return frozenset(y for y, a in enumerate(labels) if a in keep)
 
 
 def _require_invariant(gs, delta):
@@ -314,8 +318,9 @@ def clifford_member(gs, t):
 
 
 def clifford_conjugate(gs, s, t):
-    if s == t:
-        return True, gs.one
+    """Conjugacy in a Clifford U for s != t (`solve` answers s == t
+    with gs.one): one group search in the H-class of the least
+    idempotent above dom s | ran s | dom t | ran t."""
     join = partial_identity(gs.degree,
                             s.domain() | s.ran() | t.domain() | t.ran())
     ehat, in_u = clifford_min_idempotent(gs, join)
@@ -366,10 +371,11 @@ def sis_member(gs, t, explain=None):
 
 
 def sis_conjugate(gs, s, t, explain=None):
+    """Conjugacy in a strict inverse U for s != t (`solve` answers
+    s == t with gs.one): the Munn graph joins the least idempotents
+    above s and t, then one group search in the H-class."""
     mul = gs.mul
     inv = gs.inv
-    if s == t:
-        return True, gs.one
     e = partial_identity(gs.degree, s.domain() | s.ran())
     f = partial_identity(gs.degree, t.domain() | t.ran())
     ehat, in_e = sis_min_idempotent(gs, e)
@@ -507,8 +513,8 @@ def _least_above(gs, x):
 
 def dclass_conjugate(gs, s, t, explain=None):
     """Conjugacy in a General U from its D-classes of idempotents and one
-    group conjugacy search.  Returns (bool, conjugator or None); s == t
-    gives gs.one.  With A = dom s | ran s and B = dom t | ran t, let f
+    group conjugacy search, for s != t (`solve` answers s == t with
+    gs.one).  Returns (bool, conjugator or None).  With A = dom s | ran s and B = dom t | ran t, let f
     and g be the least idempotents of E(U) defined on A and on B (E(U)
     is closed under products).  Then s ~ t with s != t iff f and g share
     a root c and some h in H_c has h~ s' h = t' (so also h t' h~ = s'),
@@ -528,8 +534,6 @@ def dclass_conjugate(gs, s, t, explain=None):
     If: u = r_f~ h r_g lies in U, and u~ s u = r_g~ h~ s' h r_g =
     r_g~ t' r_g = g t g = t; likewise u t u~ = f s f = s.
     """
-    if s == t:
-        return True, gs.one
     ops = gs.codec
     roots = gs._d_roots
     assert roots is not None, "U must be classified General first"
@@ -577,11 +581,10 @@ def general_conjugate(gs, s, t, cap=ELEMENT_CAP):
     sends a to a^s; and any x in dom(u t u~) has (x^u, x^(ut)) in
     graph(t), so x is that a by injectivity of u: u t u~ = s.
 
-    Returns (bool, conjugator or None); s == t gives gs.one.  Raises
+    Takes s != t (`solve` answers s == t with gs.one, as the oracle
+    does).  Returns (bool, conjugator or None).  Raises
     ClosureCapExceeded when U has more than `cap` elements.
     """
-    if s == t:
-        return True, gs.one
     cl = close(gs, cap)
     pairs = [(a, b) for a, b in enumerate(s) if b is not None]
     if len(pairs) != len(t) - t.count(None):
@@ -681,6 +684,7 @@ def solve(variety, query, gs, *xs, cap=ELEMENT_CAP, explain=None,
         explain["solver"] = SOLVERS[variety]
     member = query == "member"
     if not member and xs[0] == xs[1]:
+        # the identity of U^1; every conjugacy solver below takes s != t
         return True, gs.one
     if variety in ("Trivial", "Semilattice"):
         # commuting idempotents: u s u = s u = t and t u = s give s = t

@@ -1196,14 +1196,19 @@ def test_explain_names_the_deciding_dclass_on_the_general_route(
     same = _write(tmp_path, "i8_same.pb", records + "t _ 2 3 4 5 6 7 8\n")
     head = ["classified_by: idempotents"]
     tail = ["idempotents: 256", "solver: general", "variety: General"]
+    # the conjugator shifts each point up by one: 1..7 onto 2..8
     for cmd, file, answer, size, order in (
-            ("member", path, "YES", 1, 40320), ("conj", same, "YES", 8, 5040)):
+            ("member", path, "YES\n", 1, 40320),
+            ("conj", same, "YES\nconjugator 2 3 4 5 6 7 8 _\n", 8, 5040)):
         code, out, err = run(capsys, cmd, file, "--cap", "300", "--explain")
-        assert (code, out.splitlines()[0]) == (0, answer)
+        assert (code, out) == (0, answer)
         assert err.splitlines() == head + [
             "dclass_idempotents: %d" % size, "hclass_order: %d" % order
         ] + tail, cmd
         assert run(capsys, cmd, file, "--cap", "300") == (0, out, "")
+    answer = _write(tmp_path, "i8_same.ans", out)
+    assert run(capsys, "verify", "conj", same, answer, "--cap", "300") == (
+        0, "OK\n", "")
     code, out, err = run(capsys, "conj", path, "--cap", "300", "--explain")
     assert (code, out) == (0, "NO\n")
     assert err.splitlines() == head + [

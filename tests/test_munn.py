@@ -148,7 +148,9 @@ def test_sis_conjugate_vs_oracle_with_witness():
             s = rng.choice(elements)
             t = rng.choice(elements)
             expected, _ = naive_conjugate(gs, s, t)
-            ok, u = sis_conjugate(gs, s, t)
+            # solve answers s == t; the solver takes s != t
+            ok, u = (solve("StrictInverse", "conj", gs, s, t) if s == t
+                     else sis_conjugate(gs, s, t))
             assert ok == expected
             if ok:
                 ub = gs.inv(u)
@@ -545,10 +547,10 @@ def test_explicit_hint_rejects_a_system_outside_its_variety():
 
 def test_general_conjugate_matches_oracle_on_all_of_i3():
     # the transport test returns the oracle's answer and conjugator on
-    # every pair of I_3, whatever the generators
+    # every pair s != t of I_3, whatever the generators
     rng = random.Random(10)
     pairs = [(s, t) for s in all_partial_bijections(3)
-             for t in all_partial_bijections(3)]
+             for t in all_partial_bijections(3) if s != t]
     varieties = set()
     for _ in range(30):
         gs = GeneratorSystem([rand_pb(rng, 3)
@@ -567,9 +569,11 @@ def test_general_conjugate_matches_oracle_across_the_bytes_threshold():
         yes = 0
         for s in elements[::15]:
             for t in elements:
+                if s == t:
+                    continue
                 want = naive_conjugate(gs, s, t)
                 assert general_conjugate(gs, s, t) == want
-                yes += want[0] and s != t
+                yes += want[0]
         assert yes > 10
 
 
@@ -596,12 +600,29 @@ def test_general_conjugate_matches_oracle_on_conjugate_pairs():
                 e = gs.mul(u, gs.inv(u))
                 s = gs.mul(gs.mul(e, rng.choice(elements)), e)
                 t = gs.mul(gs.mul(gs.inv(u), s), u)
+                if s == t:
+                    continue
                 for a, b in ((s, t), (t, s)):
                     want = naive_conjugate(gs, a, b)
                     assert general_conjugate(gs, a, b) == want
                     assert want[0]
-                    yes += a != b
+                    yes += 1
     assert yes > 150
+
+
+def test_solve_answers_s_equals_t_by_the_identity_of_u1():
+    # s == t is conjugate by the identity of U^1 on every route, also
+    # where no element of U fixes s; the solvers behind solve take s != t
+    rng = random.Random(29)
+    for gs, name in sample_systems(rng, 3, degrees=(2, 5), closure_cap=300):
+        s = rand_pb(rng, gs.degree)
+        for variety in {name, "General"}:
+            for auto in (False, True):
+                explain = {}
+                assert solve(variety, "conj", gs, s, s, explain=explain,
+                             auto=auto) == (True, gs.one)
+                assert explain == {"solver": SOLVERS[variety]}
+        assert naive_conjugate(gs, s, s) == (True, gs.one)
 
 
 def test_repeated_clifford_conjugate_reads_cached_idempotents(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from invsem.classify import classify_generated
 from invsem.pbij import BytesCodec, PartialBijection
 from invsem.gensys import GeneratorSystem
-from invsem.munn import general_conjugate
+from invsem.munn import general_conjugate, solve
 from invsem.oracle import (ClosureCapExceeded, close, naive_member,
                            naive_conjugate, naive_green, naive_green_leq)
 
@@ -124,7 +124,9 @@ def _kernel_answers(gens, n, pairs):
     tag = classify_generated(gs)
     return (gs.codec is BytesCodec, cl.codec is gs.codec, cl.elements,
             [cl.word_for(x) for x in cl.elements], tag, tag.idempotents,
-            [general_conjugate(gs, s, t) for s, t in pairs],
+            # solve answers s == t; general_conjugate takes s != t
+            [solve("General", "conj", gs, s, t) if s == t
+             else general_conjugate(gs, s, t) for s, t in pairs],
             [naive_conjugate(gs, s, t) for s, t in pairs],
             [naive_green_leq(gs, s, t, r) for s, t in pairs[:4]
              for r in "RLJ"])
