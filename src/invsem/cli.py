@@ -21,7 +21,8 @@ from .groups import _group_domain, pb_group_member, perm_group_of
 from .ctsolver import CTSolver
 from .slp import (NotGenerated, slp_eval, slp_to_text, slp_from_records,
                   slp_semilattice, slp_group, slp_clifford)
-from .munn import OutsideTractable, SOLVERS, dispatch_member, route, solve
+from .munn import (OutsideTractable, VARIETY_OF, dispatch_member, route,
+                   solve)
 from .automata import (InverseAutomaton, ProductCapExceeded,
                        intersect_nonempty)
 from .hardness import (gen_ugap_conj, gen_ugap_member, gen_ncl_conj,
@@ -104,7 +105,7 @@ def _decide(args, query):
     """member or conj on a pb or ct file: run the solver that --solver
     names (for auto: ct-greedy on a ct file, the solver of U's variety on
     a pb file) and print the answer and its witness.  An explicit pb
-    solver other than general runs only where U lies in its variety."""
+    solver runs only where U lies in its variety."""
     inst = _load(args.file)
     model = ("pb" if isinstance(inst, PBInstance)
              else "ct" if isinstance(inst, CTInstance) else None)
@@ -136,8 +137,8 @@ def _decide(args, query):
                 variety = route(gs, solver, args.cap, explain)
             except ValueError as exc:
                 raise CLIError("--solver %s: %s" % (solver, exc))
-            ok, w = solve(variety, query, gs, *xs, cap=args.cap,
-                          explain=explain, auto=solver == "auto")
+            ok, w = solve(variety, query, gs, *xs, explain=explain,
+                          word=solver != "auto")
     finally:
         # also when the solver refuses: the route is known by then
         if explain is not None:
@@ -603,8 +604,7 @@ def _file_args(sub):
 def _decision_args(sub):
     sub.add_argument("file")
     sub.add_argument("--solver", default="auto",
-                     choices=["auto", "oracle", "ct-greedy",
-                              *dict.fromkeys(SOLVERS.values())])
+                     choices=["auto", "oracle", "ct-greedy", *VARIETY_OF])
     sub.add_argument("--explain", action="store_true")
 
 

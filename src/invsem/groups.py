@@ -416,11 +416,27 @@ def conj_signature(p, labels):
     With `orbit_labels(gs)`, conjugates in U share it, in any U <= I_n:
     if u~ s u = t and u t u~ = s for some u in U (s != t), then u is
     defined on dom s | ran s and (a, a^s) -> (a^u, (a^s)^u) carries
-    graph(s) onto graph(t) (`munn.general_conjugate`), so u maps each
+    graph(s) onto graph(t), by the transport lemma below, so u maps each
     component of s onto one of t of the same kind, point by point in
     order; and x and x^u lie in one <Sigma>-orbit, as u is a product of
     generators.  Cost O(n) for n points, and O(k^2) for a k-cycle only
     where its labels differ.
+
+    Transport lemma: u~ s u = t and u t u~ = s  iff  |dom s| = |dom t|
+    and, for every a in dom s, u is defined at a and at a^s with
+    (a^u)^t = (a^s)^u.
+    Only if: a in dom s = dom(u t u~) puts a in dom u, a^u in dom t and
+    (a^u)^t in ran u with ((a^u)^t)^u~ = a^s, so u is defined at a^s and
+    (a^s)^u = (a^u)^t.  Conjugation by u and u~ cannot raise the rank,
+    so |dom s| = |dom t|.
+    If: the map (a, a^s) -> (a^u, (a^s)^u) sends graph(s) into graph(t)
+    and is injective because u is; the graphs have equal size, so it is
+    onto.  graph(u~ s u) is the set of (b^u, (b^s)^u) over the b in
+    dom s with b and b^s in dom u.  These are all of dom s, so graph(u~ s
+    u) is the image of graph(s), which is graph(t): u~ s u = t.  Each
+    (c, c^t) of graph(t) is (a^u, (a^s)^u) for one a in dom s, so u t u~
+    sends a to a^s; and any x in dom(u t u~) has (x^u, x^(ut)) in
+    graph(t), so x is that a by injectivity of u: u t u~ = s.
     """
     left = {x for x, y in enumerate(p) if y is not None}
     sig = []

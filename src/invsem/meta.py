@@ -48,10 +48,10 @@ def mgs_decide(gs, k, cap=ELEMENT_CAP):
     `hardness.gen_mgs` instance whose target is a member, where every
     maximal class is forced) the decision is that one closure.
     """
+    if k <= 0:  # U holds its generators: the empty set does not generate it
+        return False, None
     cl = close(gs, cap)
     full_n = len(cl)
-    if k <= 0:
-        return False, None
 
     # The whole search runs over closure indices, and only the witness
     # is decoded; cols[b][a] is the index of elements[a] * elements[b].

@@ -1,19 +1,20 @@
 """Reductions for Clifford and strict inverse semigroups of partial
 bijections: orbit closures, Munn graphs, bases, H-class generators,
 minimal dominating idempotents, membership and conjugacy in a General U
-from its D-classes of idempotents, general conjugacy over the closure,
-and the dispatcher that routes an instance to the matching solver.
+from its D-classes of idempotents, and the dispatcher that routes an
+instance to the matching solver.
 
 The dispatcher first compares a pb conjugacy pair s != t by its
 orbit-labelled cycle/chain signature (`groups.conj_signature`) and
 answers NO where they differ, before any solver below builds a Munn
-graph, a D-class, a group or the closure.  The Clifford, strict
-inverse and D-class solvers end in a call to the group solver on a
-single H-class.  On the auto route a General U is decided from E(U),
-which the classification already walked, and the maximal subgroup
-(Schutzenberger group) of one D-class, built once per class; U itself
-is never enumerated there (East, Egri-Nagy, Mitchell and Peresse,
-Computing finite semigroups, J. Symbolic Comput. 2019).
+graph, a D-class or a group.  The Clifford, strict inverse and D-class
+solvers end in a call to the group solver on a single H-class.  A
+General U is decided from E(U), which the classification already
+walked, and the maximal subgroup (Schutzenberger group) of one D-class,
+built once per class; U itself is never enumerated here (East,
+Egri-Nagy, Mitchell and Peresse, Computing finite semigroups,
+J. Symbolic Comput. 2019).  So the one refusal left is the cap on E(U),
+where it cuts off the StrictInverse/General split.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .pbij import identity, partial_identity
-from .oracle import ClosureCapExceeded, ELEMENT_CAP, close, naive_member
+from .oracle import ELEMENT_CAP
 from .classify import (E_CAP_EXCEEDED, VarietyTag, classify_generated,
                        idempotent_steps)
 from .gensys import GeneratorSystem
@@ -31,8 +32,9 @@ from .search import UnionFind
 
 
 class OutsideTractable(Exception):
-    """The instance fell through to the brute-force route and exceeded
-    its cap."""
+    """E(U) passed the cap, which cuts off the StrictInverse/General
+    split: the one refusal of the routes here, none of which enumerates
+    U."""
 
 
 # -- orbits ----------------------------------------------------------------
@@ -556,57 +558,6 @@ def dclass_conjugate(gs, s, t, explain=None):
     return True, u
 
 
-# -- general conjugacy over the closure ------------------------------------
-
-
-def general_conjugate(gs, s, t, cap=ELEMENT_CAP):
-    """Relative conjugacy for any U: the first u of the closure, in
-    enumeration order, with u~ s u = t and u t u~ = s, so the answer and
-    conjugator are those of oracle.naive_conjugate.  Each u costs an
-    index test instead of four products:
-
-    u~ s u = t and u t u~ = s  iff  |dom s| = |dom t| and, for every a
-    in dom s, u is defined at a and at a^s with (a^u)^t = (a^s)^u.
-
-    Only if: a in dom s = dom(u t u~) puts a in dom u, a^u in dom t and
-    (a^u)^t in ran u with ((a^u)^t)^u~ = a^s, so u is defined at a^s and
-    (a^s)^u = (a^u)^t.  Conjugation by u and u~ cannot raise the rank,
-    so |dom s| = |dom t|.
-    If: the map (a, a^s) -> (a^u, (a^s)^u) sends graph(s) into graph(t)
-    and is injective because u is; the graphs have equal size, so it is
-    onto.  graph(u~ s u) is the set of (b^u, (b^s)^u) over the b in
-    dom s with b and b^s in dom u.  These are all of dom s, so graph(u~ s
-    u) is the image of graph(s), which is graph(t): u~ s u = t.  Each
-    (c, c^t) of graph(t) is (a^u, (a^s)^u) for one a in dom s, so u t u~
-    sends a to a^s; and any x in dom(u t u~) has (x^u, x^(ut)) in
-    graph(t), so x is that a by injectivity of u: u t u~ = s.
-
-    Takes s != t (`solve` answers s == t with gs.one, as the oracle
-    does).  Returns (bool, conjugator or None).  Raises
-    ClosureCapExceeded when U has more than `cap` elements.
-    """
-    cl = close(gs, cap)
-    pairs = [(a, b) for a, b in enumerate(s) if b is not None]
-    if len(pairs) != len(t) - t.count(None):
-        return False, None
-    # scan the codes, and decode only the u returned
-    codec = cl.codec
-    undefined, tt = codec.undefined, codec.right(codec.encode(t))
-    for i, u in enumerate(cl.codes):
-        for a, b in pairs:
-            x = u[a]
-            y = u[b]
-            if x == undefined or y == undefined or tt[x] != y:
-                break
-        else:
-            u = cl.element(i)
-            mul = gs.mul
-            ub = gs.inv(u)
-            assert mul(mul(ub, s), u) == t and mul(mul(u, t), ub) == s
-            return True, u
-    return False, None
-
-
 # -- semilattice fast path -------------------------------------------------
 
 
@@ -626,23 +577,23 @@ _HOLDS = {
     "StrictInverse": VarietyTag.is_strict_inverse,
 }
 
-# the solver that is exact on each variety
+# the solver of each variety, as --explain names it; all but general
+# are also explicit solvers (VARIETY_OF)
 SOLVERS = {"Trivial": "semilattice", "Semilattice": "semilattice",
            "Group": "group", "Clifford": "clifford", "StrictInverse": "sis",
            "General": "general"}
-# the variety each solver is named for: semilattice stands for Semilattice
-_VARIETY_OF = {name: v for v, name in SOLVERS.items()}
+# the variety each explicit solver is named for: semilattice stands for
+# Semilattice
+VARIETY_OF = {SOLVERS[v]: v for v in _HOLDS}
 
 
 def route(gs, solver="auto", cap=ELEMENT_CAP, explain=None):
     """The variety whose solver decides the instance, for `solver`
-    "auto" or a name in SOLVERS.  auto takes the classification of U;
-    general is exact on every U and skips it; any other solver is taken
-    only where U lies at or below its variety: a ValueError if not.
-    OutsideTractable where the cap on E(U) cut off the
-    StrictInverse/General split that auto or sis needs."""
-    if solver == "general":
-        return "General"
+    "auto" or a name in VARIETY_OF.  auto takes the classification of U;
+    an explicit solver is taken only where U lies at or below its
+    variety: a ValueError if not.  OutsideTractable where the cap on
+    E(U) cut off the StrictInverse/General split that auto or sis
+    needs."""
     tag = classify_generated(gs, cap)
     if solver == "auto":
         if explain is not None:
@@ -654,7 +605,7 @@ def route(gs, solver="auto", cap=ELEMENT_CAP, explain=None):
         if tag.cap_exceeded:
             raise OutsideTractable(E_CAP_EXCEEDED % cap)
         return tag.name
-    variety = _VARIETY_OF[solver]
+    variety = VARIETY_OF[solver]
     if not _HOLDS[variety](tag):
         if tag.cap_exceeded and variety == "StrictInverse":
             raise OutsideTractable(E_CAP_EXCEEDED % cap + ", while checking "
@@ -665,21 +616,17 @@ def route(gs, solver="auto", cap=ELEMENT_CAP, explain=None):
     return variety
 
 
-def solve(variety, query, gs, *xs, cap=ELEMENT_CAP, explain=None,
-          auto=False):
+def solve(variety, query, gs, *xs, explain=None, word=False):
     """Decide `query` on U by the solver of `variety`: "member" with
     xs = (t,) or "conj" with xs = (s, t).  Returns (bool, witness or
-    None): a conjugator for conjugacy, and for Group and General
-    membership a word unless `auto`.  `auto` runs the auto route's
-    solvers: they spell no member word, and they decide a General U of
-    partial bijections from E(U) and one D-class (`dclass_member`,
-    `dclass_conjugate`), where the named solver reads the closure and
-    answers as the oracle does.  A pb "conj" with s != t is first ruled
-    out where s and t differ in `groups.conj_signature` over U's orbit
-    labels, before any group, Munn graph, D-class or closure is built;
-    the check only ever answers NO.  The solvers are looked up when
-    called, so a rebound module attribute (a tracing wrapper) is the one
-    that runs."""
+    None): a conjugator for conjugacy, and for Group membership a word
+    if `word` is set.  A General U of partial bijections is decided from
+    E(U) and one D-class (`dclass_member`, `dclass_conjugate`).  A pb
+    "conj" with s != t is first ruled out where s and t differ in
+    `groups.conj_signature` over U's orbit labels, before any group,
+    Munn graph or D-class is built; the check only ever answers NO.  The
+    solvers are looked up when called, so a rebound module attribute (a
+    tracing wrapper) is the one that runs."""
     if explain is not None:
         explain["solver"] = SOLVERS[variety]
     member = query == "member"
@@ -696,7 +643,7 @@ def solve(variety, query, gs, *xs, cap=ELEMENT_CAP, explain=None,
                 explain["signature"] = "differs"
             return False, None
     if variety == "Group":
-        return (pb_group_member(gs, *xs, word=not auto) if member
+        return (pb_group_member(gs, *xs, word=word) if member
                 else group_conjugate(gs, *xs))
     if variety == "Clifford":
         return ((clifford_member(gs, *xs), None) if member
@@ -704,26 +651,18 @@ def solve(variety, query, gs, *xs, cap=ELEMENT_CAP, explain=None,
     if variety == "StrictInverse":
         return ((sis_member(gs, *xs, explain=explain), None) if member
                 else sis_conjugate(gs, *xs, explain=explain))
-    if auto and gs.model == "pb":
-        return ((dclass_member(gs, *xs, explain=explain), None) if member
-                else dclass_conjugate(gs, *xs, explain=explain))
-    try:
-        if not member:
-            return general_conjugate(gs, *xs, cap)
-        ok, w = naive_member(gs, *xs, cap)
-        return ok, None if auto else w
-    except ClosureCapExceeded as exc:
-        raise OutsideTractable(str(exc))
+    return ((dclass_member(gs, *xs, explain=explain), None) if member
+            else dclass_conjugate(gs, *xs, explain=explain))
 
 
 def dispatch_member(gs, t, cap=ELEMENT_CAP, explain=None):
     """Route a partial-bijection membership instance by variety."""
     return solve(route(gs, "auto", cap, explain), "member", gs, t,
-                 cap=cap, explain=explain, auto=True)[0]
+                 explain=explain)[0]
 
 
 def dispatch_conjugate(gs, s, t, cap=ELEMENT_CAP, explain=None):
     """Route a partial-bijection conjugacy instance by variety.
     Returns (bool, conjugator or None)."""
     return solve(route(gs, "auto", cap, explain), "conj", gs, s, t,
-                 cap=cap, explain=explain, auto=True)
+                 explain=explain)

@@ -269,8 +269,6 @@ def _cube_doubling(gens, mul, inv, identity, target, cap):
         for x, m in list(cube.items()):
             cube[mul(x, h)] = m | bit
 
-    raise AssertionError("unreachable")
-
 
 def _emit_cube_slp(hdefs, final, gens):
     items = [("g", 0), ("i", 0), ("m", 0, 1)]  # identity at index 2

@@ -7,8 +7,9 @@ import random
 
 from invsem.pbij import PartialBijection, partial_identity, compose
 from invsem.gensys import GeneratorSystem
-from invsem.oracle import close, ClosureCapExceeded
+from invsem.oracle import close, ClosureCapExceeded, naive_conjugate
 from invsem.classify import classify_generated
+from invsem.munn import dispatch_conjugate
 
 
 def rand_pb(rng, n, p_defined=0.7):
@@ -134,6 +135,19 @@ def sample_systems(rng, per_kind, degrees=(2, 6), sig_max=4,
             out.append((gs, tag.name))
             made += 1
     return out
+
+
+def dispatched_as_the_oracle(gs, s, t):
+    """dispatch_conjugate on s, t: its answer must be the oracle's, and
+    a conjugator must satisfy both defining equations and lie in U^1."""
+    ok, u = dispatch_conjugate(gs, s, t)
+    assert ok == naive_conjugate(gs, s, t)[0], (s, t)
+    if ok:
+        ub = gs.inv(u)
+        assert gs.mul(gs.mul(ub, s), u) == t
+        assert gs.mul(gs.mul(u, t), ub) == s
+        assert u == gs.one or u in close(gs)
+    return ok, u
 
 
 def top_points_system(n):

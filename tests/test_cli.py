@@ -52,8 +52,7 @@ def test_classify(tmp_path, capsys):
 
 def test_member_pb_routes(tmp_path, capsys):
     path = _write(tmp_path, "g.pb", PB_GROUP)
-    for extra in ([], ["--solver", "oracle"], ["--solver", "group"],
-                  ["--solver", "general"]):
+    for extra in ([], ["--solver", "oracle"], ["--solver", "group"]):
         code, out, _ = run(capsys, "member", path, *extra)
         assert code == 0
         assert out.splitlines()[0] == "YES"
@@ -819,7 +818,7 @@ def test_ct_files_reject_pb_solvers_and_wrong_model(tmp_path, capsys):
     ct = _write(tmp_path, "y2.ct", CT_Y2)
     pb = _write(tmp_path, "s.pb", PB_SEMILATTICE)
     for cmd in ("member", "conj"):
-        for solver in ("semilattice", "group", "clifford", "sis", "general"):
+        for solver in ("semilattice", "group", "clifford", "sis"):
             code, out, err = run(capsys, cmd, ct, "--solver", solver)
             assert code == 2 and out == "" and "does not apply" in err
             assert "ct instances" in err
@@ -877,12 +876,13 @@ def test_cap_honoured_on_every_pb_route(tmp_path, capsys):
     # so s and t are not conjugate
     path = _write(tmp_path, "c.pb", PB_GROUP + "s 2 3 1\nt 3 1 2\n")
     for cmd, answer in (("member", "YES"), ("conj", "NO")):
-        for extra in (["--solver", "oracle"], ["--solver", "general"]):
-            code, out, err = run(capsys, cmd, path, "--cap", "1", *extra)
-            assert code == 1 and out == "", (cmd, extra)
-            assert "refused" in err
-            code, out, _ = run(capsys, cmd, path, "--cap", "3", *extra)
-            assert code == 0 and out.splitlines()[0] == answer, (cmd, extra)
+        code, out, err = run(capsys, cmd, path, "--cap", "1", "--solver",
+                             "oracle")
+        assert code == 1 and out == "", cmd
+        assert "refused" in err
+        code, out, _ = run(capsys, cmd, path, "--cap", "3", "--solver",
+                           "oracle")
+        assert code == 0 and out.splitlines()[0] == answer, cmd
         # the auto route recognises the group from its generators
         code, out, _ = run(capsys, cmd, path, "--cap", "1")
         assert code == 0 and out.splitlines()[0] == answer, cmd
@@ -918,10 +918,9 @@ def test_cap_binds_on_idempotents_before_the_closure(tmp_path, capsys):
             "variety: StrictInverse"} <= set(err.splitlines())
     assert run(capsys, "conj", path, "--cap", "10")[:2] == (
         0, "YES\nconjugator 4 5 6 _ _ _\n")
-    for solver in ("general", "oracle"):
-        assert run(capsys, "member", path, "--cap", "10", "--solver",
-                   solver) == (1, "", "refused: closure exceeded 10 "
-                                      "elements\n")
+    assert run(capsys, "member", path, "--cap", "10", "--solver",
+               "oracle") == (1, "", "refused: closure exceeded 10 "
+                                    "elements\n")
     # below |E(U)| the refusal names the idempotent cap and its figure
     refused = "refused: idempotent (E(U)) cap exceeded: more than 2 " \
               "idempotents"
@@ -979,7 +978,7 @@ def test_assume_hint_is_checked(tmp_path, capsys):
             code, out, err = run(capsys, cmd, path, "--solver", solver)
             assert code == 2 and out == "", (cmd, solver)
             assert "does not hold" in err and "Traceback" not in err
-        for extra in ([], ["--solver", "oracle"], ["--solver", "general"]):
+        for extra in ([], ["--solver", "oracle"]):
             code, out, _ = run(capsys, cmd, path, *extra)
             assert code == 0 and out.splitlines()[0] == "YES", extra
 
@@ -1032,7 +1031,8 @@ def test_verify_eqn_checks_assignment_in_constraint(tmp_path, capsys):
 
 def test_assume_rejected_where_not_honoured(tmp_path, capsys):
     # --assume is honoured nowhere now: it is unrecognized on every file
-    # and beside every route, and --solver general takes its one use
+    # and beside every route, and the auto route, which runs the General
+    # solver on a General U, takes its one use
     # Y2 generated by its zero is a semilattice, not a group
     ct = _write(tmp_path, "y2.ct", "ct 2\n0 1\n1 1\ngens 0\ntarget 1\n"
                 "s 0\nt 0\n")
@@ -1050,7 +1050,7 @@ def test_assume_rejected_where_not_honoured(tmp_path, capsys):
             assert (code, out) == (2, ""), (cmd, extra)
             assert err.endswith("invsem: error: unrecognized arguments: "
                                 "%s\n" % " ".join(extra[-2:])), err
-        code, out, _ = run(capsys, cmd, pb, "--solver", "general")
+        code, out, _ = run(capsys, cmd, pb)
         assert code == 0 and out.splitlines()[0] == "YES", cmd
 
 
@@ -1086,7 +1086,7 @@ def test_explicit_pb_solver_is_checked_like_assume(tmp_path, capsys):
                   "pb 3\ngen 2 3 1\ngen 2 1 3\ngen 1 2 _\ntarget 1 _ _\n"
                   "s 1 _ _\nt _ 2 _\n")
     for cmd in ("member", "conj"):
-        for extra in ([], ["--solver", "oracle"], ["--solver", "general"]):
+        for extra in ([], ["--solver", "oracle"]):
             code, out, _ = run(capsys, cmd, path, *extra)
             assert code == 0 and out.splitlines()[0] == "YES", extra
         for solver in ("semilattice", "group", "clifford", "sis"):
@@ -1100,24 +1100,34 @@ def test_explicit_pb_solver_is_checked_like_assume(tmp_path, capsys):
         assert code == 1 and out == "" and "refused" in err, cmd
 
 
-def test_general_conj_prints_what_the_oracle_prints(tmp_path, capsys):
+def test_general_conj_answers_what_the_oracle_answers(tmp_path, capsys):
     # U = <S_3, a rank-2 idempotent> is General: {1,2} and {2,3} are
     # conjugate idempotents, a transposition and an idempotent are not.
-    # --solver general prints the oracle's output; the auto route gives
-    # the oracle's answer with a conjugator of its own, which verifies
+    # The auto route gives the oracle's answer with a conjugator of its
+    # own, which verifies
     head = "pb 3\ngen 2 3 1\ngen 2 1 3\ngen 1 2 _\n"
     for pair, answer in (("s 1 2 _\nt _ 2 3\n", "YES"),
                          ("s 2 1 _\nt 1 2 _\n", "NO")):
         path = _write(tmp_path, "gen.pb", head + pair)
         code, out, _ = run(capsys, "conj", path, "--solver", "oracle")
         assert code == 0 and out.splitlines()[0] == answer
-        assert out == run(capsys, "conj", path, "--solver", "general")[1]
         code, auto, _ = run(capsys, "conj", path)
         assert code == 0 and auto.splitlines()[0] == answer
         assert (answer == "YES") == auto.startswith("YES\nconjugator ")
         saved = _write(tmp_path, "auto.out", auto)
         verdict = "OK\n" if answer == "YES" else "OK no witness to check\n"
         assert run(capsys, "verify", "conj", path, saved) == (0, verdict, "")
+
+
+def test_general_is_not_a_solver_choice(tmp_path, capsys):
+    # a General U has one solver, the auto route's; the oracle is the
+    # route that enumerates U
+    path = _write(tmp_path, "gen.pb", "pb 3\ngen 2 3 1\ngen 2 1 3\n"
+                  "gen 1 2 _\ntarget 1 _ _\ns 1 2 _\nt _ 2 3\n")
+    for cmd in ("member", "conj"):
+        code, out, err = run(capsys, cmd, path, "--solver", "general")
+        assert (code, out) == (2, ""), cmd
+        assert "invalid choice: 'general'" in err, err
 
 
 def test_explain_names_the_solver_on_every_route(tmp_path, capsys):
@@ -1133,7 +1143,6 @@ def test_explain_names_the_solver_on_every_route(tmp_path, capsys):
              (pb, ["--solver", "group"], "group"),
              (pb, ["--solver", "clifford"], "clifford"),
              (pb, ["--solver", "sis"], "sis"),
-             (pb, ["--solver", "general"], "general"),
              (semilattice, ["--solver", "semilattice"], "semilattice"),
              (pb, ["--solver", "oracle"], "oracle"),
              (ct, [], "ct-greedy"), (ct, ["--solver", "ct-greedy"], "ct-greedy"),
@@ -1295,7 +1304,7 @@ SOLVER_MATRIX = {
                 "s 1 2 _\nt _ 2 3\n", ()),
 }
 ROUTES = ("auto", "oracle", "ct-greedy", "semilattice", "group", "clifford",
-          "sis", "general")
+          "sis")
 
 
 def test_every_solver_on_every_variety(tmp_path, capsys):
@@ -1304,7 +1313,7 @@ def test_every_solver_on_every_variety(tmp_path, capsys):
     because the solver does not fit the file."""
     table, idx = brandt_table(3)
     files = {name: (_write(tmp_path, name + ".pb", text),
-                    {"auto", "oracle", "general", *solvers})
+                    {"auto", "oracle", *solvers})
              for name, (text, solvers) in SOLVER_MATRIX.items()}
     files["ct"] = (_write(tmp_path, "b3.ct", serialize(CTInstance(
         table, [idx[(0, 1)], idx[(1, 2)]], target=idx[(2, 0)],

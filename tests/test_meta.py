@@ -263,8 +263,16 @@ def test_maximal_class_cover_matches_brute_force_j_classes(monkeypatch):
 
 
 def test_mgs_zero_budget():
+    # U holds its generators, so k <= 0 is NO without enumerating U,
+    # also where U = <S_3, a rank-2 idempotent> is past a cap of 2
     gs = GeneratorSystem([PartialBijection(2, (1, 0))], degree=2)
     assert mgs_decide(gs, 0) == (False, None)
+    gens = [PartialBijection(3, (1, 2, 0)), PartialBijection(3, (1, 0, 2)),
+            PartialBijection(3, (0, 1, None))]
+    for k in (0, -1):
+        gs = GeneratorSystem(gens, degree=3)
+        assert mgs_decide(gs, k, cap=2) == (False, None)
+        assert gs._closure is None
 
 
 def test_equation_system_check_errors():
