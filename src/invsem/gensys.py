@@ -52,26 +52,29 @@ class GeneratorSystem:
         self.adjoined_identity = (
             self.model == "ct" and table.identity_index is None
         )
-        # lazy caches, kept for the life of the system: closure, the
-        # largest element cap it exceeded, the largest cap that E(U)
-        # exceeded, classification, on a General U the D-class root of
-        # each idempotent (codes of codec, from the E(U) walk) and each
-        # one's code by its domain bit mask, the
+        # lazy caches, kept for the life of the system, none keyed by
+        # query data: closure, the largest element cap it exceeded, the
+        # largest cap that E(U) exceeded, classification, on a General U
+        # the D-class root of each idempotent (codes of codec, from the
+        # E(U) walk) and their domain bit masks, the domain masks of the
         # idempotents u u~ of the generators, the group BSGS (whose
-        # stabilizer chain also finds conjugators), the orbit label of
-        # each point (read by every pb conj before any solver runs),
-        # Munn graphs by delta, bases by (delta, anchor), H-class
-        # records by (solver, e-hat), and by ("general", root) a
-        # D-class's reps and group
+        # stabilizer chain also finds conjugators) and the group
+        # domain's points with their positions, the orbit label of each
+        # point (read by every pb conj before any solver runs) and each
+        # point's orbit mask, Munn graphs by delta mask, bases by
+        # (delta, anchor), H-class records by (solver, e-hat mask), and
+        # by ("general", root) a D-class's reps and group
         self._closure = None
         self._over_cap = 0
         self._over_e_cap = 0
         self._variety = None
         self._d_roots = None
-        self._d_masks = None
-        self._idempotents = None
+        self._e_masks = None
+        self._masks = None
         self._bsgs = None
+        self._group_points = None
         self._orbit_labels = None
+        self._orbit_masks = None
         self._munn = {}
         self._bases = {}
         self._hclasses = {}

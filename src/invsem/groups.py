@@ -97,18 +97,20 @@ class PermGroup:
 
     # -- construction ------------------------------------------------------
 
-    def _strip(self, p, start=0):
-        """Sift p, which fixes the base points before level `start`:
-        (residue, the point at each level passed)."""
-        pts, mul = [lvl.b for lvl in self.levels[:start]], self._mul
+    def _strip(self, p, start=0, pts=None):
+        """Sift p, which fixes the base points before level `start`, and
+        return the residue; the point at each level passed is appended to
+        `pts` if given."""
+        mul = self._mul
         for lvl in self.levels[start:]:
             x = p[lvl.b]
             if x not in lvl.transversal:
                 break
-            pts.append(x)
+            if pts is not None:
+                pts.append(x)
             if x != lvl.b:
                 p = mul(p, lvl.transversal[x][1])
-        return p, pts
+        return p
 
     def _gens_at(self, j):
         # Strong generators of the level-j stabilizer: everything stored
@@ -122,7 +124,8 @@ class PermGroup:
     def _insert(self, p, how, start=0):
         """Sift p from level `start`; store a nontrivial residue as a
         strong generator at its strip depth."""
-        p, pts = self._strip(p, start)
+        pts = [lvl.b for lvl in self.levels[:start]]
+        p = self._strip(p, start, pts)
         if p == self._id:
             return False
         if len(pts) == len(self.levels):
@@ -165,7 +168,10 @@ class PermGroup:
         # Transversal entries are never replaced and levels are only
         # appended, so a Schreier generator that sifted to the identity
         # still does: none is tested again, and the first violation is
-        # the one a full rescan would find.
+        # the one a full rescan would find.  The edge (x, s) that entered
+        # y = x^s into the transversal gives rep(x) s rep(y)^-1 = 1, so
+        # it is skipped; a residue other than 1 is sifted again by
+        # _insert, which records the strip points.
         mul, made = self._mul, len(self.strong)
         for j, lvl in enumerate(self.levels):
             gens = self._gens_at(j)
@@ -177,10 +183,13 @@ class PermGroup:
                     if s.serial < done:
                         continue
                     y = s.perm[x]
+                    _, iy, x0, s0 = lvl.transversal[y]
+                    if s0 is s and x0 == x:
+                        continue
                     # sg fixes b_0 .. b_j, so its sift starts below j
-                    sg = mul(mul(r, s.perm), lvl.transversal[y][1])
-                    if sg != self._id and self._insert(sg, (j, x, s, y),
-                                                       j + 1):
+                    sg = mul(mul(r, s.perm), iy)
+                    if self._strip(sg, j + 1) != self._id:
+                        self._insert(sg, (j, x, s, y), j + 1)
                         return True
                 lvl.sifted[x] = made
         return False
@@ -245,8 +254,8 @@ class PermGroup:
         p = tuple(p)
         if len(p) != self.m:
             raise ValueError("degree mismatch")
-        res, pts = self._strip(self._encode(p))
-        if res != self._id:
+        pts = [] if word else None
+        if self._strip(self._encode(p), 0, pts) != self._id:
             return False, None
         if not word:
             return True, None
@@ -316,9 +325,14 @@ def _group_domain(gs):
     return dom
 
 
-def _as_perm(pb, points):
-    pos = {x: i for i, x in enumerate(points)}
-    return tuple(pos[pb[x]] for x in points)
+def _group_points(gs):
+    """The sorted common domain of a group system and each point's
+    position in it; once per system.  Raises ValueError, as
+    `_group_domain` does, if U is not a group."""
+    if gs._group_points is None:
+        points = sorted(_group_domain(gs))
+        gs._group_points = points, dict(zip(points, range(len(points))))
+    return gs._group_points
 
 
 def perm_group_of(gs):
@@ -326,9 +340,8 @@ def perm_group_of(gs):
     common domain; returns (PermGroup, sorted point list).  Cached.
     """
     if gs._bsgs is None:
-        dom = _group_domain(gs)
-        points = sorted(dom)
-        G = PermGroup([_as_perm(g, points) for g in gs.generators],
+        points, pos = _group_points(gs)
+        G = PermGroup([[pos[g[x]] for x in points] for g in gs.generators],
                       len(points))
         gs._bsgs = (G, points)
     return gs._bsgs
@@ -340,9 +353,7 @@ def pb_group_member(gs, t, word=True):
     word is never empty, and is expanded only if `word` is true.  The
     domain test comes first, so a target off the domain builds no BSGS.
     """
-    # the common domain, read off one generator, as U is a group
-    points = [x for x, y in enumerate(gs.generators[0]) if y is not None]
-    pos = dict(zip(points, range(len(points))))
+    points, pos = _group_points(gs)
     q = [pos.get(t[x]) for x in points]
     # t maps the domain into itself, so onto it, as t is injective; it
     # is then undefined elsewhere iff it has no other defined point
@@ -374,8 +385,8 @@ def group_conjugate(gs, s, t):
     """
     if s == t:
         return True, gs.one
-    G, points = perm_group_of(gs)
-    pos = dict(zip(points, range(len(points))))
+    G = perm_group_of(gs)[0]
+    points, pos = _group_points(gs)
     qs = [[pos.get(p[x]) for x in points] for p in (s, t)]
     # s and t lie on the domain iff every defined point and its image do
     if any(len(q) - q.count(None) != len(p) - p.count(None)

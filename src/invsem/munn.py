@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .pbij import identity, partial_identity
+from .pbij import partial_identity
 from .oracle import ELEMENT_CAP
 from .classify import (E_CAP_EXCEEDED, VarietyTag, classify_generated,
                        idempotent_steps)
@@ -37,30 +37,78 @@ class OutsideTractable(Exception):
     U."""
 
 
-# -- orbits ----------------------------------------------------------------
+# -- idempotents and orbits as domain bit masks ---------------------------
+#
+# An idempotent of I_n is the identity on its domain, so the solvers read
+# it as the bit mask of that domain, an int at any degree: e <= f iff
+# e & f == e, and a product of idempotents is the AND of their masks.
 
 
-def orbit_closure(gs, points):
-    """X^<Sigma>: the points reachable from X in the Schreier graph,
-    restricted to points with an incident generator edge.  Read off
-    `groups.orbit_labels`: the points that share a label with a touched
-    point of X (an untouched point labels itself, and no touched one
-    carries its label).
-    """
-    gens = gs.generators
-    labels = orbit_labels(gs)
-    keep = {labels[x] for x in points if any(u[x] is not None for u in gens)}
-    return frozenset(y for y, a in enumerate(labels) if a in keep)
+def dom_mask(x):
+    """The domain of the partial bijection x as a bit mask: the mask of
+    x x~."""
+    return sum(1 << i for i, y in enumerate(x) if y is not None)
 
 
-def _require_invariant(gs, delta):
-    if orbit_closure(gs, delta) != frozenset(delta):
-        raise ValueError("point set is not U-invariant")
+def ran_mask(x):
+    """The range of x as a bit mask: the mask of x~ x."""
+    return sum(1 << y for y in x if y is not None)
+
+
+def idempotent_of(n, a):
+    """The idempotent on n points whose domain mask is a."""
+    return partial_identity(n, (x for x in range(n) if a >> x & 1))
+
+
+def least_above(masks, a):
+    """The AND of the masks that contain a, or -1 (every point: the
+    identity of U^1) if none does.  Over a set of idempotents whose
+    products are idempotents of U, it is the least one above a in the
+    semilattice they generate."""
+    meet = -1
+    for m in masks:
+        if a & m == a:
+            meet &= m
+    return meet
+
+
+def generator_masks(gs):
+    """The masks of the idempotents u u~ of the generators, in generator
+    order; once per system."""
+    if gs._masks is None:
+        gs._masks = tuple(map(dom_mask, gs.generators))
+    return gs._masks
+
+
+def orbit_masks(gs):
+    """The mask of each point's <Sigma>-orbit, 0 for a point that no
+    generator touches; read off `groups.orbit_labels` once per system
+    (an untouched point labels itself, and no touched one carries its
+    label)."""
+    if gs._orbit_masks is None:
+        labels, masks = orbit_labels(gs), generator_masks(gs)
+        orbit = dict.fromkeys(labels, 0)
+        for x, label in enumerate(labels):
+            if any(m >> x & 1 for m in masks):
+                orbit[label] |= 1 << x
+        gs._orbit_masks = tuple(orbit[label] for label in labels)
+    return gs._orbit_masks
+
+
+def orbit_closure(gs, a):
+    """X^<Sigma> for X the points of the mask a, as a mask: the points
+    reachable from X in the Schreier graph, restricted to points with an
+    incident generator edge; the OR of the orbit masks over X."""
+    out = 0
+    for x, m in enumerate(orbit_masks(gs)):
+        if a >> x & 1:
+            out |= m
+    return out
 
 
 def _is_large(gs, delta, u):
     """Does dom(u) meet every U-orbit inside the invariant set delta?"""
-    return orbit_closure(gs, u.domain() & delta) == delta
+    return orbit_closure(gs, dom_mask(u) & delta) == delta
 
 
 # -- Munn graphs -----------------------------------------------------------
@@ -68,34 +116,33 @@ def _is_large(gs, delta, u):
 
 @dataclass
 class MunnGraph:
-    delta: frozenset
+    delta: int  # mask of the invariant point set
     e_delta: object
     vertices: tuple  # idempotents e_delta u u~, deduplicated
-    vertex_index: dict
+    masks: tuple  # their domain masks
+    vertex_index: dict  # vertex mask -> vertex index
     edges: tuple  # (generator index, src vertex, tgt vertex)
     comp: tuple  # component id per vertex
 
 
 def munn_graph(gs, delta):
-    """The Munn graph at an invariant set delta: vertices e_delta u u~
-    over the delta-large generators u, one edge per such generator.
+    """The Munn graph at an invariant set delta, a point mask: vertices
+    e_delta u u~ over the delta-large generators u, one edge per such
+    generator.
     """
-    delta = frozenset(delta)
-    _require_invariant(gs, delta)
-    n = gs.degree
-    e_delta = partial_identity(n, delta)
-    vertices = []
+    if orbit_closure(gs, delta) != delta:
+        raise ValueError("point set is not U-invariant")
+    masks = []
     vertex_index = {}
     edges = []
     for i, u in enumerate(gs.generators):
         if not _is_large(gs, delta, u):
             continue
-        src = gs.mul(e_delta, gs.mul(u, gs.inv(u)))
-        tgt = gs.mul(e_delta, gs.mul(gs.inv(u), u))
+        src, tgt = delta & dom_mask(u), delta & ran_mask(u)
         for v in (src, tgt):
             if v not in vertex_index:
-                vertex_index[v] = len(vertices)
-                vertices.append(v)
+                vertex_index[v] = len(masks)
+                masks.append(v)
         edges.append((i, vertex_index[src], vertex_index[tgt]))
     # components, numbered densely in vertex order
     uf = UnionFind()
@@ -103,9 +150,11 @@ def munn_graph(gs, delta):
         uf.union(a, b)
     roots = {}
     comp = tuple(roots.setdefault(uf.find(v), len(roots))
-                 for v in range(len(vertices)))
-    return MunnGraph(delta, e_delta, tuple(vertices), vertex_index,
-                     tuple(edges), comp)
+                 for v in range(len(masks)))
+    n = gs.degree
+    return MunnGraph(delta, idempotent_of(n, delta),
+                     tuple(idempotent_of(n, v) for v in masks), tuple(masks),
+                     vertex_index, tuple(edges), comp)
 
 
 def munn_dot(M):
@@ -133,27 +182,7 @@ class Basis:
     gamma: dict  # vertex index -> element of U
     lam: dict  # generator index -> element of U
     sigma_e: tuple  # generator indices of the component's edges
-    ehat: object  # product of lambda(u) lambda(u)~ over the component
-
-
-def idempotent_meet(gs, idempotents, e=None):
-    """The product of `idempotents`, keeping only those >= e when e is
-    given; None if none is kept."""
-    mul = gs.mul
-    out = None
-    for f in idempotents:
-        if e is None or mul(e, f) == e:
-            out = f if out is None else mul(out, f)
-    return out
-
-
-def generator_idempotents(gs):
-    """The idempotents u u~ of the generators in generator order,
-    computed once per system."""
-    if gs._idempotents is None:
-        gs._idempotents = tuple(gs.mul(u, gs.inv(u))
-                                for u in gs.generators)
-    return gs._idempotents
+    ehat: int  # mask of the product of lambda(u) lambda(u)~ over them
 
 
 def basis_at(gs, M, anchor):
@@ -163,18 +192,17 @@ def basis_at(gs, M, anchor):
     """
     mul = gs.mul
     inv = gs.inv
-    e = M.vertices[anchor]
     cid = M.comp[anchor]
     sigma_e = tuple(gi for gi, a, _ in M.edges if M.comp[a] == cid)
     # e-tilde: product of u u~ over component edges with u u~ >= e
-    idems = generator_idempotents(gs)
-    etilde = idempotent_meet(gs, (idems[gi] for gi in sigma_e), e)
-    assert etilde is not None, "anchor vertex has no dominating edge"
+    masks = generator_masks(gs)
+    etilde = least_above([masks[gi] for gi in sigma_e], M.masks[anchor])
+    assert etilde != -1, "anchor vertex has no dominating edge"
     # gamma along BFS paths from the anchor, adjacency in edge-list order
     adj = [[] for _ in M.vertices]
     for gi, a, b in M.edges:
         adj[a].append((b, gi))
-    gamma = {anchor: etilde}
+    gamma = {anchor: idempotent_of(gs.degree, etilde)}
     queue = [anchor]
     for v in queue:
         for w, gi in adj[v]:
@@ -183,7 +211,8 @@ def basis_at(gs, M, anchor):
                 queue.append(w)
     lam = {gi: mul(mul(gamma[a], gs.generators[gi]), inv(gamma[b]))
            for gi, a, b in M.edges if M.comp[a] == cid}
-    ehat = idempotent_meet(gs, (mul(lam[gi], inv(lam[gi])) for gi in sigma_e))
+    # e-hat: the meet of every lambda(u) lambda(u)~, as all contain 0
+    ehat = least_above(map(dom_mask, lam.values()), 0)
     basis = Basis(M, anchor, gamma, lam, sigma_e, ehat)
     _check_basis(gs, basis)
     return basis
@@ -240,7 +269,8 @@ def _munn_at(gs, delta):
 
 
 def _basis(gs, M, anchor):
-    """basis_at(gs, M, anchor), built and checked once per system."""
+    """basis_at(gs, M, anchor), built and checked once per system, by
+    (delta, anchor)."""
     if (M.delta, anchor) not in gs._bases:
         gs._bases[M.delta, anchor] = basis_at(gs, M, anchor)
     return gs._bases[M.delta, anchor]
@@ -252,30 +282,28 @@ class HClass:
     GeneratorSystem (its BSGS, which finds conjugators, is cached on it)
     and, for a strict inverse U, the basis at e-hat with gamma, lambda;
     for the D-class of a General U, its reps (`dclass`)."""
-    ehat: object
     group: GeneratorSystem
     basis: Basis = None
-    eligible: tuple = ()  # Clifford U: indices of u with u u~ >= e-hat
     reps: dict = None  # D-class of a General U: code of g -> code of r_g
 
 
 def hclass(gs, ehat, basis=None):
-    """The H-class record at e-hat, built once per system.  For a strict
-    inverse U pass the basis anchored at e-hat: its e-hat lambda(u)
-    generate the group.  Otherwise U is Clifford and e-hat u generate it,
-    over the generators u with u u~ >= e-hat."""
+    """The H-class record at the idempotent of mask ehat, built once per
+    system.  For a strict inverse U pass the basis anchored at e-hat: its
+    e-hat lambda(u) generate the group.  Otherwise U is Clifford and
+    e-hat u generate it, over the generators u with u u~ >= e-hat."""
     key = ("clifford" if basis is None else "sis", ehat)
     H = gs._hclasses.get(key)
     if H is None:
         if basis is None:
-            idems = generator_idempotents(gs)
-            eligible = tuple(i for i, f in enumerate(idems)
-                             if gs.mul(ehat, f) == ehat)
-            gens = [gs.mul(ehat, gs.generators[i]) for i in eligible]
+            e = idempotent_of(gs.degree, ehat)
+            gens = [gs.mul(e, u) for u, m in zip(gs.generators,
+                                                 generator_masks(gs))
+                    if ehat & m == ehat]
         else:
-            eligible, gens = (), hclass_generators(gs, basis)
-        group = GeneratorSystem(gens, degree=gs.degree, table=gs.table)
-        H = gs._hclasses[key] = HClass(ehat, group, basis, eligible)
+            gens = hclass_generators(gs, basis)
+        H = gs._hclasses[key] = HClass(GeneratorSystem(gens, degree=gs.degree),
+                                       basis)
     return H
 
 
@@ -283,39 +311,33 @@ def hclass(gs, ehat, basis=None):
 
 
 def sis_min_idempotent(gs, e):
-    """The minimal idempotent of E(U) union {1} above e, for U a strict
-    inverse semigroup.  Returns (e-hat, in_U); raises ValueError when
-    two Munn vertices dominate e, which shows U is not strict inverse."""
-    delta = orbit_closure(gs, e.domain())
-    M = _munn_at(gs, delta)
-    anchors = [i for i, v in enumerate(M.vertices) if e.le(v)]
+    """The mask of the least idempotent of E(U) union {1} above the
+    idempotent of mask e, for U a strict inverse semigroup: the e-hat of
+    the Munn vertex above e, or -1 (the identity of U^1) if none is.
+    Raises ValueError when two Munn vertices lie above e, which shows U
+    is not strict inverse.  (For a Clifford U, the least idempotent above
+    e is least_above(generator_masks(gs), e).)"""
+    M = _munn_at(gs, orbit_closure(gs, e))
+    anchors = [i for i, v in enumerate(M.masks) if e & v == e]
     if len(anchors) > 1:
         raise ValueError("not strict inverse: two Munn vertices lie above e")
     if not anchors:
-        return identity(gs.degree), False
+        return -1
     ehat = _basis(gs, M, anchors[0]).ehat
-    assert gs.is_idempotent(ehat) and e.le(ehat)
-    return ehat, True
-
-
-def clifford_min_idempotent(gs, e):
-    """Product formula for Clifford U: e-hat = prod of u u~ over
-    generators with u u~ >= e; (1, False) if none participate."""
-    ehat = idempotent_meet(gs, generator_idempotents(gs), e)
-    if ehat is None:
-        return identity(gs.degree), False
-    return ehat, True
+    assert e & ehat == e
+    return ehat
 
 
 # -- Clifford solvers ------------------------------------------------------
 
 
 def clifford_member(gs, t):
-    e = gs.mul(t, gs.inv(t))
-    ehat, in_u = clifford_min_idempotent(gs, e)
-    if not in_u or ehat != e:
+    """t lies in a Clifford U iff e = t t~ is the product of the u u~
+    above it and t lies in the group H-class at e."""
+    e = dom_mask(t)
+    if least_above(generator_masks(gs), e) != e:
         return False
-    ok, _ = pb_group_member(hclass(gs, ehat).group, t, word=False)
+    ok, _ = pb_group_member(hclass(gs, e).group, t, word=False)
     return ok
 
 
@@ -323,10 +345,9 @@ def clifford_conjugate(gs, s, t):
     """Conjugacy in a Clifford U for s != t (`solve` answers s == t
     with gs.one): one group search in the H-class of the least
     idempotent above dom s | ran s | dom t | ran t."""
-    join = partial_identity(gs.degree,
-                            s.domain() | s.ran() | t.domain() | t.ran())
-    ehat, in_u = clifford_min_idempotent(gs, join)
-    if not in_u:
+    ehat = least_above(generator_masks(gs), dom_mask(s) | ran_mask(s)
+                       | dom_mask(t) | ran_mask(t))
+    if ehat == -1:
         return False, None
     return group_conjugate(hclass(gs, ehat).group, s, t)
 
@@ -335,15 +356,15 @@ def clifford_conjugate(gs, s, t):
 
 
 def _munn_pair(gs, e, f, explain):
-    """(M, ve, vf): the Munn graph at the orbit closure of dom(e) and the
-    vertices of the idempotents e and f, which must share its component;
-    (None, None, None) if they do not."""
-    delta = orbit_closure(gs, e.domain())
-    if orbit_closure(gs, f.domain()) != delta:
+    """(M, ve, vf): the Munn graph at the orbit closure of e and the
+    vertices of the idempotents of masks e and f, which must share its
+    component; (None, None, None) if they do not."""
+    delta = orbit_closure(gs, e)
+    if orbit_closure(gs, f) != delta:
         return None, None, None
     M = _munn_at(gs, delta)
     if explain is not None:
-        explain["delta"] = delta
+        explain["delta"] = M.e_delta.domain()
         explain["munn_dot"] = munn_dot(M)
     ve = M.vertex_index.get(e)
     vf = M.vertex_index.get(f)
@@ -353,17 +374,14 @@ def _munn_pair(gs, e, f, explain):
 
 
 def sis_member(gs, t, explain=None):
-    mul = gs.mul
-    inv = gs.inv
-    e = mul(t, inv(t))
-    f = mul(inv(t), t)
+    e, f = dom_mask(t), ran_mask(t)
     M, ve, vf = _munn_pair(gs, e, f, explain)
     if M is None:
         return False
     if _basis(gs, M, ve).ehat != e or _basis(gs, M, vf).ehat != f:
         return False
     H = hclass(gs, e, _basis(gs, M, ve))
-    t_prime = mul(t, inv(H.basis.gamma[vf]))
+    t_prime = gs.mul(t, gs.inv(H.basis.gamma[vf]))
     if explain is not None:
         explain["basis_gamma"] = dict(H.basis.gamma)
         explain["group_generators"] = hclass_generators(gs, H.basis)
@@ -378,11 +396,9 @@ def sis_conjugate(gs, s, t, explain=None):
     above s and t, then one group search in the H-class."""
     mul = gs.mul
     inv = gs.inv
-    e = partial_identity(gs.degree, s.domain() | s.ran())
-    f = partial_identity(gs.degree, t.domain() | t.ran())
-    ehat, in_e = sis_min_idempotent(gs, e)
-    fhat, in_f = sis_min_idempotent(gs, f)
-    if not (in_e and in_f):
+    ehat = sis_min_idempotent(gs, dom_mask(s) | ran_mask(s))
+    fhat = sis_min_idempotent(gs, dom_mask(t) | ran_mask(t))
+    if ehat == -1 or fhat == -1:
         return False, None
     M, ve, vf = _munn_pair(gs, ehat, fhat, explain)
     if M is None:
@@ -456,8 +472,7 @@ def dclass(gs, root):
                         gens[x] = None
         group = GeneratorSystem(list(map(ops.decode, gens or [root])),
                                 degree=gs.degree)
-        H = gs._hclasses["general", root] = HClass(ops.decode(root), group,
-                                                   reps=reps)
+        H = gs._hclasses["general", root] = HClass(group, reps=reps)
     return H
 
 
@@ -496,21 +511,12 @@ def dclass_member(gs, t, explain=None):
 def _least_above(gs, x):
     """The code of the least idempotent of E(U) defined on dom x | ran x,
     or None: the meet of all those above it, as E(U) is closed under
-    products, found on domain bit masks, which gs._d_masks maps to the
-    codes of E(U) (built once per system)."""
-    if gs._d_masks is None:
-        undefined = gs.codec.undefined
-        gs._d_masks = {sum(1 << i for i, y in enumerate(f) if y != undefined):
-                       f for f in gs._d_roots}
-    a = 0
-    for i, y in enumerate(x):
-        if y is not None:
-            a |= 1 << i | 1 << y
-    meet = -1
-    for m in gs._d_masks:
-        if a & m == a:
-            meet &= m
-    return gs._d_masks.get(meet)
+    products, over the masks of E(U) (gs._e_masks, once per system)."""
+    ops = gs.codec
+    if gs._e_masks is None:
+        gs._e_masks = tuple(dom_mask(ops.decode(f)) for f in gs._d_roots)
+    meet = least_above(gs._e_masks, dom_mask(x) | ran_mask(x))
+    return None if meet == -1 else ops.encode(idempotent_of(gs.degree, meet))
 
 
 def dclass_conjugate(gs, s, t, explain=None):
@@ -564,7 +570,8 @@ def dclass_conjugate(gs, s, t, explain=None):
 def semilattice_member(gs, t):
     """t is in U iff it is idempotent and the meet of the generators
     above it."""
-    return gs.is_idempotent(t) and idempotent_meet(gs, gs.generators, t) == t
+    e = dom_mask(t)
+    return t.is_idempotent() and least_above(generator_masks(gs), e) == e
 
 
 # -- dispatcher ------------------------------------------------------------
@@ -617,16 +624,20 @@ def route(gs, solver="auto", cap=ELEMENT_CAP, explain=None):
 
 
 def solve(variety, query, gs, *xs, explain=None, word=False):
-    """Decide `query` on U by the solver of `variety`: "member" with
-    xs = (t,) or "conj" with xs = (s, t).  Returns (bool, witness or
-    None): a conjugator for conjugacy, and for Group membership a word
-    if `word` is set.  A General U of partial bijections is decided from
-    E(U) and one D-class (`dclass_member`, `dclass_conjugate`).  A pb
-    "conj" with s != t is first ruled out where s and t differ in
-    `groups.conj_signature` over U's orbit labels, before any group,
-    Munn graph or D-class is built; the check only ever answers NO.  The
-    solvers are looked up when called, so a rebound module attribute (a
-    tracing wrapper) is the one that runs."""
+    """Decide `query` on U, a system of the pb model (a ValueError
+    otherwise), by the solver of `variety`: "member" with xs = (t,) or
+    "conj" with xs = (s, t).  Returns (bool, witness or None): a
+    conjugator for conjugacy, and for Group membership a word if `word`
+    is set.  A General U is decided from E(U) and one D-class
+    (`dclass_member`, `dclass_conjugate`).  A "conj" with s != t is
+    first ruled out where s and t differ in `groups.conj_signature` over
+    U's orbit labels, before any group, Munn graph or D-class is built;
+    the check only ever answers NO.  The solvers are looked up when
+    called, so a rebound module attribute (a tracing wrapper) is the one
+    that runs."""
+    if gs.model != "pb":
+        raise ValueError("munn solvers take a system of the pb model "
+                         "(partial bijections), not a Cayley table")
     if explain is not None:
         explain["solver"] = SOLVERS[variety]
     member = query == "member"
@@ -636,7 +647,7 @@ def solve(variety, query, gs, *xs, explain=None, word=False):
     if variety in ("Trivial", "Semilattice"):
         # commuting idempotents: u s u = s u = t and t u = s give s = t
         return (semilattice_member(gs, *xs) if member else False), None
-    if not member and gs.model == "pb":
+    if not member:
         labels = orbit_labels(gs)
         if conj_signature(xs[0], labels) != conj_signature(xs[1], labels):
             if explain is not None:
@@ -656,13 +667,15 @@ def solve(variety, query, gs, *xs, explain=None, word=False):
 
 
 def dispatch_member(gs, t, cap=ELEMENT_CAP, explain=None):
-    """Route a partial-bijection membership instance by variety."""
+    """Route a partial-bijection membership instance by variety; a
+    ValueError on a Cayley-table system."""
     return solve(route(gs, "auto", cap, explain), "member", gs, t,
                  explain=explain)[0]
 
 
 def dispatch_conjugate(gs, s, t, cap=ELEMENT_CAP, explain=None):
     """Route a partial-bijection conjugacy instance by variety.
-    Returns (bool, conjugator or None)."""
+    Returns (bool, conjugator or None); a ValueError on a Cayley-table
+    system."""
     return solve(route(gs, "auto", cap, explain), "conj", gs, s, t,
                  explain=explain)

@@ -13,11 +13,12 @@ index of the item computing the target.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .formats import records
 from .oracle import ELEMENT_CAP, ClosureCapExceeded
 from .groups import pb_group_member
-from .munn import generator_idempotents, hclass, idempotent_meet
+from .munn import dom_mask, hclass
 
 BFS_THRESHOLD = 4096
 CUBE_CAP = 10**5
@@ -144,9 +145,15 @@ def slp_semilattice(gs, e):
     chosen = [i for i, g in enumerate(gens) if mul(e, g) == e]
     if not chosen:
         raise NotGenerated("no generator above the target")
-    if idempotent_meet(gs, (gens[i] for i in chosen)) != e:
+    if _meet(gs, gens, chosen) != e:
         raise NotGenerated("target not in the generated semilattice")
     return _chain_slp(_greedy_deletion(gs, gens, chosen, e))
+
+
+def _meet(gs, idempotents, chosen):
+    """The product of the idempotents at the indices `chosen`, which
+    must not be empty."""
+    return reduce(gs.mul, [idempotents[i] for i in chosen])
 
 
 def _greedy_deletion(gs, idempotents, chosen, e):
@@ -156,7 +163,7 @@ def _greedy_deletion(gs, idempotents, chosen, e):
     while k < len(chosen):
         if len(chosen) > 1:
             trial = chosen[:k] + chosen[k + 1:]
-            if idempotent_meet(gs, (idempotents[i] for i in trial)) == e:
+            if _meet(gs, idempotents, trial) == e:
                 chosen = trial
                 continue
         k += 1
@@ -342,14 +349,12 @@ def slp_clifford(gs, t, cap=ELEMENT_CAP):
     inv = gs.inv
     e = mul(t, inv(t))
     # phase 1: greedy factorization of e over {s s~ : s s~ >= e}
-    idems = generator_idempotents(gs)
-    ehat = idempotent_meet(gs, idems, e)
-    if ehat is None:
+    idems = [mul(u, inv(u)) for u in gens]
+    eligible = [i for i, f in enumerate(idems) if mul(e, f) == e]
+    if not eligible:
         raise NotGenerated("no generator idempotent above t t~")
-    if ehat != e:
+    if _meet(gs, idems, eligible) != e:
         raise NotGenerated("t t~ not in the idempotent span; t not generated")
-    H = hclass(gs, e)
-    eligible = H.eligible
     items = []
     acc = None
     for i in _greedy_deletion(gs, idems, eligible, e):
@@ -368,7 +373,8 @@ def slp_clifford(gs, t, cap=ELEMENT_CAP):
             raise NotGenerated("idempotent target differs from its t t~")
         return SLP(tuple(items), e_item)
 
-    if gs.model == "pb" and not pb_group_member(H.group, t, word=False)[0]:
+    if gs.model == "pb" and not pb_group_member(hclass(gs, dom_mask(e)).group,
+                                                t, word=False)[0]:
         raise NotGenerated("target not in the generated group")
     # phase 2: group SLP over Sigma' = {e s : s s~ >= e}
     prime = [mul(e, gens[i]) for i in eligible]

@@ -249,7 +249,7 @@ def rand_ncl_machine(rng, shape):
 def check_munn_lemmas(gs, elements, rng, words_per_graph=30):
     """Exhaustive structural checks of the Munn-graph machinery inside
     one strict inverse closure; returns a list of violation strings."""
-    from invsem.munn import orbit_closure, munn_graph, _is_large
+    from invsem.munn import orbit_closure, munn_graph, _is_large, dom_mask
     from invsem.oracle import naive_conjugate
     mul = gs.mul
     inv = gs.inv
@@ -257,13 +257,13 @@ def check_munn_lemmas(gs, elements, rng, words_per_graph=30):
     violations = []
 
     # orbit partition of the active points
-    active = orbit_closure(gs, range(n))
+    active = orbit_closure(gs, (1 << n) - 1)
     orbits = []
-    seen = set()
-    for x in sorted(active):
-        if x not in seen:
-            o = orbit_closure(gs, [x])
-            orbits.append(o)
+    seen = 0
+    for x in range(n):
+        if active >> x & 1 and not seen >> x & 1:
+            o = orbit_closure(gs, 1 << x)
+            orbits.append({y for y in range(n) if o >> y & 1})
             seen |= o
 
     # the non-empty domain traces partition each orbit
@@ -281,10 +281,11 @@ def check_munn_lemmas(gs, elements, rng, words_per_graph=30):
 
     # invariant sets of interest: dom(e)^U over the idempotents
     idems = [x for x in elements if gs.is_idempotent(x)]
-    deltas = {orbit_closure(gs, e.domain()) for e in idems}
-    deltas.discard(frozenset())
+    deltas = {orbit_closure(gs, dom_mask(e)) for e in idems}
+    deltas.discard(0)
 
-    for delta in sorted(deltas, key=sorted):
+    for delta in sorted(deltas, key=lambda d: [x for x in range(n)
+                                               if d >> x & 1]):
         M = munn_graph(gs, delta)
         if not M.vertices:
             continue
@@ -323,7 +324,7 @@ def check_munn_lemmas(gs, elements, rng, words_per_graph=30):
         for v in range(len(M.vertices)):
             comp_sets.setdefault(M.comp[v], set()).add(M.vertices[v])
         for v, e in enumerate(M.vertices):
-            if orbit_closure(gs, e.domain()) != delta:
+            if orbit_closure(gs, dom_mask(e)) != delta:
                 continue
             conj_class = {f for f in idems
                           if naive_conjugate(gs, e, f)[0]}

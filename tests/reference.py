@@ -9,6 +9,7 @@ from itertools import product
 from invsem.cayley import CayleyTable
 from invsem.classify import _tag, d_class_labels
 from invsem.meta import eval_word as eval_eq_word
+from invsem.munn import basis_at, dom_mask, munn_graph, orbit_closure
 from invsem.ncl import is_config
 from invsem.oracle import ELEMENT_CAP, close
 from invsem.pbij import PartialBijection, _make
@@ -75,6 +76,37 @@ def group_elements(G):
         out = [(G._mul(r[0], p), rw + w) for r, rw in zip(
             lvl.transversal.values(), words) for p, w in out]
     return [(tuple(p[:G.m]), w) for p, w in out]
+
+
+# -- idempotents by composition ---------------------------------------------
+
+
+def idempotent_meet(gs, idempotents, e=None):
+    """The product of `idempotents`, keeping only those >= e when e is
+    given; None if none is kept.  Products of idempotents of I_n commute,
+    so this is the meet of those kept."""
+    mul = gs.mul
+    out = None
+    for f in idempotents:
+        if e is None or mul(e, f) == e:
+            out = f if out is None else mul(out, f)
+    return out
+
+
+def sis_min_idempotent_scan(gs, e):
+    """The least idempotent of E(U) union {1} above the idempotent e of a
+    strict inverse U, as an element, or None for the identity of U^1:
+    the Munn vertices v with e <= v (`le`) at the orbit closure of dom e,
+    and the product of lambda(u) lambda(u)~ over the basis at the one
+    that is found.  ValueError if two are."""
+    M = munn_graph(gs, orbit_closure(gs, dom_mask(e)))
+    anchors = [i for i, v in enumerate(M.vertices) if e.le(v)]
+    if len(anchors) > 1:
+        raise ValueError("two Munn vertices lie above e")
+    if not anchors:
+        return None
+    lam = basis_at(gs, M, anchors[0]).lam.values()
+    return idempotent_meet(gs, (gs.mul(x, gs.inv(x)) for x in lam))
 
 
 def close_bfs(gs):

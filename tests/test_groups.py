@@ -4,6 +4,7 @@ conjugators."""
 import hashlib
 import math
 import random
+import sys
 
 import pytest
 
@@ -287,6 +288,38 @@ def test_bsgs_of_random_groups_is_pinned():
     records = repr([_bsgs_record(PermGroup(gens, m)) for gens, m in groups])
     assert hashlib.sha256(records.encode()).hexdigest() == (
         "3c7e4cd965b57dd3ece2ff23c4356cf3d60d83866758a89f4b9b4ddf5f9c7fed")
+
+
+def test_schreier_sims_sifts_no_tree_edge(monkeypatch):
+    # rep(x) s rep(y)^-1 is the identity where y entered the transversal
+    # from (x, s), so the build never sifts it.  Each sift that
+    # _find_violation makes is recorded from its loop variables: level
+    # j, point x, strong generator s.
+    sifted = []
+    strip = PermGroup._strip
+
+    def recording(G, p, start=0, pts=None):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_find_violation":
+            names = caller.f_locals
+            sifted.append((G, names["j"], names["x"], names["s"]))
+        return strip(G, p, start, pts)
+
+    monkeypatch.setattr(PermGroup, "_strip", recording)
+    a8 = [(1, 2, 0, 3, 4, 5, 6, 7), (0, 2, 3, 4, 5, 6, 7, 1)]
+    for name, gens, m in [("S8", _sym(8), 8),
+                          ("A8", a8, 8)] + STORED_INVERSE_GROUPS:
+        del sifted[:]
+        G = PermGroup(gens, m)
+        assert G.order == {"S8": 40320, "A8": 20160}.get(name, G.order)
+        assert sifted, name
+        tree = {(j, x0, s.serial) for j, lvl in enumerate(G.levels)
+                for x0, s in [t[2:] for t in lvl.transversal.values()]
+                if s is not None}
+        assert tree, name
+        for H, j, x, s in sifted:
+            assert H is G
+            assert (j, x, s.serial) not in tree, (name, j, x, s.serial)
 
 
 def test_symmetric_group_of_degree_30():

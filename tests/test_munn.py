@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -12,40 +13,44 @@ from invsem.oracle import (ClosureCapExceeded, close, naive_member,
                            naive_conjugate)
 from invsem.classify import classify_generated, classify_from_generators
 from invsem.groups import conj_signature, orbit_labels
+from invsem import munn as munn_module
 from invsem.munn import (OutsideTractable, orbit_closure,
                          munn_graph, munn_dot, basis_at, hclass_generators,
-                         sis_min_idempotent, clifford_min_idempotent,
+                         sis_min_idempotent, least_above, generator_masks,
+                         dom_mask,
                          sis_member, sis_conjugate, clifford_conjugate,
                          dispatch_member, dispatch_conjugate, route, solve,
                          SOLVERS, VARIETY_OF)
 
-from helpers import (rand_pb, sample_systems, sample_sis_systems,
+from helpers import (KINDS, rand_pb, sample_systems, sample_sis_systems,
                      check_munn_lemmas, dispatched_as_the_oracle,
-                     top_points_system)
-from reference import all_partial_bijections
+                     top_points_system, variety_gens)
+from reference import (all_partial_bijections, from_closure, idempotent_meet,
+                       sis_min_idempotent_scan)
 
 
 def test_orbit_closure_skips_untouched_points():
     gs = GeneratorSystem([PartialBijection(4, (1, 0, None, None))],
                          degree=4)
-    assert orbit_closure(gs, [0]) == {0, 1}
+    # sets of points as bit masks: 0b0011 is {0, 1}
+    assert orbit_closure(gs, 0b0001) == 0b0011
     # point 3 has no incident generator edge, so it never enters
-    assert orbit_closure(gs, [3]) == set()
-    assert orbit_closure(gs, range(4)) == {0, 1}
+    assert orbit_closure(gs, 0b1000) == 0
+    assert orbit_closure(gs, 0b1111) == 0b0011
 
 
 def test_munn_graph_requires_invariant_set():
     gs = GeneratorSystem([PartialBijection(3, (1, 2, 0))], degree=3)
     with pytest.raises(ValueError):
-        munn_graph(gs, {0})
+        munn_graph(gs, 0b001)
 
 
 def test_munn_graph_on_brandt_generators():
     maps, idx = brandt(3)
     gens = [maps[idx[(0, 1)]], maps[idx[(1, 2)]]]
     gs = GeneratorSystem(gens, degree=3)
-    delta = orbit_closure(gs, range(3))
-    assert delta == {0, 1, 2}
+    delta = orbit_closure(gs, 0b111)
+    assert delta == 0b111
     M = munn_graph(gs, delta)
     # each point's identity is a vertex, the path edges connect them
     assert M.vertices == (partial_identity(3, [0]),
@@ -60,7 +65,7 @@ def test_munn_dot_numbers_edges_as_word_lines_do():
     # an edge is labelled g<i> with i 1-based, as in `word` lines
     maps, idx = brandt(3)
     gs = GeneratorSystem([maps[idx[(0, 1)]], maps[idx[(1, 2)]]], degree=3)
-    M = munn_graph(gs, range(3))
+    M = munn_graph(gs, 0b111)
     labels = re.findall(r'label="(g\d+)"', munn_dot(M))
     assert labels == ["g%d" % (gi + 1) for gi, _, _ in M.edges]
     assert sorted(labels) == ["g1", "g2", "g3", "g4"]
@@ -70,9 +75,9 @@ def test_basis_conjugators_and_hclass():
     rng = random.Random(0)
     checked = 0
     for gs, elements in sample_sis_systems(rng, 40, degrees=(2, 6)):
-        deltas = {orbit_closure(gs, e.domain())
+        deltas = {orbit_closure(gs, dom_mask(e))
                   for e in elements if gs.is_idempotent(e)}
-        deltas.discard(frozenset())
+        deltas.discard(0)
         for delta in deltas:
             M = munn_graph(gs, delta)
             for anchor in range(len(M.vertices)):
@@ -97,20 +102,18 @@ def test_min_idempotent_solvers_agree_with_search():
         idems = [x for x in elements if gs.is_idempotent(x)]
         for e in idems[:6]:
             above = [f for f in idems if e.le(f)]
-            ehat, in_u = sis_min_idempotent(gs, e)
+            ehat = sis_min_idempotent(gs, dom_mask(e))
             if above:
                 want = above[0]
                 for f in above[1:]:
                     want = gs.mul(want, f)
-                assert in_u and ehat == want
+                assert ehat == dom_mask(want)
             else:
-                assert not in_u
+                assert ehat == -1
             from invsem.classify import classify_generated
             if classify_generated(gs).name in ("Trivial", "Semilattice",
                                                "Group", "Clifford"):
-                chat, cin = clifford_min_idempotent(gs, e)
-                assert (cin, chat if cin else None) == \
-                    (in_u, ehat if in_u else None)
+                assert least_above(generator_masks(gs), dom_mask(e)) == ehat
             checked += 1
     assert checked > 50
 
@@ -540,7 +543,7 @@ def test_explicit_hint_rejects_a_system_outside_its_variety():
     assert route(system()) == "General"
     with pytest.raises(ValueError):
         # two Munn vertices dominate e: not a wrong answer under -O
-        sis_min_idempotent(gs, partial_identity(3, [0]))
+        sis_min_idempotent(gs, 0b001)
 
 
 def test_general_conjugate_matches_oracle_on_all_of_i3():
@@ -860,3 +863,151 @@ def test_signature_answers_before_any_solver_cache_is_built():
         assert (gs._bsgs, gs._munn, gs._hclasses, gs._closure) == (
             None, {}, {}, None), name
         assert naive_conjugate(gs, s, t) == (False, None)
+
+
+def _padded(gs, degree):
+    """gs on `degree` points: each generator undefined past its own."""
+    pad = (None,) * (degree - gs.degree)
+    return GeneratorSystem([PartialBijection(degree, tuple(g) + pad)
+                            for g in gs.generators], degree=degree)
+
+
+def test_mask_meets_match_the_composed_reference():
+    # the least idempotents above, read off domain masks, against
+    # products of idempotents: the Clifford e-hat over the generators'
+    # u u~, the SIS anchor and its e-hat, and the General least
+    # idempotent of E(U) above dom x | ran x; on 500 systems of each kind
+    # as generated (bytes codes) and padded to 256 points (the system's
+    # own elements)
+    rng = random.Random(31)
+    checked = Counter()
+    for kind in KINDS:
+        for _ in range(500):
+            n = rng.randrange(2, 7)
+            small = GeneratorSystem(
+                variety_gens(rng, kind, n, rng.randrange(1, 5)), degree=n)
+            x_small = rand_pb(rng, n)
+            for gs in (small, _padded(small, 256)):
+                m = gs.degree
+                kernel = "bytes" if m == n else "elements"
+                tag = classify_generated(gs)
+                idems = [gs.mul(u, gs.inv(u)) for u in gs.generators]
+                for _ in range(3):
+                    pts = rng.sample(range(n), rng.randrange(n + 1))
+                    if rng.random() < 0.2:
+                        pts.append(m - 1)  # untouched past the generators
+                    e = partial_identity(m, pts)
+                    want = idempotent_meet(gs, idems, e)
+                    assert least_above(generator_masks(gs), dom_mask(e)) == (
+                        -1 if want is None else dom_mask(want))
+                    checked[kernel, "clifford"] += 1
+                    if tag.is_strict_inverse():
+                        want = sis_min_idempotent_scan(gs, e)
+                        assert sis_min_idempotent(gs, dom_mask(e)) == (
+                            -1 if want is None else dom_mask(want))
+                        checked[kernel, "sis", want is None] += 1
+                if tag.name == "General":
+                    ops = gs.codec
+                    x = _padded(GeneratorSystem([x_small], degree=n),
+                                m).generators[0] if m > n else x_small
+                    e = partial_identity(m, x.domain() | x.ran())
+                    want = idempotent_meet(
+                        gs, [ops.decode(f) for f in gs._d_roots], e)
+                    assert munn_module._least_above(gs, x) == (
+                        None if want is None else ops.encode(want))
+                    checked[kernel, "general", want is None] += 1
+    for kernel in ("bytes", "elements"):
+        assert checked[kernel, "clifford"] == 3 * 500 * len(KINDS)
+        for check in ("sis", "general"):
+            assert min(checked[kernel, check, False],
+                       checked[kernel, check, True]) > 50, (kernel, check)
+
+
+def test_dispatch_rejects_a_cayley_table_system():
+    # the dispatcher's solvers read partial bijections: on S_3's Cayley
+    # table both calls end in a ValueError that names the pb model
+    gs = GeneratorSystem([PartialBijection(3, (1, 2, 0)),
+                          PartialBijection(3, (1, 0, 2))], degree=3)
+    table, index = from_closure(close(gs).elements, gs.mul)
+    ct = GeneratorSystem([index[g] for g in gs.generators], table=table)
+    with pytest.raises(ValueError, match="pb model"):
+        dispatch_member(ct, 2)
+    with pytest.raises(ValueError, match="pb model"):
+        dispatch_conjugate(ct, 1, 2)
+
+
+# the caches of a system by invariant set, basis anchor or e-hat: they
+# fill as queries reach new ones, up to the size of U's structure
+_STRUCTURE_CACHES = ("_munn", "_bases", "_hclasses")
+# the per-system caches that held queries read, each fixed by U alone
+_SYSTEM_CACHES = ("_masks", "_orbit_masks", "_group_points", "_e_masks")
+
+
+def _cache_sizes(gs):
+    """(system, attribute) -> the length of its repr, for every container
+    held on gs or its H-class groups but the structure caches."""
+    sizes = {}
+    for x in [gs] + [H.group for H in gs._hclasses.values()]:
+        for name, value in vars(x).items():
+            if (name not in _STRUCTURE_CACHES
+                    and isinstance(value, (tuple, list, dict, set))):
+                sizes[id(x), name] = len(repr(value))
+    return sizes
+
+
+def _subpower_b2(rng, blocks, k):
+    """k random generators of a subpower of B_2: on each 2-point block
+    one of the four non-zero elements of B_2; one orbit per block."""
+    gens = []
+    for _ in range(k):
+        images = [None] * (2 * blocks)
+        for b in range(blocks):
+            x, y = rng.randrange(2), rng.randrange(2)
+            images[2 * b + x] = 2 * b + y
+        gens.append(PartialBijection(2 * blocks, images))
+    return gens
+
+
+def test_held_queries_leave_the_per_system_caches_bounded():
+    # 2000 random held queries: no cache that U alone determines grows
+    # after the first 100, the orbit masks of a U with 8 orbits included
+    rng = random.Random(17)
+    S4 = [(1, 2, 3, 0), (1, 0, 2, 3)]
+    systems = (
+        ("Clifford", GeneratorSystem([PartialBijection(5, g) for g in
+                                      HELD_SYSTEMS[1][2]], degree=5)),
+        ("StrictInverse", GeneratorSystem(_subpower_b2(rng, 8, 4),
+                                          degree=16)),
+        ("General", GeneratorSystem([PartialBijection(4, g) for g in
+                                     S4 + [(0, 1, 2, None)]], degree=4)),
+    )
+    used = set()
+    for name, gs in systems:
+        assert classify_generated(gs).name == name
+        n, gens = gs.degree, gs.generators
+
+        def word():
+            out = rng.choice(gens)
+            for _ in range(rng.randrange(6)):
+                out = gs.mul(out, rng.choice(gens))
+            return out
+
+        def element():
+            return word() if rng.random() < 0.7 else rand_pb(rng, n)
+
+        for call in range(2000):
+            if call % 2:
+                dispatch_member(gs, element())
+            else:
+                s = element()
+                u = word()
+                t = gs.mul(gs.mul(gs.inv(u), s), u)
+                dispatch_conjugate(gs, s, t if rng.random() < 0.5
+                                   else element())
+            if call == 99:
+                early = _cache_sizes(gs)
+        late = _cache_sizes(gs)
+        for key, size in late.items():
+            assert size <= early.get(key, size), (name, key)
+        used.update(cache for _, cache in late)
+    assert used >= set(_SYSTEM_CACHES)
