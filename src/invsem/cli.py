@@ -188,8 +188,10 @@ def cmd_slp(args):
     try:
         if tag.is_semilattice():
             slp = slp_semilattice(gs, t)
-            size = len(close(gs, args.cap))
-            bound = 2 * math.ceil(math.log2(size + 1))
+            try:  # the bound counts U: shown only where U fits the cap
+                bound = 2 * math.ceil(math.log2(len(close(gs, args.cap)) + 1))
+            except ClosureCapExceeded:
+                bound = None
         elif tag.is_group():
             # decide membership first; the SLP search for a member
             # enumerates U, so then |U| must fit the cap

@@ -61,9 +61,10 @@ class GeneratorSystem:
         # stabilizer chain also finds conjugators) and the group
         # domain's points with their positions, the orbit label of each
         # point (read by every pb conj before any solver runs) and each
-        # point's orbit mask, Munn graphs by delta mask, bases by
-        # (delta, anchor), H-class records by (solver, e-hat mask), and
-        # by ("general", root) a D-class's reps and group
+        # point's orbit mask, Munn graphs by delta mask, and H-class
+        # records: a Clifford group by ("clifford", e-hat mask), a Munn
+        # component's basis, reps and group by ("sis", delta, component),
+        # and a D-class's reps and group by ("general", root)
         self._closure = None
         self._over_cap = 0
         self._over_e_cap = 0
@@ -76,7 +77,6 @@ class GeneratorSystem:
         self._orbit_labels = None
         self._orbit_masks = None
         self._munn = {}
-        self._bases = {}
         self._hclasses = {}
 
     # -- element operations ------------------------------------------------

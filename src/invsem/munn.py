@@ -1,20 +1,17 @@
 """Reductions for Clifford and strict inverse semigroups of partial
-bijections: orbit closures, Munn graphs, bases, H-class generators,
-minimal dominating idempotents, membership and conjugacy in a General U
-from its D-classes of idempotents, and the dispatcher that routes an
-instance to the matching solver.
+bijections: orbit closures, Munn graphs, bases, minimal dominating
+idempotents, and the dispatcher that routes an instance to its solver.
 
-The dispatcher first compares a pb conjugacy pair s != t by its
-orbit-labelled cycle/chain signature (`groups.conj_signature`) and
-answers NO where they differ, before any solver below builds a Munn
-graph, a D-class or a group.  The Clifford, strict inverse and D-class
-solvers end in a call to the group solver on a single H-class.  A
-General U is decided from E(U), which the classification already
-walked, and the maximal subgroup (Schutzenberger group) of one D-class,
-built once per class; U itself is never enumerated here (East,
-Egri-Nagy, Mitchell and Peresse, Computing finite semigroups,
-J. Symbolic Comput. 2019).  So the one refusal left is the cap on E(U),
-where it cuts off the StrictInverse/General split.
+The dispatcher answers NO to a pb conjugacy pair s != t whose
+orbit-labelled cycle/chain signatures (`groups.conj_signature`) differ,
+before any solver builds a Munn graph, a D-class or a group.  A strict
+inverse U keeps one record per Munn component, and a General U one per
+D-class of E(U) (East, Egri-Nagy, Mitchell and Peresse, Computing finite
+semigroups, J. Symbolic Comput. 2019): reps and a maximal subgroup H_c,
+built once, and a query on either ends in one sift or one conjugacy
+search in H_c.  U itself is never enumerated here, so the one refusal
+left is the cap on E(U), where it cuts off the StrictInverse/General
+split.
 """
 
 from __future__ import annotations
@@ -159,13 +156,10 @@ def munn_graph(gs, delta):
 
 def munn_dot(M):
     """The Munn graph in DOT form (one line per vertex and edge)."""
-    def label(e):
-        pts = sorted(x + 1 for x in e.domain())
-        return "{%s}" % ",".join(map(str, pts))
-
     lines = ["graph munn {"]
     for i, v in enumerate(M.vertices):
-        lines.append('  v%d [label="%s"];' % (i, label(v)))
+        lines.append('  v%d [label="{%s}"];' % (i, ",".join(
+            str(x + 1) for x in sorted(v.domain()))))
     for gi, a, b in M.edges:
         lines.append('  v%d -- v%d [label="g%d"];' % (a, b, gi + 1))
     lines.append("}")
@@ -190,8 +184,7 @@ def basis_at(gs, M, anchor):
     vertex e to each vertex f of its component, built along BFS-shortest
     paths (ties by edge list position), and the edge relabeling lambda.
     """
-    mul = gs.mul
-    inv = gs.inv
+    mul, inv = gs.mul, gs.inv
     cid = M.comp[anchor]
     sigma_e = tuple(gi for gi, a, _ in M.edges if M.comp[a] == cid)
     # e-tilde: product of u u~ over component edges with u u~ >= e
@@ -218,14 +211,8 @@ def basis_at(gs, M, anchor):
     return basis
 
 
-def _inv_index(gs):
-    index = {g: i for i, g in enumerate(gs.generators)}
-    return [index[gs.inv(g)] for g in gs.generators]
-
-
 def _check_basis(gs, B):
-    mul = gs.mul
-    inv = gs.inv
+    mul, inv = gs.mul, gs.inv
     M = B.munn
     e = M.vertices[B.anchor]
     ge = B.gamma[B.anchor]
@@ -236,9 +223,9 @@ def _check_basis(gs, B):
         assert mul(mul(g, gb), ge) == mul(g, gb), "gamma(e) >= gamma gamma~ fails"
         assert mul(mul(gb, e), g) == f, "gamma~(f) e gamma(f) != f"
         assert mul(mul(g, f), gb) == e, "gamma(f) f gamma~(f) != e"
-    invix = _inv_index(gs)
+    index = {g: i for i, g in enumerate(gs.generators)}
     for gi, l in B.lam.items():
-        lb = B.lam[invix[gi]]
+        lb = B.lam[index[inv(gs.generators[gi])]]
         assert lb == inv(l), "lambda(u~) != lambda(u)^-1"
         assert mul(l, lb) == mul(lb, l), "lambda commutation fails"
 
@@ -246,15 +233,11 @@ def _check_basis(gs, B):
 def hclass_generators(gs, B):
     """Generators e lambda(u) of the group H-class U_e at the basis
     anchor."""
-    mul = gs.mul
-    inv = gs.inv
+    mul, inv = gs.mul, gs.inv
     e = B.munn.vertices[B.anchor]
-    out = []
-    for gi in B.sigma_e:
-        g = mul(e, B.lam[gi])
+    out = list(dict.fromkeys(mul(e, B.lam[gi]) for gi in B.sigma_e))
+    for g in out:
         assert mul(g, inv(g)) == e and mul(inv(g), g) == e
-        if g not in out:
-            out.append(g)
     return out
 
 
@@ -268,42 +251,51 @@ def _munn_at(gs, delta):
     return gs._munn[delta]
 
 
-def _basis(gs, M, anchor):
-    """basis_at(gs, M, anchor), built and checked once per system, by
-    (delta, anchor)."""
-    if (M.delta, anchor) not in gs._bases:
-        gs._bases[M.delta, anchor] = basis_at(gs, M, anchor)
-    return gs._bases[M.delta, anchor]
-
-
 @dataclass
 class HClass:
-    """The group H-class of U at a dominating idempotent e-hat: a group
-    GeneratorSystem (its BSGS, which finds conjugators, is cached on it)
-    and, for a strict inverse U, the basis at e-hat with gamma, lambda;
-    for the D-class of a General U, its reps (`dclass`)."""
+    """The group H-class H_c of U at an idempotent c, a GeneratorSystem
+    that caches its BSGS (None for a Munn component outside E(U)); for a
+    D-class (`dclass`) or a Munn component (`sis_class`), the codes of
+    the reps r_g (r_g r_g~ = c, r_g~ r_g = g), and a component's basis."""
     group: GeneratorSystem
+    reps: dict = None
     basis: Basis = None
-    reps: dict = None  # D-class of a General U: code of g -> code of r_g
 
 
-def hclass(gs, ehat, basis=None):
-    """The H-class record at the idempotent of mask ehat, built once per
-    system.  For a strict inverse U pass the basis anchored at e-hat: its
-    e-hat lambda(u) generate the group.  Otherwise U is Clifford and
-    e-hat u generate it, over the generators u with u u~ >= e-hat."""
-    key = ("clifford" if basis is None else "sis", ehat)
-    H = gs._hclasses.get(key)
+def hclass(gs, ehat):
+    """The group H-class of a Clifford U at the idempotent of mask ehat,
+    built once per system: e-hat u generate it, over the generators u
+    with u u~ >= e-hat."""
+    H = gs._hclasses.get(("clifford", ehat))
     if H is None:
-        if basis is None:
-            e = idempotent_of(gs.degree, ehat)
-            gens = [gs.mul(e, u) for u, m in zip(gs.generators,
-                                                 generator_masks(gs))
-                    if ehat & m == ehat]
-        else:
-            gens = hclass_generators(gs, basis)
-        H = gs._hclasses[key] = HClass(GeneratorSystem(gens, degree=gs.degree),
-                                       basis)
+        e, masks = idempotent_of(gs.degree, ehat), generator_masks(gs)
+        gens = [gs.mul(e, u) for u, m in zip(gs.generators, masks)
+                if ehat & m == ehat]
+        H = gs._hclasses["clifford", ehat] = HClass(
+            GeneratorSystem(gens, degree=gs.degree))
+    return H
+
+
+def sis_class(gs, M, cid):
+    """The record of component cid of the Munn graph M of a strict
+    inverse U, built once per system: an HClass with the basis at the
+    component's first vertex c, r_w = c gamma(w) for the mask of each
+    vertex w, and H_c, generated by the c lambda(u), where e-hat at c
+    is c.  The basis asserts gamma w gamma~ = c and gamma~ c gamma = w
+    for gamma = gamma(w) in U, so c <= gamma gamma~, r_w r_w~ =
+    c gamma gamma~ c = c and r_w~ r_w = w.  So the vertices lie in E(U)
+    all or none: if c does, so do r_w and w; if w does, so does
+    gamma w gamma~ = c.  As in `dclass`, H_c and the reps serve every
+    query on the component."""
+    H = gs._hclasses.get(("sis", M.delta, cid))
+    if H is None:
+        anchor = M.comp.index(cid)
+        B = basis_at(gs, M, anchor)
+        reps = {M.masks[w]: gs.codec.encode(gs.mul(M.vertices[anchor], g))
+                for w, g in B.gamma.items()}
+        group = (GeneratorSystem(hclass_generators(gs, B), degree=gs.degree)
+                 if B.ehat == M.masks[anchor] else None)
+        H = gs._hclasses["sis", M.delta, cid] = HClass(group, reps, B)
     return H
 
 
@@ -312,18 +304,26 @@ def hclass(gs, ehat, basis=None):
 
 def sis_min_idempotent(gs, e):
     """The mask of the least idempotent of E(U) union {1} above the
-    idempotent of mask e, for U a strict inverse semigroup: the e-hat of
-    the Munn vertex above e, or -1 (the identity of U^1) if none is.
-    Raises ValueError when two Munn vertices lie above e, which shows U
-    is not strict inverse.  (For a Clifford U, the least idempotent above
-    e is least_above(generator_masks(gs), e).)"""
+    idempotent of mask e, for U a strict inverse semigroup: e-hat at the
+    Munn vertex v above e, or -1 (the identity of U^1) if none is; a
+    ValueError if two are, which shows U is not strict inverse.  (For a
+    Clifford U it is least_above(generator_masks(gs), e).)
+
+    e-hat at v is gamma~ e-hat_c gamma for gamma = gamma(v) of the basis
+    at the component's first vertex c: conjugation by gamma (in U) maps
+    the idempotents below gamma gamma~ onto those below gamma~ gamma,
+    keeping order and E(U); c <= gamma gamma~ and v <= gamma~ gamma lie
+    in E(U) (`sis_class`) and gamma~ c gamma = v, so the least one above
+    c maps onto the least one above v."""
     M = _munn_at(gs, orbit_closure(gs, e))
     anchors = [i for i, v in enumerate(M.masks) if e & v == e]
     if len(anchors) > 1:
         raise ValueError("not strict inverse: two Munn vertices lie above e")
     if not anchors:
         return -1
-    ehat = _basis(gs, M, anchors[0]).ehat
+    B = sis_class(gs, M, M.comp[anchors[0]]).basis
+    gamma = B.gamma[anchors[0]]
+    ehat = sum(1 << gamma[x] for x in range(gs.degree) if B.ehat >> x & 1)
     assert e & ehat == e
     return ehat
 
@@ -337,8 +337,7 @@ def clifford_member(gs, t):
     e = dom_mask(t)
     if least_above(generator_masks(gs), e) != e:
         return False
-    ok, _ = pb_group_member(hclass(gs, e).group, t, word=False)
-    return ok
+    return pb_group_member(hclass(gs, e).group, t, word=False)[0]
 
 
 def clifford_conjugate(gs, s, t):
@@ -355,67 +354,51 @@ def clifford_conjugate(gs, s, t):
 # -- strict inverse solvers ------------------------------------------------
 
 
-def _munn_pair(gs, e, f, explain):
-    """(M, ve, vf): the Munn graph at the orbit closure of e and the
-    vertices of the idempotents of masks e and f, which must share its
-    component; (None, None, None) if they do not."""
+def _sis_class_of(gs, e, f, explain):
+    """The record (`sis_class`) of the Munn component that holds the
+    vertices of masks e and f, at the orbit closure of e, where it lies
+    in E(U); None if there is no such component."""
     delta = orbit_closure(gs, e)
     if orbit_closure(gs, f) != delta:
-        return None, None, None
+        return None
     M = _munn_at(gs, delta)
     if explain is not None:
-        explain["delta"] = M.e_delta.domain()
-        explain["munn_dot"] = munn_dot(M)
-    ve = M.vertex_index.get(e)
-    vf = M.vertex_index.get(f)
+        explain.update(delta=M.e_delta.domain(), munn_dot=munn_dot(M))
+    ve, vf = M.vertex_index.get(e), M.vertex_index.get(f)
     if ve is None or vf is None or M.comp[ve] != M.comp[vf]:
-        return None, None, None
-    return M, ve, vf
+        return None
+    H = sis_class(gs, M, M.comp[ve])
+    if explain is not None and H.group is not None:
+        explain["group_generators"] = H.group.generators
+    return H if H.group is not None else None
 
 
 def sis_member(gs, t, explain=None):
+    """t lies in a strict inverse U iff e = t t~ and f = t~ t are
+    vertices of one Munn component that lies in E(U), and r_e t r_f~
+    lies in H_c (`sis_class`); the proof is `dclass_member`'s."""
     e, f = dom_mask(t), ran_mask(t)
-    M, ve, vf = _munn_pair(gs, e, f, explain)
-    if M is None:
+    H = _sis_class_of(gs, e, f, explain)
+    if H is None:
         return False
-    if _basis(gs, M, ve).ehat != e or _basis(gs, M, vf).ehat != f:
-        return False
-    H = hclass(gs, e, _basis(gs, M, ve))
-    t_prime = gs.mul(t, gs.inv(H.basis.gamma[vf]))
     if explain is not None:
         explain["basis_gamma"] = dict(H.basis.gamma)
-        explain["group_generators"] = hclass_generators(gs, H.basis)
-        explain["group_target"] = t_prime
-    ok, _ = pb_group_member(H.group, t_prime, word=False)
-    return ok
+    return _sift(gs, H, H.reps[e], gs.codec.encode(t), H.reps[f], explain)
 
 
 def sis_conjugate(gs, s, t, explain=None):
     """Conjugacy in a strict inverse U for s != t (`solve` answers
-    s == t with gs.one): the Munn graph joins the least idempotents
-    above s and t, then one group search in the H-class."""
-    mul = gs.mul
-    inv = gs.inv
+    s == t with gs.one): s ~ t iff the least idempotents e-hat and f-hat
+    of E(U) above dom s | ran s and dom t | ran t share a Munn component
+    and one group search in H_c (`sis_class`) succeeds; the proof is
+    `dclass_conjugate`'s, as vertices of one component are D-related."""
     ehat = sis_min_idempotent(gs, dom_mask(s) | ran_mask(s))
     fhat = sis_min_idempotent(gs, dom_mask(t) | ran_mask(t))
     if ehat == -1 or fhat == -1:
         return False, None
-    M, ve, vf = _munn_pair(gs, ehat, fhat, explain)
-    if M is None:
-        return False, None
-    H = hclass(gs, ehat, _basis(gs, M, ve))
-    gamma_f = H.basis.gamma[vf]
-    t_prime = mul(mul(gamma_f, t), inv(gamma_f))
-    if explain is not None:
-        explain["group_generators"] = H.group.generators
-        explain["group_target"] = t_prime
-    ok, u = group_conjugate(H.group, s, t_prime)
-    if not ok:
-        return False, None
-    v = mul(u, gamma_f)
-    vb = inv(v)
-    assert mul(mul(vb, s), v) == t and mul(mul(v, t), vb) == s
-    return True, v
+    H = _sis_class_of(gs, ehat, fhat, explain)
+    return (False, None) if H is None else _transport(
+        gs, H, H.reps[ehat], s, H.reps[fhat], t, explain)
 
 
 # -- General U from its D-classes of idempotents ---------------------------
@@ -497,15 +480,23 @@ def dclass_member(gs, t, explain=None):
     roots = gs._d_roots
     assert roots is not None, "U must be classified General first"
     x = ops.encode(t)
-    xb = ops.inv(x)
-    e, f = ops.mul(x, xb), ops.mul(xb, x)
+    e, f = ops.mul(x, ops.inv(x)), ops.mul(ops.inv(x), x)
     c = roots.get(e)
     if c is None or roots.get(f) != c:
         return False
     D = dclass(gs, c)
     _explain_dclass(D, explain)
-    h = ops.mul(ops.mul(D.reps[e], x), ops.inv(D.reps[f]))
-    return pb_group_member(D.group, ops.decode(h), word=False)[0]
+    return _sift(gs, D, D.reps[e], x, D.reps[f])
+
+
+def _sift(gs, H, r_e, x, r_f, explain=None):
+    """Does h = r_e x r_f~ lie in H_c, for the codes x of t and r_e, r_f
+    of its reps?  The last step of `dclass_member` and `sis_member`."""
+    ops = gs.codec
+    h = ops.decode(ops.mul(ops.mul(r_e, x), ops.inv(r_f)))
+    if explain is not None:
+        explain["group_target"] = h
+    return pb_group_member(H.group, h, word=False)[0]
 
 
 def _least_above(gs, x):
@@ -542,7 +533,6 @@ def dclass_conjugate(gs, s, t, explain=None):
     If: u = r_f~ h r_g lies in U, and u~ s u = r_g~ h~ s' h r_g =
     r_g~ t' r_g = g t g = t; likewise u t u~ = f s f = s.
     """
-    ops = gs.codec
     roots = gs._d_roots
     assert roots is not None, "U must be classified General first"
     f = _least_above(gs, s)
@@ -551,15 +541,23 @@ def dclass_conjugate(gs, s, t, explain=None):
         return False, None
     D = dclass(gs, roots[f])
     _explain_dclass(D, explain)
-    rf, rg = D.reps[f], D.reps[g]
+    return _transport(gs, D, D.reps[f], s, D.reps[g], t)
+
+
+def _transport(gs, H, rf, s, rg, t, explain=None):
+    """One group search in H_c for s' = r_f s r_f~ and t' = r_g t r_g~,
+    given the codes r_f and r_g of reps, and the conjugator r_f~ h r_g:
+    the last step of `dclass_conjugate` and `sis_conjugate`."""
+    ops = gs.codec
     s1, t1 = (ops.decode(ops.mul(ops.mul(r, ops.encode(x)), ops.inv(r)))
               for r, x in ((rf, s), (rg, t)))
-    ok, h = group_conjugate(D.group, s1, t1)
+    if explain is not None:
+        explain["group_target"] = t1
+    ok, h = group_conjugate(H.group, s1, t1)
     if not ok:
         return False, None
     u = ops.decode(ops.mul(ops.mul(ops.inv(rf), ops.encode(h)), rg))
-    mul = gs.mul
-    ub = gs.inv(u)
+    mul, ub = gs.mul, gs.inv(u)
     assert mul(mul(ub, s), u) == t and mul(mul(u, t), ub) == s
     return True, u
 

@@ -5,11 +5,12 @@ All sampling is seeded by the caller, so test runs are deterministic.
 
 import random
 
-from invsem.pbij import PartialBijection, partial_identity, compose
+from invsem.pbij import (PartialBijection, partial_identity, compose,
+                         direct_product, empty_map)
 from invsem.gensys import GeneratorSystem
 from invsem.oracle import close, ClosureCapExceeded, naive_conjugate
 from invsem.classify import classify_generated
-from invsem.munn import dispatch_conjugate
+from invsem.munn import dispatch_conjugate, dom_mask, munn_graph, orbit_closure
 
 
 def rand_pb(rng, n, p_defined=0.7):
@@ -95,6 +96,60 @@ def sis_gens(rng, n, k):
             images[x] = y
         gens.append(PartialBijection(n, tuple(images)))
     return gens
+
+
+def sis_product_gens(rng, factors, k):
+    """k generators of a strict inverse U inside a direct product of
+    `factors` systems of sis_gens, each on 2-4 points; its Munn graphs
+    have several components more often than one factor's."""
+    parts = [sis_gens(rng, rng.randrange(2, 5), k) for _ in range(factors)]
+    return [direct_product(list(p)) for p in zip(*parts)]
+
+
+def disjoint_union(first, second):
+    """The generators of `first` on the first points and those of
+    `second` on the points after them, each undefined on the other's."""
+    n, m = first[0].degree, second[0].degree
+    return ([direct_product([g, empty_map(m)]) for g in first]
+            + [direct_product([empty_map(n), g]) for g in second])
+
+
+def padded(gs, degree):
+    """gs on `degree` points: each generator undefined past its own."""
+    pad = (None,) * (degree - gs.degree)
+    return GeneratorSystem([PartialBijection(degree, tuple(g) + pad)
+                            for g in gs.generators], degree=degree)
+
+
+def munn_components(gs, elements):
+    """The largest number of components of a Munn graph of gs at the
+    orbit closure of an idempotent of `elements`, 0 if there is none."""
+    deltas = {orbit_closure(gs, dom_mask(e))
+              for e in elements if e.is_idempotent()} - {0}
+    return max((len(set(munn_graph(gs, d).comp)) for d in deltas),
+               default=0)
+
+
+def sample_multi_component_sis(rng, count, closure_cap=300):
+    """(gs, closure elements) for `count` systems that are strict inverse
+    (or in a smaller variety) and have a Munn graph of two or more
+    components: subsemigroups of products of three sis_gens systems,
+    about 30% of them in a disjoint union with a second such system."""
+    out = []
+    while len(out) < count:
+        gens = sis_product_gens(rng, 3, rng.randrange(2, 6))
+        if rng.random() < 0.3:
+            gens = disjoint_union(gens, sis_product_gens(
+                rng, rng.randrange(1, 3), rng.randrange(1, 4)))
+        gs = GeneratorSystem(gens, degree=gens[0].degree)
+        try:
+            elements = close(gs, cap=closure_cap).elements
+        except ClosureCapExceeded:
+            continue
+        if (classify_generated(gs).is_strict_inverse()
+                and munn_components(gs, elements) > 1):
+            out.append((gs, elements))
+    return out
 
 
 def variety_gens(rng, kind, n, k):

@@ -253,6 +253,27 @@ def test_slp_answers_no_past_the_cap(tmp_path, capsys):
         1, "", "refused: group order 479001600 exceeds the cap\n")
 
 
+def test_semilattice_slp_prints_its_bound_only_where_u_fits_the_cap(
+        tmp_path, capsys):
+    # the ten idempotents on 10 points that each miss one point generate
+    # the 1023 partial identities other than the identity: past --cap 100
+    # the SLP is still built and checked, and only the bound line, which
+    # counts U, is left out
+    gens = "".join("gen %s\n" % " ".join("_" if j == i else str(j + 1)
+                                         for j in range(10))
+                   for i in range(10))
+    path = _write(tmp_path, "y.pb", "pb 10\n" + gens + "target _ _ _ %s\n"
+                  % " ".join(map(str, range(4, 11))))
+    slp = "YES\ng 0\ng 1\nm 0 1\ng 2\nm 2 3\ntarget 4\nlength 5\n"
+    assert run(capsys, "slp", path) == (
+        0, slp + "bound 20\nverified yes\n", "")
+    assert run(capsys, "slp", path, "--cap", "100") == (
+        0, slp + "verified yes\n", "")
+    assert run(capsys, "member", path, "--cap", "100") == (0, "YES\n", "")
+    answer = _write(tmp_path, "y.slp", slp + "verified yes\n")
+    assert run(capsys, "verify", "slp", path, answer) == (0, "OK\n", "")
+
+
 def test_slp_cube_doubling_cap_is_refused(tmp_path, capsys, monkeypatch):
     # a member target whose cube passes CUBE_CAP is refused, not NO
     monkeypatch.setattr(slp_module, "BFS_THRESHOLD", 2)
@@ -1232,6 +1253,34 @@ def test_explain_names_the_deciding_dclass_on_the_general_route(
     code, out, err = run(capsys, "member", outside, "--explain")
     assert (code, out, err.splitlines()) == (0, "NO\n", head + [
         "idempotents: 8", "solver: general", "variety: General"])
+
+
+def test_explain_keys_of_the_strict_inverse_route(tmp_path, capsys):
+    # B(S_3, 2) queried on its second block: the record of the one Munn
+    # component carries the target over to the H-class at the first
+    # block, where the group search runs
+    path = _write(tmp_path, "b.pb", "pb 6\ngen 2 1 3 _ _ _\n"
+                  "gen 2 3 1 _ _ _\ngen 4 5 6 _ _ _\ntarget _ _ _ 5 4 6\n"
+                  "s _ _ _ 5 4 6\nt _ _ _ 4 6 5\n")
+    solver = {"basis_gamma", "delta", "group_generators", "group_target",
+              "munn_dot"}
+    route = {"classified_by", "idempotents", "solver", "variety"}
+    for cmd, answer, keys in (
+            ("member", "YES\n", solver),
+            ("conj", "YES\nconjugator _ _ _ 5 6 4\n",
+             solver - {"basis_gamma"})):
+        code, out, err = run(capsys, cmd, path, "--explain")
+        assert (code, out) == (0, answer), cmd
+        lines = err.splitlines()
+        assert {line.split(": ")[0] for line in lines
+                if ": " in line} | {line[2:] for line in lines
+                                    if line.startswith("% ")} == (
+            keys | route), cmd
+        assert "solver: sis" in lines and "variety: StrictInverse" in lines
+        # the group search runs on the first block
+        target = [line for line in lines if line.startswith("group_target")]
+        assert target == ["group_target: PartialBijection(6:[%s,_,_,_])" % (
+            "2,1,3" if cmd == "member" else "1,3,2")], cmd
 
 
 # the varieties each explicit pb solver is exact on

@@ -17,14 +17,15 @@ from invsem import munn as munn_module
 from invsem.munn import (OutsideTractable, orbit_closure,
                          munn_graph, munn_dot, basis_at, hclass_generators,
                          sis_min_idempotent, least_above, generator_masks,
-                         dom_mask,
+                         dom_mask, idempotent_of,
                          sis_member, sis_conjugate, clifford_conjugate,
                          dispatch_member, dispatch_conjugate, route, solve,
                          SOLVERS, VARIETY_OF)
 
 from helpers import (KINDS, rand_pb, sample_systems, sample_sis_systems,
-                     check_munn_lemmas, dispatched_as_the_oracle,
-                     top_points_system, variety_gens)
+                     check_munn_lemmas, dispatched_as_the_oracle, padded,
+                     sample_multi_component_sis, top_points_system,
+                     variety_gens)
 from reference import (all_partial_bijections, from_closure, idempotent_meet,
                        sis_min_idempotent_scan)
 
@@ -865,13 +866,6 @@ def test_signature_answers_before_any_solver_cache_is_built():
         assert naive_conjugate(gs, s, t) == (False, None)
 
 
-def _padded(gs, degree):
-    """gs on `degree` points: each generator undefined past its own."""
-    pad = (None,) * (degree - gs.degree)
-    return GeneratorSystem([PartialBijection(degree, tuple(g) + pad)
-                            for g in gs.generators], degree=degree)
-
-
 def test_mask_meets_match_the_composed_reference():
     # the least idempotents above, read off domain masks, against
     # products of idempotents: the Clifford e-hat over the generators'
@@ -887,7 +881,7 @@ def test_mask_meets_match_the_composed_reference():
             small = GeneratorSystem(
                 variety_gens(rng, kind, n, rng.randrange(1, 5)), degree=n)
             x_small = rand_pb(rng, n)
-            for gs in (small, _padded(small, 256)):
+            for gs in (small, padded(small, 256)):
                 m = gs.degree
                 kernel = "bytes" if m == n else "elements"
                 tag = classify_generated(gs)
@@ -908,8 +902,8 @@ def test_mask_meets_match_the_composed_reference():
                         checked[kernel, "sis", want is None] += 1
                 if tag.name == "General":
                     ops = gs.codec
-                    x = _padded(GeneratorSystem([x_small], degree=n),
-                                m).generators[0] if m > n else x_small
+                    x = padded(GeneratorSystem([x_small], degree=n),
+                               m).generators[0] if m > n else x_small
                     e = partial_identity(m, x.domain() | x.ran())
                     want = idempotent_meet(
                         gs, [ops.decode(f) for f in gs._d_roots], e)
@@ -936,9 +930,9 @@ def test_dispatch_rejects_a_cayley_table_system():
         dispatch_conjugate(ct, 1, 2)
 
 
-# the caches of a system by invariant set, basis anchor or e-hat: they
+# the caches of a system by invariant set, Munn component or e-hat: they
 # fill as queries reach new ones, up to the size of U's structure
-_STRUCTURE_CACHES = ("_munn", "_bases", "_hclasses")
+_STRUCTURE_CACHES = ("_munn", "_hclasses")
 # the per-system caches that held queries read, each fixed by U alone
 _SYSTEM_CACHES = ("_masks", "_orbit_masks", "_group_points", "_e_masks")
 
@@ -1011,3 +1005,123 @@ def test_held_queries_leave_the_per_system_caches_bounded():
             assert size <= early.get(key, size), (name, key)
         used.update(cache for _, cache in late)
     assert used >= set(_SYSTEM_CACHES)
+
+
+def _sis_systems(rng):
+    """(gs, elements, big) for 300 strict inverse systems (or in a
+    smaller variety): 150 with a Munn graph of several components, about
+    30% of those disjoint unions, and 150 from sample_sis_systems; every
+    third also with big set, to be padded to 256 points."""
+    systems = (sample_multi_component_sis(rng, 150)
+               + sample_sis_systems(rng, 150, degrees=(2, 6)))
+    assert len(systems) == 300
+    return [(gs, elements, big) for i, (gs, elements) in enumerate(systems)
+            for big in (False, True)[:1 + (i % 3 == 0)]]
+
+
+def test_sis_records_read_ehat_off_one_basis_per_component():
+    # for every Munn vertex v at the orbit closure of an idempotent of U:
+    # e-hat at v is gamma~ e-hat_c gamma for gamma = gamma(v) of the
+    # basis at the component's first vertex c, and is the least mask of
+    # E(U) above v; a component's vertices lie in E(U) all or none, as
+    # the record's group says; every rep r_w has r_w r_w~ = c and
+    # r_w~ r_w = w
+    rng = random.Random(41)
+    counts = Counter()
+    for small, elements, big in _sis_systems(rng):
+        gs = padded(small, 256) if big else small
+        ops, mul, inv = gs.codec, gs.mul, gs.inv
+        e_masks = {dom_mask(x) for x in elements if x.is_idempotent()}
+        deltas = {orbit_closure(gs, e) for e in e_masks} - {0}
+        for delta in deltas:
+            M = munn_graph(gs, delta)
+            for cid in set(M.comp):
+                H = munn_module.sis_class(gs, M, cid)
+                c = M.comp.index(cid)
+                ce = M.vertices[c]
+                ehat_c = idempotent_of(gs.degree, H.basis.ehat)
+                in_e = set()
+                for v, gamma in H.basis.gamma.items():
+                    want = least_above(e_masks, M.masks[v])
+                    ehat = mul(mul(inv(gamma), ehat_c), gamma)
+                    assert dom_mask(ehat) == want, (gs, v)
+                    assert sis_min_idempotent(gs, M.masks[v]) == want
+                    in_e.add(M.masks[v] in e_masks)
+                    r = ops.decode(H.reps[M.masks[v]])
+                    assert mul(r, inv(r)) == ce
+                    assert mul(inv(r), r) == M.vertices[v]
+                    counts[big, "vertex"] += 1
+                assert len(in_e) == 1 and in_e == {H.group is not None}
+                assert sorted(H.basis.gamma) == [
+                    v for v in range(len(M.comp)) if M.comp[v] == cid]
+                counts[big, "in E(U)", H.group is not None] += 1
+    for big in (False, True):
+        assert counts[big, "vertex"] > 100, counts
+        assert min(counts[big, "in E(U)", True],
+                   counts[big, "in E(U)", False]) > 5, counts
+
+
+def test_strict_inverse_solver_matches_the_oracle_on_multi_component_systems():
+    # 1500 systems with a Munn graph of several components, about 30% of
+    # them disjoint unions, each as generated (bytes codes) and padded to
+    # 256 points (the system's own elements): member and conj answer as
+    # the oracle does, and each conjugator lies in U^1
+    rng = random.Random(43)
+    counts = Counter()
+    for small, elements in sample_multi_component_sis(rng, 1500):
+        n = small.degree
+        queries = []
+        for _ in range(2):
+            t = rng.choice(elements) if rng.random() < 0.7 else rand_pb(rng, n)
+            queries.append(("member", t))
+            # s below u u~ = e, so u~ s u is conjugate to s
+            s, u = rng.choice(elements), rng.choice(elements)
+            mul, e = small.mul, small.mul(u, small.inv(u))
+            s = mul(mul(e, s), e)
+            t = (mul(mul(small.inv(u), s), u) if rng.random() < 0.6
+                 else rng.choice(elements))
+            queries.append(("conj", s, t))
+        want = [naive_member(small, *q[1:])[0] if q[0] == "member"
+                else naive_conjugate(small, *q[1:])[0] for q in queries]
+        members = set(elements)
+        for gs in (small, padded(small, 256)):
+            m = gs.degree
+            for query, expected in zip(queries, want):
+                xs = [PartialBijection(m, tuple(x) + (None,) * (m - n))
+                      for x in query[1:]]
+                ok, u = solve("StrictInverse", query[0], gs, *xs)
+                assert ok == expected, (gs, query)
+                counts[m > 255, query[0], ok] += 1
+                if query[0] == "conj" and ok:
+                    assert u == gs.one or (
+                        not any(u[n:]) and
+                        PartialBijection(n, u[:n]) in members), (gs, query)
+    for big in (False, True):
+        for query in ("member", "conj"):
+            assert min(counts[big, query, True],
+                       counts[big, query, False]) > 200, counts
+
+
+def test_held_sis_queries_keep_one_record_per_munn_component(monkeypatch):
+    # held member and conj queries build one basis, and keep one "sis"
+    # record, per Munn component that they reach: none at ran t, and
+    # none per queried vertex
+    built = []
+    basis_at = munn_module.basis_at
+    monkeypatch.setattr(munn_module, "basis_at", lambda gs, M, anchor: (
+        built.append((M.delta, M.comp[anchor])) or basis_at(gs, M, anchor)))
+    rng = random.Random(47)
+    reached = 0
+    for gs, elements in sample_multi_component_sis(rng, 40):
+        del built[:]
+        for _ in range(30):
+            s, u = rng.choice(elements), rng.choice(elements)
+            dispatch_member(gs, s)
+            dispatch_conjugate(gs, s, gs.mul(gs.mul(gs.inv(u), s), u))
+        records = [key[1:] for key in gs._hclasses if key[0] == "sis"]
+        components = {(delta, c) for delta, M in gs._munn.items()
+                      for c in M.comp}
+        assert sorted(built) == sorted(records), gs
+        assert set(records) <= components, gs
+        reached += len(records)
+    assert reached > 80
