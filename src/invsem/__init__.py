@@ -23,15 +23,15 @@ from .pbij import (
 from .cayley import CayleyTable, preston_wagner, brandt_table, y2_table
 from .gensys import GeneratorSystem
 from .oracle import close, naive_member, naive_conjugate, naive_green
-from .classify import VarietyTag, classify_generated
+from .classify import OutsideTractable, VarietyTag, classify_generated
 from .groups import PermGroup, perm_group_of, pb_group_member, \
     group_conjugate, set_transporter
 from .ctsolver import CTSolver
 from .slp import (SLP, slp_eval, slp_to_text, slp_from_text,
                   slp_semilattice, slp_group, slp_clifford, NotGenerated)
-from .munn import (OutsideTractable, munn_graph, munn_dot, basis_at,
-                   sis_member, sis_conjugate, clifford_member,
-                   clifford_conjugate, dispatch_member, dispatch_conjugate)
+from .munn import (munn_graph, munn_dot, basis_at, sis_member,
+                   sis_conjugate, clifford_member, clifford_conjugate,
+                   dispatch_member, dispatch_conjugate)
 from .automata import InverseAutomaton, intersect_nonempty, ProductCapExceeded
 from .ncl import NCLMachine, ncl_validate
 from .hardness import (gen_ugap_conj, gen_ugap_member, gen_ncl_conj,

@@ -9,8 +9,9 @@ inverse-closed generator list Sigma (`classify_from_generators`), with
 O(|Sigma|^2) products and no enumeration of U = <Sigma>.  Only when U
 is not Clifford does it split StrictInverse from General, on the
 idempotents E(U) alone (`_split_on_idempotents`): an orbit of the
-generators' idempotents, under the cap on |E(U)|, never the closure,
-run on the codes of the system's element kernel, `GeneratorSystem.codec`.
+generators' idempotents, under the cap on |E(U)|, never the closure;
+past the cap it raises OutsideTractable.  Both run on the codes of the
+system's element kernel, `GeneratorSystem.codec`.
 On a General U the walk's D-classes of E(U) stay on the system: the
 auto route's General solvers (`munn.dclass_member`,
 `munn.dclass_conjugate`) decide on them and one Schutzenberger group
@@ -34,13 +35,17 @@ CLIFFORD = ("Trivial", "Semilattice", "Group", "Clifford")
 E_CAP_EXCEEDED = "idempotent (E(U)) cap exceeded: more than %d idempotents"
 
 
+class OutsideTractable(Exception):
+    """E(U) passed the cap, which cuts off the StrictInverse/General
+    split: the one refusal of the pb solvers, none of which enumerates U."""
+
+
 @dataclass(frozen=True)
 class VarietyTag:
     name: str  # Trivial | Semilattice | Group | Clifford | StrictInverse | General
     divides_Y2: bool
     divides_B2: bool
     divides_B21: bool
-    cap_exceeded: bool = False
     # "generators" or "idempotents": how the name was decided
     classified_by: str = field(default="idempotents", compare=False)
     # |E(U)| where the idempotents decided the name, else None
@@ -59,14 +64,12 @@ class VarietyTag:
         return self.name != "General"
 
 
-def _tag(name, classified_by="idempotents", cap_exceeded=False,
-         idempotents=None):
+def _tag(name, classified_by="idempotents", idempotents=None):
     """The tag of a variety name; the divisor flags follow from it."""
     return VarietyTag(name,
                       divides_Y2=name not in GROUPS,
                       divides_B2=name not in CLIFFORD,
                       divides_B21=name == "General",
-                      cap_exceeded=cap_exceeded,
                       classified_by=classified_by,
                       idempotents=idempotents)
 
@@ -74,7 +77,7 @@ def _tag(name, classified_by="idempotents", cap_exceeded=False,
 def classify_from_generators(gs):
     """The variety name of U = <Sigma> read off the inverse-closed
     generator list, or None when U is not Clifford.  Uses O(|Sigma|^2)
-    products and is exact:
+    products, on the codes of gs.codec, and is exact:
 
     - Sigma = {e} with e idempotent generates {e}.  Idempotents of an
       inverse semigroup commute, so idempotent generators generate a
@@ -89,9 +92,9 @@ def classify_from_generators(gs):
     - Such a U is a group exactly when all e_u are equal: each w w~ is
       a product of them, and a group has one idempotent.
     """
-    mul = gs.mul
-    inv = gs.inv
-    gens = gs.generators
+    ops = gs.codec
+    mul, inv = ops.mul, ops.inv
+    gens = list(map(ops.encode, gs.generators))
     if all(mul(u, u) == u for u in gens):
         return "Trivial" if len(gens) == 1 else "Semilattice"
     es = []
@@ -217,15 +220,14 @@ def _split_on_idempotents(gs, cap):
 def classify_generated(gs, cap=ELEMENT_CAP):
     """Classify U = <Sigma>: from the generators when U is Clifford,
     otherwise on E(U) under `cap` to split StrictInverse from General.
-    Where E(U) passes the cap, return the General tag with a marker and
-    record the cap on gs, so that this cap and every smaller one are
-    refused at once.
+    Where E(U) passes the cap, raise OutsideTractable and record the cap
+    on gs, so that this cap and every smaller one are refused at once.
     """
     if gs._variety is not None:
         return gs._variety
     if cap <= gs._over_e_cap:
         # the walk is deterministic and passed this cap before
-        return _tag("General", cap_exceeded=True)
+        raise OutsideTractable(E_CAP_EXCEEDED % cap)
     name = classify_from_generators(gs)
     if name is not None:
         tag = _tag(name, "generators")
@@ -233,7 +235,7 @@ def classify_generated(gs, cap=ELEMENT_CAP):
         split = _split_on_idempotents(gs, cap)
         if split is None:
             gs._over_e_cap = cap
-            return _tag("General", cap_exceeded=True)
+            raise OutsideTractable(E_CAP_EXCEEDED % cap)
         strict, count = split
         tag = _tag("StrictInverse" if strict else "General",
                    idempotents=count)

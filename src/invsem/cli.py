@@ -16,13 +16,12 @@ from .gensys import GeneratorSystem, VIRTUAL_ONE
 from .pbij import partial_identity
 from .oracle import (ELEMENT_CAP, ClosureCapExceeded, close, naive_member,
                      naive_conjugate, naive_green, naive_green_leq)
-from .classify import E_CAP_EXCEEDED, classify_generated
+from .classify import OutsideTractable, classify_generated
 from .groups import _group_domain, pb_group_member, perm_group_of
 from .ctsolver import CTSolver
 from .slp import (NotGenerated, slp_eval, slp_to_text, slp_from_records,
                   slp_semilattice, slp_group, slp_clifford)
-from .munn import (OutsideTractable, VARIETY_OF, dispatch_member, route,
-                   solve)
+from .munn import VARIETY_OF, dispatch_member, route, solve
 from .automata import (InverseAutomaton, ProductCapExceeded,
                        intersect_nonempty)
 from .hardness import (gen_ugap_conj, gen_ugap_member, gen_ncl_conj,
@@ -89,8 +88,6 @@ def cmd_classify(args):
     inst = _load(args.file)
     gs = _system_of(inst)
     tag = classify_generated(gs, cap=args.cap)
-    if tag.cap_exceeded:
-        raise Refusal(E_CAP_EXCEEDED % args.cap)
     print(tag.name)
     for flag in ("divides_Y2", "divides_B2", "divides_B21"):
         print("%s %s" % (flag, "yes" if getattr(tag, flag) else "no"))
@@ -182,8 +179,6 @@ def cmd_slp(args):
     gs = _system_of(inst)
     t = _require(inst.target, "target")
     tag = classify_generated(gs, cap=args.cap)
-    if tag.cap_exceeded:
-        raise Refusal(E_CAP_EXCEEDED % args.cap)
     import math
     try:
         if tag.is_semilattice():
@@ -675,8 +670,6 @@ def build_parser(names=tuple(_COMMANDS)):
     for name in names:
         func, add_arguments = _COMMANDS[name]
         sub = subs.add_parser(name)
-        sub.add_argument("--seed", type=int, default=None,
-                         help="accepted and ignored; output is deterministic")
         sub.add_argument("--cap", type=_cap, default=ELEMENT_CAP,
                          help="closure element cap")
         add_arguments(sub)

@@ -64,7 +64,8 @@ class GeneratorSystem:
         # point's orbit mask, Munn graphs by delta mask, and H-class
         # records: a Clifford group by ("clifford", e-hat mask), a Munn
         # component's basis, reps and group by ("sis", delta, component),
-        # and a D-class's reps and group by ("general", root)
+        # and a D-class's reps and group by ("general", root); bases and
+        # reps hold codes of codec, Munn vertices and e-hats masks
         self._closure = None
         self._over_cap = 0
         self._over_e_cap = 0

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .pbij import partial_identity
 from .oracle import ELEMENT_CAP
-from .classify import (E_CAP_EXCEEDED, VarietyTag, classify_generated,
+from .classify import (OutsideTractable, VarietyTag, classify_generated,
                        idempotent_steps)
 from .gensys import GeneratorSystem
 from .groups import (conj_signature, group_conjugate, orbit_labels,
@@ -28,23 +28,20 @@ from .groups import (conj_signature, group_conjugate, orbit_labels,
 from .search import UnionFind
 
 
-class OutsideTractable(Exception):
-    """E(U) passed the cap, which cuts off the StrictInverse/General
-    split: the one refusal of the routes here, none of which enumerates
-    U."""
-
-
 # -- idempotents and orbits as domain bit masks ---------------------------
 #
 # An idempotent of I_n is the identity on its domain, so the solvers read
 # it as the bit mask of that domain, an int at any degree: e <= f iff
 # e & f == e, and a product of idempotents is the AND of their masks.
+# Every other element they build is a code of gs.codec, and is decoded
+# only where it leaves: the generators of an H-class GeneratorSystem, a
+# witness, and --explain text.
 
 
-def dom_mask(x):
-    """The domain of the partial bijection x as a bit mask: the mask of
-    x x~."""
-    return sum(1 << i for i, y in enumerate(x) if y is not None)
+def dom_mask(x, undefined=None):
+    """The domain of x as a bit mask, the mask of x x~: x is a partial
+    bijection, or a code with `undefined` its codec's ops.undefined."""
+    return sum(1 << i for i, y in enumerate(x) if y != undefined)
 
 
 def ran_mask(x):
@@ -52,9 +49,10 @@ def ran_mask(x):
     return sum(1 << y for y in x if y is not None)
 
 
-def idempotent_of(n, a):
-    """The idempotent on n points whose domain mask is a."""
-    return partial_identity(n, (x for x in range(n) if a >> x & 1))
+def idempotent_of(gs, a):
+    """The code (of gs.codec) of the idempotent whose domain mask is a."""
+    return gs.codec.encode(partial_identity(
+        gs.degree, (x for x in range(gs.degree) if a >> x & 1)))
 
 
 def least_above(masks, a):
@@ -103,20 +101,13 @@ def orbit_closure(gs, a):
     return out
 
 
-def _is_large(gs, delta, u):
-    """Does dom(u) meet every U-orbit inside the invariant set delta?"""
-    return orbit_closure(gs, dom_mask(u) & delta) == delta
-
-
 # -- Munn graphs -----------------------------------------------------------
 
 
 @dataclass
 class MunnGraph:
     delta: int  # mask of the invariant point set
-    e_delta: object
-    vertices: tuple  # idempotents e_delta u u~, deduplicated
-    masks: tuple  # their domain masks
+    vertices: tuple  # masks of the idempotents e_delta u u~, deduplicated
     vertex_index: dict  # vertex mask -> vertex index
     edges: tuple  # (generator index, src vertex, tgt vertex)
     comp: tuple  # component id per vertex
@@ -124,22 +115,22 @@ class MunnGraph:
 
 def munn_graph(gs, delta):
     """The Munn graph at an invariant set delta, a point mask: vertices
-    e_delta u u~ over the delta-large generators u, one edge per such
-    generator.
+    e_delta u u~ over the delta-large generators u (dom u meets every
+    U-orbit inside delta), as masks, and one edge per such generator.
     """
     if orbit_closure(gs, delta) != delta:
         raise ValueError("point set is not U-invariant")
-    masks = []
+    vertices = []
     vertex_index = {}
     edges = []
-    for i, u in enumerate(gs.generators):
-        if not _is_large(gs, delta, u):
+    for i, (u, m) in enumerate(zip(gs.generators, generator_masks(gs))):
+        if orbit_closure(gs, m & delta) != delta:  # u is not delta-large
             continue
-        src, tgt = delta & dom_mask(u), delta & ran_mask(u)
+        src, tgt = delta & m, delta & ran_mask(u)
         for v in (src, tgt):
             if v not in vertex_index:
-                vertex_index[v] = len(masks)
-                masks.append(v)
+                vertex_index[v] = len(vertices)
+                vertices.append(v)
         edges.append((i, vertex_index[src], vertex_index[tgt]))
     # components, numbered densely in vertex order
     uf = UnionFind()
@@ -147,11 +138,9 @@ def munn_graph(gs, delta):
         uf.union(a, b)
     roots = {}
     comp = tuple(roots.setdefault(uf.find(v), len(roots))
-                 for v in range(len(masks)))
-    n = gs.degree
-    return MunnGraph(delta, idempotent_of(n, delta),
-                     tuple(idempotent_of(n, v) for v in masks), tuple(masks),
-                     vertex_index, tuple(edges), comp)
+                 for v in range(len(vertices)))
+    return MunnGraph(delta, tuple(vertices), vertex_index, tuple(edges),
+                     comp)
 
 
 def munn_dot(M):
@@ -159,7 +148,7 @@ def munn_dot(M):
     lines = ["graph munn {"]
     for i, v in enumerate(M.vertices):
         lines.append('  v%d [label="{%s}"];' % (i, ",".join(
-            str(x + 1) for x in sorted(v.domain()))))
+            str(x + 1) for x in range(v.bit_length()) if v >> x & 1)))
     for gi, a, b in M.edges:
         lines.append('  v%d -- v%d [label="g%d"];' % (a, b, gi + 1))
     lines.append("}")
@@ -173,8 +162,8 @@ def munn_dot(M):
 class Basis:
     munn: MunnGraph
     anchor: int  # vertex index of e
-    gamma: dict  # vertex index -> element of U
-    lam: dict  # generator index -> element of U
+    gamma: dict  # vertex index -> code of an element of U
+    lam: dict  # generator index -> code of an element of U
     sigma_e: tuple  # generator indices of the component's edges
     ehat: int  # mask of the product of lambda(u) lambda(u)~ over them
 
@@ -182,63 +171,69 @@ class Basis:
 def basis_at(gs, M, anchor):
     """A basis at (delta, e): conjugators gamma(f) from the anchor
     vertex e to each vertex f of its component, built along BFS-shortest
-    paths (ties by edge list position), and the edge relabeling lambda.
+    paths (ties by edge list position), and the edge relabeling lambda,
+    both as codes of gs.codec.
     """
-    mul, inv = gs.mul, gs.inv
+    ops = gs.codec
+    mul, inv = ops.mul, ops.inv
     cid = M.comp[anchor]
     sigma_e = tuple(gi for gi, a, _ in M.edges if M.comp[a] == cid)
     # e-tilde: product of u u~ over component edges with u u~ >= e
     masks = generator_masks(gs)
-    etilde = least_above([masks[gi] for gi in sigma_e], M.masks[anchor])
+    etilde = least_above([masks[gi] for gi in sigma_e], M.vertices[anchor])
     assert etilde != -1, "anchor vertex has no dominating edge"
+    code = {gi: ops.encode(gs.generators[gi]) for gi in sigma_e}
     # gamma along BFS paths from the anchor, adjacency in edge-list order
     adj = [[] for _ in M.vertices]
     for gi, a, b in M.edges:
         adj[a].append((b, gi))
-    gamma = {anchor: idempotent_of(gs.degree, etilde)}
+    gamma = {anchor: idempotent_of(gs, etilde)}
     queue = [anchor]
     for v in queue:
         for w, gi in adj[v]:
             if w not in gamma:
-                gamma[w] = mul(gamma[v], gs.generators[gi])
+                gamma[w] = mul(gamma[v], code[gi])
                 queue.append(w)
-    lam = {gi: mul(mul(gamma[a], gs.generators[gi]), inv(gamma[b]))
+    lam = {gi: mul(mul(gamma[a], code[gi]), inv(gamma[b]))
            for gi, a, b in M.edges if M.comp[a] == cid}
     # e-hat: the meet of every lambda(u) lambda(u)~, as all contain 0
-    ehat = least_above(map(dom_mask, lam.values()), 0)
+    ehat = least_above((dom_mask(x, ops.undefined) for x in lam.values()), 0)
     basis = Basis(M, anchor, gamma, lam, sigma_e, ehat)
     _check_basis(gs, basis)
     return basis
 
 
 def _check_basis(gs, B):
-    mul, inv = gs.mul, gs.inv
+    ops = gs.codec
+    mul, inv = ops.mul, ops.inv
     M = B.munn
-    e = M.vertices[B.anchor]
+    e = idempotent_of(gs, M.vertices[B.anchor])
     ge = B.gamma[B.anchor]
     assert mul(ge, ge) == ge, "gamma(e) not idempotent"
     for v, g in B.gamma.items():
-        f = M.vertices[v]
+        f = idempotent_of(gs, M.vertices[v])
         gb = inv(g)
         assert mul(mul(g, gb), ge) == mul(g, gb), "gamma(e) >= gamma gamma~ fails"
         assert mul(mul(gb, e), g) == f, "gamma~(f) e gamma(f) != f"
         assert mul(mul(g, f), gb) == e, "gamma(f) f gamma~(f) != e"
     index = {g: i for i, g in enumerate(gs.generators)}
     for gi, l in B.lam.items():
-        lb = B.lam[index[inv(gs.generators[gi])]]
+        lb = B.lam[index[gs.inv(gs.generators[gi])]]
         assert lb == inv(l), "lambda(u~) != lambda(u)^-1"
         assert mul(l, lb) == mul(lb, l), "lambda commutation fails"
 
 
 def hclass_generators(gs, B):
     """Generators e lambda(u) of the group H-class U_e at the basis
-    anchor."""
-    mul, inv = gs.mul, gs.inv
-    e = B.munn.vertices[B.anchor]
+    anchor, multiplied as codes of gs.codec and decoded for its
+    GeneratorSystem."""
+    ops = gs.codec
+    mul, inv = ops.mul, ops.inv
+    e = idempotent_of(gs, B.munn.vertices[B.anchor])
     out = list(dict.fromkeys(mul(e, B.lam[gi]) for gi in B.sigma_e))
     for g in out:
         assert mul(g, inv(g)) == e and mul(inv(g), g) == e
-    return out
+    return list(map(ops.decode, out))
 
 
 # -- the H-class layer, built once per generator system --------------------
@@ -268,9 +263,9 @@ def hclass(gs, ehat):
     with u u~ >= e-hat."""
     H = gs._hclasses.get(("clifford", ehat))
     if H is None:
-        e, masks = idempotent_of(gs.degree, ehat), generator_masks(gs)
-        gens = [gs.mul(e, u) for u, m in zip(gs.generators, masks)
-                if ehat & m == ehat]
+        ops, e = gs.codec, idempotent_of(gs, ehat)
+        gens = [ops.decode(ops.mul(e, ops.encode(u))) for u, m in
+                zip(gs.generators, generator_masks(gs)) if ehat & m == ehat]
         H = gs._hclasses["clifford", ehat] = HClass(
             GeneratorSystem(gens, degree=gs.degree))
     return H
@@ -289,12 +284,13 @@ def sis_class(gs, M, cid):
     query on the component."""
     H = gs._hclasses.get(("sis", M.delta, cid))
     if H is None:
+        ops = gs.codec
         anchor = M.comp.index(cid)
         B = basis_at(gs, M, anchor)
-        reps = {M.masks[w]: gs.codec.encode(gs.mul(M.vertices[anchor], g))
-                for w, g in B.gamma.items()}
+        c = idempotent_of(gs, M.vertices[anchor])
+        reps = {M.vertices[w]: ops.mul(c, g) for w, g in B.gamma.items()}
         group = (GeneratorSystem(hclass_generators(gs, B), degree=gs.degree)
-                 if B.ehat == M.masks[anchor] else None)
+                 if B.ehat == M.vertices[anchor] else None)
         H = gs._hclasses["sis", M.delta, cid] = HClass(group, reps, B)
     return H
 
@@ -316,7 +312,7 @@ def sis_min_idempotent(gs, e):
     in E(U) (`sis_class`) and gamma~ c gamma = v, so the least one above
     c maps onto the least one above v."""
     M = _munn_at(gs, orbit_closure(gs, e))
-    anchors = [i for i, v in enumerate(M.masks) if e & v == e]
+    anchors = [i for i, v in enumerate(M.vertices) if e & v == e]
     if len(anchors) > 1:
         raise ValueError("not strict inverse: two Munn vertices lie above e")
     if not anchors:
@@ -363,7 +359,8 @@ def _sis_class_of(gs, e, f, explain):
         return None
     M = _munn_at(gs, delta)
     if explain is not None:
-        explain.update(delta=M.e_delta.domain(), munn_dot=munn_dot(M))
+        points = frozenset(x for x in range(gs.degree) if delta >> x & 1)
+        explain.update(delta=points, munn_dot=munn_dot(M))
     ve, vf = M.vertex_index.get(e), M.vertex_index.get(f)
     if ve is None or vf is None or M.comp[ve] != M.comp[vf]:
         return None
@@ -381,9 +378,11 @@ def sis_member(gs, t, explain=None):
     H = _sis_class_of(gs, e, f, explain)
     if H is None:
         return False
+    ops = gs.codec
     if explain is not None:
-        explain["basis_gamma"] = dict(H.basis.gamma)
-    return _sift(gs, H, H.reps[e], gs.codec.encode(t), H.reps[f], explain)
+        explain["basis_gamma"] = {v: ops.decode(g)
+                                  for v, g in H.basis.gamma.items()}
+    return _sift(gs, H, H.reps[e], ops.encode(t), H.reps[f], explain)
 
 
 def sis_conjugate(gs, s, t, explain=None):
@@ -503,11 +502,11 @@ def _least_above(gs, x):
     """The code of the least idempotent of E(U) defined on dom x | ran x,
     or None: the meet of all those above it, as E(U) is closed under
     products, over the masks of E(U) (gs._e_masks, once per system)."""
-    ops = gs.codec
     if gs._e_masks is None:
-        gs._e_masks = tuple(dom_mask(ops.decode(f)) for f in gs._d_roots)
+        gs._e_masks = tuple(dom_mask(f, gs.codec.undefined)
+                            for f in gs._d_roots)
     meet = least_above(gs._e_masks, dom_mask(x) | ran_mask(x))
-    return None if meet == -1 else ops.encode(idempotent_of(gs.degree, meet))
+    return None if meet == -1 else idempotent_of(gs, meet)
 
 
 def dclass_conjugate(gs, s, t, explain=None):
@@ -599,25 +598,30 @@ def route(gs, solver="auto", cap=ELEMENT_CAP, explain=None):
     variety: a ValueError if not.  OutsideTractable where the cap on
     E(U) cut off the StrictInverse/General split that auto or sis
     needs."""
-    tag = classify_generated(gs, cap)
+    try:
+        tag = classify_generated(gs, cap)
+    except OutsideTractable as exc:
+        # the E(U) walk runs only where the generators show U is not
+        # Clifford
+        if solver == "sis":
+            raise OutsideTractable("%s, while checking the variety "
+                                   "StrictInverse" % exc)
+        if solver != "auto":
+            raise ValueError("variety %s does not hold: U is not Clifford"
+                             % VARIETY_OF[solver])
+        if explain is not None:
+            explain["classified_by"] = "idempotents"
+        raise
     if solver == "auto":
         if explain is not None:
-            explain["classified_by"] = tag.classified_by
+            explain.update(classified_by=tag.classified_by, variety=tag.name)
             if tag.idempotents is not None:
                 explain["idempotents"] = tag.idempotents
-            if not tag.cap_exceeded:
-                explain["variety"] = tag.name
-        if tag.cap_exceeded:
-            raise OutsideTractable(E_CAP_EXCEEDED % cap)
         return tag.name
     variety = VARIETY_OF[solver]
     if not _HOLDS[variety](tag):
-        if tag.cap_exceeded and variety == "StrictInverse":
-            raise OutsideTractable(E_CAP_EXCEEDED % cap + ", while checking "
-                                   "the variety StrictInverse")
-        # past the cap the generators still show U is not Clifford
-        raise ValueError("variety %s does not hold: U is %s" % (
-            variety, "not Clifford" if tag.cap_exceeded else tag.name))
+        raise ValueError("variety %s does not hold: U is %s"
+                         % (variety, tag.name))
     return variety
 
 

@@ -304,7 +304,7 @@ def rand_ncl_machine(rng, shape):
 def check_munn_lemmas(gs, elements, rng, words_per_graph=30):
     """Exhaustive structural checks of the Munn-graph machinery inside
     one strict inverse closure; returns a list of violation strings."""
-    from invsem.munn import orbit_closure, munn_graph, _is_large, dom_mask
+    from invsem.munn import orbit_closure, munn_graph, dom_mask
     from invsem.oracle import naive_conjugate
     mul = gs.mul
     inv = gs.inv
@@ -344,6 +344,9 @@ def check_munn_lemmas(gs, elements, rng, words_per_graph=30):
         M = munn_graph(gs, delta)
         if not M.vertices:
             continue
+        # the vertices as elements, from their domain masks
+        vertices = [partial_identity(n, [x for x in range(n) if v >> x & 1])
+                    for v in M.vertices]
         out_edges = {}
         for gi, a, b in M.edges:
             out_edges.setdefault(a, []).append((gi, b))
@@ -352,13 +355,13 @@ def check_munn_lemmas(gs, elements, rng, words_per_graph=30):
         # words correspond to paths: u~ e_s u = e_t iff the word walks
         # the graph from e_s to e_t
         for _ in range(words_per_graph):
-            start = rng.randrange(len(M.vertices))
+            start = rng.randrange(len(vertices))
             word = [rng.choice(large_gis)
                     for _ in range(rng.randrange(1, 5))]
             u = gs.generators[word[0]]
             for gi in word[1:]:
                 u = mul(u, gs.generators[gi])
-            result = mul(mul(inv(u), M.vertices[start]), u)
+            result = mul(mul(inv(u), vertices[start]), u)
             cur = start
             for gi in word:
                 if cur is None:
@@ -369,16 +372,16 @@ def check_munn_lemmas(gs, elements, rng, words_per_graph=30):
                         step = b
                         break
                 cur = step
-            for vt, e_t in enumerate(M.vertices):
+            for vt, e_t in enumerate(vertices):
                 walks = cur is not None and cur == vt
                 if (result == e_t) != walks:
                     violations.append("path correspondence fails")
 
         # conjugacy class of a vertex = its component's vertex set
         comp_sets = {}
-        for v in range(len(M.vertices)):
-            comp_sets.setdefault(M.comp[v], set()).add(M.vertices[v])
-        for v, e in enumerate(M.vertices):
+        for v in range(len(vertices)):
+            comp_sets.setdefault(M.comp[v], set()).add(vertices[v])
+        for v, e in enumerate(vertices):
             if orbit_closure(gs, dom_mask(e)) != delta:
                 continue
             conj_class = {f for f in idems
@@ -387,8 +390,9 @@ def check_munn_lemmas(gs, elements, rng, words_per_graph=30):
                 violations.append("component is not the conjugacy class")
 
         # absorption among delta-large elements
-        e_delta = M.e_delta
-        large = [s for s in elements if _is_large(gs, delta, s)]
+        e_delta = partial_identity(n, [x for x in range(n) if delta >> x & 1])
+        large = [s for s in elements
+                 if orbit_closure(gs, dom_mask(s) & delta) == delta]
         for s in large:
             es = mul(e_delta, s)
             for t in large:

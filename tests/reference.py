@@ -96,16 +96,18 @@ def idempotent_meet(gs, idempotents, e=None):
 def sis_min_idempotent_scan(gs, e):
     """The least idempotent of E(U) union {1} above the idempotent e of a
     strict inverse U, as an element, or None for the identity of U^1:
-    the Munn vertices v with e <= v (`le`) at the orbit closure of dom e,
-    and the product of lambda(u) lambda(u)~ over the basis at the one
-    that is found.  ValueError if two are."""
-    M = munn_graph(gs, orbit_closure(gs, dom_mask(e)))
-    anchors = [i for i, v in enumerate(M.vertices) if e.le(v)]
+    the Munn vertices v with e <= v (dom e inside the vertex mask) at the
+    orbit closure of dom e, and the product of lambda(u) lambda(u)~ over
+    the basis at the one that is found, decoded from gs.codec.
+    ValueError if two are."""
+    a = dom_mask(e)
+    M = munn_graph(gs, orbit_closure(gs, a))
+    anchors = [i for i, v in enumerate(M.vertices) if a & v == a]
     if len(anchors) > 1:
         raise ValueError("two Munn vertices lie above e")
     if not anchors:
         return None
-    lam = basis_at(gs, M, anchors[0]).lam.values()
+    lam = map(gs.codec.decode, basis_at(gs, M, anchors[0]).lam.values())
     return idempotent_meet(gs, (gs.mul(x, gs.inv(x)) for x in lam))
 
 

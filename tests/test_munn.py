@@ -53,10 +53,9 @@ def test_munn_graph_on_brandt_generators():
     delta = orbit_closure(gs, 0b111)
     assert delta == 0b111
     M = munn_graph(gs, delta)
-    # each point's identity is a vertex, the path edges connect them
-    assert M.vertices == (partial_identity(3, [0]),
-                          partial_identity(3, [1]),
-                          partial_identity(3, [2]))
+    # each point's identity is a vertex (as its domain mask), the path
+    # edges connect them
+    assert M.vertices == (0b001, 0b010, 0b100)
     assert len(M.edges) == 4
     assert set(M.comp) == {0}
     assert "--" in munn_dot(M)
@@ -79,14 +78,15 @@ def test_basis_conjugators_and_hclass():
         deltas = {orbit_closure(gs, dom_mask(e))
                   for e in elements if gs.is_idempotent(e)}
         deltas.discard(0)
+        decode = gs.codec.decode
         for delta in deltas:
             M = munn_graph(gs, delta)
             for anchor in range(len(M.vertices)):
                 B = basis_at(gs, M, anchor)
-                e = M.vertices[anchor]
+                e = decode(idempotent_of(gs, M.vertices[anchor]))
                 for v, g in B.gamma.items():
                     # gamma(f) conjugates the anchor onto vertex v
-                    f = M.vertices[v]
+                    f, g = decode(idempotent_of(gs, M.vertices[v])), decode(g)
                     assert gs.mul(gs.mul(gs.inv(g), e), g) == f
                     assert gs.mul(gs.mul(g, f), gs.inv(g)) == e
                 for h in hclass_generators(gs, B):
@@ -282,24 +282,28 @@ def test_over_cap_idempotents_are_walked_once(monkeypatch):
     gens = [PartialBijection(n, tuple((i + 1) % n for i in range(n))),
             PartialBijection(n, (1, 0) + tuple(range(2, n))),
             PartialBijection(n, tuple(range(n - 1)) + (None,))]
+
+    def refused(cap):
+        return pytest.raises(OutsideTractable, match="^%s$" % re.escape(
+            "idempotent (E(U)) cap exceeded: more than %d idempotents"
+            % cap))
+
     gs, products = _counting(gens, n, monkeypatch)
-    tag = classify_generated(gs, 100)
-    assert (tag.name, tag.cap_exceeded, tag.idempotents) == (
-        "General", True, None)
+    with refused(100):
+        classify_generated(gs, 100)
     walked = len(products)
     assert walked > 100
     for cap in (100, 50):
-        assert classify_generated(gs, cap).cap_exceeded
-        with pytest.raises(OutsideTractable, match="^%s$" % re.escape(
-                "idempotent (E(U)) cap exceeded: more than %d idempotents"
-                % cap)):
+        with refused(cap):
+            classify_generated(gs, cap)
+        with refused(cap):
             dispatch_member(gs, gs.one, cap=cap)
     assert len(products) == walked
-    assert classify_generated(gs, 255).cap_exceeded
+    with refused(255):
+        classify_generated(gs, 255)
     assert len(products) > walked
     tag = classify_generated(gs, 256)
-    assert (tag.name, tag.cap_exceeded, tag.idempotents) == (
-        "General", False, 256)
+    assert (tag.name, tag.idempotents) == ("General", 256)
     assert gs._closure is None and gs._over_cap == 0
 
 
@@ -1038,18 +1042,20 @@ def test_sis_records_read_ehat_off_one_basis_per_component():
             for cid in set(M.comp):
                 H = munn_module.sis_class(gs, M, cid)
                 c = M.comp.index(cid)
-                ce = M.vertices[c]
-                ehat_c = idempotent_of(gs.degree, H.basis.ehat)
+                ce = ops.decode(idempotent_of(gs, M.vertices[c]))
+                ehat_c = ops.decode(idempotent_of(gs, H.basis.ehat))
                 in_e = set()
                 for v, gamma in H.basis.gamma.items():
-                    want = least_above(e_masks, M.masks[v])
+                    w = M.vertices[v]
+                    want = least_above(e_masks, w)
+                    gamma = ops.decode(gamma)
                     ehat = mul(mul(inv(gamma), ehat_c), gamma)
                     assert dom_mask(ehat) == want, (gs, v)
-                    assert sis_min_idempotent(gs, M.masks[v]) == want
-                    in_e.add(M.masks[v] in e_masks)
-                    r = ops.decode(H.reps[M.masks[v]])
+                    assert sis_min_idempotent(gs, w) == want
+                    in_e.add(w in e_masks)
+                    r = ops.decode(H.reps[w])
                     assert mul(r, inv(r)) == ce
-                    assert mul(inv(r), r) == M.vertices[v]
+                    assert mul(inv(r), r) == ops.decode(idempotent_of(gs, w))
                     counts[big, "vertex"] += 1
                 assert len(in_e) == 1 and in_e == {H.group is not None}
                 assert sorted(H.basis.gamma) == [
@@ -1125,3 +1131,103 @@ def test_held_sis_queries_keep_one_record_per_munn_component(monkeypatch):
         assert set(records) <= components, gs
         reached += len(records)
     assert reached > 80
+
+
+def _perm_gens(n, pts, support):
+    """A cycle on pts and a transposition of its first two points, each
+    the identity on the rest of `support` and undefined off it."""
+    out = []
+    for cycle in (pts, pts[:2])[:1 + (len(pts) > 2)]:
+        images = [x if x in support else None for x in range(n)]
+        for i, x in enumerate(cycle):
+            images[x] = cycle[(i + 1) % len(cycle)]
+        out.append(images)
+    return out
+
+
+def _session_families(rng):
+    """(name, generator images) for the pb-session families S6, SL8,
+    C322, C44, B2x4, B4x2, I4 and I3xI3, each on 8 points."""
+    n = 8
+
+    def clifford(sizes, subsets):
+        starts = [sum(sizes[:i]) for i in range(len(sizes))]
+        blocks = [list(range(a, a + k)) for a, k in zip(starts, sizes)]
+        return [g for sub in subsets for i in sub
+                for g in _perm_gens(n, blocks[i],
+                                    {x for j in sub for x in blocks[j]})]
+
+    def brandt(m, b):
+        first = list(range(m))
+        return _perm_gens(n, first, set(first)) + [
+            [j * m + x if x < m else None for x in range(n)]
+            for j in range(1, b)]
+
+    def ident(points):
+        return [x if x in points else None for x in range(n)]
+
+    return [
+        ("S6", _perm_gens(n, list(range(6)), set(range(6)))),
+        ("SL8", [ident({x for x in range(n) if rng.random() < 0.6})
+                 for _ in range(7)]),
+        ("C322", clifford((3, 2, 2), [(0, 1), (1, 2), (0, 2)])),
+        ("C44", clifford((4, 4), [(0, 1), (0,), (1,)])),
+        ("B2x4", brandt(2, 4)), ("B4x2", brandt(4, 2)),
+        ("I4", _perm_gens(n, [0, 1, 2, 3], set(range(4)))
+         + [ident({0, 1, 2})]),
+        ("I3xI3", _perm_gens(n, [0, 1, 2], set(range(6)))
+         + _perm_gens(n, [3, 4, 5], set(range(6)))
+         + [ident({0, 1, 3, 4, 5}), ident({3, 4, 0, 1, 2})]),
+    ]
+
+
+def test_solver_side_multiplies_codes_only(monkeypatch):
+    # on the bytes kernel the classification, the Munn graphs, bases and
+    # H-class records multiply codes of gs.codec: a first and a held
+    # auto-route member on a fresh system of each pb-session family make
+    # no gensys.compose call, and a conj makes only those of the
+    # defining-equation asserts in group_conjugate and munn._transport
+    import sys
+    from invsem import gensys
+    rng = random.Random(53)
+    callers = []
+    compose = gensys.compose
+
+    def counted(a, b):
+        callers.append(sys._getframe(2).f_code.co_name)
+        return compose(a, b)
+
+    answers = Counter()
+    for name, gens in _session_families(rng):
+        n = len(gens[0])
+        gens = [PartialBijection(n, g) for g in gens]
+        word = [rng.choice(gens) for _ in range(4)]
+        gens.append(word[0] * word[1] * word[2] * word[3])
+        gs = GeneratorSystem(gens, degree=n)
+        assert gs.codec is BytesCodec
+        elements = list(close(GeneratorSystem(gens, degree=n)).elements)
+        ts = [rng.choice(elements) for _ in range(4)]
+        pairs = []
+        for _ in range(6):
+            s, u = rng.choice(elements), rng.choice(elements)
+            e = u * u.inverse()
+            s = e * s * e
+            pairs.append((s, u.inverse() * s * u))
+        with monkeypatch.context() as m:
+            m.setattr(gensys, "compose", counted)
+            for t in ts + [rand_pb(rng, n)]:
+                answers[name, "member", dispatch_member(gs, t)] += 1
+                assert callers == [], (name, callers)
+            for s, t in pairs:
+                ok, _ = dispatch_conjugate(gs, s, t)
+                assert set(callers) <= {"group_conjugate", "_transport"}, (
+                    name, callers)
+                assert len(callers) % 4 == 0 and (ok or not callers), (
+                    name, callers)
+                answers[name, "conj", ok] += 1
+                answers.update(set(callers))
+                del callers[:]
+    for name, _ in _session_families(rng):
+        assert answers[name, "member", True] >= 4, answers
+        assert answers[name, "conj", True] >= 3, answers
+    assert min(answers["group_conjugate"], answers["_transport"]) > 5
