@@ -57,9 +57,6 @@ class VarietyTag:
     def is_group(self):
         return self.name in GROUPS
 
-    def is_clifford(self):
-        return self.name in CLIFFORD
-
     def is_strict_inverse(self):
         return self.name != "General"
 

@@ -65,8 +65,6 @@ def _load(path):
 
 def _system_of(inst):
     if isinstance(inst, (PBInstance, CTInstance)):
-        if isinstance(inst, PBInstance) and not inst.generators:
-            raise CLIError("instance has no generators")
         return inst.system()
     raise CLIError("expected a pb or ct instance")
 
@@ -102,7 +100,7 @@ def _decide(args, query):
     """member or conj on a pb or ct file: run the solver that --solver
     names (for auto: ct-greedy on a ct file, the solver of U's variety on
     a pb file) and print the answer and its witness.  An explicit pb
-    solver runs only where U lies in its variety."""
+    solver runs only on a pb file where U lies in its variety."""
     inst = _load(args.file)
     model = ("pb" if isinstance(inst, PBInstance)
              else "ct" if isinstance(inst, CTInstance) else None)
@@ -111,10 +109,8 @@ def _decide(args, query):
     gs = _system_of(inst) if model == "pb" else None
     xs = [_require(getattr(inst, key), key) for key in _RECORDS[query]]
     solver = args.solver
-    if solver not in ("auto", "oracle") and (model == "ct") != (
-            solver == "ct-greedy"):
-        raise CLIError("solver %r does not apply to %s instances"
-                       % (solver, model))
+    if solver not in ("auto", "oracle") and model == "ct":
+        raise CLIError("solver %r does not apply to ct instances" % solver)
     member = query == "member"
     explain = {} if args.explain else None
     try:
@@ -601,7 +597,7 @@ def _file_args(sub):
 def _decision_args(sub):
     sub.add_argument("file")
     sub.add_argument("--solver", default="auto",
-                     choices=["auto", "oracle", "ct-greedy", *VARIETY_OF])
+                     choices=["auto", "oracle", *VARIETY_OF])
     sub.add_argument("--explain", action="store_true")
 
 
@@ -671,7 +667,8 @@ def build_parser(names=tuple(_COMMANDS)):
         func, add_arguments = _COMMANDS[name]
         sub = subs.add_parser(name)
         sub.add_argument("--cap", type=_cap, default=ELEMENT_CAP,
-                         help="closure element cap")
+                         help="bound on |U| where U is enumerated, and on "
+                         "|E(U)| in the StrictInverse/General split")
         add_arguments(sub)
         sub.set_defaults(func=func)
     return parser

@@ -352,22 +352,23 @@ def clifford_conjugate(gs, s, t):
 
 def _sis_class_of(gs, e, f, explain):
     """The record (`sis_class`) of the Munn component that holds the
-    vertices of masks e and f, at the orbit closure of e, where it lies
-    in E(U); None if there is no such component."""
+    vertices of masks e and f, where it lies in E(U); None if there is
+    no such component.  It is e's, at the orbit closure of e, and its
+    reps are keyed by its vertices, so f is one iff it is a key."""
     delta = orbit_closure(gs, e)
-    if orbit_closure(gs, f) != delta:
-        return None
     M = _munn_at(gs, delta)
     if explain is not None:
         points = frozenset(x for x in range(gs.degree) if delta >> x & 1)
         explain.update(delta=points, munn_dot=munn_dot(M))
-    ve, vf = M.vertex_index.get(e), M.vertex_index.get(f)
-    if ve is None or vf is None or M.comp[ve] != M.comp[vf]:
+    ve = M.vertex_index.get(e)
+    if ve is None:
         return None
     H = sis_class(gs, M, M.comp[ve])
-    if explain is not None and H.group is not None:
+    if H.group is None or f not in H.reps:
+        return None
+    if explain is not None:
         explain["group_generators"] = H.group.generators
-    return H if H.group is not None else None
+    return H
 
 
 def sis_member(gs, t, explain=None):
@@ -575,19 +576,16 @@ def semilattice_member(gs, t):
 
 # does a tag put U at or below the variety of an explicit solver?
 _HOLDS = {
-    "Semilattice": VarietyTag.is_semilattice,
     "Group": VarietyTag.is_group,
-    "Clifford": VarietyTag.is_clifford,
     "StrictInverse": VarietyTag.is_strict_inverse,
 }
 
-# the solver of each variety, as --explain names it; all but general
-# are also explicit solvers (VARIETY_OF)
+# the solver of each variety, as --explain names it; group and sis are
+# also explicit solvers (VARIETY_OF)
 SOLVERS = {"Trivial": "semilattice", "Semilattice": "semilattice",
            "Group": "group", "Clifford": "clifford", "StrictInverse": "sis",
            "General": "general"}
-# the variety each explicit solver is named for: semilattice stands for
-# Semilattice
+# the variety each explicit solver is named for
 VARIETY_OF = {SOLVERS[v]: v for v in _HOLDS}
 
 

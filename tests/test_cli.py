@@ -125,10 +125,9 @@ def test_force_oracle_rejected_beside_another_solver(tmp_path, capsys):
     pb = _write(tmp_path, "g.pb", PB_GROUP + "s 2 3 1\nt 2 3 1\n")
     ct = _write(tmp_path, "y2.ct", CT_Y2)
     for cmd in ("member", "conj"):
-        for path, extra in ((pb, ["--solver", "ct-greedy"]),
+        for path, extra in ((pb, ["--solver", "sis"]),
                             (pb, ["--solver", "group"]),
                             (ct, ["--solver", "group"]),
-                            (ct, ["--solver", "ct-greedy"]),
                             (pb, ["--solver", "oracle"]),
                             (ct, ["--solver", "oracle"]),
                             (pb, []), (ct, [])):
@@ -844,16 +843,12 @@ def test_verify_conj_checks_conjugator_in_u1(tmp_path, capsys):
 
 def test_ct_files_reject_pb_solvers_and_wrong_model(tmp_path, capsys):
     ct = _write(tmp_path, "y2.ct", CT_Y2)
-    pb = _write(tmp_path, "s.pb", PB_SEMILATTICE)
     for cmd in ("member", "conj"):
-        for solver in ("semilattice", "group", "clifford", "sis"):
+        for solver in ("group", "sis"):
             code, out, err = run(capsys, cmd, ct, "--solver", solver)
             assert code == 2 and out == "" and "does not apply" in err
             assert "ct instances" in err
-        code, out, err = run(capsys, cmd, pb, "--solver", "ct-greedy")
-        assert code == 2 and out == "" and "does not apply" in err
-        assert "pb instances" in err
-        for extra in ([], ["--solver", "oracle"], ["--solver", "ct-greedy"]):
+        for extra in ([], ["--solver", "oracle"]):
             assert run(capsys, cmd, ct, *extra)[0] == 0
 
 
@@ -967,12 +962,14 @@ def test_explicit_solver_past_the_e_cap_says_u_is_not_clifford(
     # the cap cuts off the StrictInverse/General split, but the
     # generators still show that B(S_3, 2) is not Clifford
     path = _write(tmp_path, "b.pb", PB_BRANDT)
-    for solver in ("semilattice", "group", "clifford"):
-        variety = solver.capitalize()
-        assert run(capsys, "member", path, "--cap", "2", "--solver",
-                   solver) == (2, "", "error: --solver %s: variety %s does "
-                               "not hold: U is not Clifford\n"
-                               % (solver, variety)), solver
+    assert run(capsys, "member", path, "--cap", "2", "--solver",
+               "group") == (2, "", "error: --solver group: variety Group "
+                            "does not hold: U is not Clifford\n")
+    # sis needs the split, which the cap cut off: a refusal
+    assert run(capsys, "member", path, "--cap", "2", "--solver",
+               "sis") == (1, "", "refused: idempotent (E(U)) cap exceeded: "
+                          "more than 2 idempotents, while checking the "
+                          "variety StrictInverse\n")
 
 
 def test_cap_below_one_is_rejected(tmp_path, capsys):
@@ -1002,7 +999,7 @@ def test_assume_hint_is_checked(tmp_path, capsys):
                   "t 1 _ _\n")
     assert run(capsys, "classify", path)[1].splitlines()[0] == "General"
     for cmd in ("member", "conj"):
-        for solver in ("semilattice", "group", "clifford", "sis"):
+        for solver in ("group", "sis"):
             code, out, err = run(capsys, cmd, path, "--solver", solver)
             assert code == 2 and out == "", (cmd, solver)
             assert "does not hold" in err and "Traceback" not in err
@@ -1117,7 +1114,7 @@ def test_explicit_pb_solver_is_checked_like_assume(tmp_path, capsys):
         for extra in ([], ["--solver", "oracle"]):
             code, out, _ = run(capsys, cmd, path, *extra)
             assert code == 0 and out.splitlines()[0] == "YES", extra
-        for solver in ("semilattice", "group", "clifford", "sis"):
+        for solver in ("group", "sis"):
             code, out, err = run(capsys, cmd, path, "--solver", solver)
             assert code == 2 and out == "", (cmd, solver)
             assert "does not hold" in err and "Traceback" not in err
@@ -1149,13 +1146,22 @@ def test_general_conj_answers_what_the_oracle_answers(tmp_path, capsys):
 
 def test_general_is_not_a_solver_choice(tmp_path, capsys):
     # a General U has one solver, the auto route's; the oracle is the
-    # route that enumerates U
+    # route that enumerates U.  Nor is any solver that auto picks from
+    # the input alone: ct-greedy on every ct file, semilattice and
+    # clifford on every U of their varieties
     path = _write(tmp_path, "gen.pb", "pb 3\ngen 2 3 1\ngen 2 1 3\n"
                   "gen 1 2 _\ntarget 1 _ _\ns 1 2 _\nt _ 2 3\n")
+    semilattice = _write(tmp_path, "s.pb", PB_SEMILATTICE)
+    ct = _write(tmp_path, "y2.ct", CT_Y2)
     for cmd in ("member", "conj"):
-        code, out, err = run(capsys, cmd, path, "--solver", "general")
-        assert (code, out) == (2, ""), cmd
-        assert "invalid choice: 'general'" in err, err
+        for solver, files in (("general", (path,)),
+                              ("ct-greedy", (semilattice, ct)),
+                              ("semilattice", (semilattice, ct)),
+                              ("clifford", (semilattice, ct))):
+            for file in files:
+                code, out, err = run(capsys, cmd, file, "--solver", solver)
+                assert (code, out) == (2, ""), (cmd, solver, file)
+                assert "invalid choice: '%s'" % solver in err, err
 
 
 def test_explain_names_the_solver_on_every_route(tmp_path, capsys):
@@ -1166,15 +1172,16 @@ def test_explain_names_the_solver_on_every_route(tmp_path, capsys):
     general = _write(tmp_path, "gen.pb", "pb 3\ngen 2 3 1\ngen 2 1 3\n"
                      "gen 1 2 _\ntarget 1 _ _\ns 1 2 _\nt _ 2 3\n")
     semilattice = _write(tmp_path, "s.pb", PB_SEMILATTICE)
+    clifford = _write(tmp_path, "c.pb", SOLVER_MATRIX["Clifford"][0])
+    # the auto route names the solver of each variety, also those that
+    # are no --solver value
     cases = [(pb, [], "group"), (semilattice, [], "semilattice"),
+             (clifford, [], "clifford"),
              (b2, [], "sis"), (general, [], "general"),
              (pb, ["--solver", "group"], "group"),
-             (pb, ["--solver", "clifford"], "clifford"),
              (pb, ["--solver", "sis"], "sis"),
-             (semilattice, ["--solver", "semilattice"], "semilattice"),
              (pb, ["--solver", "oracle"], "oracle"),
-             (ct, [], "ct-greedy"), (ct, ["--solver", "ct-greedy"], "ct-greedy"),
-             (ct, ["--solver", "oracle"], "oracle")]
+             (ct, [], "ct-greedy"), (ct, ["--solver", "oracle"], "oracle")]
     for cmd in ("member", "conj"):
         for path, extra, solver in cases:
             code, out, err = run(capsys, cmd, path, *extra, "--explain")
@@ -1293,7 +1300,6 @@ def test_explain_keys_of_the_strict_inverse_route(tmp_path, capsys):
 # the varieties each explicit pb solver is exact on
 _EXACT_ON = {
     "group": ("Trivial", "Group"),
-    "clifford": ("Trivial", "Semilattice", "Group", "Clifford"),
     "sis": ("Trivial", "Semilattice", "Group", "Clifford", "StrictInverse"),
 }
 
@@ -1337,7 +1343,7 @@ def test_explicit_pb_solver_runs_inside_its_variety(tmp_path, capsys):
     path = _write(tmp_path, "g.pb",
                   "pb 3\ngen 2 3 1\ntarget 3 1 2\ns 2 3 1\nt 2 3 1\n")
     for cmd in ("member", "conj"):
-        for solver in ("group", "clifford", "sis"):
+        for solver in ("group", "sis"):
             code, out, _ = run(capsys, cmd, path, "--solver", solver)
             assert code == 0 and out.splitlines()[0] == "YES", (cmd, solver)
 
@@ -1346,21 +1352,20 @@ def test_explicit_pb_solver_runs_inside_its_variety(tmp_path, capsys):
 # semilattice, a conjugate pair, and the explicit pb solvers that take it
 SOLVER_MATRIX = {
     "Trivial": ("pb 2\ngen 1 2\ntarget 1 2\ns 1 2\nt 1 2\n",
-                ("semilattice", "group", "clifford", "sis")),
-    "Semilattice": (PB_SEMILATTICE, ("semilattice", "clifford", "sis")),
+                ("group", "sis")),
+    "Semilattice": (PB_SEMILATTICE, ("sis",)),
     "Group": ("pb 3\ngen 2 3 1\ngen 2 1 3\ntarget 3 1 2\ns 2 1 3\n"
-              "t 1 3 2\n", ("group", "clifford", "sis")),
+              "t 1 3 2\n", ("group", "sis")),
     "Clifford": ("pb 6\n" + "".join("gen %s\n" % g for g in
                                      WITNESS_GENERATORS["Clifford"])
                  + "target 3 1 2 _ _ _\ns 2 1 3 _ _ _\nt 3 2 1 _ _ _\n",
-                 ("clifford", "sis")),
+                 ("sis",)),
     "StrictInverse": ("pb 2\ngen 2 _\ntarget 1 _\ns 1 _\nt _ 2\n",
                       ("sis",)),
     "General": ("pb 3\ngen 2 3 1\ngen 2 1 3\ngen 1 2 _\ntarget 1 _ _\n"
                 "s 1 2 _\nt _ 2 3\n", ()),
 }
-ROUTES = ("auto", "oracle", "ct-greedy", "semilattice", "group", "clifford",
-          "sis")
+ROUTES = ("auto", "oracle", "group", "sis")
 
 
 def test_every_solver_on_every_variety(tmp_path, capsys):
@@ -1373,7 +1378,7 @@ def test_every_solver_on_every_variety(tmp_path, capsys):
              for name, (text, solvers) in SOLVER_MATRIX.items()}
     files["ct"] = (_write(tmp_path, "b3.ct", serialize(CTInstance(
         table, [idx[(0, 1)], idx[(1, 2)]], target=idx[(2, 0)],
-        s=idx[(0, 0)], t=idx[(2, 2)]))), {"auto", "oracle", "ct-greedy"})
+        s=idx[(0, 0)], t=idx[(2, 2)]))), {"auto", "oracle"})
     for name, (path, takes) in files.items():
         assert run(capsys, "classify", path)[1].split("\n", 1)[0] == (
             name if name != "ct" else "StrictInverse")
