@@ -170,6 +170,11 @@ class CayleyTable:
     def inv(self, x):
         return self.inverse_map[x]
 
+    # the rest of a codec (pbij), so that a ct system's kernel is its table
+    product = mul
+    undefined = None
+    encode = decode = right = staticmethod(lambda x: x)
+
     def is_idempotent(self, x):
         return self.array.item(x, x) == x
 

@@ -89,14 +89,12 @@ def classify_from_generators(gs):
     - Such a U is a group exactly when all e_u are equal: each w w~ is
       a product of them, and a group has one idempotent.
     """
-    ops = gs.codec
-    mul, inv = ops.mul, ops.inv
-    gens = list(map(ops.encode, gs.generators))
+    mul, gens = gs.codec.mul, gs.generator_codes
     if all(mul(u, u) == u for u in gens):
         return "Trivial" if len(gens) == 1 else "Semilattice"
     es = []
-    for u in gens:
-        ub = inv(u)
+    for u, i in zip(gens, gs.inv_index):
+        ub = gens[i]
         e = mul(u, ub)
         if mul(ub, u) != e:
             return None
@@ -129,13 +127,9 @@ def idempotent_steps(gs):
     """(u~, u, u u~) per generator u, as codes of gs.codec with u and
     u u~ as right factors (`codec.right`): the step e -> u~ e u of E(U),
     an edge of its D-classes where e <= u u~."""
-    ops = gs.codec
-    steps = []
-    for u in gs.generators:
-        u = ops.encode(u)
-        ub = ops.inv(u)
-        steps.append((ub, ops.right(u), ops.right(ops.mul(u, ub))))
-    return steps
+    ops, gens = gs.codec, gs.generator_codes
+    return [(gens[i], ops.right(u), ops.right(ops.mul(u, gens[i])))
+            for u, i in zip(gens, gs.inv_index)]
 
 
 def _split_on_idempotents(gs, cap):

@@ -1,11 +1,14 @@
 """Generator systems: an inverse-closed generator list in either input
 model (partial bijections or a Cayley table), presenting U = <Sigma>
-inside an ambient S.
+inside an ambient S.  `codec`, the element kernel its scans multiply
+codes of, is fixed at construction: `pbij.kernel` or the table itself.
 """
 
 from __future__ import annotations
 
-from .pbij import BytesCodec, PartialBijection, compose, identity
+from functools import cached_property
+
+from .pbij import PartialBijection, compose, identity, kernel
 
 # Virtual adjoined identity for Cayley tables without one; never a valid
 # element index.
@@ -40,15 +43,17 @@ class GeneratorSystem:
             for g in generators:
                 if not isinstance(g, PartialBijection) or g.degree != degree:
                     raise ValueError("generator %r not on %d points" % (g, degree))
-        # inverse-close, preserving first-seen order
-        seen = set()
-        closed = []
+        # inverse-close, preserving first-seen order, and keep the
+        # position of each generator's inverse
+        closed = {}  # generator -> its inverse
         for g in generators:
-            for h in (g, self.inv(g)):
-                if h not in seen:
-                    seen.add(h)
-                    closed.append(h)
+            if g not in closed:
+                ig = closed[g] = self.inv(g)
+                closed[ig] = g
         self.generators = tuple(closed)
+        index = dict(zip(closed, range(len(closed))))
+        self.inv_index = tuple(map(index.get, closed.values()))
+        self.codec = table if table is not None else kernel(degree)
         self.adjoined_identity = (
             self.model == "ct" and table.identity_index is None
         )
@@ -110,22 +115,10 @@ class GeneratorSystem:
     def is_idempotent(self, x):
         return self.mul(x, x) == x
 
-    # -- the element kernel ------------------------------------------------
-
-    @property
-    def codec(self):
-        """The kernel that every scan over U, E(U) or a group search runs
-        on, read at each call: pbij.BytesCodec codes on the pb model up
-        to degree 255, otherwise the system itself, whose codes are its
-        elements (encode, decode and right are the identity, product is
-        mul, and an undefined image is None)."""
-        if self.model == "pb" and self.degree <= BytesCodec.max_degree:
-            return BytesCodec
-        return self
-
-    undefined = None
-    encode = decode = right = staticmethod(lambda x: x)
-    product = property(lambda self: self.mul)
+    @cached_property
+    def generator_codes(self):
+        """The generators as codes of the codec, encoded once."""
+        return tuple(map(self.codec.encode, self.generators))
 
     def __repr__(self):
         where = ("degree %d" % self.degree if self.model == "pb"

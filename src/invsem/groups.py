@@ -6,10 +6,10 @@ in any U of partial bijections before a group, Munn graph or D-class
 is built (cycle types first, as in Seress, Permutation Group
 Algorithms, 2003, ch. 9).
 
-Permutations are tuples p with x^p = p[x] (256-byte tables multiplied
-by bytes.translate inside a PermGroup on m < 256 points; point m is an
-undefined image, fixed by all); products are left-to-right (apply the
-left factor first), matching the partial-bijection convention.  Witness
+Permutations are tuples p with x^p = p[x]; inside a PermGroup on m
+points they are right factors of the codec `pbij.kernel(m)`, whose
+undefined image every table fixes.  Products are left-to-right (apply
+the left factor first), matching the partial-bijection convention.  Witness
 words are tuples of generator indices; generators are inverse-closed
 internally so no signed letters are needed.  The build stores no words:
 `PermGroup.rep_words` expands them from the Schreier vectors when a
@@ -21,25 +21,8 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 
-from .pbij import PartialBijection
+from .pbij import PartialBijection, kernel
 from .search import reach
-
-ID256 = bytes(range(256))
-
-
-def _pmul(a, b):
-    return tuple([b[x] for x in a])
-
-
-def _pinv(a):
-    inv = [0] * len(a)
-    for x, y in enumerate(a):
-        inv[y] = x
-    return tuple(inv)
-
-
-def _binv(a):
-    return bytes.maketrans(a, ID256)
 
 
 # how: input letter i, or (j, x, s, y) for rep_j(x) s rep_j(y)^-1;
@@ -73,17 +56,18 @@ class PermGroup:
         for g in self.gens:
             if len(g) != m or sorted(g) != list(range(m)):
                 raise ValueError("not a permutation on %d points: %r" % (m, g))
+        self._ops = ops = kernel(m)
+        self._mul, self._inv = ops.product, ops.inv
+        self._id = self._encode(self.identity)
         # inverse-close so every word letter has an inverse letter
         index = {g: i for i, g in enumerate(self.gens)}
-        for g in list(self.gens):
-            ig = _pinv(g)
+        self.inv_index = []
+        for g in self.gens:  # grows by the inverses not given
+            ig = tuple(self._inv(self._encode(g))[:m])
             if ig not in index:
                 index[ig] = len(self.gens)
                 self.gens.append(ig)
-        self.inv_index = [index[_pinv(g)] for g in self.gens]
-        self._mul, self._inv, self._id = ((bytes.translate, _binv, ID256)
-                                          if m < 256 else
-                                          (_pmul, _pinv, tuple(range(m + 1))))
+            self.inv_index.append(index[ig])
         self.levels = []
         self.strong = []  # every strong generator, in order of creation
         for i, g in enumerate(self.gens):
@@ -91,9 +75,8 @@ class PermGroup:
         self._stabilize()
 
     def _encode(self, p):
-        # p's table, padded with point m (an undefined image) and above
-        m = self.m
-        return bytes(p) + ID256[m:] if self._id is ID256 else (*p, m)
+        # p's right table in the kernel, None read as its undefined image
+        return self._ops.right(self._ops.encode(p))
 
     # -- construction ------------------------------------------------------
 
@@ -230,15 +213,16 @@ class PermGroup:
         """Per level i and one past the last, tables (a, c) such that
         mul(mul(a, p), c) keeps of a partial map p what the level-i
         stabilizer fixes: p at each point fixed by all of it, with an
-        image it moves read as b_i (m if undefined)."""
+        image it moves read as b_i (undefined past the last level)."""
         m, moved, views = self.m, set(), []
-        for b, gens in [(m, ())] + [(lvl.b, lvl.gens)
-                                    for lvl in reversed(self.levels)]:
+        undefined = self._ops.undefined
+        for b, gens in [(undefined, ())] + [(lvl.b, lvl.gens)
+                                            for lvl in reversed(self.levels)]:
             for s in gens:
                 moved.update(x for x in range(m) if s.perm[x] != x)
             views.append(tuple(
                 self._encode([y if x in moved else x for x in range(m)])
-                for y in (m, b)))
+                for y in (undefined, b)))
         return views[::-1]
 
     @property
@@ -273,9 +257,8 @@ class PermGroup:
         at the points its stabilizer fixes.
         """
         m, mul, levels = self.m, self._mul, self.levels
-        s, t = (self._encode([m if y is None else y for y in p])
-                for p in (s, t))
-        if s.count(m) != t.count(m):
+        s, t = self._encode(s), self._encode(t)
+        if s.count(self._ops.undefined) != t.count(self._ops.undefined):
             return None
         views = self._fixed_views
         want = [mul(mul(a, s), c) for a, c in views]

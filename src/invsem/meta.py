@@ -149,7 +149,7 @@ def _product_table(gs, cl):
     followed along the g-edges.  Likewise b~ = Sigma[g]~ * b'~."""
     right = cl.right
     edge_cols = [[row[g] for row in right] for g in range(len(gs.generators))]
-    gen_inv = [cl.index[cl.encode(gs.inv(g))] for g in gs.generators]
+    gen_inv = gs.inv_index  # generator g is elements[g]
     cols = []
     inv = []
     for b, witness in enumerate(cl.product_witness):

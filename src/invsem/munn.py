@@ -174,7 +174,7 @@ def basis_at(gs, M, anchor):
     paths (ties by edge list position), and the edge relabeling lambda,
     both as codes of gs.codec.
     """
-    ops = gs.codec
+    ops, code = gs.codec, gs.generator_codes
     mul, inv = ops.mul, ops.inv
     cid = M.comp[anchor]
     sigma_e = tuple(gi for gi, a, _ in M.edges if M.comp[a] == cid)
@@ -182,7 +182,6 @@ def basis_at(gs, M, anchor):
     masks = generator_masks(gs)
     etilde = least_above([masks[gi] for gi in sigma_e], M.vertices[anchor])
     assert etilde != -1, "anchor vertex has no dominating edge"
-    code = {gi: ops.encode(gs.generators[gi]) for gi in sigma_e}
     # gamma along BFS paths from the anchor, adjacency in edge-list order
     adj = [[] for _ in M.vertices]
     for gi, a, b in M.edges:
@@ -216,9 +215,8 @@ def _check_basis(gs, B):
         assert mul(mul(g, gb), ge) == mul(g, gb), "gamma(e) >= gamma gamma~ fails"
         assert mul(mul(gb, e), g) == f, "gamma~(f) e gamma(f) != f"
         assert mul(mul(g, f), gb) == e, "gamma(f) f gamma~(f) != e"
-    index = {g: i for i, g in enumerate(gs.generators)}
     for gi, l in B.lam.items():
-        lb = B.lam[index[gs.inv(gs.generators[gi])]]
+        lb = B.lam[gs.inv_index[gi]]
         assert lb == inv(l), "lambda(u~) != lambda(u)^-1"
         assert mul(l, lb) == mul(lb, l), "lambda commutation fails"
 
@@ -264,8 +262,8 @@ def hclass(gs, ehat):
     H = gs._hclasses.get(("clifford", ehat))
     if H is None:
         ops, e = gs.codec, idempotent_of(gs, ehat)
-        gens = [ops.decode(ops.mul(e, ops.encode(u))) for u, m in
-                zip(gs.generators, generator_masks(gs)) if ehat & m == ehat]
+        gens = [ops.decode(ops.mul(e, u)) for u, m in zip(
+            gs.generator_codes, generator_masks(gs)) if ehat & m == ehat]
         H = gs._hclasses["clifford", ehat] = HClass(
             GeneratorSystem(gens, degree=gs.degree))
     return H
@@ -593,9 +591,12 @@ def route(gs, solver="auto", cap=ELEMENT_CAP, explain=None):
     """The variety whose solver decides the instance, for `solver`
     "auto" or a name in VARIETY_OF.  auto takes the classification of U;
     an explicit solver is taken only where U lies at or below its
-    variety: a ValueError if not.  OutsideTractable where the cap on
-    E(U) cut off the StrictInverse/General split that auto or sis
-    needs."""
+    variety: a ValueError if not, or if the name is neither.
+    OutsideTractable where the cap on E(U) cut off the
+    StrictInverse/General split that auto or sis needs."""
+    if solver != "auto" and solver not in VARIETY_OF:
+        raise ValueError("unknown solver %r: expected auto, %s"
+                         % (solver, ", ".join(VARIETY_OF)))
     try:
         tag = classify_generated(gs, cap)
     except OutsideTractable as exc:

@@ -3,8 +3,9 @@ naive relative conjugacy, and naive relative Green's relations; the
 fast solvers are validated against this module.
 
 The enumeration is a plain breadth-first search on the codes of the
-system's element kernel, `GeneratorSystem.codec` (bytes codes, where a
-product is one bytes.translate, up to degree 255 on the pb model).  A
+system's element kernel, `GeneratorSystem.codec`: on the pb model a
+product is one bytes.translate up to degree 255 and one itemgetter
+above (`pbij.kernel`), on a Cayley table one table read.  A
 closure decodes its codes once, when `Closure.elements` is first read,
 or one at a time through `Closure.element`; membership, words,
 conjugators and the Green ideals encode their arguments instead.
@@ -53,22 +54,19 @@ class Closure:
             return self.codec.decode(self.codes[i])
         return self._elements[i]
 
-    def encode(self, x):
-        return self.codec.encode(x)
-
     def __len__(self):
         return len(self.codes)
 
     def __contains__(self, x):
         try:
-            return self.encode(x) in self.index
+            return self.codec.encode(x) in self.index
         except ValueError:  # an image past 255 has no bytes code
             return False
 
     def word_for(self, x):
         """The generator indices, in order, of the breadth-first word
         that reaches x: a shortest word for x."""
-        i = self.index[self.encode(x)]
+        i = self.index[self.codec.encode(x)]
         word = []
         while self.product_witness[i] is not None:
             i, g = self.product_witness[i]
@@ -88,8 +86,7 @@ def close(gs, cap=ELEMENT_CAP):
     if cap <= gs._over_cap:
         # the enumeration is deterministic and passed this cap before
         raise ClosureCapExceeded("closure exceeded %d elements" % cap)
-    codec = gs.codec
-    gens = [codec.encode(g) for g in gs.generators]
+    codec, gens = gs.codec, gs.generator_codes
     tables = [codec.right(g) for g in gens]
     mul = codec.product
     # the generators are distinct (GeneratorSystem deduplicates them)
@@ -197,7 +194,7 @@ def naive_green_leq(gs, s, t, relation, cap=ELEMENT_CAP):
                 and naive_green_leq(gs, s, t, "L", cap))
     # the ideals are taken over the closure's codes
     cl = close(gs, cap)
-    ops, el, s, t = cl.codec, cl.codes, cl.encode(s), cl.encode(t)
+    ops, el, s, t = cl.codec, cl.codes, cl.codec.encode(s), cl.codec.encode(t)
     if relation == "R":
         return s in _right_ideal(ops, t, el)
     if relation == "L":

@@ -5,11 +5,14 @@ images, with None marking an undefined image.  Points are 0-based
 internally; file formats use 1-based points (see formats.py).
 
 Composition is left-to-right: (a * b) sends x to (x^a)^b, i.e. the left
-factor acts first.  `BytesCodec` holds elements of degree at most 255
-as bytes; it is the element kernel `GeneratorSystem.codec` picks there.
+factor acts first.  Scans over many elements multiply codes of the
+element kernel that `kernel(n)`, and only it, picks by degree:
+`BytesCodec` up to degree 255, the `TupleCodec` of degree n above.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 
 class PartialBijection(tuple):
@@ -83,13 +86,6 @@ class PartialBijection(tuple):
     def is_idempotent(self):
         return all(y is None or y == x for x, y in enumerate(self))
 
-    def le(self, other):
-        """Natural partial order: self <= other iff self = self self~ other."""
-        for x, y in enumerate(self):
-            if y is not None and other[x] != y:
-                return False
-        return True
-
 
 def _make(images):
     """A PartialBijection from images already known to be valid, without
@@ -112,8 +108,7 @@ class BytesCodec:
     image stays undefined.  The inverse is one bytes.maketrans: points
     first map to 255, then later pairs send each image back to its
     point.  The class is a namespace; mul and inv let it stand in for a
-    GeneratorSystem over codes, as a GeneratorSystem over its elements
-    stands in for it above degree 255.
+    GeneratorSystem over codes.
     """
 
     max_degree = 255
@@ -122,7 +117,9 @@ class BytesCodec:
 
     @staticmethod
     def encode(x):
-        return bytes([255 if y is None else y for y in x])
+        if None in x:
+            x = [255 if y is None else y for y in x]
+        return bytes(x)
 
     @staticmethod
     def decode(code):
@@ -141,6 +138,50 @@ class BytesCodec:
         n = len(x)
         return bytes.maketrans(_POINTS[:n] + x,
                                _UNDEFINED[:n] + _POINTS[:n])[:n]
+
+
+class TupleCodec:
+    """Partial bijections of degree n >= 1 past BytesCodec.max_degree as
+    codes: the tuple of their n + 1 images, with n for "undefined" and
+    code[n] = n.  A product is one itemgetter(*x)(y), as y[n] = n keeps
+    an undefined image undefined, so right is the identity.  The inverse
+    sends each image back to its point, n last to n."""
+
+    def __init__(self, n):
+        self.undefined = n
+
+    @staticmethod
+    def right(y):
+        return y
+
+    @staticmethod
+    def mul(x, y):
+        return itemgetter(*x)(y)
+
+    product = mul
+
+    def encode(self, x):
+        n = self.undefined
+        if None in x:
+            x = [n if y is None else y for y in x]
+        return (*x, n)
+
+    def decode(self, code):
+        n = self.undefined
+        return _make([None if y == n else y for y in code[:n]])
+
+    def inv(self, x):
+        n = self.undefined
+        inv = [n] * (n + 1)
+        for i, y in enumerate(x):  # the pair of code[n] = n comes last
+            inv[y] = i
+        return tuple(inv)
+
+
+def kernel(n):
+    """The codec of elements of degree n: BytesCodec up to its
+    max_degree, otherwise the TupleCodec of degree n."""
+    return BytesCodec if n <= BytesCodec.max_degree else TupleCodec(n)
 
 
 def compose(a, b):
@@ -171,28 +212,13 @@ def singleton(n, x, y):
     return PartialBijection(n, images)
 
 
-def idempotent_power(x, mul=None):
-    """The unique idempotent power x^omega."""
-    if mul is None:
-        mul = compose
-        if x.is_idempotent():
-            return x
-    seen = {}
-    cur = x
-    k = 1
-    while cur not in seen:
-        seen[cur] = k
-        cur = mul(cur, x)
-        k += 1
-    # cur starts a cycle of length k - seen[cur]; the cycle is a group
-    # and contains exactly one idempotent.
-    period = k - seen[cur]
-    e = cur
-    for _ in range(period):
-        if mul(e, e) == e:
-            return e
-        e = mul(e, x)
-    raise AssertionError("no idempotent power found")
+def idempotent_power(x):
+    """The unique idempotent power x^omega: the powers of x run into a
+    cycle, a group, which holds the one idempotent among them."""
+    e = x
+    while not e.is_idempotent():
+        e = compose(e, x)
+    return e
 
 
 def brandt(n, with_identity=False):

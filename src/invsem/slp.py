@@ -194,10 +194,9 @@ def slp_group(gs, g, cap=ELEMENT_CAP):
 
 def _search(gs, gens, identity, target, cap):
     """slp_group_low over elements of gs, on gs.codec's codes."""
-    codec = gs.codec
-    encode = codec.encode
-    return slp_group_low([encode(u) for u in gens], codec.mul, codec.inv,
-                         encode(identity), encode(target), cap)
+    ops = gs.codec
+    return slp_group_low(list(map(ops.encode, gens)), ops.mul, ops.inv,
+                         ops.encode(identity), ops.encode(target), cap)
 
 
 def _over_cap(cap):

@@ -12,6 +12,8 @@ from invsem.oracle import close, ClosureCapExceeded, naive_conjugate
 from invsem.classify import classify_generated
 from invsem.munn import dispatch_conjugate, dom_mask, munn_graph, orbit_closure
 
+from reference import le
+
 
 def rand_pb(rng, n, p_defined=0.7):
     """A random partial bijection on n points."""
@@ -397,7 +399,7 @@ def check_munn_lemmas(gs, elements, rng, words_per_graph=30):
             es = mul(e_delta, s)
             for t in large:
                 et = mul(e_delta, t)
-                if es.le(et) and es != et:
+                if le(es, et) and es != et:
                     violations.append("delta-large absorption fails")
     return violations
 

@@ -27,6 +27,12 @@ def from_pairs(n, pairs):
     return PartialBijection(n, images)
 
 
+def le(s, t):
+    """The natural partial order of partial bijections: s <= t iff
+    s = s s~ t, that is, t extends s."""
+    return all(y is None or t[x] == y for x, y in enumerate(s))
+
+
 def all_partial_bijections(n):
     """Every element of I(Omega) for small n (|I_n| grows fast)."""
     result = [()]

@@ -3,11 +3,12 @@
 import random
 import re
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
-from invsem.pbij import (BytesCodec, PartialBijection, partial_identity,
-                         brandt, direct_product)
+from invsem.pbij import (BytesCodec, PartialBijection, TupleCodec,
+                         partial_identity, brandt, direct_product)
 from invsem.gensys import GeneratorSystem
 from invsem.oracle import (ClosureCapExceeded, close, naive_member,
                            naive_conjugate)
@@ -27,7 +28,7 @@ from helpers import (KINDS, rand_pb, sample_systems, sample_sis_systems,
                      sample_multi_component_sis, top_points_system,
                      variety_gens)
 from reference import (all_partial_bijections, from_closure, idempotent_meet,
-                       sis_min_idempotent_scan)
+                       le, sis_min_idempotent_scan)
 
 
 def test_orbit_closure_skips_untouched_points():
@@ -102,7 +103,7 @@ def test_min_idempotent_solvers_agree_with_search():
     for gs, elements in sample_sis_systems(rng, 60, degrees=(2, 5)):
         idems = [x for x in elements if gs.is_idempotent(x)]
         for e in idems[:6]:
-            above = [f for f in idems if e.le(f)]
+            above = [f for f in idems if le(e, f)]
             ehat = sis_min_idempotent(gs, dom_mask(e))
             if above:
                 want = above[0]
@@ -212,25 +213,23 @@ def test_general_route_respects_cap():
         dispatch_member(gs, gs.one, cap=50)
 
 
-_CODEC_MUL = BytesCodec.mul  # unwrapped, for the counting wrappers
-
-
-def _counting(gens, n, monkeypatch):
+def _counting(gens, n):
     """A system on n points whose products are counted in a list: its
-    gs.mul calls and, until the next call, those of the bytes kernel
-    (BytesCodec.product and BytesCodec.mul)."""
+    gs.mul calls and the product and mul calls of its codec.  A group
+    that a query builds multiplies on a kernel of its own, uncounted."""
     gs = GeneratorSystem(gens, degree=n)
     products = []
-    mul = gs.mul
+    mul, ops = gs.mul, gs.codec
     gs.mul = lambda x, y: products.append(1) or mul(x, y)
-    monkeypatch.setattr(BytesCodec, "product", staticmethod(
-        lambda x, t: products.append(1) or x.translate(t)))
-    monkeypatch.setattr(BytesCodec, "mul", staticmethod(
-        lambda x, y: products.append(1) or _CODEC_MUL(x, y)))
+    gs.codec = SimpleNamespace(
+        encode=ops.encode, decode=ops.decode, right=ops.right, inv=ops.inv,
+        undefined=ops.undefined,
+        product=lambda x, t: products.append(1) or ops.product(x, t),
+        mul=lambda x, y: products.append(1) or ops.mul(x, y))
     return gs, products
 
 
-def test_over_cap_closure_is_enumerated_once(monkeypatch):
+def test_over_cap_closure_is_enumerated_once():
     # the 8-cycle, a transposition and a rank-7 idempotent generate I_8,
     # a General U far past the cap, with 256 idempotents: classifying it
     # walks E(U) under the cap, and the auto route then answers from
@@ -241,17 +240,17 @@ def test_over_cap_closure_is_enumerated_once(monkeypatch):
     gens = [PartialBijection(n, tuple((i + 1) % n for i in range(n))),
             PartialBijection(n, (1, 0) + tuple(range(2, n))),
             PartialBijection(n, tuple(range(n - 1)) + (None,))]
-    gs, one_closure = _counting(gens, n, monkeypatch)
+    gs, one_closure = _counting(gens, n)
     with pytest.raises(ClosureCapExceeded):
         close(gs, cap)
     assert len(one_closure) > cap - len(gs.generators)
-    gs, from_generators = _counting(gens, n, monkeypatch)
+    gs, from_generators = _counting(gens, n)
     assert classify_from_generators(gs) is None
-    gs, classified = _counting(gens, n, monkeypatch)
+    gs, classified = _counting(gens, n)
     tag = classify_generated(gs, cap)
     assert (tag.name, tag.idempotents) == ("General", 256)
     assert len(classified) > len(from_generators) + 256
-    gs, products = _counting(gens, n, monkeypatch)
+    gs, products = _counting(gens, n)
     for query in range(1, 4):
         assert dispatch_member(gs, gs.one, cap=cap)
         if query == 1:
@@ -284,7 +283,7 @@ def test_over_cap_closure_is_enumerated_once(monkeypatch):
     assert len(products) > before + len(one_closure)
 
 
-def test_over_cap_idempotents_are_walked_once(monkeypatch):
+def test_over_cap_idempotents_are_walked_once():
     # I_8 has 256 idempotents: past cap 100, E(U) is walked once and the
     # overflow is kept on the system, so that cap and every smaller one
     # are refused without a product; a larger cap walks E(U) again
@@ -298,7 +297,7 @@ def test_over_cap_idempotents_are_walked_once(monkeypatch):
             "idempotent (E(U)) cap exceeded: more than %d idempotents"
             % cap))
 
-    gs, products = _counting(gens, n, monkeypatch)
+    gs, products = _counting(gens, n)
     with refused(100):
         classify_generated(gs, 100)
     walked = len(products)
@@ -411,6 +410,22 @@ def test_explicit_solvers_are_checked_against_the_classification():
             else:
                 with pytest.raises(ValueError):
                     route(gs, solver)
+
+
+def test_route_names_an_unknown_solver():
+    # a name outside auto and VARIETY_OF is refused before U is
+    # classified, on every variety, past the E(U) cap too
+    rng = random.Random(8)
+    systems = [gs for gs, _ in sample_systems(rng, 1, degrees=(2, 4))]
+    systems.append(_symmetric_inverse_monoid(8))
+    for gs in systems:
+        for solver in ("clifford", "semilattice", "ct-greedy", "general",
+                       "oracle", ""):
+            with pytest.raises(ValueError, match="^%s$" % re.escape(
+                    "unknown solver %r: expected auto, group, sis"
+                    % solver)):
+                route(gs, solver, cap=10)
+    assert gs._variety is None and gs._over_e_cap == 0
 
 
 def _fresh(gs):
@@ -691,10 +706,12 @@ def _general_cases(rng, count):
     return cases
 
 
-def _auto_answers(gens, n, queries):
-    """The auto route's answers on a fresh system, each conjugator
-    checked against both defining equations and U^1."""
+def _auto_answers(gens, n, queries, kernel=BytesCodec):
+    """The auto route's answers on a fresh system, whose kernel is (an
+    instance of) `kernel`, each conjugator checked against both defining
+    equations and U^1."""
     gs = GeneratorSystem(gens, degree=n)
+    assert gs.codec is kernel or isinstance(gs.codec, kernel)
     answers = []
     for q in queries:
         if len(q) == 1:
@@ -733,8 +750,8 @@ def test_general_auto_route_matches_the_oracle(monkeypatch):
         assert _auto_answers(gens, n, queries) == answers, (gens, queries)
     monkeypatch.setattr(BytesCodec, "max_degree", -1)
     for gens, n, queries, answers in cases:
-        assert GeneratorSystem(gens, degree=n).codec is not BytesCodec
-        assert _auto_answers(gens, n, queries) == answers, (gens, queries)
+        assert _auto_answers(gens, n, queries, TupleCodec) == answers, (
+            gens, queries)
 
 
 def _symmetric_inverse_monoid(n):
@@ -823,12 +840,13 @@ def test_signature_rules_out_only_pairs_that_are_not_conjugate(monkeypatch):
             ub = gs.inv(u)
             assert gs.mul(gs.mul(ub, s), u) == t
             assert gs.mul(gs.mul(u, t), ub) == s
+        return gs.codec
 
     for case in cases:
-        check(*case)
+        assert check(*case) is BytesCodec
     monkeypatch.setattr(BytesCodec, "max_degree", -1)
     for case in cases:
-        check(*case)
+        assert isinstance(check(*case), TupleCodec)
 
 
 def test_equal_signatures_still_reach_the_group_search():
@@ -1239,3 +1257,29 @@ def test_solver_side_multiplies_codes_only(monkeypatch):
         assert answers[name, "member", True] >= 4, answers
         assert answers[name, "conj", True] >= 3, answers
     assert min(answers["group_conjugate"], answers["_transport"]) > 5
+
+
+def test_generators_are_encoded_once_per_system(monkeypatch):
+    # the classification, the E(U) walk, Munn bases and H-class records
+    # read the generator codes the system keeps: a first and a held
+    # auto member and conj on a fresh system of each pb-session family
+    # encode each generator at most once
+    rng = random.Random(54)
+    encoded = []
+    encode = BytesCodec.encode
+    monkeypatch.setattr(BytesCodec, "encode", staticmethod(
+        lambda x: encoded.append(x) or encode(x)))
+    for name, gens in _session_families(rng):
+        n = len(gens[0])
+        gs = GeneratorSystem([PartialBijection(n, g) for g in gens],
+                             degree=n)
+        # the queries are new objects, so that encodes of them are not
+        # counted as encodes of a generator they may equal
+        s = gs.mul(rng.choice(gs.generators), rng.choice(gs.generators))
+        u = rng.choice(gs.generators)
+        for _ in range(2):
+            dispatch_member(gs, s)
+            dispatch_conjugate(gs, s, gs.mul(gs.mul(gs.inv(u), s), u))
+        counts = Counter(map(id, encoded))
+        assert max(counts[id(g)] for g in gs.generators) == 1, name
+        del encoded[:]

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from invsem.classify import classify_generated
-from invsem.pbij import BytesCodec, PartialBijection
+from invsem.pbij import BytesCodec, PartialBijection, TupleCodec
 from invsem.gensys import GeneratorSystem
 from invsem.oracle import (ClosureCapExceeded, close, naive_member,
                            naive_conjugate, naive_green, naive_green_leq)
@@ -29,7 +29,7 @@ def _check_right_graph(gs):
     for j, x in enumerate(cl.elements):
         assert len(cl.right[j]) == len(gs.generators)
         for i, g in enumerate(gs.generators):
-            assert cl.right[j][i] == cl.index[cl.encode(gs.mul(x, g))]
+            assert cl.right[j][i] == cl.index[cl.codec.encode(gs.mul(x, g))]
 
 
 def test_closure_records_right_cayley_graph():
@@ -90,20 +90,21 @@ def _assert_close_matches_reference(gs):
 
 
 def test_close_matches_reference_bfs():
-    # the kernel gs.codec (bytes codes up to degree 255, the system over
-    # its elements above and on Cayley tables) enumerates, records and
-    # answers exactly as a breadth-first search over gs.mul
+    # the kernel gs.codec (bytes codes up to degree 255, tuple codes
+    # above, and the table itself on Cayley tables) enumerates, records
+    # and answers exactly as a breadth-first search over gs.mul
     rng = random.Random(19)
     for gs, _ in sample_systems(rng, 4, degrees=(2, 6), closure_cap=400):
         assert _assert_close_matches_reference(gs).codec is BytesCodec
         table, _ = from_closure(close(gs).elements, gs.mul)
         sigma = rng.sample(range(table.order), min(table.order, 2))
         ct_gs = GeneratorSystem(sigma, table=table)
-        assert _assert_close_matches_reference(ct_gs).codec is ct_gs
+        assert _assert_close_matches_reference(ct_gs).codec is table
     for n in (254, 255, 256, 257):
         gs = top_points_system(n)
         cl = _assert_close_matches_reference(gs)
-        assert cl.codec is (BytesCodec if n <= 255 else gs)
+        assert cl.codec is gs.codec
+        assert isinstance(cl.codec, TupleCodec) == (n > 255)
         assert len(cl) > 20
         for x in cl.elements:
             assert x in cl
@@ -122,7 +123,8 @@ def _kernel_answers(gens, n, pairs):
     gs = GeneratorSystem(gens, degree=n)
     cl = close(gs)
     tag = classify_generated(gs)
-    return (gs.codec is BytesCodec, cl.codec is gs.codec, cl.elements,
+    kernel = "bytes" if gs.codec is BytesCodec else type(gs.codec).__name__
+    return (kernel, cl.codec is gs.codec, cl.elements,
             [cl.word_for(x) for x in cl.elements], tag, tag.idempotents,
             [dispatched_as_the_oracle(gs, s, t) for s, t in pairs],
             [naive_conjugate(gs, s, t) for s, t in pairs],
@@ -132,8 +134,8 @@ def _kernel_answers(gens, n, pairs):
 
 def test_element_kernel_matches_bytes_kernel(monkeypatch):
     # these pb systems have degree <= 6, so gs.codec is BytesCodec; with
-    # max_degree below every degree the same generators run on the
-    # system's own elements, and every scan must answer alike
+    # max_degree below every degree the same generators, in a system
+    # built then, run on tuple codes, and every scan must answer alike
     rng = random.Random(24)
     for gs, _ in sample_systems(rng, 3, degrees=(2, 6), closure_cap=150):
         elements = close(gs).elements
@@ -143,24 +145,24 @@ def test_element_kernel_matches_bytes_kernel(monkeypatch):
                   for s, u in zip(picked, reversed(picked))]
         pairs += [(rand_pb(rng, gs.degree), rand_pb(rng, gs.degree))]
         by_codes = _kernel_answers(gs.generators, gs.degree, pairs)
-        assert by_codes[:2] == (True, True)
+        assert by_codes[:2] == ("bytes", True)
         assert any(ok for ok, _ in by_codes[6])
         with monkeypatch.context() as m:
             m.setattr(BytesCodec, "max_degree", -1)
-            # the kernel is read at each call, not fixed at construction
-            assert gs.codec is gs
-            by_elements = _kernel_answers(gs.generators, gs.degree, pairs)
-        assert gs.codec is BytesCodec
-        assert by_elements[:2] == (False, True)
-        assert by_elements[2:] == by_codes[2:]
+            # the kernel is fixed when a system is built
+            assert gs.codec is BytesCodec
+            by_tuples = _kernel_answers(gs.generators, gs.degree, pairs)
+        assert by_tuples[:2] == ("TupleCodec", True)
+        assert by_tuples[2:] == by_codes[2:]
     for n in (1, 6, 254, 255, 256, 257):
         gs = top_points_system(n) if n > 6 else GeneratorSystem(
             [PartialBijection(n, range(n))], degree=n)
-        assert gs.codec is (BytesCodec if n <= 255 else gs)
+        assert gs.codec is BytesCodec if n <= 255 else (
+            isinstance(gs.codec, TupleCodec) and gs.codec.undefined == n)
     pb = top_points_system(6)
     ct = GeneratorSystem([0, 1], table=from_closure(close(pb).elements,
                                                     pb.mul)[0])
-    assert ct.codec is ct
+    assert ct.codec is ct.table
 
 
 def test_member_witness_evaluates():

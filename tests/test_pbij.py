@@ -1,5 +1,5 @@
 """Partial bijection algebra: composition, inverses, idempotents and
-the natural partial order."""
+the natural partial order, and the element kernels' codes."""
 
 import copy
 import itertools
@@ -9,12 +9,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from invsem.pbij import (PartialBijection, compose, identity, empty_map,
-                         partial_identity, singleton, idempotent_power,
-                         brandt, direct_product)
+from invsem.munn import dom_mask
+from invsem.pbij import (BytesCodec, PartialBijection, TupleCodec, compose,
+                         identity, empty_map, partial_identity, singleton,
+                         idempotent_power, brandt, direct_product, kernel)
 
 from helpers import rand_pb
-from reference import all_partial_bijections, from_pairs
+from reference import all_partial_bijections, from_pairs, le
 
 
 def test_constructor_rejects_non_injective():
@@ -109,19 +110,19 @@ def test_natural_order_dual_forms_agree():
             left = compose(compose(x, xb), y) == x
             right = compose(compose(y, xb), x) == x
             assert left == right
-            assert x.le(y) == left
+            assert le(x, y) == left
 
 
 def test_natural_order_is_partial_order():
     els = all_partial_bijections(3)
     for x in els:
-        assert x.le(x)
+        assert le(x, x)
         for y in els:
-            if x.le(y) and y.le(x):
+            if le(x, y) and le(y, x):
                 assert x == y
             for z in els:
-                if x.le(y) and y.le(z):
-                    assert x.le(z)
+                if le(x, y) and le(y, z):
+                    assert le(x, z)
 
 
 def test_constructors():
@@ -199,3 +200,26 @@ def test_an_element_is_the_tuple_of_its_images():
     for (degree, images), message in REJECTED:
         with pytest.raises(ValueError, match="^%s$" % message):
             PartialBijection(degree, images)
+
+
+@pytest.mark.parametrize("kind, n", [
+    (kind, n) for n in (1, 2, 254, 255, 256, 257, 500)
+    for kind in (("bytes", "tuple") if n <= 255 else ("tuple",))])
+def test_codecs_match_compose_and_inverse(kind, n):
+    # both kernels against pbij.compose and PartialBijection.inverse on
+    # random partial maps, total and empty ones included
+    codec = BytesCodec if kind == "bytes" else TupleCodec(n)
+    rng = random.Random(n)
+    maps = [rand_pb(rng, n, p) for p in (0.0, 0.5, 0.9, 1.0) * 5]
+    codes = [codec.encode(x) for x in maps]
+    assert kernel(n) is BytesCodec if n <= 255 else (
+        isinstance(kernel(n), TupleCodec) and kernel(n).undefined == n)
+    for x, cx in zip(maps, codes):
+        assert codec.decode(cx) == x and type(codec.decode(cx)) is type(x)
+        assert codec.inv(cx) == codec.encode(x.inverse())
+        assert dom_mask(cx, codec.undefined) == dom_mask(x)
+        for y, cy in zip(maps[:6], codes[:6]):
+            xy = codec.encode(compose(x, y))
+            assert codec.mul(cx, cy) == xy
+            assert codec.product(cx, codec.right(cy)) == xy
+    assert len(set(codes)) == len(set(maps))

@@ -7,7 +7,8 @@ import random
 import pytest
 
 from invsem import slp as slp_module
-from invsem.pbij import BytesCodec, PartialBijection, partial_identity
+from invsem.pbij import (BytesCodec, PartialBijection, TupleCodec,
+                         partial_identity)
 from invsem.gensys import GeneratorSystem
 from invsem.oracle import close
 from invsem.slp import (BFS_THRESHOLD, SLP, NotGenerated, slp_eval,
@@ -117,15 +118,23 @@ def test_group_cube_doubling_path(monkeypatch):
         assert slp_eval(gs, slp) == t
 
 
-@pytest.mark.parametrize("n", [254, 255, 256, 257])
-def test_search_on_codes_emits_the_tuple_search_slp(monkeypatch, n):
-    # codes up to degree 255, tuples above; forcing the tuple search
-    # must give the same items on the BFS and the cube-doubling paths
+def _slp_cases(n):
+    """(builder, system, target) over the elements of fresh group and
+    Clifford systems on n points."""
     group = top_points_group(n)
     clifford = top_points_group(n, clifford=True)
-    cases = ([(slp_group, group, t) for t in close(group).elements]
-             + [(slp_clifford, clifford, t)
-                for t in close(clifford).elements])
+    return ([(slp_group, group, t) for t in close(group).elements]
+            + [(slp_clifford, clifford, t)
+               for t in close(clifford).elements])
+
+
+@pytest.mark.parametrize("n", [254, 255, 256, 257])
+def test_search_on_codes_emits_the_tuple_search_slp(monkeypatch, n):
+    # bytes codes up to degree 255, tuple codes above; systems built
+    # with the tuple kernel forced must give the same items on the BFS
+    # and the cube-doubling paths
+    cases = _slp_cases(n)
+    assert all((gs.codec is BytesCodec) == (n <= 255) for _, gs, _ in cases)
     code_products = []
     code_mul = BytesCodec.mul
     monkeypatch.setattr(BytesCodec, "mul", staticmethod(
@@ -139,7 +148,11 @@ def test_search_on_codes_emits_the_tuple_search_slp(monkeypatch, n):
             assert slp_eval(gs, slp) == t
         with monkeypatch.context() as m:
             m.setattr(BytesCodec, "max_degree", -1)
-            assert [build(gs, t) for build, gs, t in cases] == slps
+            tuple_cases = _slp_cases(n)
+            assert all(isinstance(gs.codec, TupleCodec)
+                       for _, gs, _ in tuple_cases)
+            assert [t for _, _, t in tuple_cases] == [t for _, _, t in cases]
+            assert [build(gs, t) for build, gs, t in tuple_cases] == slps
 
 
 def test_group_not_generated():
