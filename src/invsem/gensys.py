@@ -6,13 +6,21 @@ codes of, is fixed at construction: `pbij.kernel` or the table itself.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property
 
 from .pbij import PartialBijection, compose, identity, kernel
+from .search import UnionFind
 
 # Virtual adjoined identity for Cayley tables without one; never a valid
 # element index.
 VIRTUAL_ONE = -1
+
+# The point record of a pb system (`GeneratorSystem.points`): the domain
+# mask of each generator u (the mask of u u~), in generator order, and
+# per point x the mask of its <Sigma>-orbit, or ~x (a negative int, a
+# label of its own) where no generator touches x.
+Points = namedtuple("Points", "masks orbits")
 
 
 class GeneratorSystem:
@@ -61,27 +69,23 @@ class GeneratorSystem:
         # query data: closure, the largest element cap it exceeded, the
         # largest cap that E(U) exceeded, classification, on a General U
         # the D-class root of each idempotent (codes of codec, from the
-        # E(U) walk) and their domain bit masks, the domain masks of the
-        # idempotents u u~ of the generators, the group BSGS (whose
+        # E(U) walk) and their domain bit masks, the group BSGS (whose
         # stabilizer chain also finds conjugators) and the group
-        # domain's points with their positions, the orbit label of each
-        # point (read by every pb conj before any solver runs) and each
-        # point's orbit mask, Munn graphs by delta mask, and H-class
-        # records: a Clifford group by ("clifford", e-hat mask), a Munn
-        # component's basis, reps and group by ("sis", delta, component),
-        # and a D-class's reps and group by ("general", root); bases and
-        # reps hold codes of codec, Munn vertices and e-hats masks
+        # domain's points with their positions, Munn graphs by delta
+        # mask, and H-class records: a Clifford group by ("clifford",
+        # e-hat mask), a Munn component's basis, reps and group by
+        # ("sis", delta, component), and a D-class's reps and group by
+        # ("general", root); bases and reps hold codes of codec, Munn
+        # vertices and e-hats masks.  The generators' codes and the
+        # point record are cached properties.
         self._closure = None
         self._over_cap = 0
         self._over_e_cap = 0
         self._variety = None
         self._d_roots = None
         self._e_masks = None
-        self._masks = None
         self._bsgs = None
         self._group_points = None
-        self._orbit_labels = None
-        self._orbit_masks = None
         self._munn = {}
         self._hclasses = {}
 
@@ -119,6 +123,30 @@ class GeneratorSystem:
     def generator_codes(self):
         """The generators as codes of the codec, encoded once."""
         return tuple(map(self.codec.encode, self.generators))
+
+    @cached_property
+    def points(self):
+        """The `Points` record of a pb system, from one pass over the
+        generators' images: a union per generator edge x -> x^u, so no
+        search or union starts at a point that no generator touches.
+        Its orbits are the labels of `groups.conj_signature` (read by
+        every pb conj before any solver runs) and the masks that
+        `munn.orbit_closure` ORs."""
+        uf, masks = UnionFind(), []
+        for g in self.generators:
+            m = 0
+            for x, y in enumerate(g):
+                if y is not None:
+                    m |= 1 << x
+                    uf.union(x, y)
+            masks.append(m)
+        orbit = {}
+        for x in uf.parent:
+            root = uf.find(x)
+            orbit[root] = orbit.get(root, 0) | 1 << x
+        return Points(tuple(masks), tuple(
+            orbit[uf.find(x)] if x in uf.parent else ~x
+            for x in range(self.degree)))
 
     def __repr__(self):
         where = ("degree %d" % self.degree if self.model == "pb"

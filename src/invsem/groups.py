@@ -22,7 +22,6 @@ from collections import namedtuple
 from functools import cached_property
 
 from .pbij import PartialBijection, kernel
-from .search import reach
 
 
 # how: input letter i, or (j, x, s, y) for rep_j(x) s rep_j(y)^-1;
@@ -388,26 +387,13 @@ def group_conjugate(gs, s, t):
 # -- conjugation signatures -----------------------------------------------
 
 
-def orbit_labels(gs):
-    """The label of each point under U = <Sigma>, as a tuple: the least
-    point of its <Sigma>-orbit, so a point no generator touches labels
-    itself.  Computed from Sigma once per system."""
-    if gs._orbit_labels is None:
-        labels = list(range(gs.degree))
-        for x in range(gs.degree):
-            if labels[x] == x:  # the least point of an orbit not yet seen
-                for y in reach([x], gs.generators):
-                    labels[y] = x
-        gs._orbit_labels = tuple(labels)
-    return gs._orbit_labels
-
-
 def conj_signature(p, labels):
     """The sorted list of (cyclic?, label sequence) over the components
     of the graph of the partial map p: a chain read from its start, a
     cycle at its least rotation, each point x read as labels[x].
 
-    With `orbit_labels(gs)`, conjugates in U share it, in any U <= I_n:
+    With the orbits of `gs.points` as labels (a point's orbit mask, or
+    ~x for an untouched x), conjugates in U share it, in any U <= I_n:
     if u~ s u = t and u t u~ = s for some u in U (s != t), then u is
     defined on dom s | ran s and (a, a^s) -> (a^u, (a^s)^u) carries
     graph(s) onto graph(t), by the transport lemma below, so u maps each

@@ -23,8 +23,8 @@ from .oracle import ELEMENT_CAP
 from .classify import (OutsideTractable, VarietyTag, classify_generated,
                        idempotent_steps)
 from .gensys import GeneratorSystem
-from .groups import (conj_signature, group_conjugate, orbit_labels,
-                     pb_group_member, perm_group_of)
+from .groups import (conj_signature, group_conjugate, pb_group_member,
+                     perm_group_of)
 from .search import UnionFind
 
 
@@ -67,36 +67,14 @@ def least_above(masks, a):
     return meet
 
 
-def generator_masks(gs):
-    """The masks of the idempotents u u~ of the generators, in generator
-    order; once per system."""
-    if gs._masks is None:
-        gs._masks = tuple(map(dom_mask, gs.generators))
-    return gs._masks
-
-
-def orbit_masks(gs):
-    """The mask of each point's <Sigma>-orbit, 0 for a point that no
-    generator touches; read off `groups.orbit_labels` once per system
-    (an untouched point labels itself, and no touched one carries its
-    label)."""
-    if gs._orbit_masks is None:
-        labels, masks = orbit_labels(gs), generator_masks(gs)
-        orbit = dict.fromkeys(labels, 0)
-        for x, label in enumerate(labels):
-            if any(m >> x & 1 for m in masks):
-                orbit[label] |= 1 << x
-        gs._orbit_masks = tuple(orbit[label] for label in labels)
-    return gs._orbit_masks
-
-
 def orbit_closure(gs, a):
     """X^<Sigma> for X the points of the mask a, as a mask: the points
     reachable from X in the Schreier graph, restricted to points with an
-    incident generator edge; the OR of the orbit masks over X."""
+    incident generator edge; the OR of the orbit masks over X (of
+    `gs.points`, where an untouched point has a negative label)."""
     out = 0
-    for x, m in enumerate(orbit_masks(gs)):
-        if a >> x & 1:
+    for x, m in enumerate(gs.points.orbits):
+        if a >> x & 1 and m > 0:
             out |= m
     return out
 
@@ -123,7 +101,7 @@ def munn_graph(gs, delta):
     vertices = []
     vertex_index = {}
     edges = []
-    for i, (u, m) in enumerate(zip(gs.generators, generator_masks(gs))):
+    for i, (u, m) in enumerate(zip(gs.generators, gs.points.masks)):
         if orbit_closure(gs, m & delta) != delta:  # u is not delta-large
             continue
         src, tgt = delta & m, delta & ran_mask(u)
@@ -179,7 +157,7 @@ def basis_at(gs, M, anchor):
     cid = M.comp[anchor]
     sigma_e = tuple(gi for gi, a, _ in M.edges if M.comp[a] == cid)
     # e-tilde: product of u u~ over component edges with u u~ >= e
-    masks = generator_masks(gs)
+    masks = gs.points.masks
     etilde = least_above([masks[gi] for gi in sigma_e], M.vertices[anchor])
     assert etilde != -1, "anchor vertex has no dominating edge"
     # gamma along BFS paths from the anchor, adjacency in edge-list order
@@ -263,7 +241,7 @@ def hclass(gs, ehat):
     if H is None:
         ops, e = gs.codec, idempotent_of(gs, ehat)
         gens = [ops.decode(ops.mul(e, u)) for u, m in zip(
-            gs.generator_codes, generator_masks(gs)) if ehat & m == ehat]
+            gs.generator_codes, gs.points.masks) if ehat & m == ehat]
         H = gs._hclasses["clifford", ehat] = HClass(
             GeneratorSystem(gens, degree=gs.degree))
     return H
@@ -301,7 +279,7 @@ def sis_min_idempotent(gs, e):
     idempotent of mask e, for U a strict inverse semigroup: e-hat at the
     Munn vertex v above e, or -1 (the identity of U^1) if none is; a
     ValueError if two are, which shows U is not strict inverse.  (For a
-    Clifford U it is least_above(generator_masks(gs), e).)
+    Clifford U it is least_above(gs.points.masks, e).)
 
     e-hat at v is gamma~ e-hat_c gamma for gamma = gamma(v) of the basis
     at the component's first vertex c: conjugation by gamma (in U) maps
@@ -329,7 +307,7 @@ def clifford_member(gs, t):
     """t lies in a Clifford U iff e = t t~ is the product of the u u~
     above it and t lies in the group H-class at e."""
     e = dom_mask(t)
-    if least_above(generator_masks(gs), e) != e:
+    if least_above(gs.points.masks, e) != e:
         return False
     return pb_group_member(hclass(gs, e).group, t, word=False)[0]
 
@@ -338,7 +316,7 @@ def clifford_conjugate(gs, s, t):
     """Conjugacy in a Clifford U for s != t (`solve` answers s == t
     with gs.one): one group search in the H-class of the least
     idempotent above dom s | ran s | dom t | ran t."""
-    ehat = least_above(generator_masks(gs), dom_mask(s) | ran_mask(s)
+    ehat = least_above(gs.points.masks, dom_mask(s) | ran_mask(s)
                        | dom_mask(t) | ran_mask(t))
     if ehat == -1:
         return False, None
@@ -567,7 +545,7 @@ def semilattice_member(gs, t):
     """t is in U iff it is idempotent and the meet of the generators
     above it."""
     e = dom_mask(t)
-    return t.is_idempotent() and least_above(generator_masks(gs), e) == e
+    return t.is_idempotent() and least_above(gs.points.masks, e) == e
 
 
 # -- dispatcher ------------------------------------------------------------
@@ -632,8 +610,8 @@ def solve(variety, query, gs, *xs, explain=None, word=False):
     is set.  A General U is decided from E(U) and one D-class
     (`dclass_member`, `dclass_conjugate`).  A "conj" with s != t is
     first ruled out where s and t differ in `groups.conj_signature` over
-    U's orbit labels, before any group, Munn graph or D-class is built;
-    the check only ever answers NO.  The solvers are looked up when
+    the orbits of `gs.points`, before any group, Munn graph or D-class
+    is built; the check only ever answers NO.  The solvers are looked up when
     called, so a rebound module attribute (a tracing wrapper) is the one
     that runs."""
     if gs.model != "pb":
@@ -649,7 +627,7 @@ def solve(variety, query, gs, *xs, explain=None, word=False):
         # commuting idempotents: u s u = s u = t and t u = s give s = t
         return (semilattice_member(gs, *xs) if member else False), None
     if not member:
-        labels = orbit_labels(gs)
+        labels = gs.points.orbits
         if conj_signature(xs[0], labels) != conj_signature(xs[1], labels):
             if explain is not None:
                 explain["signature"] = "differs"

@@ -179,9 +179,6 @@ def naive_green(gs, s, t, relation, cap=ELEMENT_CAP):
     """Decide the relative Green equivalence (R, L, J or H) of s and t
     with multipliers from U^1.  D is identified with J (finite case).
     """
-    if relation == "H":
-        return (naive_green(gs, s, t, "R", cap)
-                and naive_green(gs, s, t, "L", cap))
     return (naive_green_leq(gs, s, t, relation, cap)
             and naive_green_leq(gs, t, s, relation, cap))
 

@@ -17,8 +17,7 @@ from functools import reduce
 
 from .formats import records
 from .oracle import ELEMENT_CAP, ClosureCapExceeded
-from .groups import pb_group_member
-from .munn import dom_mask, hclass
+from .munn import clifford_member
 
 BFS_THRESHOLD = 4096
 CUBE_CAP = 10**5
@@ -340,8 +339,8 @@ def slp_clifford(gs, t, cap=ELEMENT_CAP):
     """Two phases: an SLP for the idempotent t t~ over the generator
     idempotents s s~, then a group SLP in the H-class of t t~ (under
     `cap`), both rewritten over the original generators.  On the pb
-    model t is sifted through the H-class's BSGS before phase 2, so a
-    non-member is answered without a search.
+    model t is sifted through the H-class's BSGS (`munn.clifford_member`)
+    before phase 2, so a non-member is answered without a search.
     """
     gens = gs.generators
     mul = gs.mul
@@ -372,8 +371,7 @@ def slp_clifford(gs, t, cap=ELEMENT_CAP):
             raise NotGenerated("idempotent target differs from its t t~")
         return SLP(tuple(items), e_item)
 
-    if gs.model == "pb" and not pb_group_member(hclass(gs, dom_mask(e)).group,
-                                                t, word=False)[0]:
+    if gs.model == "pb" and not clifford_member(gs, t):
         raise NotGenerated("target not in the generated group")
     # phase 2: group SLP over Sigma' = {e s : s s~ >= e}
     prime = [mul(e, gens[i]) for i in eligible]

@@ -13,6 +13,7 @@ from invsem.munn import basis_at, dom_mask, munn_graph, orbit_closure
 from invsem.ncl import is_config
 from invsem.oracle import ELEMENT_CAP, close
 from invsem.pbij import PartialBijection, _make
+from invsem.search import reach
 
 
 # -- elements and tables -----------------------------------------------------
@@ -46,6 +47,18 @@ def all_partial_bijections(n):
                     nxt.append(prefix + (y,))
         result = nxt
     return [_make(images) for images in result]
+
+
+def orbit_labels(gs):
+    """The label of each point under U = <Sigma>, by a search from every
+    point: the least point of its <Sigma>-orbit, so a point that no
+    generator touches labels itself."""
+    labels = list(range(gs.degree))
+    for x in range(gs.degree):
+        if labels[x] == x:  # the least point of an orbit not yet seen
+            for y in reach([x], gs.generators):
+                labels[y] = x
+    return tuple(labels)
 
 
 def from_closure(elements, mul):

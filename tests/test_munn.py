@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 from collections import Counter
 from types import SimpleNamespace
 
@@ -13,11 +14,12 @@ from invsem.gensys import GeneratorSystem
 from invsem.oracle import (ClosureCapExceeded, close, naive_member,
                            naive_conjugate)
 from invsem.classify import classify_generated, classify_from_generators
-from invsem.groups import conj_signature, orbit_labels
+from invsem.groups import conj_signature
 from invsem import munn as munn_module
+from invsem import search
 from invsem.munn import (OutsideTractable, orbit_closure,
                          munn_graph, munn_dot, basis_at, hclass_generators,
-                         sis_min_idempotent, least_above, generator_masks,
+                         sis_min_idempotent, least_above,
                          dom_mask, idempotent_of,
                          sis_member, sis_conjugate, clifford_conjugate,
                          dispatch_member, dispatch_conjugate, route, solve,
@@ -27,8 +29,9 @@ from helpers import (KINDS, rand_pb, sample_systems, sample_sis_systems,
                      check_munn_lemmas, dispatched_as_the_oracle, padded,
                      sample_multi_component_sis, top_points_system,
                      variety_gens)
-from reference import (all_partial_bijections, from_closure, idempotent_meet,
-                       le, sis_min_idempotent_scan)
+from reference import (all_partial_bijections, from_closure, from_pairs,
+                       idempotent_meet, le, orbit_labels,
+                       sis_min_idempotent_scan)
 
 
 def test_orbit_closure_skips_untouched_points():
@@ -115,7 +118,7 @@ def test_min_idempotent_solvers_agree_with_search():
             from invsem.classify import classify_generated
             if classify_generated(gs).name in ("Trivial", "Semilattice",
                                                "Group", "Clifford"):
-                assert least_above(generator_masks(gs), dom_mask(e)) == ehat
+                assert least_above(gs.points.masks, dom_mask(e)) == ehat
             checked += 1
     assert checked > 50
 
@@ -818,7 +821,7 @@ def test_signature_rules_out_only_pairs_that_are_not_conjugate(monkeypatch):
                                    closure_cap=300):
         names.add(name)
         elements = close(gs).elements
-        labels = orbit_labels(gs)
+        labels = gs.points.orbits
         for s, t in [p for _ in range(3)
                      for p in _signature_pairs(rng, gs, elements)]:
             want = naive_conjugate(gs, s, t)[0]
@@ -849,6 +852,121 @@ def test_signature_rules_out_only_pairs_that_are_not_conjugate(monkeypatch):
         assert isinstance(check(*case), TupleCodec)
 
 
+def _with_untouched_points(rng, kind):
+    """A system of `kind` on 2-6 points, padded with 1-4 points that no
+    generator touches and relabelled by a random permutation, so that
+    the untouched points fall anywhere."""
+    n = rng.randrange(2, 7)
+    m = n + rng.randrange(1, 5)
+    perm = list(range(m))
+    rng.shuffle(perm)
+    gens = []
+    for g in variety_gens(rng, kind, n, rng.randrange(1, 5)):
+        images = [None] * m
+        for x, y in enumerate(g):
+            if y is not None:
+                images[perm[x]] = perm[y]
+        gens.append(PartialBijection(m, images))
+    return GeneratorSystem(gens, degree=m)
+
+
+def test_point_record_matches_the_orbit_search(monkeypatch):
+    # 2000 systems with untouched points, on the bytes kernel and again
+    # on the element kernel: the record's orbit masks partition the
+    # touched points as a search from every point does, each untouched
+    # x is labelled ~x, each generator mask is dom_mask of its generator,
+    # and conj_signature rules out the same pairs (12 per system) under
+    # the record's orbits as under the searched labels
+    for bytes_kernel in (True, False):
+        if not bytes_kernel:
+            monkeypatch.setattr(BytesCodec, "max_degree", -1)
+        rng = random.Random(37)
+        differ = same = untouched = 0
+        for i in range(2000):
+            gs = _with_untouched_points(rng, KINDS[i % len(KINDS)])
+            assert (gs.codec is BytesCodec if bytes_kernel
+                    else isinstance(gs.codec, TupleCodec))
+            masks, orbits = gs.points
+            assert masks == tuple(map(dom_mask, gs.generators))
+            touched = {x for g in gs.generators
+                       for x, y in enumerate(g) if y is not None}
+            labels = orbit_labels(gs)
+            for x in range(gs.degree):
+                assert orbits[x] == (
+                    sum(1 << y for y in touched if labels[y] == labels[x])
+                    if x in touched else ~x), (gs.generators, x)
+            untouched += gs.degree - len(touched)
+            words = []
+            for _ in range(8):
+                w = rng.choice(gs.generators)
+                for _ in range(rng.randrange(4)):
+                    w = gs.mul(w, rng.choice(gs.generators))
+                words.append(w)
+            pairs = [p for _ in range(3)
+                     for p in _signature_pairs(rng, gs, words)]
+            for _ in range(3):  # one edge each, often on untouched points
+                a, b, c, d = (rng.sample(range(gs.degree), 2)
+                              + rng.sample(range(gs.degree), 2))
+                pairs.append((from_pairs(gs.degree, [(a, b)]),
+                              from_pairs(gs.degree, [(c, d)])))
+            for s, t in pairs:
+                ruled_out = conj_signature(s, orbits) != conj_signature(
+                    t, orbits)
+                assert ruled_out == (conj_signature(s, labels)
+                                     != conj_signature(t, labels))
+                differ += ruled_out
+                same += not ruled_out
+        assert differ > 15000 and same > 5000 and untouched > 5000, (
+            differ, same, untouched)
+
+
+def _reach_and_union_calls(monkeypatch):
+    """A list that records every search.reach call (in each invsem
+    namespace that holds it) by its seeds and every UnionFind.union by
+    its arguments."""
+    calls = []
+    real_reach, real_union = search.reach, search.UnionFind.union
+
+    def counting_reach(seeds, maps, reached=None):
+        seeds = list(seeds)
+        calls.append(("reach", seeds))
+        return real_reach(seeds, maps, reached)
+
+    for name, module in list(sys.modules.items()):
+        if name == "invsem" or name.startswith("invsem."):
+            for key, value in list(vars(module).items()):
+                if value is real_reach:
+                    monkeypatch.setattr(module, key, counting_reach)
+    monkeypatch.setattr(search.UnionFind, "union", lambda uf, a, b: (
+        calls.append(("union", [a, b])) or real_union(uf, a, b)))
+    return calls
+
+
+def test_point_record_starts_nothing_at_an_untouched_point(monkeypatch):
+    # B(S_3, 2) padded to 500 points touches 6 of them, in one orbit:
+    # its point record makes one union per generator edge and no search,
+    # where a search from every point made 495 reach calls from
+    # untouched ones; a first member and a first conj then start no
+    # search either
+    calls = _reach_and_union_calls(monkeypatch)
+    gs = padded(GeneratorSystem([PartialBijection(6, g) for g in (
+        (1, 0, 2, None, None, None), (1, 2, 0, None, None, None),
+        (3, 4, 5, None, None, None))], degree=6), 500)
+    masks, orbits = gs.points
+    assert calls and all(op == "union" and max(args) < 6
+                         for op, args in calls)
+    assert len(calls) == sum(bin(m).count("1") for m in masks)
+    assert orbits == (0b111111,) * 6 + tuple(
+        ~x for x in range(6, 500))
+    del calls[:]
+    target = PartialBijection(500, (4, 3, 5) + (None,) * 497)
+    assert dispatch_member(gs, target)
+    s = PartialBijection(500, (1, 0) + (None,) * 498)
+    t = PartialBijection(500, (None,) * 3 + (4, 3) + (None,) * 495)
+    assert dispatch_conjugate(gs, s, t)[0]
+    assert not any(op == "reach" for op, _ in calls)
+
+
 def test_equal_signatures_still_reach_the_group_search():
     # A_5: (1 2 3 4 5) and (1 2 3 5 4) share a cycle type and the one
     # orbit, so their signatures agree, but they lie in the two classes
@@ -858,8 +976,8 @@ def test_equal_signatures_still_reach_the_group_search():
                           PartialBijection(n, (1, 2, 0, 3, 4))], degree=n)
     s = PartialBijection(n, (1, 2, 3, 4, 0))
     t = PartialBijection(n, (1, 2, 4, 0, 3))
-    labels = orbit_labels(gs)
-    assert labels == (0,) * n
+    labels = gs.points.orbits
+    assert labels == ((1 << n) - 1,) * n
     assert conj_signature(s, labels) == conj_signature(t, labels)
     explain = {}
     assert dispatch_conjugate(gs, s, t, explain=explain) == (False, None)
@@ -922,7 +1040,7 @@ def test_mask_meets_match_the_composed_reference():
                         pts.append(m - 1)  # untouched past the generators
                     e = partial_identity(m, pts)
                     want = idempotent_meet(gs, idems, e)
-                    assert least_above(generator_masks(gs), dom_mask(e)) == (
+                    assert least_above(gs.points.masks, dom_mask(e)) == (
                         -1 if want is None else dom_mask(want))
                     checked[kernel, "clifford"] += 1
                     if tag.is_strict_inverse():
@@ -964,7 +1082,7 @@ def test_dispatch_rejects_a_cayley_table_system():
 # fill as queries reach new ones, up to the size of U's structure
 _STRUCTURE_CACHES = ("_munn", "_hclasses")
 # the per-system caches that held queries read, each fixed by U alone
-_SYSTEM_CACHES = ("_masks", "_orbit_masks", "_group_points", "_e_masks")
+_SYSTEM_CACHES = ("points", "_group_points", "_e_masks")
 
 
 def _cache_sizes(gs):
