@@ -17,7 +17,7 @@ from .pbij import partial_identity
 from .oracle import (ELEMENT_CAP, ClosureCapExceeded, close, naive_member,
                      naive_conjugate, naive_green, naive_green_leq)
 from .classify import OutsideTractable, classify_generated
-from .groups import _group_domain, pb_group_member, perm_group_of
+from .groups import group_domain, pb_group_member, perm_group_of
 from .ctsolver import CTSolver
 from .slp import (NotGenerated, slp_eval, slp_to_text, slp_from_records,
                   slp_semilattice, slp_group, slp_clifford)
@@ -225,7 +225,7 @@ def cmd_transport(args):
     gs = _system_of(inst)
     ds = _require(inst.ds, "ds")
     dt = _require(inst.dt, "dt")
-    _group_domain(gs)  # a U that is not a group is an input error
+    group_domain(gs)  # a U that is not a group is an input error
     # a transporter is a conjugator of the partial identities on ds, dt
     ok, u = solve("Group", "conj", gs, partial_identity(gs.degree, ds),
                   partial_identity(gs.degree, dt))
@@ -667,8 +667,9 @@ def build_parser(names=tuple(_COMMANDS)):
         func, add_arguments = _COMMANDS[name]
         sub = subs.add_parser(name)
         sub.add_argument("--cap", type=_cap, default=ELEMENT_CAP,
-                         help="bound on |U| where U is enumerated, and on "
-                         "|E(U)| in the StrictInverse/General split")
+                         help="bound on |U| where U is enumerated, on "
+                         "|E(U)| in the StrictInverse/General split, and on "
+                         "the ideal of t that green searches")
         add_arguments(sub)
         sub.set_defaults(func=func)
     return parser

@@ -290,29 +290,28 @@ def set_transporter(G, delta_s, delta_t):
 # -- partial-bijection wrappers -------------------------------------------
 
 
-def _group_domain(gs):
-    """Common domain of the generators; raises if <Sigma> is not a
-    group of partial bijections (all generators must share
-    dom = ran).
-    """
-    dom = None
-    for g in gs.generators:
-        d = g.domain()
-        if g.ran() != d:
-            raise ValueError("generator %r has dom != ran; not a group" % (g,))
-        if dom is None:
-            dom = d
-        elif d != dom:
+def group_domain(gs):
+    """The domain mask that the generators of a group system share, read
+    off the point record: Sigma is inverse-closed, so ran u is the mask
+    of u~.  Raises ValueError if <Sigma> is not a group of partial
+    bijections (all generators must share dom = ran)."""
+    masks, inv = gs.points.masks, gs.inv_index
+    for i, mask in enumerate(masks):
+        if masks[inv[i]] != mask:
+            raise ValueError("generator %r has dom != ran; not a group"
+                             % (gs.generators[i],))
+        if mask != masks[0]:
             raise ValueError("generators have inconsistent domains; not a group")
-    return dom
+    return masks[0]
 
 
 def _group_points(gs):
     """The sorted common domain of a group system and each point's
     position in it; once per system.  Raises ValueError, as
-    `_group_domain` does, if U is not a group."""
+    `group_domain` does, if U is not a group."""
     if gs._group_points is None:
-        points = sorted(_group_domain(gs))
+        mask = group_domain(gs)
+        points = [x for x in range(gs.degree) if mask >> x & 1]
         gs._group_points = points, dict(zip(points, range(len(points))))
     return gs._group_points
 

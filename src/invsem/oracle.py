@@ -7,11 +7,15 @@ system's element kernel, `GeneratorSystem.codec`: on the pb model a
 product is one bytes.translate up to degree 255 and one itemgetter
 above (`pbij.kernel`), on a Cayley table one table read.  A
 closure decodes its codes once, when `Closure.elements` is first read,
-or one at a time through `Closure.element`; membership, words,
-conjugators and the Green ideals encode their arguments instead.
+or one at a time through `Closure.element`; membership, words and
+conjugators encode their arguments instead.  Green's relations
+enumerate no closure: each pre-order is one `search.shortest_path` from
+the code of t to the code of s, along products with the generators.
 """
 
 from __future__ import annotations
+
+from .search import SearchCapExceeded, shortest_path
 
 ELEMENT_CAP = 10**6
 PRODUCT_CAP = 10**8
@@ -154,27 +158,6 @@ def naive_conjugate(gs, s, t, cap=ELEMENT_CAP):
     return False, None
 
 
-def _right_ideal(gs, t, elements):
-    out = {t}
-    for u in elements:
-        out.add(gs.mul(t, u))
-    return out
-
-
-def _left_ideal(gs, t, elements):
-    out = {t}
-    for u in elements:
-        out.add(gs.mul(u, t))
-    return out
-
-
-def _two_sided_ideal(gs, t, elements):
-    out = set()
-    for x in _left_ideal(gs, t, elements):
-        out |= _right_ideal(gs, x, elements)
-    return out
-
-
 def naive_green(gs, s, t, relation, cap=ELEMENT_CAP):
     """Decide the relative Green equivalence (R, L, J or H) of s and t
     with multipliers from U^1.  D is identified with J (finite case).
@@ -183,19 +166,35 @@ def naive_green(gs, s, t, relation, cap=ELEMENT_CAP):
             and naive_green_leq(gs, t, s, relation, cap))
 
 
+# the ideal of t that holds each relation's s <= t: U^1 on a side of t
+# means products with Sigma on that side
+_IDEALS = {"R": "t U^1", "L": "U^1 t", "J": "U^1 t U^1", "D": "U^1 t U^1"}
+
+
 def naive_green_leq(gs, s, t, relation, cap=ELEMENT_CAP):
-    """The pre-order s <=_X^U t (s in the suitable ideal of t); <=_H is
-    <=_R and <=_L together."""
+    """The pre-order s <=_X^U t, s in the ideal _IDEALS[X] of t; <=_H is
+    <=_R and <=_L together.  The ideal is searched breadth-first from t,
+    by products with the generators, up to s; a search that holds t and
+    more than `cap` other codes is refused.  No closure is enumerated."""
     if relation == "H":
         return (naive_green_leq(gs, s, t, "R", cap)
                 and naive_green_leq(gs, s, t, "L", cap))
-    # the ideals are taken over the closure's codes
-    cl = close(gs, cap)
-    ops, el, s, t = cl.codec, cl.codes, cl.codec.encode(s), cl.codec.encode(t)
-    if relation == "R":
-        return s in _right_ideal(ops, t, el)
-    if relation == "L":
-        return s in _left_ideal(ops, t, el)
-    if relation in ("J", "D"):
-        return s in _two_sided_ideal(ops, t, el)
-    raise ValueError("unknown relation %r" % (relation,))
+    if relation not in _IDEALS:
+        raise ValueError("unknown relation %r" % (relation,))
+    ideal, codec, gens = _IDEALS[relation], gs.codec, gs.generator_codes
+    product, right = codec.product, codec.right
+    rights = [right(g) for g in gens] if ideal.endswith("U^1") else ()
+    lefts = gens if ideal.startswith("U^1") else ()
+
+    def successors(x):
+        rx = right(x) if lefts else x
+        return ([(product(x, r), None) for r in rights]
+                + [(product(g, rx), None) for g in lefts])
+
+    s = codec.encode(s)
+    try:
+        return shortest_path(codec.encode(t), successors, lambda x: x == s,
+                             cap + 1) is not None
+    except SearchCapExceeded:
+        raise ClosureCapExceeded("ideal %s exceeded %d elements besides t"
+                                 % (ideal, cap)) from None

@@ -4,6 +4,7 @@ All sampling is seeded by the caller, so test runs are deterministic.
 """
 
 import random
+from types import SimpleNamespace
 
 from invsem.pbij import (PartialBijection, partial_identity, compose,
                          direct_product, empty_map)
@@ -205,6 +206,22 @@ def dispatched_as_the_oracle(gs, s, t):
         assert gs.mul(gs.mul(u, t), ub) == s
         assert u == gs.one or u in close(gs)
     return ok, u
+
+
+def counting_system(gens, n):
+    """A system on n points whose products are counted in a list: its
+    gs.mul calls and the product and mul calls of its codec.  A group
+    that a query builds multiplies on a kernel of its own, uncounted."""
+    gs = GeneratorSystem(gens, degree=n)
+    products = []
+    mul, ops = gs.mul, gs.codec
+    gs.mul = lambda x, y: products.append(1) or mul(x, y)
+    gs.codec = SimpleNamespace(
+        encode=ops.encode, decode=ops.decode, right=ops.right, inv=ops.inv,
+        undefined=ops.undefined,
+        product=lambda x, t: products.append(1) or ops.product(x, t),
+        mul=lambda x, y: products.append(1) or ops.mul(x, y))
+    return gs, products
 
 
 def top_points_system(n):

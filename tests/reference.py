@@ -97,6 +97,22 @@ def group_elements(G):
     return [(tuple(p[:G.m]), w) for p, w in out]
 
 
+def group_domain_by_sets(gs):
+    """The generators' common domain as a frozenset, from the domain
+    and range sets of each generator; raises ValueError if <Sigma> is
+    not a group (all generators must share dom = ran)."""
+    dom = None
+    for g in gs.generators:
+        d = g.domain()
+        if g.ran() != d:
+            raise ValueError("generator %r has dom != ran; not a group" % (g,))
+        if dom is None:
+            dom = d
+        elif d != dom:
+            raise ValueError("generators have inconsistent domains; not a group")
+    return dom
+
+
 # -- idempotents by composition ---------------------------------------------
 
 
@@ -160,6 +176,34 @@ def eval_word(gs, word):
     for i in word[1:]:
         x = gs.mul(x, gs.generators[i])
     return x
+
+
+# -- Green's relations -------------------------------------------------------
+
+
+def green_leq_by_ideals(gs, s, t, relation, cap=ELEMENT_CAP):
+    """s <=_X^U t by scanning the closure (refused past `cap` elements):
+    t U^1 is t and t u over every u of U, U^1 t its mirror, and
+    U^1 t U^1 the right ideals of the members of U^1 t; <=_H is <=_R and
+    <=_L together, and D is J."""
+    if relation == "H":
+        return (green_leq_by_ideals(gs, s, t, "R", cap)
+                and green_leq_by_ideals(gs, s, t, "L", cap))
+    cl = close(gs, cap)
+    mul, codes = cl.codec.mul, cl.codes
+    s, t = cl.codec.encode(s), cl.codec.encode(t)
+
+    def right_ideal(x):
+        return {x}.union(mul(x, u) for u in codes)
+
+    if relation == "R":
+        return s in right_ideal(t)
+    if relation == "L":
+        return s in {t}.union(mul(u, t) for u in codes)
+    if relation in ("J", "D"):
+        return any(s in right_ideal(x)
+                   for x in {t}.union(mul(u, t) for u in codes))
+    raise ValueError("unknown relation %r" % (relation,))
 
 
 # -- classification ----------------------------------------------------------

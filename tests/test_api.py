@@ -20,14 +20,15 @@ REMOVED = {
     "invsem.classify": ("classify", "_idempotent_indices",
                         "_is_strict_inverse"),
     "invsem.ctsolver": ("ct_member", "ct_conjugate", "ct_r_equiv"),
-    "invsem.groups": ("_diagonal_group",),
+    "invsem.groups": ("_diagonal_group", "_group_domain"),
     "invsem.hardness": ("automata_word_to_transitions",
                         "conjugation_orbit_decide"),
     "invsem.meta": ("solve_equations_bruteforce",),
     "invsem.munn": ("GENERAL_CAP",),
     "invsem.ncl": ("all_configs", "transitions_of", "ncl_reach_bruteforce",
                    "replay"),
-    "invsem.oracle": ("eval_word",),
+    "invsem.oracle": ("eval_word", "_right_ideal", "_left_ideal",
+                      "_two_sided_ideal"),
     "invsem.pbij": ("from_pairs", "all_partial_bijections"),
 }
 

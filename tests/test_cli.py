@@ -90,11 +90,18 @@ def test_conj_pb_with_witness(tmp_path, capsys):
 
 
 def test_green(tmp_path, capsys):
+    # in <e1, e2> neither idempotent lies in an ideal of the other; their
+    # product, the empty map, lies below e1 and not above it
     path = _write(tmp_path, "s.pb", PB_SEMILATTICE)
     code, out, _ = run(capsys, "green", path, "--rel", "R")
-    assert code == 0 and out.strip() in ("YES", "NO")
+    assert code == 0 and out == "NO\n"
     code, out, _ = run(capsys, "green", path, "--rel", "J", "--leq")
-    assert code == 0 and out.strip() in ("YES", "NO")
+    assert code == 0 and out == "NO\n"
+    path = _write(tmp_path, "zero.pb", "pb 2\ngen 1 _\ngen _ 2\ns _ _\nt 1 _\n")
+    code, out, _ = run(capsys, "green", path, "--rel", "J", "--leq")
+    assert code == 0 and out == "YES\n"
+    code, out, _ = run(capsys, "green", path, "--rel", "J")
+    assert code == 0 and out == "NO\n"
 
 
 def test_green_h_leq(tmp_path, capsys):
@@ -105,6 +112,24 @@ def test_green_h_leq(tmp_path, capsys):
         path = _write(tmp_path, "s.pb", text + pair)
         code, out, _ = run(capsys, "green", path, "--rel", "H", "--leq")
         assert code == 0 and out.strip() == answer, pair
+
+
+def test_green_cap_bounds_the_searched_ideal(tmp_path, capsys):
+    # U = S_3 (6 elements) and t, a rank-2 map outside U: t U^1 holds 6
+    # maps and U^1 t U^1 all 18 rank-2 maps, so at --cap 6 R answers and
+    # J is refused with the ideal named; at --cap 17 J answers
+    path = _write(tmp_path, "s3.pb",
+                  "pb 3\ngen 2 3 1\ngen 2 1 3\ns 1 2 3\nt 1 2 _\n")
+    code, out, _ = run(capsys, "green", path, "--rel", "R", "--leq",
+                       "--cap", "6")
+    assert (code, out) == (0, "NO\n")
+    code, out, err = run(capsys, "green", path, "--rel", "J", "--leq",
+                         "--cap", "6")
+    assert (code, out) == (1, "")
+    assert err == "refused: ideal U^1 t U^1 exceeded 6 elements besides t\n"
+    code, out, _ = run(capsys, "green", path, "--rel", "J", "--leq",
+                       "--cap", "17")
+    assert (code, out) == (0, "NO\n")
 
 
 def test_removed_route_options_are_unrecognized(tmp_path, capsys):

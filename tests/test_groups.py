@@ -14,10 +14,10 @@ from invsem.oracle import close, naive_conjugate
 from invsem.formats import PBInstance, image_line, serialize
 from invsem.cli import main
 from invsem.groups import (PermGroup, set_transporter, perm_group_of,
-                           pb_group_member, group_conjugate)
+                           pb_group_member, group_conjugate, group_domain)
 
-from helpers import rand_perm_on
-from reference import group_elements
+from helpers import rand_pb, rand_perm_on
+from reference import group_domain_by_sets, group_elements
 
 
 def _rand_perm(rng, m):
@@ -547,3 +547,36 @@ def test_transport_rules_out_sets_that_meet_the_orbits_differently(
     assert main(["transport", str(path)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("YES\ntransporter ") and len(built) == 1
+
+
+def _outcome(check, gs):
+    try:
+        return check(gs)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_group_domain_reads_the_point_record():
+    # the generators' domain masks and inverse positions make the test
+    # of the domain and range sets, with the same message first
+    rng = random.Random(38)
+    outcomes = set()
+    for _ in range(2000):
+        n = rng.randrange(1, 7)
+        dom = [x for x in range(n) if rng.random() < 0.7]
+        gens = [rand_perm_on(rng, n, dom) for _ in range(rng.randrange(1, 4))]
+        if rng.random() < 0.5:
+            gens.insert(rng.randrange(len(gens) + 1),
+                        rand_perm_on(rng, n, dom[1:]) if rng.random() < 0.5
+                        else rand_pb(rng, n))
+        gs = GeneratorSystem(gens, degree=n)
+        want = _outcome(group_domain_by_sets, gs)
+        got = _outcome(group_domain, gs)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got == sum(1 << x for x in want)
+        outcomes.add("group" if not isinstance(want, str)
+                     else "dom != ran" if "dom != ran" in want else want)
+    assert outcomes == {"group", "dom != ran",
+                        "generators have inconsistent domains; not a group"}

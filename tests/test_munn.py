@@ -4,7 +4,6 @@ import random
 import re
 import sys
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 
@@ -26,7 +25,8 @@ from invsem.munn import (OutsideTractable, orbit_closure,
                          SOLVERS, VARIETY_OF)
 
 from helpers import (KINDS, rand_pb, sample_systems, sample_sis_systems,
-                     check_munn_lemmas, dispatched_as_the_oracle, padded,
+                     check_munn_lemmas, counting_system,
+                     dispatched_as_the_oracle, padded,
                      sample_multi_component_sis, top_points_system,
                      variety_gens)
 from reference import (all_partial_bijections, from_closure, from_pairs,
@@ -216,22 +216,6 @@ def test_general_route_respects_cap():
         dispatch_member(gs, gs.one, cap=50)
 
 
-def _counting(gens, n):
-    """A system on n points whose products are counted in a list: its
-    gs.mul calls and the product and mul calls of its codec.  A group
-    that a query builds multiplies on a kernel of its own, uncounted."""
-    gs = GeneratorSystem(gens, degree=n)
-    products = []
-    mul, ops = gs.mul, gs.codec
-    gs.mul = lambda x, y: products.append(1) or mul(x, y)
-    gs.codec = SimpleNamespace(
-        encode=ops.encode, decode=ops.decode, right=ops.right, inv=ops.inv,
-        undefined=ops.undefined,
-        product=lambda x, t: products.append(1) or ops.product(x, t),
-        mul=lambda x, y: products.append(1) or ops.mul(x, y))
-    return gs, products
-
-
 def test_over_cap_closure_is_enumerated_once():
     # the 8-cycle, a transposition and a rank-7 idempotent generate I_8,
     # a General U far past the cap, with 256 idempotents: classifying it
@@ -243,17 +227,17 @@ def test_over_cap_closure_is_enumerated_once():
     gens = [PartialBijection(n, tuple((i + 1) % n for i in range(n))),
             PartialBijection(n, (1, 0) + tuple(range(2, n))),
             PartialBijection(n, tuple(range(n - 1)) + (None,))]
-    gs, one_closure = _counting(gens, n)
+    gs, one_closure = counting_system(gens, n)
     with pytest.raises(ClosureCapExceeded):
         close(gs, cap)
     assert len(one_closure) > cap - len(gs.generators)
-    gs, from_generators = _counting(gens, n)
+    gs, from_generators = counting_system(gens, n)
     assert classify_from_generators(gs) is None
-    gs, classified = _counting(gens, n)
+    gs, classified = counting_system(gens, n)
     tag = classify_generated(gs, cap)
     assert (tag.name, tag.idempotents) == ("General", 256)
     assert len(classified) > len(from_generators) + 256
-    gs, products = _counting(gens, n)
+    gs, products = counting_system(gens, n)
     for query in range(1, 4):
         assert dispatch_member(gs, gs.one, cap=cap)
         if query == 1:
@@ -300,7 +284,7 @@ def test_over_cap_idempotents_are_walked_once():
             "idempotent (E(U)) cap exceeded: more than %d idempotents"
             % cap))
 
-    gs, products = _counting(gens, n)
+    gs, products = counting_system(gens, n)
     with refused(100):
         classify_generated(gs, 100)
     walked = len(products)

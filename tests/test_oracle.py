@@ -1,6 +1,7 @@
 """Brute-force closure oracle and the relative Green relations."""
 
 import random
+from math import comb, factorial
 
 import pytest
 
@@ -10,9 +11,9 @@ from invsem.gensys import GeneratorSystem
 from invsem.oracle import (ClosureCapExceeded, close, naive_member,
                            naive_conjugate, naive_green, naive_green_leq)
 
-from helpers import (dispatched_as_the_oracle, rand_pb, sample_systems,
-                     top_points_system)
-from reference import close_bfs, eval_word, from_closure
+from helpers import (counting_system, dispatched_as_the_oracle, rand_pb,
+                     sample_systems, top_points_system)
+from reference import close_bfs, eval_word, from_closure, green_leq_by_ideals
 
 
 def test_close_idempotent():
@@ -259,3 +260,157 @@ def test_unknown_relation_rejected():
     gs = GeneratorSystem([PartialBijection(2, (1, 0))], degree=2)
     with pytest.raises(ValueError):
         naive_green(gs, gs.generators[0], gs.generators[0], "X")
+
+
+# -- Green's pre-orders: the search from t against the closure scans -------
+
+
+def _refused_or(decide, *args):
+    try:
+        return decide(*args)
+    except ClosureCapExceeded:
+        return None
+
+
+def _green_against_the_scans(gs, pairs, cap, expected):
+    """naive_green_leq both ways and naive_green on every relation of
+    each pair, at a cap that U fits, against the closure scans of
+    `reference.green_leq_by_ideals`, which `expected` memoizes by
+    (s, t, relation).  Returns the counts of answers compared and of
+    refusals; each refusal is J or D from outside U."""
+    members = close(gs, cap)
+    compared = refused = 0
+    for s, t in pairs:
+        for rel in "RLJHD":
+            for a, b in ((s, t), (t, s)):
+                if (a, b, rel) not in expected:
+                    expected[a, b, rel] = green_leq_by_ideals(gs, a, b, rel,
+                                                              cap)
+                got = _refused_or(naive_green_leq, gs, a, b, rel, cap)
+                if got is None:
+                    assert rel in "JD" and b not in members, (a, b, rel)
+                    refused += 1
+                else:
+                    assert got == expected[a, b, rel], (a, b, rel)
+                    compared += 1
+            got = _refused_or(naive_green, gs, s, t, rel, cap)
+            if got is None:
+                assert rel in "JD" and not (s in members and t in members)
+                refused += 1
+            else:
+                assert got == (expected[s, t, rel]
+                               and expected[t, s, rel]), (s, t, rel)
+                compared += 1
+    return compared, refused
+
+
+def _pairs(rng, inside, outside):
+    """Pairs (s, t) with s and t inside U, either one outside, and both
+    outside."""
+    return [(rng.choice(inside), rng.choice(inside)),
+            (rng.choice(inside), rng.choice(outside)),
+            (rng.choice(outside), rng.choice(inside)),
+            (rng.choice(outside), rng.choice(outside))]
+
+
+def test_green_search_matches_the_closure_scans(monkeypatch):
+    # 2000 random pb systems of degree 1-5, each at a cap that U fits:
+    # the search from t answers as the closure scans on every relation,
+    # on bytes codes and on tuple codes, and refuses only J and D from
+    # outside U, where U^1 t U^1 passes cap + 1 while U fits the cap
+    rng = random.Random(38)
+    cases = []
+    while len(cases) < 2000:
+        n = rng.randrange(1, 6)
+        gens = [rand_pb(rng, n) for _ in range(rng.randrange(1, 4))]
+        gs = GeneratorSystem(gens, degree=n)
+        try:
+            cl = close(gs, 40)
+        except ClosureCapExceeded:
+            continue
+        outside = [rand_pb(rng, n) for _ in range(3)] + [gs.one]
+        cases.append((gens, n, rng.randrange(len(cl), 41),
+                      _pairs(rng, cl.elements, outside), {}))
+    totals = []
+    for max_degree in (BytesCodec.max_degree, -1):
+        with monkeypatch.context() as m:
+            m.setattr(BytesCodec, "max_degree", max_degree)
+            compared = refused = 0
+            for gens, n, cap, pairs, expected in cases:
+                gs = GeneratorSystem(gens, degree=n)
+                assert (gs.codec is BytesCodec) == (max_degree >= n)
+                counts = _green_against_the_scans(gs, pairs, cap, expected)
+                compared += counts[0]
+                refused += counts[1]
+        totals.append((compared, refused))
+    assert totals[0] == totals[1]
+    assert totals[0][0] > 100000 and totals[0][1] > 0
+
+
+def test_green_search_matches_the_closure_scans_on_cayley_tables():
+    rng = random.Random(39)
+    compared = 0
+    for pb, _ in sample_systems(rng, 8, degrees=(2, 4), closure_cap=40):
+        table, _ = from_closure(close(pb).elements, pb.mul)
+        for _ in range(5):
+            sigma = rng.sample(range(table.order),
+                               rng.randrange(1, min(3, table.order) + 1))
+            gs = GeneratorSystem(sigma, table=table)
+            inside = close(gs).elements
+            outside = [x for x in range(table.order) if x not in inside]
+            pairs = _pairs(rng, inside, outside or inside)
+            compared += _green_against_the_scans(gs, pairs, table.order,
+                                                 {})[0]
+    assert compared == 40 * 5 * 4 * 5 * 3
+
+
+def test_green_refuses_a_two_sided_ideal_past_the_cap_from_outside_u():
+    # U = S_3 fits cap 6, so the closure scans answer; t, a rank-2 map,
+    # lies outside U, and U^1 t U^1 holds all 18 rank-2 maps, past t and
+    # 6 more, so the search refuses J and D, while t U^1 and U^1 t (6
+    # maps each) stay within the cap; the search holds t and cap more
+    gens = [PartialBijection(3, (1, 2, 0)), PartialBijection(3, (1, 0, 2))]
+    t = PartialBijection(3, (0, 1, None))
+    s = PartialBijection(3, (None, 2, 0))
+    gs = GeneratorSystem(gens, degree=3)
+    assert len(close(gs, 6)) == 6 and t not in close(gs)
+    for rel in "JD":
+        assert green_leq_by_ideals(gs, s, t, rel, 6)
+        with pytest.raises(ClosureCapExceeded,
+                           match="^ideal U\\^1 t U\\^1 exceeded 6 elements "
+                           "besides t$"):
+            naive_green_leq(gs, s, t, rel, 6)
+        with pytest.raises(ClosureCapExceeded):
+            naive_green(gs, s, t, rel, 6)
+        # the identity lies above t: a NO searches all of U^1 t U^1
+        assert not naive_green_leq(gs, gs.one, t, rel, 17)
+        with pytest.raises(ClosureCapExceeded):
+            naive_green_leq(gs, gs.one, t, rel, 16)
+    for rel in "RLH":
+        assert naive_green_leq(gs, t, t, rel, 6)
+        assert (naive_green_leq(gs, s, t, rel, 6)
+                == green_leq_by_ideals(gs, s, t, rel, 6))
+
+
+def test_green_searches_the_ideal_and_never_the_closure():
+    # I_n from the n-cycle c, a transposition and the partial identity e
+    # missing the top point (|Sigma| = 4 with c~): every relation leaves
+    # the closure unbuilt, and c <=_J e, a NO, expands each map of
+    # U^1 e U^1 (the maps of rank below n) once, with at most 2|Sigma|
+    # products each, where the closure scans took |U^1 e| |U| products
+    for n in (4, 5, 6):
+        c = PartialBijection(n, tuple((i + 1) % n for i in range(n)))
+        e = PartialBijection(n, tuple(range(n - 1)) + (None,))
+        gens = [c, PartialBijection(n, (1, 0) + tuple(range(2, n))), e]
+        gs, products = counting_system(gens, n)
+        for rel in "RLJHD":
+            for s, t in ((c, e), (e, c)):
+                # c is a unit of U, so U^1 c = c U^1 = U^1 c U^1 = U
+                assert naive_green_leq(gs, s, t, rel) == (s == e)
+                assert not naive_green(gs, s, t, rel)
+                assert gs._closure is None
+        ideal = sum(comb(n, k) ** 2 * factorial(k) for k in range(n))
+        del products[:]
+        assert not naive_green_leq(gs, c, e, "J")
+        assert ideal < len(products) <= ideal * 2 * len(gs.generators)
+        assert gs._closure is None
