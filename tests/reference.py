@@ -6,6 +6,8 @@ decides faster, or a small constructor for test inputs.
 
 from itertools import product
 
+import numpy as np
+
 from invsem.cayley import CayleyTable
 from invsem.classify import _tag, d_class_labels
 from invsem.meta import eval_word as eval_eq_word
@@ -85,6 +87,50 @@ def inverse_candidates(rows):
     return [[y for y in range(n)
              if rows[rows[x][y]][x] == x and rows[rows[y][x]][y] == y]
             for x in range(n)]
+
+
+def generating_set_by_closure(arr, n):
+    """Light's generating set of the n x n array `arr` as a list, by a
+    greedy closure: each index outside the part generated so far is a
+    generator.  The part grows level by level, each level the products
+    of its newest members with every member on both sides.  That is
+    closure under the product (the table need not be associative),
+    which does not depend on the order of growth."""
+    inside = np.zeros(n, dtype=bool)
+    members = np.empty(n, dtype=np.intp)
+    count = 0
+    gens = []
+    for g in range(n):
+        if inside[g]:
+            continue
+        gens.append(g)
+        inside[g] = True
+        new = np.array([g])
+        while len(new):
+            members[count:count + len(new)] = new
+            count += len(new)
+            seen = members[:count]
+            found = np.zeros(n, dtype=bool)
+            found[arr[seen[:, None], new]] = True
+            found[arr[new[:, None], seen]] = True
+            new = np.flatnonzero(found & ~inside)
+            inside[new] = True
+    return gens
+
+
+def light_test_by_generator(arr, n):
+    """Light's test one generator of `generating_set_by_closure` at a
+    time: raises the ValueError that names the first failing generator
+    g and its first (i, k) in row-major order."""
+    at = np.ascontiguousarray(arr.T)
+    for g in generating_set_by_closure(arr, n):
+        left = arr[arr[:, g]]  # (i g) k
+        right = at[arr[g]].T  # i (g k)
+        if not np.array_equal(left, right):
+            i, k = (int(v) for v in np.argwhere(left != right)[0])
+            raise ValueError(
+                "not associative at (%d, %d, %d): (%d*%d)*%d != %d*(%d*%d)"
+                % (i, g, k, i, g, k, i, g, k))
 
 
 def group_elements(G):

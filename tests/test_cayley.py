@@ -10,6 +10,7 @@ import re
 import numpy as np
 import pytest
 
+from invsem import cayley
 from invsem.pbij import compose
 from invsem.cayley import (CayleyTable, preston_wagner, y2_table,
                            brandt_table, direct_product_table)
@@ -17,7 +18,8 @@ from invsem.gensys import GeneratorSystem
 from invsem.oracle import close
 
 from helpers import sample_systems
-from reference import from_closure, inverse_candidates
+from reference import (from_closure, generating_set_by_closure,
+                       inverse_candidates, light_test_by_generator)
 
 
 def test_rejects_non_associative_with_triple():
@@ -171,6 +173,222 @@ def _passes_light_test(t):
     except ValueError:
         return False
     return True
+
+
+def _brandt_over(group, k):
+    """The rows of B(G, k) for the group table `group` on k points: 0
+    is the zero and 1 + (i k + j) |G| + g is (i, g, j), with
+    (i, g, j)(j, h, l) = (i, g h, l)."""
+    m = len(group)
+    n = 1 + k * k * m
+    t = [[0] * n for _ in range(n)]
+    for i, j, l in itertools.product(range(k), repeat=3):
+        for g in range(m):
+            for h in range(m):
+                t[1 + (i * k + j) * m + g][1 + (j * k + l) * m + h] = \
+                    1 + (i * k + l) * m + group[g][h]
+    return t
+
+
+def _symmetric(k):
+    """The rows of S_k on its permutations in lexicographic order."""
+    perms = list(itertools.permutations(range(k)))
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(q[x] for x in p)] for q in perms] for p in perms]
+
+
+def _cyclic(m):
+    return [[(a + b) % m for b in range(m)] for a in range(m)]
+
+
+def _times_y2(rows):
+    """rows x Y2, Y2 = {0 neutral, 1 absorbing}; (a, b) -> 2a + b."""
+    n = 2 * len(rows)
+    return [[2 * rows[a // 2][b // 2] + (a % 2 | b % 2) for b in range(n)]
+            for a in range(n)]
+
+
+def _differential_tables(rng):
+    """Random magmas and random commutative magmas of order 1-12, then
+    relabelled Brandt, B(n) x Y2, chain, S_n and B(G, k) tables, every
+    other copy with one entry changed."""
+    for _ in range(900):
+        n = rng.randrange(1, 13)
+        yield [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+    for _ in range(400):
+        n = rng.randrange(1, 13)
+        t = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a, n):
+                t[a][b] = t[b][a] = rng.randrange(n)
+        yield t
+    bases = ([_brandt_over([[0]], k) for k in range(1, 6)]
+             + [_times_y2(_brandt_over([[0]], k)) for k in range(1, 5)]
+             + [[[min(a, b) for b in range(n)] for a in range(n)]
+                for n in (1, 2, 5, 17, 40)]
+             + [_symmetric(k) for k in range(1, 5)]
+             + [_brandt_over(group, k)
+                for group in (_cyclic(2), _cyclic(3), _symmetric(3))
+                for k in (1, 2, 3)])
+    for base in bases:
+        n = len(base)
+        for copy_ in range(40):
+            t = _relabelled(lambda x, y: base[x][y], n, rng)[0]
+            if copy_ % 2 and n > 1:
+                i, j = rng.randrange(n), rng.randrange(n)
+                t[i][j] = (t[i][j] + rng.randrange(1, n)) % n
+            yield t
+
+
+def _outcome(t):
+    """What CayleyTable makes of t: its inverse map and identity, or the
+    message it rejects t with."""
+    try:
+        S = CayleyTable(t)
+    except ValueError as exc:
+        return str(exc)
+    return S.inverse_map, S.identity_index
+
+
+def _counted_rounds(monkeypatch):
+    """The relaxation's rounds from here on, each True if it lowered
+    some T(y)."""
+    rounds = []
+    relax = cayley._relax
+
+    def counted(least, products):
+        rounds.append(relax(least, products))
+        return rounds[-1]
+
+    monkeypatch.setattr(cayley, "_relax", counted)
+    return rounds
+
+
+def test_generating_set_and_outcome_match_the_greedy_closure(monkeypatch):
+    # the relaxation's generators are the greedy closure's unless the
+    # round bound trips.  Then the table is not associative and the
+    # generators include the greedy ones; if the lists differ, the
+    # rejection still names a failing triple.  On the same list, the
+    # outcome is the per-generator Light's test's
+    rounds = _counted_rounds(monkeypatch)
+    tables = list(_differential_tables(random.Random(39)))
+    assert len(tables) >= 2000
+    counts = {"accepted": 0, "rejected": 0, "tripped": 0, "differ": 0}
+    for t in tables:
+        n = len(t)
+        arr = np.array(t, dtype=np.min_scalar_type(n - 1))
+        del rounds[:]
+        gens = cayley._generating_set(arr, n).tolist()
+        tripped = len(rounds) == (n - 1).bit_length() + 1 and rounds[-1]
+        expected = generating_set_by_closure(arr, n)
+        outcome = _outcome(t)
+        if isinstance(outcome, str) and outcome.startswith("not assoc"):
+            _assert_rejected_at_failing_triple(t)
+        if tripped:
+            assert set(expected) <= set(gens)
+            assert _non_associative_triples(t)
+            counts["tripped"] += 1
+        if gens != expected:
+            assert tripped and outcome.startswith("not associative at")
+            counts["differ"] += 1
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(CayleyTable, "_check_associativity",
+                      staticmethod(light_test_by_generator))
+            assert outcome == _outcome(t)
+        counts["rejected" if isinstance(outcome, str) else "accepted"] += 1
+    assert counts["accepted"] >= 300 and counts["rejected"] >= 1000
+    # the bound trips on random magmas, and a few of those keep an
+    # extra generator
+    assert counts["tripped"] >= 100 and counts["differ"] >= 1
+
+
+def _comb(n):
+    """k 1 = k + 1 for k < n - 1 and every other product 0: only the
+    left comb (((1 1) 1) ... ) 1 reaches k, a tree of depth k - 1, so an
+    unbounded relaxation would run n rounds."""
+    t = [[0] * n for _ in range(n)]
+    for k in range(1, n - 1):
+        t[k][1] = k + 1
+    return t
+
+
+def test_relaxation_stops_after_log_n_plus_one_rounds_on_a_comb(
+        monkeypatch):
+    rounds = _counted_rounds(monkeypatch)
+    for n in (300, 600):
+        del rounds[:]
+        with pytest.raises(ValueError, match=r"^not associative at "
+                           r"\(1, 1, 1\): \(1\*1\)\*1 != 1\*\(1\*1\)$"):
+            CayleyTable(_comb(n))
+        # every round lowers T, and the bound ends the relaxation
+        assert rounds == [True] * ((n - 1).bit_length() + 1)
+
+
+def test_cyclic_group_settles_in_exactly_log_n_rounds(monkeypatch):
+    # Z_n with its generator 1 at index 0: n 1 = 0 is a word of n
+    # letters over index 0 alone, so T(0) reaches 0 at round
+    # ceil(log2 n) and not before; the bound is tight and never trips
+    # on an associative table
+    rounds = _counted_rounds(monkeypatch)
+    rng = random.Random(40)
+    for n in (2, 3, 5, 64, 65, 100, 300):
+        # idx[x] is the index of the residue x; the generator 1 gets 0
+        rest = list(range(1, n))
+        rng.shuffle(rest)
+        idx = [rest[0]] + [0] + rest[1:]
+        t = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                t[idx[a]][idx[b]] = idx[(a + b) % n]
+        del rounds[:]
+        S = CayleyTable(t)
+        assert S.identity_index == idx[0]
+        assert rounds == [True] * (n - 1).bit_length() + [False]
+
+
+def _null_with_failures(n, plants):
+    """The null semigroup of order n (every product 0) with, for each
+    (i, g, k, c, e), i g = c and c k = e: then (i g) k = e but
+    i (g k) = i 0 = 0.  Each c and e lies below a factor of its
+    product, so every element stays a generator."""
+    t = [[0] * n for _ in range(n)]
+    for i, g, k, c, e in plants:
+        t[i][g] = c
+        t[c][k] = e
+    return t
+
+
+def test_blocked_light_test_names_the_per_generator_triple():
+    # order 60: blocks of 18 generators.  Generators 23 and 30 share
+    # the block 18..35 and both fail, 30 at an (i, k) that comes first
+    # in row-major order; the message names 23, as one generator at a
+    # time finds it
+    t = _null_with_failures(60, [(40, 23, 50, 10, 5), (2, 30, 3, 11, 7)])
+    arr = np.array(t, dtype=np.uint8)
+    assert cayley._generating_set(arr, 60).tolist() == list(range(60))
+    message = r"^not associative at \(40, 23, 50\): "
+    with pytest.raises(ValueError, match=message):
+        CayleyTable(t)
+    with pytest.raises(ValueError, match=message):
+        light_test_by_generator(arr, 60)
+    # random plants at orders with one block, several and single
+    # generators per block: the same message as the per-generator loop
+    rng = random.Random(41)
+    for n in (12, 20, 60, 101, 260):
+        for _ in range(20):
+            plants = []
+            for _ in range(rng.randrange(1, 5)):
+                i, g, k = (rng.randrange(2, n) for _ in range(3))
+                c = rng.randrange(1, max(i, g))
+                plants.append((i, g, k, c, rng.randrange(1, max(c, k))))
+            t = _null_with_failures(n, plants)
+            arr = np.array(t, dtype=np.min_scalar_type(n - 1))
+            with pytest.raises(ValueError) as expected:
+                light_test_by_generator(arr, n)
+            with pytest.raises(ValueError) as found:
+                CayleyTable._check_associativity(arr, n)
+            assert str(found.value) == str(expected.value)
 
 
 def test_derive_inverses_matches_python_reference():
